@@ -108,9 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
+def _apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> None:
     if not args.config:
         return
+    actions = {a.dest: a for a in parser._actions}
     try:
         with open(args.config) as fh:
             for raw in fh:
@@ -122,13 +125,17 @@ def _apply_config_file(args: argparse.Namespace) -> None:
                 value = value.strip().strip("\"'")
                 if not hasattr(args, key):
                     raise ConfigError("unknown config key %r" % key)
-                current = getattr(args, key)
-                if isinstance(current, bool):
+                action = actions[key]
+                if action.nargs == 0:  # store_true flags
                     setattr(args, key, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
-                    setattr(args, key, int(value))
-                else:
-                    setattr(args, key, value)
+                    continue
+                try:
+                    typed = (action.type or str)(value)
+                except ValueError:
+                    raise ConfigError("bad value %r for config key %r" % (value, key))
+                if action.choices is not None and typed not in action.choices:
+                    raise ConfigError("%r must be one of %r" % (key, action.choices))
+                setattr(args, key, typed)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
 
@@ -492,9 +499,8 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    os.environ.setdefault("TCF_THREADS", "1")
     try:
-        _apply_config_file(args)
+        _apply_config_file(args, parser)
         cfg = _validate(args)
         if args.command == "build":
             return cmd_build(args, cfg)

@@ -8,21 +8,19 @@ A Pauli is i^p * X(x) * Z(z) with the X block written first; p is mod 4.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import EchelonBasis
 from .local_codes import LinearCode, divisibility_level, is_multi_orthogonal
 
 
 class GateError(ValueError):
     """Raised for malformed gates or broken circuit invariants."""
-
-
-DEFAULT_TABLEAU_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -251,24 +249,34 @@ def _mask(qubits: Iterable[int]) -> int:
 # -- stabilizer group membership ---------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
+def _symplectic_basis(generators: Tuple[Pauli, ...]) -> EchelonBasis:
+    return EchelonBasis(g.x | (g.z << g.n) for g in generators)
+
+
 def membership_phase(p: Pauli, generators: Sequence[Pauli]) -> Optional[int]:
     """If (x|z) of p lies in the generator span, the phase mod 4 by which
     p differs from the reconstructing product; None otherwise.
 
-    0 means exact membership; 2 means -p is in the group."""
+    0 means exact membership; 2 means -p is in the group.
+
+    The generators' symplectic rows are factored once and cached for the
+    latest generator tuple, compared by content (a list mutated in place
+    is factored again); a query is one reduction, so this pays off when
+    many queries share one generator set, as in gate-preservation checks."""
     n = p.n
     if not generators:
         return 0 if (p.x == 0 and p.z == 0) else None
-    rows = [g.x | (g.z << n) for g in generators]
-    mat = BitMatrix.from_int_rows(rows, 2 * n).transpose()
-    target = BitVector(2 * n, p.x | (p.z << n))
-    combo = mat.solve_vec(target)
-    if combo is None:
+    residual, combo = _symplectic_basis(tuple(generators)).reduce(p.x | (p.z << n))
+    if residual:
         return None
     prod = Pauli(n, 0, 0, 0)
-    for i in combo.support():
-        prod = pauli_mul(prod, generators[i])
-    assert prod.x == p.x and prod.z == p.z
+    while combo:
+        low = combo & -combo
+        prod = pauli_mul(prod, generators[low.bit_length() - 1])
+        combo ^= low
+    if prod.x != p.x or prod.z != p.z:
+        raise GateError("membership certificate does not rebuild the queried Pauli")
     return (p.p - prod.p) % 4
 
 
@@ -434,7 +442,6 @@ def logical_phase_prediction(
 
 __all__ = [
     "GateError",
-    "DEFAULT_TABLEAU_CAP",
     "Pauli",
     "pauli_mul",
     "pauli_inverse",

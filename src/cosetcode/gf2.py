@@ -8,7 +8,7 @@ coordinate 64*w + b.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,6 +105,66 @@ class BitVector:
             self.length,
             format(self.value, "0%db" % self.length)[::-1] if self.length else "0",
         )
+
+
+class EchelonBasis:
+    """An incrementally grown row basis over Python-int rows.
+
+    Every stored row is fully reduced: its pivot is its lowest set bit,
+    and no other stored row has that bit.  Each stored row carries a
+    bitmask over insertion indices (one index per `insert` call, whether
+    or not the row was independent) naming the inserted rows it sums, so
+    `reduce` certifies membership with an explicit combination.
+    """
+
+    __slots__ = ("_rows", "_combos", "_pivots", "_inserted")
+
+    def __init__(self, rows: Iterable[int] = ()):
+        self._rows: Dict[int, int] = {}  # pivot bit -> reduced row
+        self._combos: Dict[int, int] = {}  # pivot bit -> its certificate
+        self._pivots = 0  # OR of all pivot bits
+        self._inserted = 0
+        for v in rows:
+            self.insert(v)
+
+    def __len__(self) -> int:
+        """The rank of the inserted rows."""
+        return len(self._rows)
+
+    def reduce(self, v: int) -> Tuple[int, int]:
+        """(residual, combination): the inserted rows named by
+        `combination` XOR to `v ^ residual`; v is in the span iff the
+        residual is 0."""
+        combo = 0
+        # full reduction: clearing one pivot bit never sets another, so
+        # the pivots to apply are exactly those set in v
+        hits = v & self._pivots
+        while hits:
+            low = hits & -hits
+            v ^= self._rows[low]
+            combo ^= self._combos[low]
+            hits ^= low
+        return v, combo
+
+    def insert(self, v: int) -> bool:
+        """Add v under the next insertion index; True iff it was
+        independent of the rows already inserted."""
+        index = self._inserted
+        self._inserted += 1
+        v, combo = self.reduce(v)
+        if not v:
+            return False
+        combo |= 1 << index
+        low = v & -v
+        rows, combos = self._rows, self._combos
+        for pivot, row in rows.items():  # values change, keys do not
+            if row & low:
+                rows[pivot] = row ^ v
+                combos[pivot] ^= combo
+        rows[low] = v
+        combos[low] = combo
+        self._pivots |= low
+        return True
 
 
 def weight_and_star(vs: Sequence[BitVector]) -> int:
@@ -405,9 +465,8 @@ class BitMatrix:
     def in_row_space(self, v: BitVector) -> bool:
         if v.length != self.cols:
             raise GF2Error("in_row_space length mismatch")
-        base = self.rank()
-        aug = self.vstack(BitMatrix.from_int_rows([v.value], self.cols))
-        return aug.rank() == base
+        residual, _ = EchelonBasis(self.int_rows()).reduce(v.value)
+        return residual == 0
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
@@ -490,6 +549,7 @@ __all__ = [
     "GF2Error",
     "BitVector",
     "BitMatrix",
+    "EchelonBasis",
     "weight_and_star",
     "row_space_equal",
     "write_matrix_market",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, GF2Error
+from .gf2 import BitMatrix, BitVector, EchelonBasis
 from .group import GroupTable
 from .local_codes import LinearCode, dual_code
 
@@ -36,6 +36,7 @@ class Sheaf:
         self.local_bases = local_bases
         self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
         self._dual_bases: Dict[FaceId, BitMatrix] = {}
+        self._echelons: Dict[FaceId, EchelonBasis] = {}
 
     # -- bases -------------------------------------------------------------
 
@@ -50,6 +51,14 @@ class Sheaf:
 
     def dim(self, face: FaceId) -> int:
         return self.basis(face).rows
+
+    def echelon(self, face: FaceId) -> EchelonBasis:
+        """`basis(face)` factored for reduction; certificates index its rows."""
+        cached = self._echelons.get(face)
+        if cached is None:
+            cached = EchelonBasis(self.basis(face).int_rows())
+            self._echelons[face] = cached
+        return cached
 
     def dual_local_basis(self, face: FaceId) -> BitMatrix:
         cached = self._dual_bases.get(face)
@@ -237,9 +246,7 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
         raise SheafError("coboundary level out of range")
     src_off, src_dim = s.level_offsets(j)
     dst_off, dst_dim = s.level_offsets(j + 1)
-    out = BitMatrix(dst_dim, src_dim)
-    # gather restrictions per target face, then solve in its basis once
-    pending: Dict[FaceId, List[Tuple[int, int]]] = {}
+    out = [0] * dst_dim
     for face in c.level_faces(j):
         mask, idx = face
         ups = c.up_sets[mask][idx]
@@ -248,37 +255,29 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
             if mask & ~smask:
                 continue
             for sidx in c.cofaces(face, smask):
+                tface = (smask, sidx)
                 sups = c.up_sets[smask][sidx]
                 spos = [ups.index(t) for t in sups]
+                target = s.echelon(tface)
+                base = dst_off[tface]
                 for i in range(basis.rows):
                     w = basis.row_int(i)
                     r = 0
                     for p, srcp in enumerate(spos):
                         if (w >> srcp) & 1:
                             r |= 1 << p
-                    pending.setdefault((smask, sidx), []).append(
-                        (src_off[face] + i, r)
-                    )
-    for tface, entries in pending.items():
-        tb = s.basis(tface)
-        width = tb.cols
-        rhs = BitMatrix(width, len(entries))
-        for col, (_, r) in enumerate(entries):
-            for p in range(width):
-                if (r >> p) & 1:
-                    rhs.set_bits(p, [col])
-        x = tb.transpose().solve(rhs)
-        if x is None:
-            raise SheafError(
-                "restriction to %r leaves the local code: sheaf is inconsistent"
-                % (tface,)
-            )
-        base = dst_off[tface]
-        for col, (src_coord, _) in enumerate(entries):
-            for i in range(tb.rows):
-                if x.get(i, col):
-                    out.set_bits(base + i, [src_coord])
-    return out
+                    residual, combo = target.reduce(r)
+                    if residual:
+                        raise SheafError(
+                            "restriction to %r leaves the local code: sheaf is "
+                            "inconsistent" % (tface,)
+                        )
+                    bit = 1 << (src_off[face] + i)
+                    while combo:
+                        low = combo & -combo
+                        out[base + low.bit_length() - 1] |= bit
+                        combo ^= low
+    return BitMatrix.from_int_rows(out, src_dim)
 
 
 def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
@@ -342,14 +341,8 @@ def cohomology_dim(s: Sheaf, j: int) -> int:
 def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:
     """Deterministic cocycle representatives of a basis of H^j."""
     z = cocycle_basis(s, j)
-    b = coboundary_image_basis(s, j).row_space_basis()
-    reps: List[int] = []
-    acc = b
-    for i in range(z.rows):
-        row = z.row(i)
-        if not acc.in_row_space(row):
-            reps.append(row.value)
-            acc = acc.vstack(BitMatrix.from_int_rows([row.value], z.cols))
+    acc = EchelonBasis(coboundary_image_basis(s, j).int_rows())
+    reps = [row for row in z.int_rows() if acc.insert(row)]
     return BitMatrix.from_int_rows(reps, z.cols)
 
 
@@ -390,13 +383,11 @@ def check_flasque(s: Sheaf) -> bool:
                             if (w >> srcp) & 1:
                                 r |= 1 << p
                         restricted.append(r)
-                    rm = BitMatrix.from_int_rows(restricted, len(sups))
-                    target = s.basis((smask, sidx))
-                    if rm.rank() != target.rows:
+                    if len(EchelonBasis(restricted)) != s.dim((smask, sidx)):
                         return False
-                    for i in range(rm.rows):
-                        if not target.in_row_space(rm.row(i)):
-                            return False
+                    target = s.echelon((smask, sidx))
+                    if any(target.reduce(r)[0] for r in restricted):
+                        return False
     return True
 
 
@@ -508,18 +499,10 @@ def cup_product(
         for p, t in enumerate(ups):
             if ((v1 >> fpos[t]) & 1) and ((v2 >> bpos[t]) & 1):
                 val |= 1 << p
-        basis = target.basis(face)
-        rhs = BitMatrix(basis.cols, 1)
-        for p in range(basis.cols):
-            if (val >> p) & 1:
-                rhs.set_bits(p, [0])
-        x = basis.transpose().solve(rhs)
-        if x is None:
+        residual, combo = target.echelon(face).reduce(val)
+        if residual:
             raise SheafError("cup product value escapes the star sheaf at %r" % (face,))
-        off = offsets[face]
-        for i in range(basis.rows):
-            if x.get(i, 0):
-                data |= 1 << (off + i)
+        data |= combo << offsets[face]
     return Cochain(target, level, BitVector(dim, data))
 
 
@@ -666,7 +649,6 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     gen_col = {
         (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
     }
-    n_rows = 0
     rows_per_coset = dual.k
     # edges through v: cotype-2 cosets (type {0,1}) and cotype-1 ({0,2})
     cosets = []
@@ -686,8 +668,10 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
             cols = [tops[p] for p in range(q) if (w >> p) & 1]
             mat.set_bits(row, cols)
             row += 1
-    n_rows = row
-    assert n_rows == mat.rows
+    if row != mat.rows:
+        raise SheafError(
+            "link constraint count %d != allocated rows %d" % (row, mat.rows)
+        )
     return n - mat.rank()
 
 

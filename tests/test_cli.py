@@ -88,6 +88,20 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+def test_config_file_values_are_typed(tmp_path, capsys):
+    cfg = tmp_path / "typed.cfg"
+    cfg.write_text("q = 2\nz = 0\nsuite = structure\n")
+    assert main(["verify", "--config", str(cfg)]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"structure"}
+
+
+@pytest.mark.parametrize("line", ["q = abc", "z = ", "suite = everything"])
+def test_config_file_bad_value_exits_two(tmp_path, line):
+    cfg = tmp_path / "bad_value.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+
+
 def test_report_local_only(capsys):
     assert main(["report", "--q", "8", "--local-only"]) == 0
     out = capsys.readouterr().out

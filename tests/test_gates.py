@@ -1,6 +1,8 @@
 """Phase-exact Pauli algebra, Clifford conjugation tables, orbit
 circuits, and the divisibility certificates for diagonal gates."""
 
+import random
+
 import pytest
 
 from cosetcode.gates import (
@@ -30,6 +32,7 @@ from cosetcode.gates import (
     perm_orbits,
     transversal_rl_level,
 )
+from cosetcode.gf2 import BitMatrix, BitVector
 from cosetcode.local_codes import reed_muller
 
 
@@ -192,6 +195,80 @@ def test_membership_phase_and_sign():
     # empty generator list: only the identity is a member
     assert membership_phase(Pauli(n, 0, 0, 0), []) == 0
     assert membership_phase(Pauli.x_op(n, 1), []) is None
+
+
+def _membership_phase_by_solve(p, generators):
+    """Reference: solve the transposed generator system from scratch."""
+    n = p.n
+    if not generators:
+        return 0 if (p.x == 0 and p.z == 0) else None
+    rows = [g.x | (g.z << n) for g in generators]
+    mat = BitMatrix.from_int_rows(rows, 2 * n).transpose()
+    combo = mat.solve_vec(BitVector(2 * n, p.x | (p.z << n)))
+    if combo is None:
+        return None
+    prod = Pauli(n, 0, 0, 0)
+    for i in combo.support():
+        prod = pauli_mul(prod, generators[i])
+    return (p.p - prod.p) % 4
+
+
+def _random_stabilizer_generators(rng, n):
+    """Z_i on a random qubit subset, conjugated by a random Clifford
+    circuit: commuting, sign-exact, and never containing -I."""
+    circ = Circuit(n)
+    for _ in range(4):
+        qubits = list(range(n))
+        rng.shuffle(qubits)
+        circ.add_layer(
+            [Gate("CZ", (qubits[0], qubits[1])), Gate("H", (qubits[2],)),
+             Gate("S", (qubits[3],))]
+        )
+    subset = [i for i in range(n) if rng.getrandbits(1)] or [0]
+    return [circ.conjugate(Pauli.z_op(n, 1 << i)) for i in subset]
+
+
+def test_membership_phase_matches_solve_reference():
+    rng = random.Random(5)
+    n = 7
+    for trial in range(40):
+        if trial % 2:
+            gens = _random_stabilizer_generators(rng, n)
+        else:  # arbitrary, non-commuting: the product order shows in the phase
+            gens = [
+                Pauli(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n))
+                for _ in range(rng.randrange(1, 9))
+            ]
+        gens.append(pauli_mul(gens[0], gens[-1]))  # a dependent generator
+        members, negated, outside = [], [], []
+        for _ in range(6):
+            member = Pauli(n, 0, 0, 0)
+            for g in gens:
+                if rng.getrandbits(1):
+                    member = pauli_mul(member, g)
+            members.append(member)
+            negated.append(Pauli(n, member.p + 2, member.x, member.z))
+            outside.append(
+                Pauli(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n))
+            )
+        queries = members + negated + outside
+        phases = [membership_phase(q, gens) for q in queries]
+        assert phases == [_membership_phase_by_solve(q, gens) for q in queries]
+        if trial % 2:
+            assert phases[:12] == [0] * 6 + [2] * 6
+
+
+def test_membership_phase_sees_generators_mutated_in_place():
+    n = 2
+    gens = [Pauli.z_op(n, 0b01), Pauli.z_op(n, 0b10)]
+    zz = Pauli.z_op(n, 0b11)
+    assert membership_phase(zz, gens) == 0
+    gens[0] = Pauli.x_op(n, 0b01)  # as StabilizerGroup.measure rewrites gens
+    assert membership_phase(zz, gens) is None
+    gens[0] = Pauli(n, 2, 0, 0b01)  # same support, opposite sign
+    assert membership_phase(zz, gens) == 2
+    gens.append(Pauli.x_op(n, 0b10))
+    assert membership_phase(Pauli.x_op(n, 0b10), gens) == 0
 
 
 def test_perm_orbits():

@@ -4,10 +4,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosetcode.gf2 import (
     BitMatrix,
     BitVector,
+    EchelonBasis,
     GF2Error,
     read_alist,
     read_matrix_market,
@@ -135,6 +138,71 @@ def test_in_row_space():
     m = BitMatrix.from_int_rows([0b0011, 0b0110], 4)
     assert m.in_row_space(BitVector(4, 0b0101))
     assert not m.in_row_space(BitVector(4, 0b1000))
+
+
+def _xor_of(rows, combo):
+    acc = 0
+    for i, r in enumerate(rows):
+        if (combo >> i) & 1:
+            acc ^= r
+    return acc
+
+
+@st.composite
+def _row_sets(draw):
+    """Random, low-rank (product of thin factors) and structured
+    (identity, repeated rows) inputs, plus query vectors."""
+    cols = draw(st.integers(1, 80))
+    n_rows = draw(st.integers(0, 24))
+    kind = draw(st.sampled_from(["random", "low_rank", "identity", "repeated"]))
+    word = st.integers(0, (1 << cols) - 1)
+    if kind == "random":
+        rows = draw(st.lists(word, min_size=n_rows, max_size=n_rows))
+    elif kind == "low_rank":
+        k = draw(st.integers(1, 4))
+        factor = draw(st.lists(word, min_size=k, max_size=k))
+        mix = draw(
+            st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows)
+        )
+        rows = [_xor_of(factor, m) for m in mix]
+    elif kind == "identity":
+        rows = [1 << i for i in range(min(n_rows, cols))]
+    else:
+        base = draw(st.lists(word, min_size=1, max_size=3))
+        rows = [base[i % len(base)] for i in range(n_rows)]
+    queries = draw(st.lists(word, max_size=6))
+    subsets = draw(st.lists(st.integers(0, (1 << n_rows) - 1), max_size=4))
+    queries += [_xor_of(rows, m) for m in subsets]
+    return cols, rows, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_sets())
+def test_echelon_basis_matches_rank_oracle(data):
+    cols, rows, queries = data
+    basis = EchelonBasis()
+    rank = 0
+    for i, r in enumerate(rows):
+        grown = _rank_oracle(rows[: i + 1], cols)
+        assert basis.insert(r) == (grown > rank)
+        rank = grown
+    assert len(basis) == rank
+    assert len(EchelonBasis(rows)) == len(basis)
+    mat = BitMatrix.from_int_rows(rows or [0], cols)
+    for v in rows + queries:
+        residual, combo = basis.reduce(v)
+        assert combo >> len(rows) == 0
+        assert _xor_of(rows, combo) ^ residual == v
+        member = _rank_oracle(rows + [v], cols) == rank
+        assert (residual == 0) == member
+        assert mat.in_row_space(BitVector(cols, v)) == member
+
+
+def test_echelon_basis_certificate_skips_dependent_inserts():
+    basis = EchelonBasis([0b011, 0b011, 0b110])
+    assert len(basis) == 2
+    assert basis.reduce(0b101) == (0, 0b101)  # rows 0 and 2; the repeat is unused
+    assert basis.reduce(0b1000) == (0b1000, 0)
 
 
 def test_row_space_equal_detects_difference():

@@ -22,6 +22,7 @@ from cosetcode.sheaf import (
     check_pair_products,
     check_projected_weights,
     coboundary_matrix,
+    coboundary_image_basis,
     cocycle_basis,
     cohomology_dim,
     cohomology_reps,
@@ -111,6 +112,77 @@ def test_cocycles_contain_coboundaries(sheaf2):
     for i in range(min(10, d0.cols)):
         col = BitVector(d0.cols, 1 << i)
         assert z.in_row_space(d0.matvec(col))
+
+
+def _coboundary_by_solve(s, j):
+    """Reference: gather restrictions per target face and solve each in
+    the transposed target basis."""
+    c = s.complex
+    src_off, src_dim = s.level_offsets(j)
+    dst_off, dst_dim = s.level_offsets(j + 1)
+    out = BitMatrix(dst_dim, src_dim)
+    pending = {}
+    for face in c.level_faces(j):
+        mask, idx = face
+        ups = c.up_sets[mask][idx]
+        basis = s.basis(face)
+        for smask in c.level_masks(j + 1):
+            if mask & ~smask:
+                continue
+            for sidx in c.cofaces(face, smask):
+                spos = [ups.index(t) for t in c.up_sets[smask][sidx]]
+                for i in range(basis.rows):
+                    w = basis.row_int(i)
+                    r = sum(1 << p for p, sp in enumerate(spos) if (w >> sp) & 1)
+                    pending.setdefault((smask, sidx), []).append((src_off[face] + i, r))
+    for tface, entries in pending.items():
+        tb = s.basis(tface)
+        rhs = BitMatrix(tb.cols, len(entries))
+        for col, (_, r) in enumerate(entries):
+            for p in range(tb.cols):
+                if (r >> p) & 1:
+                    rhs.set_bits(p, [col])
+        x = tb.transpose().solve(rhs)
+        assert x is not None
+        for col, (src_coord, _) in enumerate(entries):
+            for i in range(tb.rows):
+                if x.get(i, col):
+                    out.set_bits(dst_off[tface] + i, [src_coord])
+    return out
+
+
+def _cohomology_reps_by_rank(s, j):
+    """Reference: keep a cocycle iff it raises the rank of the stack."""
+    z = cocycle_basis(s, j)
+    acc = coboundary_image_basis(s, j)
+    reps = []
+    for i in range(z.rows):
+        grown = acc.vstack(z.take_rows([i]))
+        if grown.rank() > acc.rank():
+            reps.append(z.row_int(i))
+            acc = grown
+    return BitMatrix.from_int_rows(reps, z.cols)
+
+
+def test_coboundary_and_cohomology_reps_match_references(sheaf2, dual2):
+    for s in (sheaf2, dual2):
+        for j in range(s.complex.D):
+            assert coboundary_matrix(s, j) == _coboundary_by_solve(s, j)
+        for j in range(s.complex.D + 1):
+            assert cohomology_reps(s, j) == _cohomology_reps_by_rank(s, j)
+
+
+def test_coboundary_rejects_restriction_outside_local_code():
+    c = fixtures.octahedron()
+    local = {}
+    for mask in (0b011, 0b101, 0b110):
+        for idx in c.faces(mask):
+            local[(mask, idx)] = BitMatrix.from_int_rows([0b11], 2)
+    for mask in (1, 2, 4):
+        for idx in c.faces(mask):
+            local[(mask, idx)] = BitMatrix.identity(4)
+    with pytest.raises(SheafError):
+        coboundary_matrix(Sheaf(c, local), 0)
 
 
 def test_cup_product_leibniz_rule():
