@@ -271,15 +271,21 @@ class VectorIso:
         if inv is None:
             raise AlgebraError("omega powers do not form a basis")
         self.matrix = inv  # eta x eta, maps bit pattern -> coordinates
+        # U(x) for every x, by linearity from the images of single bits
+        columns = inv.transpose().int_rows()
+        self._images = [0] * field.q
+        for x in range(1, field.q):
+            low = x & -x
+            self._images[x] = self._images[x ^ low] ^ columns[low.bit_length() - 1]
 
     def apply(self, x: int) -> BitVector:
-        if not 0 <= x < self.field.q:
-            raise AlgebraError("element out of field range")
-        return self.matrix.matvec(BitVector(self.eta, x))
+        return BitVector(self.eta, self.apply_int(x))
 
     def apply_int(self, x: int) -> int:
         """U(x) packed back into an integer (bit j = coefficient of e_{j+1})."""
-        return self.apply(x).value
+        if not 0 <= x < self.field.q:
+            raise AlgebraError("element out of field range")
+        return self._images[x]
 
 
 def field_to_bits(x: int, iso: VectorIso) -> BitVector:

@@ -169,7 +169,10 @@ def _validate(args: argparse.Namespace) -> dict:
         )
     phi = None
     if args.phi:
-        phi = [int(t) for t in args.phi.split(",")]
+        try:
+            phi = [int(t) for t in args.phi.split(",")]
+        except ValueError:
+            raise ConfigError("--phi expects comma-separated integers")
     return {
         "D": args.D,
         "q": q,

@@ -1,14 +1,18 @@
 """Exact linear algebra over GF(2) on bit-packed matrices.
 
-BitVector wraps a Python int bitset; BitMatrix packs rows into numpy
-uint64 words so elimination runs at word speed.  Bit i of a vector is
-the coefficient of coordinate i; within a word, bit b of word w is
-coordinate 64*w + b.
+BitVector wraps a Python int bitset; BitMatrix stores rows packed into
+numpy uint64 words.  Bit i of a vector is the coefficient of coordinate
+i; within a word, bit b of word w is coordinate 64*w + b.
+
+Elimination (rank, rref, kernel_basis, solve) runs on Python-int rows
+read with their columns reversed, column c at bit 64*nwords - 1 - c, so
+that a row's pivot, its lowest column, is its `bit_length()`.  One XOR
+of two such ints updates a whole row at C speed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +35,74 @@ def _int_to_words(value: int, cols: int) -> np.ndarray:
 
 def _words_to_int(words: np.ndarray) -> int:
     return int.from_bytes(words.tobytes(), "little")
+
+
+# every byte with its bits reversed: a row's bytes read through this table
+# as one big-endian int put column c at bit 64*nwords - 1 - c
+_REV8 = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
+
+
+def _rev_rows(data: np.ndarray) -> Iterator[int]:
+    """The rows of packed words as column-reversed ints, one at a time
+    (no reversed copy of the whole matrix is made)."""
+    for row in data:
+        yield int.from_bytes(row.tobytes().translate(_REV8), "big")
+
+
+def _rev_data(rows: Sequence[int], nwords: int) -> np.ndarray:
+    """Column-reversed ints packed back into a (len(rows), nwords) array."""
+    data = np.empty((len(rows), nwords), dtype=np.uint64)
+    flat = memoryview(data.reshape(-1).view(np.uint8))
+    nb = 8 * nwords
+    for i, v in enumerate(rows):
+        flat[i * nb : (i + 1) * nb] = v.to_bytes(nb, "big").translate(_REV8)
+    return data
+
+
+def _echelon(rows: Iterable[int]) -> Dict[int, int]:
+    """The elimination loop: an echelon basis of column-reversed rows,
+    keyed by each basis row's bit_length (so by its pivot column)."""
+    basis: Dict[int, int] = {}
+    for v in rows:
+        while v:
+            lead = v.bit_length()
+            other = basis.get(lead)
+            if other is None:
+                basis[lead] = v
+                break
+            v ^= other
+    return basis
+
+
+def _rref(rows: Iterable[int], nbits: int) -> Tuple[List[int], List[int]]:
+    """Reduced row echelon form of column-reversed rows of `nbits` bits:
+    the nonzero reduced rows in increasing pivot column, and those
+    columns."""
+    basis = _echelon(rows)
+    leads = sorted(basis)  # highest column first
+    done = 0  # the lead bits of the rows already fully reduced
+    for lead in leads:
+        v = basis[lead]
+        # a reduced row has no other reduced row's lead bit, so clearing
+        # one hit never sets another
+        hits = v & done
+        while hits:
+            h = hits.bit_length()
+            v ^= basis[h]
+            hits ^= 1 << (h - 1)
+        basis[lead] = v
+        done |= 1 << (lead - 1)
+    leads.reverse()
+    return [basis[lead] for lead in leads], [nbits - lead for lead in leads]
+
+
+def _columns(v: int, nbits: int) -> Iterator[int]:
+    """The columns set in a column-reversed row of `nbits` bits."""
+    s = format(v, "0%db" % nbits)  # character c is column c
+    c = s.find("1")
+    while c >= 0:
+        yield c
+        c = s.find("1", c + 1)
 
 
 class BitVector:
@@ -217,10 +289,12 @@ class BitMatrix:
     @classmethod
     def from_int_rows(cls, int_rows: Sequence[int], cols: int) -> "BitMatrix":
         m = cls(len(int_rows), cols)
+        flat = memoryview(m.data.reshape(-1).view(np.uint8))
+        nb = 8 * m.data.shape[1]
         for i, v in enumerate(int_rows):
             if v < 0 or (cols < v.bit_length()):
                 raise GF2Error("row %d out of range for %d cols" % (i, cols))
-            m.data[i] = _int_to_words(v, cols)
+            flat[i * nb : (i + 1) * nb] = v.to_bytes(nb, "little")
         return m
 
     @classmethod
@@ -240,7 +314,7 @@ class BitMatrix:
         if pad:
             a = np.concatenate([a, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
         packed = np.ascontiguousarray(np.packbits(a, axis=1, bitorder="little"))
-        return cls(rows, cols, packed.view(np.uint64).reshape(rows, -1).copy())
+        return cls(rows, cols, packed.view(np.uint64).reshape(rows, _nwords(cols)).copy())
 
     # -- accessors ------------------------------------------------------
 
@@ -352,45 +426,14 @@ class BitMatrix:
 
     # -- elimination ----------------------------------------------------
 
-    def _eliminate(self, reduced: bool) -> Tuple[np.ndarray, List[int]]:
-        work = self.data.copy()
-        pivots: List[int] = []
-        r = 0
-        nrows = self.rows
-        for c in range(self.cols):
-            if r >= nrows:
-                break
-            w = c >> 6
-            shift = np.uint64(c & 63)
-            col = (work[r:, w] >> shift) & np.uint64(1)
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
-                continue
-            p = r + int(nz[0])
-            if p != r:
-                work[[r, p]] = work[[p, r]]
-            if reduced:
-                colall = (work[:, w] >> shift) & np.uint64(1)
-                colall[r] = 0
-                hits = np.nonzero(colall)[0]
-            else:
-                colbelow = (work[r + 1 :, w] >> shift) & np.uint64(1)
-                hits = np.nonzero(colbelow)[0] + r + 1
-            if hits.size:
-                work[hits] ^= work[r]
-            pivots.append(c)
-            r += 1
-        return work, pivots
-
     def rank(self) -> int:
-        _, pivots = self._eliminate(reduced=False)
-        return len(pivots)
+        return len(_echelon(_rev_rows(self.data)))
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
         """Reduced row echelon form and pivot columns; zero rows dropped."""
-        work, pivots = self._eliminate(reduced=True)
-        r = len(pivots)
-        return BitMatrix(r, self.cols, work[:r].copy()), pivots
+        nw = self.data.shape[1]
+        rows, pivots = _rref(_rev_rows(self.data), _WORD * nw)
+        return BitMatrix(len(rows), self.cols, _rev_data(rows, nw)), pivots
 
     def row_space_basis(self) -> "BitMatrix":
         m, _ = self.rref()
@@ -398,22 +441,31 @@ class BitMatrix:
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form a basis of {x : self @ x = 0} (x of length cols)."""
-        red, pivots = self.rref()
+        nw = self.data.shape[1]
+        nbits = _WORD * nw
+        rows, pivots = _rref(_rev_rows(self.data), nbits)
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        out = BitMatrix(len(free), self.cols)
-        for i, c in enumerate(free):
-            out.set_bits(i, [c])
-            # pivot row p has its pivot at pivots[p]; x[pivots[p]] = red[p, c]
-            hit = []
-            w = c >> 6
-            shift = np.uint64(c & 63)
-            colbits = (red.data[:, w] >> shift) & np.uint64(1)
-            for p in np.nonzero(colbits)[0]:
-                hit.append(pivots[int(p)])
-            if hit:
-                out.set_bits(i, hit)
-        return out
+        # one basis vector per free column c: x[c] = 1, and x[p] = red[p, c]
+        # at each pivot column p
+        out = {c: 1 << (nbits - 1 - c) for c in range(self.cols) if c not in pivot_set}
+        for v, p in zip(rows, pivots):
+            bit = 1 << (nbits - 1 - p)
+            for c in _columns(v ^ bit, nbits):
+                out[c] |= bit
+        return BitMatrix(len(out), self.cols, _rev_data(list(out.values()), nw))
+
+    def _solve(self, rhs_rows: Iterable[int], k: int) -> Optional[List[Tuple[int, int]]]:
+        """Solve self @ X = rhs by reducing [self | rhs], for rhs rows
+        given column-reversed over k bits.  Returns the solution whose
+        free variables are 0 as (row of X, its column-reversed bits)
+        pairs, rows not listed being 0; None if it is inconsistent."""
+        shift = _WORD * self.data.shape[1] - self.cols
+        aug = ((a >> shift) << k | b for a, b in zip(_rev_rows(self.data), rhs_rows))
+        rows, pivots = _rref(aug, self.cols + k)
+        if pivots and pivots[-1] >= self.cols:
+            return None
+        low = (1 << k) - 1
+        return [(p, v & low) for v, p in zip(rows, pivots)]
 
     def solve(self, rhs: "BitMatrix") -> Optional["BitMatrix"]:
         """Solve self @ X = rhs for X (rhs given column-wise as a matrix).
@@ -423,44 +475,24 @@ class BitMatrix:
         """
         if rhs.rows != self.rows:
             raise GF2Error("solve rhs row mismatch")
-        k = rhs.cols
-        aug_cols = self.cols + k
-        aug = BitMatrix(self.rows, aug_cols)
-        for i in range(self.rows):
-            aug.data[i, : self.data.shape[1]] = self.data[i]
-        # splice rhs columns after the main block
-        dense_rhs = rhs.to_dense()
-        for j in range(k):
-            col = np.nonzero(dense_rhs[:, j])[0]
-            for i in col:
-                aug.data[i, (self.cols + j) >> 6] |= np.uint64(1) << np.uint64(
-                    (self.cols + j) & 63
-                )
-        red, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
+        nw = rhs.data.shape[1]
+        shift = _WORD * nw - rhs.cols
+        sol = self._solve((b >> shift for b in _rev_rows(rhs.data)), rhs.cols)
+        if sol is None:
             return None
-        x = BitMatrix(self.cols, k)
-        for p_row, p_col in enumerate(pivots):
-            for j in range(k):
-                if red.get(p_row, self.cols + j):
-                    x.set_bits(p_col, [j])
-        return x
+        x = [0] * self.cols
+        for p, v in sol:
+            x[p] = v << shift
+        return BitMatrix(self.cols, rhs.cols, _rev_data(x, nw))
 
     def solve_vec(self, b: BitVector) -> Optional[BitVector]:
         """Solve self @ x = b; returns some solution or None."""
         if b.length != self.rows:
             raise GF2Error("solve_vec length mismatch")
-        rhs = BitMatrix(self.rows, 1)
-        for i in b.support():
-            rhs.set_bits(i, [0])
-        x = self.solve(rhs)
-        if x is None:
+        sol = self._solve(((b.value >> i) & 1 for i in range(self.rows)), 1)
+        if sol is None:
             return None
-        val = 0
-        for i in range(self.cols):
-            if x.get(i, 0):
-                val |= 1 << i
-        return BitVector(self.cols, val)
+        return BitVector(self.cols, sum(1 << p for p, v in sol if v))
 
     def in_row_space(self, v: BitVector) -> bool:
         if v.length != self.cols:

@@ -649,29 +649,25 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     gen_col = {
         (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
     }
-    rows_per_coset = dual.k
+    supports = [
+        [p for p in range(q) if (w >> p) & 1] for w in dual.generator.int_rows()
+    ]
     # edges through v: cotype-2 cosets (type {0,1}) and cotype-1 ({0,2})
     cosets = []
     for cotype in (2, 1):
         reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
         for rep in sorted(set(int(r) for r in reps)):
             cosets.append((cotype, rep))
-    mat = BitMatrix(len(cosets) * rows_per_coset, n)
-    row = 0
+    rows = []
     for cotype, rep in cosets:
-        tops = [0] * q
+        top_bits = [0] * q
         for alpha, _eid in table.k_color_elements(cotype):
             top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
-            tops[iso.apply_int(alpha)] = top
-        for i in range(dual.k):
-            w = dual.generator.row_int(i)
-            cols = [tops[p] for p in range(q) if (w >> p) & 1]
-            mat.set_bits(row, cols)
-            row += 1
-    if row != mat.rows:
-        raise SheafError(
-            "link constraint count %d != allocated rows %d" % (row, mat.rows)
-        )
+            top_bits[iso.apply_int(alpha)] = 1 << top
+        # the q tops of an edge are distinct, so a sum of their bits is an OR
+        rows.extend(sum(top_bits[p] for p in support) for support in supports)
+    mat = BitMatrix.from_int_rows(rows, n)
+    del rows  # only the packed matrix stays alive through the rank
     return n - mat.rank()
 
 

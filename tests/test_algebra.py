@@ -13,6 +13,7 @@ from cosetcode.algebra import (
     coprimality_check,
     field_to_bits,
 )
+from cosetcode.gf2 import BitVector
 
 
 @pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
@@ -93,6 +94,21 @@ def test_vector_iso_maps_omega_powers_to_units(eta):
         a, b = rng.randrange(f.q), rng.randrange(f.q)
         assert iso.apply_int(a ^ b) == iso.apply_int(a) ^ iso.apply_int(b)
     assert field_to_bits(0, iso).value == 0
+
+
+@pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
+def test_vector_iso_table_matches_matrix(eta):
+    f = FieldTable(eta)
+    iso = VectorIso(f)
+    for x in range(f.q):
+        image = iso.matrix.matvec(BitVector(eta, x))
+        assert iso.apply(x) == image
+        assert iso.apply_int(x) == image.value
+    for bad in (-1, f.q):
+        with pytest.raises(AlgebraError):
+            iso.apply(bad)
+        with pytest.raises(AlgebraError):
+            iso.apply_int(bad)
 
 
 def test_build_ring_rejects_nonprimitive_phi():

@@ -102,6 +102,11 @@ def test_config_file_bad_value_exits_two(tmp_path, line):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("phi", ["x,y", "1,,1"])
+def test_malformed_phi_exits_two(tmp_path, phi):
+    assert main(["build", "--q", "2", "--phi", phi, "--out", str(tmp_path)]) == 2
+
+
 def test_report_local_only(capsys):
     assert main(["report", "--q", "8", "--local-only"]) == 0
     out = capsys.readouterr().out

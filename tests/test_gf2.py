@@ -44,11 +44,13 @@ def _random_matrix(rng, rows, cols):
 
 def test_dense_roundtrip():
     rng = random.Random(11)
-    for rows, cols in [(1, 1), (3, 65), (10, 64), (7, 130)]:
+    for rows, cols in [(1, 1), (3, 65), (10, 64), (7, 130), (0, 5), (0, 70), (3, 0)]:
         m, ints = _random_matrix(rng, rows, cols)
         d = m.to_dense()
         assert d.shape == (rows, cols)
-        assert BitMatrix.from_dense(d).int_rows() == ints
+        back = BitMatrix.from_dense(d)
+        assert (back.rows, back.cols) == (rows, cols)
+        assert back.int_rows() == ints
 
 
 def test_from_dense_accepts_noncontiguous_views():
@@ -120,6 +122,10 @@ def test_matmul_and_transpose_match_numpy():
     ref = (a.to_dense().astype(int) @ b.to_dense().astype(int)) % 2
     assert (prod == ref).all()
     assert (a.transpose().to_dense() == a.to_dense().T).all()
+    for rows, cols in [(3, 0), (0, 4), (0, 0)]:
+        t = BitMatrix(rows, cols).transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert t.is_zero()
 
 
 def test_stack_and_take():
@@ -203,6 +209,122 @@ def test_echelon_basis_certificate_skips_dependent_inserts():
     assert len(basis) == 2
     assert basis.reduce(0b101) == (0, 0b101)  # rows 0 and 2; the repeat is unused
     assert basis.reduce(0b1000) == (0b1000, 0)
+
+
+def _ref_eliminate(m, reduced):
+    """The numpy loop over columns that BitMatrix eliminated with before
+    its int-row kernel, kept here as the reference."""
+    work = m.data.copy()
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        if r >= m.rows:
+            break
+        w = c >> 6
+        shift = np.uint64(c & 63)
+        nz = np.nonzero((work[r:, w] >> shift) & np.uint64(1))[0]
+        if nz.size == 0:
+            continue
+        p = r + int(nz[0])
+        if p != r:
+            work[[r, p]] = work[[p, r]]
+        if reduced:
+            colall = (work[:, w] >> shift) & np.uint64(1)
+            colall[r] = 0
+            hits = np.nonzero(colall)[0]
+        else:
+            colbelow = (work[r + 1 :, w] >> shift) & np.uint64(1)
+            hits = np.nonzero(colbelow)[0] + r + 1
+        if hits.size:
+            work[hits] ^= work[r]
+        pivots.append(c)
+        r += 1
+    return work, pivots
+
+
+def _ref_rref(m):
+    work, pivots = _ref_eliminate(m, reduced=True)
+    return BitMatrix(len(pivots), m.cols, work[: len(pivots)].copy()), pivots
+
+
+def _ref_kernel_basis(m):
+    red, pivots = _ref_rref(m)
+    free = [c for c in range(m.cols) if c not in set(pivots)]
+    out = BitMatrix(len(free), m.cols)
+    for i, c in enumerate(free):
+        out.set_bits(i, [c])
+        colbits = (red.data[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
+        out.set_bits(i, [pivots[int(p)] for p in np.nonzero(colbits)[0]])
+    return out
+
+
+def _ref_solve(m, rhs):
+    aug = BitMatrix.from_int_rows(
+        [a | b << m.cols for a, b in zip(m.int_rows(), rhs.int_rows())],
+        m.cols + rhs.cols,
+    )
+    red, pivots = _ref_rref(aug)
+    if any(p >= m.cols for p in pivots):
+        return None
+    x = BitMatrix(m.cols, rhs.cols)
+    for p_row, p_col in enumerate(pivots):
+        x.set_bits(p_col, [j for j in range(rhs.cols) if red.get(p_row, m.cols + j)])
+    return x
+
+
+@st.composite
+def _elimination_inputs(draw):
+    """Random, low-rank and very sparse (about 4 bits per row, like the
+    vertex-link constraints) matrices of widths 1-300, often with 0 or 1
+    rows, plus right-hand sides: random ones and ones with a solution."""
+    cols = draw(st.sampled_from([1, 63, 64, 65, 128, 129, 300]) | st.integers(1, 300))
+    n_rows = draw(st.sampled_from([0, 1]) | st.integers(0, 40))
+    kind = draw(st.sampled_from(["random", "low_rank", "sparse"]))
+    word = st.integers(0, (1 << cols) - 1)
+    if kind == "random":
+        rows = draw(st.lists(word, min_size=n_rows, max_size=n_rows))
+    elif kind == "low_rank":
+        k = draw(st.integers(1, 6))
+        factor = draw(st.lists(word, min_size=k, max_size=k))
+        mix = draw(
+            st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows)
+        )
+        rows = [_xor_of(factor, m) for m in mix]
+    else:
+        col = st.integers(0, cols - 1)
+        rows = [
+            sum(1 << c for c in set(draw(st.lists(col, min_size=1, max_size=4))))
+            for _ in range(n_rows)
+        ]
+    k = draw(st.integers(1, 70))
+    if draw(st.booleans()):
+        rhs = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows))
+    else:
+        x = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=cols, max_size=cols))
+        rhs = [_xor_of(x, r) for r in rows]
+    return cols, rows, k, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_elimination_inputs())
+def test_elimination_matches_numpy_column_loop(data):
+    cols, rows, k, rhs = data
+    m = BitMatrix.from_int_rows(rows, cols)
+    assert m.rank() == len(_ref_eliminate(m, reduced=False)[1])
+    red, pivots = m.rref()
+    ref_red, ref_pivots = _ref_rref(m)
+    assert pivots == ref_pivots
+    assert red == ref_red
+    assert m.kernel_basis() == _ref_kernel_basis(m)
+    b = BitMatrix.from_int_rows(rhs, k)
+    assert m.solve(b) == _ref_solve(m, b)
+    first = BitMatrix.from_int_rows([v & 1 for v in rhs], 1)
+    ref_x = _ref_solve(m, first)
+    x = m.solve_vec(BitVector(len(rows), sum((v & 1) << i for i, v in enumerate(rhs))))
+    if ref_x is None:
+        assert x is None
+    else:
+        assert x == BitVector(cols, sum(ref_x.get(i, 0) << i for i in range(cols)))
 
 
 def test_row_space_equal_detects_difference():
