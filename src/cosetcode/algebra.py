@@ -262,11 +262,7 @@ class VectorIso:
         self.eta = field.eta
         # columns of B are the bit patterns of omega^j; U = B^{-1}
         cols = [field.pow(field.omega, j) for j in range(self.eta)]
-        b = BitMatrix(self.eta, self.eta)
-        for j, v in enumerate(cols):
-            for i in range(self.eta):
-                if (v >> i) & 1:
-                    b.set_bits(i, [j])
+        b = BitMatrix.from_int_rows(cols, self.eta).transpose()
         inv = b.solve(BitMatrix.identity(self.eta))
         if inv is None:
             raise AlgebraError("omega powers do not form a basis")

@@ -144,12 +144,12 @@ class LogicalBasis:
 
     def pairing(self) -> BitMatrix:
         """Overlap-parity matrix: entry (i, j) = |X_i & Z_j| mod 2."""
-        out = BitMatrix(len(self.x_logicals), len(self.z_logicals))
-        for i, (_, xv) in enumerate(self.x_logicals):
-            for j, (_, zv) in enumerate(self.z_logicals):
-                if (xv.value & zv.value).bit_count() & 1:
-                    out.set_bits(i, [j])
-        return out
+        rows = [
+            sum(((xv.value & zv.value).bit_count() & 1) << j
+                for j, (_, zv) in enumerate(self.z_logicals))
+            for _, xv in self.x_logicals
+        ]
+        return BitMatrix.from_int_rows(rows, len(self.z_logicals))
 
 
 def color_types_through_zero(D: int, size: int) -> List[Tuple[int, ...]]:

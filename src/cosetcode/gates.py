@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -90,19 +90,33 @@ def apply_h(p: Pauli, mask: int) -> Pauli:
 
 
 def apply_cz_pairs(p: Pauli, pairs: Sequence[Tuple[int, int]]) -> Pauli:
-    """CZ on each (a, b): X_a -> X_a Z_b, X_b -> X_b Z_a."""
-    phase = p.p
-    z = p.z
-    for a, b in pairs:
-        xa = (p.x >> a) & 1
-        xb = (p.x >> b) & 1
-        if xb:
-            z ^= 1 << a
-        if xa:
-            z ^= 1 << b
-        if xa and xb:
-            phase += 2
-    return Pauli(p.n, phase, p.x, z)
+    """CZ on each of the disjoint pairs (a, b): X_a -> X_a Z_b, X_b -> X_b Z_a."""
+    gates = [Gate("CZ", pair) for pair in pairs]
+    _check_layer_disjoint(gates)
+    return _apply_cz_layer(p, _cz_table(gates))
+
+
+def _cz_table(gates: Sequence["Gate"]) -> Tuple[Dict[int, int], int]:
+    """Partner table {1 << a: 1 << b, 1 << b: 1 << a} of disjoint CZ
+    gates, and the mask of their support."""
+    partner: Dict[int, int] = {}
+    for g in gates:
+        a, b = 1 << g.qubits[0], 1 << g.qubits[1]
+        partner[a], partner[b] = b, a
+    return partner, sum(partner)
+
+
+def _apply_cz_layer(p: Pauli, table: Tuple[Dict[int, int], int]) -> Pauli:
+    """Disjoint CZ gates at once, walking only the set bits of x on their
+    support; each pair with both X bits set contributes two to the phase."""
+    partner, mask = table
+    hit = rest = p.x & mask
+    flip = 0
+    while rest:
+        low = rest & -rest
+        flip |= partner[low]
+        rest ^= low
+    return Pauli(p.n, p.p + (flip & hit).bit_count(), p.x, p.z ^ flip)
 
 
 def apply_permutation(p: Pauli, perm: Sequence[int]) -> Pauli:
@@ -181,25 +195,41 @@ class Gate:
 
 
 class Circuit:
-    """Layered circuit; within one layer all gate supports are disjoint."""
+    """Layered circuit; within one layer all gate supports are disjoint.
+
+    Each layer is compiled once, when it is added, into steps: one per
+    PERM, one per other non-CZ gate, and one for all CZ gates between two
+    PERMs (gates on disjoint supports commute, so they may be merged)."""
 
     def __init__(self, n: int, layers: Optional[List[List[Gate]]] = None):
         self.n = n
-        self.layers: List[List[Gate]] = layers or []
-        for layer in self.layers:
-            _check_layer_disjoint(layer)
+        self.layers: List[List[Gate]] = []
+        self._steps: List[Tuple[Callable[[Pauli, Any], Pauli], Any]] = []
+        for layer in layers or []:
+            self.add_layer(layer)
 
     def add_layer(self, gates: List[Gate]) -> None:
         _check_layer_disjoint(gates)
+        steps, cz = [], []
+        for g in gates:
+            if g.name == "CZ":
+                cz.append(g)
+                continue
+            if g.name == "PERM" and cz:
+                steps.append((_apply_cz_layer, _cz_table(cz)))
+                cz = []
+            steps.append(_gate_step(g))
+        if cz:
+            steps.append((_apply_cz_layer, _cz_table(cz)))
         self.layers.append(gates)
+        self._steps += steps
 
     def depth(self) -> int:
         return len(self.layers)
 
     def conjugate(self, p: Pauli) -> Pauli:
-        for layer in self.layers:
-            for g in layer:
-                p = _apply_gate(p, g)
+        for apply, arg in self._steps:
+            p = apply(p, arg)
         return p
 
     def netlist(self) -> str:
@@ -221,21 +251,17 @@ def _check_layer_disjoint(gates: List[Gate]) -> None:
             seen.add(q)
 
 
-def _apply_gate(p: Pauli, g: Gate) -> Pauli:
-    if g.name == "Z":
-        return apply_z(p, _mask(g.qubits))
-    if g.name == "S":
-        return apply_s(p, _mask(g.qubits))
-    if g.name == "H":
-        return apply_h(p, _mask(g.qubits))
-    if g.name == "CZ":
-        return apply_cz_pairs(p, [(g.qubits[0], g.qubits[1])])
-    if g.name == "GAMMA":
-        return apply_gamma(p, _mask(g.qubits))
+_MASK_GATES = {"Z": apply_z, "S": apply_s, "H": apply_h, "GAMMA": apply_gamma}
+
+
+def _gate_step(g: Gate) -> Tuple[Callable[[Pauli, Any], Pauli], Any]:
+    """The conjugation function of a non-CZ gate and its argument."""
+    if g.name in _MASK_GATES:
+        return _MASK_GATES[g.name], _mask(g.qubits)
     if g.name == "UPSILON":
-        return apply_upsilon(p, (g.qubits[0], g.qubits[1], g.qubits[2]))
+        return apply_upsilon, (g.qubits[0], g.qubits[1], g.qubits[2])
     if g.name == "PERM":
-        return apply_permutation(p, g.perm)
+        return apply_permutation, g.perm
     raise GateError("unknown gate %r" % g.name)
 
 

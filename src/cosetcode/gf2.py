@@ -330,17 +330,6 @@ class BitMatrix:
     def get(self, i: int, j: int) -> int:
         return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
 
-    def set_bits(self, i: int, js: Iterable[int]) -> None:
-        """Set bits in row i (construction-time helper, mutates in place)."""
-        js = np.asarray(list(js), dtype=np.int64)
-        if js.size == 0:
-            return
-        if js.min() < 0 or js.max() >= self.cols:
-            raise GF2Error("column index out of range")
-        np.bitwise_or.at(
-            self.data[i], js >> 6, np.uint64(1) << (js & 63).astype(np.uint64)
-        )
-
     def to_dense(self) -> np.ndarray:
         bits = np.unpackbits(
             self.data.view(np.uint8), axis=1, bitorder="little"
@@ -532,14 +521,13 @@ def read_matrix_market(path: str) -> BitMatrix:
         while line.startswith("%"):
             line = fh.readline()
         rows, cols, nnz = (int(x) for x in line.split())
-        m = BitMatrix(rows, cols)
-        per_row: dict = {}
+        int_rows = [0] * rows
         for _ in range(nnz):
             i, j = (int(x) for x in fh.readline().split())
-            per_row.setdefault(i - 1, []).append(j - 1)
-        for i, js in per_row.items():
-            m.set_bits(i, js)
-        return m
+            if not (1 <= i <= rows and 1 <= j <= cols):
+                raise GF2Error("entry (%d, %d) outside a %dx%d matrix" % (i, j, rows, cols))
+            int_rows[i - 1] |= 1 << (j - 1)
+        return BitMatrix.from_int_rows(int_rows, cols)
 
 
 def write_alist(m: BitMatrix, path: str) -> None:
@@ -568,13 +556,15 @@ def read_alist(path: str) -> BitMatrix:
     max_c, _max_r = int(next(it)), int(next(it))
     col_deg = [int(next(it)) for _ in range(cols)]
     _row_deg = [int(next(it)) for _ in range(rows)]
-    m = BitMatrix(rows, cols)
+    int_rows = [0] * rows
     for j in range(cols):
         entries = [int(next(it)) for _ in range(max_c)]
         for i in entries[: col_deg[j]]:
+            if not 0 <= i <= rows:
+                raise GF2Error("row index %d of column %d outside 1..%d" % (i, j + 1, rows))
             if i:
-                m.set_bits(i - 1, [j])
-    return m
+                int_rows[i - 1] |= 1 << j
+    return BitMatrix.from_int_rows(int_rows, cols)
 
 
 __all__ = [

@@ -285,18 +285,16 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     basis row over the face's up-set."""
     c = s.complex
     offsets, dim = s.level_offsets(j)
-    out = BitMatrix(c.n_top, dim)
+    rows = [0] * c.n_top
     for face in c.level_faces(j):
         mask, idx = face
         ups = c.up_sets[mask][idx]
-        basis = s.basis(face)
-        for i in range(basis.rows):
-            w = basis.row_int(i)
-            col = offsets[face] + i
+        for i, w in enumerate(s.basis(face).int_rows()):
+            bit = 1 << (offsets[face] + i)
             for p, t in enumerate(ups):
                 if (w >> p) & 1:
-                    out.set_bits(t, [col])
-    return out
+                    rows[t] |= bit
+    return BitMatrix.from_int_rows(rows, dim)
 
 
 def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
@@ -304,14 +302,14 @@ def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
     type is contained in T."""
     t_mask = mask_of(T)
     offsets, dim = s.level_offsets(j)
-    out = BitMatrix(dim, dim)
+    rows = [0] * dim
     for face, off in offsets.items():
         mask, _ = face
         if mask & ~t_mask:
             continue
-        for i in range(s.dim(face)):
-            out.set_bits(off + i, [off + i])
-    return out
+        for i in range(off, off + s.dim(face)):
+            rows[i] = 1 << i
+    return BitMatrix.from_int_rows(rows, dim)
 
 
 # -- cohomology ----------------------------------------------------------------

@@ -4,6 +4,8 @@ circuits, and the divisibility certificates for diagonal gates."""
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cosetcode.gates import (
     Circuit,
@@ -116,6 +118,10 @@ def test_apply_cz_table():
     # involution
     p = Pauli(2, 3, 0b10, 0b01)
     assert apply_cz_pairs(apply_cz_pairs(p, [(0, 1)]), [(0, 1)]) == p
+    with pytest.raises(GateError):
+        apply_cz_pairs(xx, [(0, 1), (1, 0)])
+    with pytest.raises(GateError):
+        apply_cz_pairs(xx, [(1, 1)])
 
 
 def test_apply_permutation():
@@ -176,6 +182,107 @@ def test_circuit_layers_and_conjugate():
     # H turns X0 into Z0; CZ leaves it alone
     assert circ.conjugate(p) == Pauli.z_op(3, 0b001)
     assert "CZ 0 1" in circ.netlist()
+
+
+def _cz_pairs_ref(p, pairs):
+    """Reference: CZ one pair at a time, as apply_cz_pairs once did."""
+    phase = p.p
+    z = p.z
+    for a, b in pairs:
+        xa = (p.x >> a) & 1
+        xb = (p.x >> b) & 1
+        if xb:
+            z ^= 1 << a
+        if xa:
+            z ^= 1 << b
+        if xa and xb:
+            phase += 2
+    return Pauli(p.n, phase, p.x, z)
+
+
+def _apply_gate_ref(p, g):
+    if g.name == "Z":
+        return apply_z(p, sum(1 << q for q in g.qubits))
+    if g.name == "S":
+        return apply_s(p, sum(1 << q for q in g.qubits))
+    if g.name == "H":
+        return apply_h(p, sum(1 << q for q in g.qubits))
+    if g.name == "CZ":
+        return _cz_pairs_ref(p, [(g.qubits[0], g.qubits[1])])
+    if g.name == "GAMMA":
+        return apply_gamma(p, sum(1 << q for q in g.qubits))
+    if g.name == "UPSILON":
+        return apply_upsilon(p, (g.qubits[0], g.qubits[1], g.qubits[2]))
+    if g.name == "PERM":
+        return apply_permutation(p, g.perm)
+    raise GateError("unknown gate %r" % g.name)
+
+
+def _conjugate_gate_by_gate(circ, p):
+    """Reference: every gate of every layer in order, one Pauli per gate."""
+    for layer in circ.layers:
+        for g in layer:
+            p = _apply_gate_ref(p, g)
+    return p
+
+
+_GATE_KINDS = ["Z", "S", "H", "GAMMA", "CZ", "CZ", "CZ", "UPSILON", "PERM"]
+
+
+@st.composite
+def _circuits_and_paulis(draw):
+    """Random layered circuits of every gate kind (a PERM may sit between
+    CZ gates of its layer) and random Paulis with phases."""
+    n = draw(st.integers(1, 10))
+    layers = []
+    for _ in range(draw(st.integers(0, 4))):
+        free = draw(st.permutations(range(n)))
+        layer = []
+        for kind in draw(st.lists(st.sampled_from(_GATE_KINDS), max_size=8)):
+            if kind == "PERM":
+                perm = tuple(draw(st.permutations(range(n))))
+                layer.append(Gate("PERM", (), perm=perm))
+                continue
+            size = {"CZ": 2, "UPSILON": 3}.get(kind) or draw(st.integers(1, 3))
+            if len(free) >= size:
+                layer.append(Gate(kind, tuple(free[:size])))
+                free = free[size:]
+        layers.append(layer)
+    word = st.integers(0, (1 << n) - 1)
+    paulis = draw(st.lists(st.tuples(st.integers(0, 3), word, word), min_size=1, max_size=6))
+    return n, layers, [Pauli(n, *t) for t in paulis]
+
+
+@settings(max_examples=300, deadline=None)
+@example(
+    (4, [[Gate("CZ", (0, 1)), Gate("PERM", (), perm=(1, 2, 3, 0)), Gate("CZ", (2, 3))]],
+     [Pauli(4, 1, 0b0111, 0b1000), Pauli(4, 0, 0b1111, 0)])
+)
+@given(_circuits_and_paulis())
+def test_conjugate_matches_gate_by_gate_reference(case):
+    n, layers, paulis = case
+    circ = Circuit(n, layers)
+    for p in paulis:
+        assert circ.conjugate(p) == _conjugate_gate_by_gate(circ, p)
+
+
+def test_orbit_cz_conjugate_matches_gate_by_gate_reference(table2, code2):
+    n = code2.n
+    rng = random.Random(11)
+    paulis = [Pauli.x_op(n, r) for r in code2.h_x.int_rows()]
+    paulis += [Pauli.z_op(n, r) for r in code2.h_z.int_rows()]
+    paulis += [
+        Pauli(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n))
+        for _ in range(20)
+    ]
+    first_of_order = {}
+    for gid in range(1, table2.size):
+        first_of_order.setdefault(table2.element_order(gid), gid)
+    assert sorted(first_of_order) == [2, 3, 4, 7]
+    for gid in first_of_order.values():
+        circ = orbit_cz_circuit([int(v) for v in table2.left_mul_perm(gid)])
+        for p in paulis:
+            assert circ.conjugate(p) == _conjugate_gate_by_gate(circ, p)
 
 
 def test_circuit_rejects_overlapping_layer():

@@ -98,9 +98,9 @@ def test_solve_consistent_and_inconsistent():
     full = a.transpose().rank()
     if full < a.rows:
         outside = a.transpose().kernel_basis().row(0)
-        target = BitMatrix.from_int_rows([0] * a.rows, 1)
-        for i in outside.support():
-            target.set_bits(i, [0])
+        target = BitMatrix.from_int_rows(
+            [(outside.value >> i) & 1 for i in range(a.rows)], 1
+        )
         assert a.solve(target) is None
 
 
@@ -250,12 +250,11 @@ def _ref_rref(m):
 def _ref_kernel_basis(m):
     red, pivots = _ref_rref(m)
     free = [c for c in range(m.cols) if c not in set(pivots)]
-    out = BitMatrix(len(free), m.cols)
-    for i, c in enumerate(free):
-        out.set_bits(i, [c])
+    rows = []
+    for c in free:
         colbits = (red.data[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-        out.set_bits(i, [pivots[int(p)] for p in np.nonzero(colbits)[0]])
-    return out
+        rows.append(1 << c | sum(1 << pivots[int(p)] for p in np.nonzero(colbits)[0]))
+    return BitMatrix.from_int_rows(rows, m.cols)
 
 
 def _ref_solve(m, rhs):
@@ -266,10 +265,10 @@ def _ref_solve(m, rhs):
     red, pivots = _ref_rref(aug)
     if any(p >= m.cols for p in pivots):
         return None
-    x = BitMatrix(m.cols, rhs.cols)
+    x = [0] * m.cols
     for p_row, p_col in enumerate(pivots):
-        x.set_bits(p_col, [j for j in range(rhs.cols) if red.get(p_row, m.cols + j)])
-    return x
+        x[p_col] = sum(red.get(p_row, m.cols + j) << j for j in range(rhs.cols))
+    return BitMatrix.from_int_rows(x, rhs.cols)
 
 
 @st.composite
@@ -368,3 +367,23 @@ def test_alist_roundtrip(tmp_path):
     write_alist(m, path)
     back = read_alist(path)
     assert back.int_rows() == m.int_rows()
+
+
+@pytest.mark.parametrize("entry", ["0 2", "4 2", "2 0", "2 5"])
+def test_matrix_market_rejects_index_outside_shape(tmp_path, entry):
+    # a row index of 0 once landed in the last row, and 4 raised IndexError
+    path = tmp_path / "m.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate pattern general\n3 4 2\n3 4\n" + entry + "\n"
+    )
+    with pytest.raises(GF2Error):
+        read_matrix_market(str(path))
+
+
+@pytest.mark.parametrize("row", [4, -1])
+def test_alist_rejects_row_index_outside_shape(tmp_path, row):
+    # 3x4 with column j holding row j and column 4 holding `row`
+    path = tmp_path / "m.alist"
+    path.write_text("4 3\n1 2\n1 1 1 1\n1 1 1\n1\n2\n3\n%d\n1 0\n2 0\n3 0\n" % row)
+    with pytest.raises(GF2Error):
+        read_alist(str(path))

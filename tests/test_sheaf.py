@@ -3,6 +3,7 @@ exhaustive local product checks."""
 
 import random
 
+import numpy as np
 import pytest
 
 from cosetcode import fixtures
@@ -106,6 +107,59 @@ def test_restriction_is_diagonal_selector(sheaf2):
     assert 0 < r.rank() < sheaf2.level_dim(1)
 
 
+def _set_bits(m, i, js):
+    """The per-bit numpy scatter that once filled these matrices."""
+    js = np.asarray(list(js), dtype=np.int64)
+    np.bitwise_or.at(m.data[i], js >> 6, np.uint64(1) << (js & 63).astype(np.uint64))
+
+
+def _projection_by_set_bits(s, j):
+    c = s.complex
+    offsets, dim = s.level_offsets(j)
+    out = BitMatrix(c.n_top, dim)
+    for face in c.level_faces(j):
+        ups = c.up_sets[face[0]][face[1]]
+        basis = s.basis(face)
+        for i in range(basis.rows):
+            w = basis.row_int(i)
+            for p, t in enumerate(ups):
+                if (w >> p) & 1:
+                    _set_bits(out, t, [offsets[face] + i])
+    return out
+
+
+def _restriction_by_set_bits(s, j, t_mask):
+    offsets, dim = s.level_offsets(j)
+    out = BitMatrix(dim, dim)
+    for face, off in offsets.items():
+        if not face[0] & ~t_mask:
+            for i in range(s.dim(face)):
+                _set_bits(out, off + i, [off + i])
+    return out
+
+
+def _constant_sheaves():
+    names = ("octahedron", "hexagonal_torus", "single_triangle", "cross_polytope_3sphere")
+    return [attach_constant_sheaf(getattr(fixtures, name)()) for name in names]
+
+
+def test_projection_and_restriction_match_set_bits_reference(
+    sheaf2, dual2, complex2, ring2
+):
+    # every face of sheaf2 and dual2 has dimension 1; the full local code
+    # at q=2 gives vertex dimension 8 and edge dimension 2
+    full = induce_lower_codes(
+        attach_local_codes(complex2, reed_muller(1, 1), VectorIso(ring2.field), ring2)
+    )
+    for s in [sheaf2, dual2, full] + _constant_sheaves():
+        D = s.complex.D
+        for j in range(D + 1):
+            assert projection_matrix(s, j) == _projection_by_set_bits(s, j)
+            for t_mask in range(1 << (D + 1)):
+                T = [col for col in range(D + 1) if (t_mask >> col) & 1]
+                assert restrict_to_type(s, j, T) == _restriction_by_set_bits(s, j, t_mask)
+
+
 def test_cocycles_contain_coboundaries(sheaf2):
     z = cocycle_basis(sheaf2, 1)
     d0 = coboundary_matrix(sheaf2, 0)
@@ -120,7 +174,7 @@ def _coboundary_by_solve(s, j):
     c = s.complex
     src_off, src_dim = s.level_offsets(j)
     dst_off, dst_dim = s.level_offsets(j + 1)
-    out = BitMatrix(dst_dim, src_dim)
+    out = [0] * dst_dim
     pending = {}
     for face in c.level_faces(j):
         mask, idx = face
@@ -137,18 +191,14 @@ def _coboundary_by_solve(s, j):
                     pending.setdefault((smask, sidx), []).append((src_off[face] + i, r))
     for tface, entries in pending.items():
         tb = s.basis(tface)
-        rhs = BitMatrix(tb.cols, len(entries))
-        for col, (_, r) in enumerate(entries):
-            for p in range(tb.cols):
-                if (r >> p) & 1:
-                    rhs.set_bits(p, [col])
+        rhs = BitMatrix.from_int_rows([r for _, r in entries], tb.cols).transpose()
         x = tb.transpose().solve(rhs)
         assert x is not None
         for col, (src_coord, _) in enumerate(entries):
             for i in range(tb.rows):
                 if x.get(i, col):
-                    out.set_bits(dst_off[tface] + i, [src_coord])
-    return out
+                    out[dst_off[tface] + i] |= 1 << src_coord
+    return BitMatrix.from_int_rows(out, src_dim)
 
 
 def _cohomology_reps_by_rank(s, j):
