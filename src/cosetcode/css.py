@@ -119,8 +119,7 @@ def rate_report(s: Sheaf, exact: bool = True, s_dual: Optional[Sheaf] = None) ->
 def _uniform_local_rate(s: Sheaf, level: int) -> Fraction:
     rates = set()
     for face in s.complex.level_faces(level):
-        basis = s.basis(face)
-        rates.add(Fraction(basis.rows, basis.cols))
+        rates.add(Fraction(s.dim(face), len(s.complex.up_set(face))))
     if len(rates) != 1:
         raise CSSError("level-%d local rates are not uniform: %r" % (level, rates))
     return rates.pop()

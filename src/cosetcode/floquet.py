@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .complexes import Complex, mask_of
-from .gf2 import BitMatrix
 from .gates import Pauli, membership_phase, pauli_mul
 from .sheaf import Sheaf
 
@@ -130,19 +129,10 @@ def build_schedule(s: Sheaf, s_dual: Sheaf) -> FloquetSchedule:
     for kind, color in ROUND_PLAN:
         mask = mask_of(EDGE_COLORS[color])
         sheaf = s if kind == "X" else s_dual
-        checks: List[Pauli] = []
-        for idx in c.faces(mask):
-            ups = c.up_sets[mask][idx]
-            basis = sheaf.basis((mask, idx))
-            for i in range(basis.rows):
-                w = basis.row_int(i)
-                supp = 0
-                for p, t in enumerate(ups):
-                    if (w >> p) & 1:
-                        supp |= 1 << t
-                checks.append(
-                    Pauli.x_op(c.n_top, supp) if kind == "X" else Pauli.z_op(c.n_top, supp)
-                )
+        op = Pauli.x_op if kind == "X" else Pauli.z_op
+        checks = [
+            op(c.n_top, supp) for idx in c.faces(mask) for supp in sheaf.supports((mask, idx))
+        ]
         rounds.append((kind, color, checks))
     return FloquetSchedule(c.n_top, rounds)
 
@@ -154,18 +144,9 @@ def vertex_x_operators(s: Sheaf) -> Dict[int, List[Pauli]]:
     out: Dict[int, List[Pauli]] = {}
     for color in range(c.n_colors):
         mask = 1 << color
-        ops: List[Pauli] = []
-        for idx in c.faces(mask):
-            ups = c.up_sets[mask][idx]
-            basis = s.basis((mask, idx))
-            for i in range(basis.rows):
-                w = basis.row_int(i)
-                supp = 0
-                for p, t in enumerate(ups):
-                    if (w >> p) & 1:
-                        supp |= 1 << t
-                ops.append(Pauli.x_op(c.n_top, supp))
-        out[color] = ops
+        out[color] = [
+            Pauli.x_op(c.n_top, supp) for idx in c.faces(mask) for supp in s.supports((mask, idx))
+        ]
     return out
 
 

@@ -8,7 +8,6 @@ A Pauli is i^p * X(x) * Z(z) with the X block written first; p is mod 4.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -275,9 +274,19 @@ def _mask(qubits: Iterable[int]) -> int:
 # -- stabilizer group membership ---------------------------------------------------
 
 
-@functools.lru_cache(maxsize=1)
-def _symplectic_basis(generators: Tuple[Pauli, ...]) -> EchelonBasis:
-    return EchelonBasis(g.x | (g.z << g.n) for g in generators)
+_factored: List[Any] = [None, None]  # the latest generator tuple, its basis
+
+
+def _symplectic_basis(generators: Sequence[Pauli]) -> EchelonBasis:
+    """The generators' symplectic rows factored, kept for the latest
+    generator tuple.  Tuple `==` tries identity before `Pauli.__eq__`, and
+    the latest tuple is always the one kept, so checking a repeated set is
+    one C loop, with no hashing."""
+    key = tuple(generators)
+    if key != _factored[0]:
+        _factored[1] = EchelonBasis(g.x | (g.z << g.n) for g in key)
+    _factored[0] = key
+    return _factored[1]
 
 
 def membership_phase(p: Pauli, generators: Sequence[Pauli]) -> Optional[int]:
@@ -293,7 +302,7 @@ def membership_phase(p: Pauli, generators: Sequence[Pauli]) -> Optional[int]:
     n = p.n
     if not generators:
         return 0 if (p.x == 0 and p.z == 0) else None
-    residual, combo = _symplectic_basis(tuple(generators)).reduce(p.x | (p.z << n))
+    residual, combo = _symplectic_basis(generators).reduce(p.x | (p.z << n))
     if residual:
         return None
     prod = Pauli(n, 0, 0, 0)

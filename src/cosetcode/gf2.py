@@ -238,6 +238,21 @@ class EchelonBasis:
         self._pivots |= low
         return True
 
+    def rref(self) -> List[int]:
+        """The stored rows by increasing pivot: the reduced row echelon
+        form of the inserted rows, as `BitMatrix.rref` gives it."""
+        return [self._rows[p] for p in sorted(self._rows)]
+
+    def kernel(self, width: int) -> List[int]:
+        """The kernel of the inserted rows over `width` columns, as
+        `BitMatrix.kernel_basis` gives it: for each free column c in
+        increasing order, bit c plus every pivot whose row has bit c."""
+        return [
+            (1 << c) | sum(p for p, row in self._rows.items() if (row >> c) & 1)
+            for c in range(width)
+            if not (self._pivots >> c) & 1
+        ]
+
 
 def weight_and_star(vs: Sequence[BitVector]) -> int:
     """Hamming weight of the element-wise AND (star product) of vectors."""
@@ -501,6 +516,14 @@ def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
 # -- I/O ------------------------------------------------------------------
 
 
+def _ints(line: str, n: int, what: str) -> List[int]:
+    """The n non-negative integers of a header or entry line."""
+    vals = line.split()
+    if len(vals) != n or not all(v.isdecimal() for v in vals):
+        raise GF2Error("malformed %s line: %r" % (what, line.strip()))
+    return [int(v) for v in vals]
+
+
 def write_matrix_market(m: BitMatrix, path: str) -> None:
     """Write in Matrix Market coordinate pattern format (1-based)."""
     dense = m.to_dense()
@@ -520,10 +543,10 @@ def read_matrix_market(path: str) -> BitMatrix:
         line = fh.readline()
         while line.startswith("%"):
             line = fh.readline()
-        rows, cols, nnz = (int(x) for x in line.split())
+        rows, cols, nnz = _ints(line, 3, "size")
         int_rows = [0] * rows
         for _ in range(nnz):
-            i, j = (int(x) for x in fh.readline().split())
+            i, j = _ints(fh.readline(), 2, "entry")
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise GF2Error("entry (%d, %d) outside a %dx%d matrix" % (i, j, rows, cols))
             int_rows[i - 1] |= 1 << (j - 1)
@@ -550,10 +573,10 @@ def write_alist(m: BitMatrix, path: str) -> None:
 
 def read_alist(path: str) -> BitMatrix:
     with open(path) as fh:
+        cols, rows = _ints(fh.readline(), 2, "size")
+        max_c, _max_r = _ints(fh.readline(), 2, "degree bound")
         tokens = fh.read().split()
     it = iter(tokens)
-    cols, rows = int(next(it)), int(next(it))
-    max_c, _max_r = int(next(it)), int(next(it))
     col_deg = [int(next(it)) for _ in range(cols)]
     _row_deg = [int(next(it)) for _ in range(rows)]
     int_rows = [0] * rows

@@ -3,14 +3,14 @@ codes, coboundary/projection/restriction matrices, duals, cup products.
 
 Global cochain coordinates at level j concatenate the local bases of
 the level-j faces in (type mask ascending, face index ascending) order.
-Local basis columns follow the face's sorted up-set.
+A local code is a list of Python-int rows; bit p of a row is position p
+of the face's sorted up-set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+import functools
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
@@ -24,46 +24,59 @@ class SheafError(ValueError):
 
 
 class Sheaf:
-    """Local-code bases for every face of a complex.
+    """Local codes for every face of a complex.
 
-    `local_bases[(mask, idx)]` is a BitMatrix whose rows span the local
-    code over the face's up-set columns.  Top faces implicitly carry the
-    full one-dimensional code and are not stored.
+    `local_bases[(mask, idx)]` lists int rows spanning the local code, in
+    reduced row echelon form (`attach_explicit` keeps rows as given).
+    Top faces implicitly carry the full one-dimensional code and are not
+    stored.
     """
 
-    def __init__(self, complex_: Complex, local_bases: Dict[FaceId, BitMatrix]):
+    def __init__(self, complex_: Complex, local_bases: Dict[FaceId, List[int]]):
         self.complex = complex_
         self.local_bases = local_bases
         self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
-        self._dual_bases: Dict[FaceId, BitMatrix] = {}
+        self._dual_bases: Dict[FaceId, List[int]] = {}
         self._echelons: Dict[FaceId, EchelonBasis] = {}
+        self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
     # -- bases -------------------------------------------------------------
 
-    def basis(self, face: FaceId) -> BitMatrix:
-        mask, idx = face
-        if mask == self.complex.full_mask:
-            return BitMatrix.identity(1)
+    def rows(self, face: FaceId) -> List[int]:
+        """The local code of `face` as int rows (never mutate them)."""
+        if face[0] == self.complex.full_mask:
+            return [1]
         try:
             return self.local_bases[face]
         except KeyError:
             raise SheafError("no local basis for face %r (induce first?)" % (face,))
 
+    def basis(self, face: FaceId) -> BitMatrix:
+        """`rows(face)` as a matrix over the face's up-set columns."""
+        return BitMatrix.from_int_rows(self.rows(face), len(self.complex.up_set(face)))
+
+    def supports(self, face: FaceId) -> List[int]:
+        """The rows of `face` on the top faces: bit t is top t."""
+        ups = self.complex.up_set(face)
+        return [_scatter(w, ups) for w in self.rows(face)]
+
     def dim(self, face: FaceId) -> int:
-        return self.basis(face).rows
+        return len(self.rows(face))
 
     def echelon(self, face: FaceId) -> EchelonBasis:
-        """`basis(face)` factored for reduction; certificates index its rows."""
+        """`rows(face)` factored for reduction; certificates index them."""
         cached = self._echelons.get(face)
         if cached is None:
-            cached = EchelonBasis(self.basis(face).int_rows())
+            cached = EchelonBasis(self.rows(face))
             self._echelons[face] = cached
         return cached
 
-    def dual_local_basis(self, face: FaceId) -> BitMatrix:
+    def dual_local_basis(self, face: FaceId) -> List[int]:
+        """The dual of the local code of `face` as int rows in RREF (on the
+        top faces of a dual sheaf, the primal's rows)."""
         cached = self._dual_bases.get(face)
         if cached is None:
-            cached = self.basis(face).kernel_basis()
+            cached = _dual(self.rows(face), len(self.complex.up_set(face)))
             self._dual_bases[face] = cached
         return cached
 
@@ -103,18 +116,51 @@ class Cochain:
     def value_at(self, face: FaceId) -> int:
         """The local codeword at `face` as an int over its up-set columns."""
         offsets, _ = self.sheaf.level_offsets(self.level)
-        off = offsets[face]
-        basis = self.sheaf.basis(face)
+        coeffs = self.data.value >> offsets[face]
         out = 0
-        for i in range(basis.rows):
-            if self.data.bit(off + i):
-                out ^= basis.row_int(i)
+        for i, w in enumerate(self.sheaf.rows(face)):
+            if (coeffs >> i) & 1:
+                out ^= w
         return out
 
     def __xor__(self, other: "Cochain") -> "Cochain":
         if other.level != self.level or other.sheaf is not self.sheaf:
             raise SheafError("cochain mismatch in xor")
         return Cochain(self.sheaf, self.level, self.data ^ other.data)
+
+
+# -- local codes ----------------------------------------------------------------
+
+
+def _scatter(w: int, targets: Sequence[int]) -> int:
+    """Move bit p of w to bit targets[p]."""
+    out = 0
+    while w:
+        low = w & -w
+        out |= 1 << targets[low.bit_length() - 1]
+        w ^= low
+    return out
+
+
+def _restrict(rows: Iterable[int], ups: Sequence[int], sub: Sequence[int]) -> List[int]:
+    """Rows over the up-set `ups` read on its subset `sub`: bit k of a
+    result is top sub[k]."""
+    if len(sub) == len(ups):  # up-sets are sorted, so sub is ups
+        return list(rows)
+    spos = [ups.index(t) for t in sub]
+    out = []
+    for w in rows:
+        r = 0
+        for k, p in enumerate(spos):
+            if (w >> p) & 1:
+                r |= 1 << k
+        out.append(r)
+    return out
+
+
+def _dual(rows: Iterable[int], width: int) -> List[int]:
+    """The dual of the span of `rows` over `width` bits, in RREF."""
+    return EchelonBasis(EchelonBasis(rows).kernel(width)).rref()
 
 
 # -- construction -------------------------------------------------------------
@@ -141,7 +187,8 @@ def attach_local_codes(
     gen_col = {
         (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
     }
-    local: Dict[FaceId, BitMatrix] = {}
+    words = code.generator.int_rows()
+    local: Dict[FaceId, List[int]] = {}
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
         pairs = table.k_color_elements(cotype)
@@ -154,36 +201,27 @@ def attach_local_codes(
             for alpha, _eid in pairs:
                 top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
                 perm[iso.apply_int(alpha)] = pos[top]
-            rows = []
-            for i in range(code.k):
-                w = code.generator.row_int(i)
-                out = 0
-                for point in range(q):
-                    if (w >> point) & 1:
-                        out |= 1 << perm[point]
-                rows.append(out)
-            basis, _ = BitMatrix.from_int_rows(rows, q).rref()
-            local[(mask, idx)] = basis
+            local[(mask, idx)] = EchelonBasis(_scatter(w, perm) for w in words).rref()
     return Sheaf(c, local)
 
 
 def attach_constant_sheaf(c: Complex) -> Sheaf:
     """Repetition local code on every face below the top: the constant
     sheaf (no induction needed; restrictions of constants are constant)."""
-    local: Dict[FaceId, BitMatrix] = {}
+    local: Dict[FaceId, List[int]] = {}
     for level in range(c.D):
-        for mask in c.level_masks(level):
-            for idx in c.faces(mask):
-                width = len(c.up_sets[mask][idx])
-                local[(mask, idx)] = BitMatrix.from_int_rows(
-                    [(1 << width) - 1], width
-                )
+        for face in c.level_faces(level):
+            local[face] = [(1 << len(c.up_set(face))) - 1]
     return Sheaf(c, local)
 
 
 def attach_explicit(c: Complex, defining: Dict[FaceId, BitMatrix]) -> Sheaf:
-    """User-supplied (D-1)-level codes (fixtures and negative controls)."""
-    return Sheaf(c, dict(defining))
+    """User-supplied codes as matrices over each face's up-set (fixtures
+    and negative controls); their rows are kept as given."""
+    for face, m in defining.items():
+        if m.cols != len(c.up_set(face)):
+            raise SheafError("code of face %r has %d columns" % (face, m.cols))
+    return Sheaf(c, {face: m.int_rows() for face, m in defining.items()})
 
 
 def induce_lower_codes(s: Sheaf) -> Sheaf:
@@ -192,53 +230,64 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
     c = s.complex
     local = dict(s.local_bases)
     top_masks = c.level_masks(c.D - 1)
-    duals: Dict[FaceId, BitMatrix] = {}
-    for smask in top_masks:
-        for sidx in c.faces(smask):
-            duals[(smask, sidx)] = local[(smask, sidx)].kernel_basis()
+    duals = {face: s.dual_local_basis(face) for face in c.level_faces(c.D - 1)}
     for level in range(c.D - 2, -1, -1):
         for mask in c.level_masks(level):
             for idx in c.faces(mask):
                 ups = c.up_sets[mask][idx]
                 pos = {t: p for p, t in enumerate(ups)}
-                width = len(ups)
                 rows: List[int] = []
                 for smask in top_masks:
-                    if mask & ~smask:
-                        continue
                     for sidx in c.cofaces((mask, idx), smask):
-                        sups = c.up_sets[smask][sidx]
-                        dual = duals[(smask, sidx)]
-                        for i in range(dual.rows):
-                            w = dual.row_int(i)
-                            out = 0
-                            for p, t in enumerate(sups):
-                                if (w >> p) & 1:
-                                    out |= 1 << pos[t]
-                            rows.append(out)
-                if rows:
-                    constraints = BitMatrix.from_int_rows(rows, width)
-                    basis = constraints.kernel_basis().row_space_basis()
-                else:
-                    basis = BitMatrix.identity(width)
-                local[(mask, idx)] = basis
-    return Sheaf(c, local)
+                        spos = [pos[t] for t in c.up_sets[smask][sidx]]
+                        rows.extend(_scatter(w, spos) for w in duals[(smask, sidx)])
+                local[(mask, idx)] = _dual(rows, len(ups))
+    out = Sheaf(c, local)
+    out._dual_bases.update(duals)  # the (D-1)-face codes are unchanged
+    return out
 
 
 def dual_sheaf(s: Sheaf) -> Sheaf:
-    """Replace every defining code by its dual and re-induce."""
-    c = s.complex
-    defining: Dict[FaceId, BitMatrix] = {}
-    for mask in c.level_masks(c.D - 1):
-        for idx in c.faces(mask):
-            ker = s.basis((mask, idx)).kernel_basis()
-            defining[(mask, idx)] = ker.row_space_basis()
-    return induce_lower_codes(Sheaf(c, defining))
+    """Replace every defining code by its dual and re-induce.
+
+    The primal's local duals are the dual's codes, and the primal codes
+    are the dual's local duals, so no local kernel is computed twice."""
+    top = s.complex.level_faces(s.complex.D - 1)
+    d = Sheaf(s.complex, {face: s.dual_local_basis(face) for face in top})
+    d._dual_bases.update((face, s.rows(face)) for face in top)
+    return induce_lower_codes(d)
 
 
 # -- matrices -----------------------------------------------------------------
 
 
+def _per_level(build):
+    """Keep `build(s, j)` on the sheaf: no caller mutates these matrices."""
+
+    @functools.wraps(build)
+    def cached(s: Sheaf, j: int) -> BitMatrix:
+        key = (build.__name__, j)
+        m = s._matrices.get(key)
+        if m is None:
+            m = s._matrices[key] = build(s, j)
+        return m
+
+    return cached
+
+
+def _restrictions(s: Sheaf, level: int) -> Iterator[Tuple[FaceId, FaceId, List[int]]]:
+    """(face, coface, the face's rows restricted to the coface) for every
+    level-`level` face and each of its cofaces one level up."""
+    c = s.complex
+    for face in c.level_faces(level):
+        ups = c.up_set(face)
+        for smask in c.level_masks(level + 1):
+            for sidx in c.cofaces(face, smask):
+                sub = c.up_sets[smask][sidx]
+                yield face, (smask, sidx), _restrict(s.rows(face), ups, sub)
+
+
+@_per_level
 def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
     """delta^j : C^j -> C^{j+1} in global coordinates (rows = target)."""
     c = s.complex
@@ -247,36 +296,21 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
     src_off, src_dim = s.level_offsets(j)
     dst_off, dst_dim = s.level_offsets(j + 1)
     out = [0] * dst_dim
-    for face in c.level_faces(j):
-        mask, idx = face
-        ups = c.up_sets[mask][idx]
-        basis = s.basis(face)
-        for smask in c.level_masks(j + 1):
-            if mask & ~smask:
-                continue
-            for sidx in c.cofaces(face, smask):
-                tface = (smask, sidx)
-                sups = c.up_sets[smask][sidx]
-                spos = [ups.index(t) for t in sups]
-                target = s.echelon(tface)
-                base = dst_off[tface]
-                for i in range(basis.rows):
-                    w = basis.row_int(i)
-                    r = 0
-                    for p, srcp in enumerate(spos):
-                        if (w >> srcp) & 1:
-                            r |= 1 << p
-                    residual, combo = target.reduce(r)
-                    if residual:
-                        raise SheafError(
-                            "restriction to %r leaves the local code: sheaf is "
-                            "inconsistent" % (tface,)
-                        )
-                    bit = 1 << (src_off[face] + i)
-                    while combo:
-                        low = combo & -combo
-                        out[base + low.bit_length() - 1] |= bit
-                        combo ^= low
+    for face, tface, restricted in _restrictions(s, j):
+        target = s.echelon(tface)
+        base = dst_off[tface]
+        for i, r in enumerate(restricted):
+            residual, combo = target.reduce(r)
+            if residual:
+                raise SheafError(
+                    "restriction to %r leaves the local code: sheaf is "
+                    "inconsistent" % (tface,)
+                )
+            bit = 1 << (src_off[face] + i)
+            while combo:
+                low = combo & -combo
+                out[base + low.bit_length() - 1] |= bit
+                combo ^= low
     return BitMatrix.from_int_rows(out, src_dim)
 
 
@@ -287,9 +321,8 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     offsets, dim = s.level_offsets(j)
     rows = [0] * c.n_top
     for face in c.level_faces(j):
-        mask, idx = face
-        ups = c.up_sets[mask][idx]
-        for i, w in enumerate(s.basis(face).int_rows()):
+        ups = c.up_set(face)
+        for i, w in enumerate(s.rows(face)):
             bit = 1 << (offsets[face] + i)
             for p, t in enumerate(ups):
                 if (w >> p) & 1:
@@ -315,6 +348,7 @@ def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
 # -- cohomology ----------------------------------------------------------------
 
 
+@_per_level
 def cocycle_basis(s: Sheaf, j: int) -> BitMatrix:
     """Basis of Z^j = ker delta^j (Z^D = all of C^D)."""
     if j == s.complex.D:
@@ -361,31 +395,13 @@ def euler_characteristic_cohomology(s: Sheaf) -> int:
 
 def check_flasque(s: Sheaf) -> bool:
     """Every one-step restriction F_sigma -> F_tau is surjective."""
-    c = s.complex
-    for level in range(c.D):
-        for face in c.level_faces(level):
-            mask, idx = face
-            ups = c.up_sets[mask][idx]
-            basis = s.basis(face)
-            for smask in c.level_masks(level + 1):
-                if mask & ~smask:
-                    continue
-                for sidx in c.cofaces(face, smask):
-                    sups = c.up_sets[smask][sidx]
-                    spos = [ups.index(t) for t in sups]
-                    restricted = []
-                    for i in range(basis.rows):
-                        w = basis.row_int(i)
-                        r = 0
-                        for p, srcp in enumerate(spos):
-                            if (w >> srcp) & 1:
-                                r |= 1 << p
-                        restricted.append(r)
-                    if len(EchelonBasis(restricted)) != s.dim((smask, sidx)):
-                        return False
-                    target = s.echelon((smask, sidx))
-                    if any(target.reduce(r)[0] for r in restricted):
-                        return False
+    for level in range(s.complex.D):
+        for _, tface, restricted in _restrictions(s, level):
+            if len(EchelonBasis(restricted)) != s.dim(tface):
+                return False
+            target = s.echelon(tface)
+            if any(target.reduce(r)[0] for r in restricted):
+                return False
     return True
 
 
@@ -412,7 +428,7 @@ def sheaf_at_link(s: Sheaf, face: FaceId) -> Sheaf:
     mask, _ = face
     lk = c.link(face)
     ups = c.up_set(face)
-    defining: Dict[FaceId, BitMatrix] = {}
+    defining: Dict[FaceId, List[int]] = {}
     for lmask in lk.level_masks(lk.D - 1):
         src_colors = [lk.original_colors[j] for j in colors_of(lmask)]
         src_mask = mask | mask_of(src_colors)
@@ -421,7 +437,7 @@ def sheaf_at_link(s: Sheaf, face: FaceId) -> Sheaf:
             # link top position i corresponds to complex top ups[i]
             t0 = ups[lups[0]]
             sidx = c.face_in_top(src_mask, t0)
-            defining[(lmask, lidx)] = s.basis((src_mask, sidx)).copy()
+            defining[(lmask, lidx)] = s.rows((src_mask, sidx))
     return induce_lower_codes(Sheaf(lk, defining))
 
 
@@ -433,22 +449,10 @@ def star_sheaf(s1: Sheaf, s2: Sheaf) -> Sheaf:
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("cup product needs a shared complex")
-    defining: Dict[FaceId, BitMatrix] = {}
-    for mask in c.level_masks(c.D - 1):
-        for idx in c.faces(mask):
-            b1 = s1.basis((mask, idx))
-            b2 = s2.basis((mask, idx))
-            rows = [
-                b1.row_int(i) & b2.row_int(k)
-                for i in range(b1.rows)
-                for k in range(b2.rows)
-            ]
-            width = b1.cols
-            defining[(mask, idx)] = (
-                BitMatrix.from_int_rows(rows, width).row_space_basis()
-                if rows
-                else BitMatrix.zeros(0, width)
-            )
+    defining = {
+        face: EchelonBasis(a & b for a in s1.rows(face) for b in s2.rows(face)).rref()
+        for face in c.level_faces(c.D - 1)
+    }
     return induce_lower_codes(Sheaf(c, defining))
 
 
@@ -549,22 +553,6 @@ def intersecting_face_pairs(c: Complex, m1: int, m2: int):
         yield (m1, key[0]), (m2, key[1]), (mu, int(fu[t]))
 
 
-def _local_rows(sheaf: Sheaf, face: FaceId, shared: Sequence[int]) -> List[int]:
-    """Basis rows of a face restricted to the given top ids, as ints."""
-    ups = sheaf.complex.up_set(face)
-    pos = {t: i for i, t in enumerate(ups)}
-    basis = sheaf.basis(face)
-    out = []
-    for i in range(basis.rows):
-        w = basis.row_int(i)
-        v = 0
-        for k, t in enumerate(shared):
-            if (w >> pos[t]) & 1:
-                v |= 1 << k
-        out.append(v)
-    return out
-
-
 def check_pair_products(
     s1: Sheaf,
     s2: Sheaf,
@@ -594,8 +582,8 @@ def check_pair_products(
                 continue
             for fa, fb, funion in intersecting_face_pairs(c, m1, m2):
                 shared = c.up_set(funion)
-                a_rows = _local_rows(s1, fa, shared)
-                b_rows = _local_rows(s2, fb, shared)
+                a_rows = _restrict(s1.rows(fa), c.up_set(fa), shared)
+                b_rows = _restrict(s2.rows(fb), c.up_set(fb), shared)
                 for a in a_rows:
                     for b in b_rows:
                         checked += 1
@@ -617,10 +605,9 @@ def check_projected_weights(
     checked = 0
     for level in levels if levels is not None else range(s.complex.D):
         for face in s.complex.level_faces(level):
-            basis = s.basis(face)
-            for w in basis.row_weights():
+            for w in s.rows(face):
                 checked += 1
-                if int(w) % modulus:
+                if w.bit_count() % modulus:
                     return {"ok": False, "checked": checked, "witness": face}
     return {"ok": True, "checked": checked}
 

@@ -326,6 +326,38 @@ def test_elimination_matches_numpy_column_loop(data):
         assert x == BitVector(cols, sum(ref_x.get(i, 0) << i for i in range(cols)))
 
 
+@st.composite
+def _local_code_rows(draw):
+    """Random, low-rank and empty (no rows or zero rows) row sets of
+    widths 1-70: local codes, their duals and stacked constraints."""
+    cols = draw(st.integers(1, 70))
+    n_rows = draw(st.integers(0, 20))
+    kind = draw(st.sampled_from(["random", "low_rank", "empty"]))
+    word = st.integers(0, (1 << cols) - 1)
+    if kind == "random":
+        rows = draw(st.lists(word, min_size=n_rows, max_size=n_rows))
+    elif kind == "low_rank":
+        k = draw(st.integers(1, 4))
+        factor = draw(st.lists(word, min_size=k, max_size=k))
+        mix = draw(
+            st.lists(st.integers(0, (1 << k) - 1), min_size=n_rows, max_size=n_rows)
+        )
+        rows = [_xor_of(factor, m) for m in mix]
+    else:
+        rows = [0] * n_rows
+    return cols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_local_code_rows())
+def test_echelon_rref_and_kernel_match_bitmatrix(data):
+    cols, rows = data
+    m = BitMatrix.from_int_rows(rows, cols)
+    basis = EchelonBasis(rows)
+    assert basis.rref() == m.rref()[0].int_rows()
+    assert basis.kernel(cols) == m.kernel_basis().int_rows()
+
+
 def test_row_space_equal_detects_difference():
     a = BitMatrix.from_int_rows([0b01, 0b10], 2)
     b = BitMatrix.from_int_rows([0b11, 0b01], 2)
@@ -385,5 +417,29 @@ def test_alist_rejects_row_index_outside_shape(tmp_path, row):
     # 3x4 with column j holding row j and column 4 holding `row`
     path = tmp_path / "m.alist"
     path.write_text("4 3\n1 2\n1 1 1 1\n1 1 1\n1\n2\n3\n%d\n1 0\n2 0\n3 0\n" % row)
+    with pytest.raises(GF2Error):
+        read_alist(str(path))
+
+
+def test_matrix_market_rejects_negative_size(tmp_path):
+    # "-1 4 0" once gave a 0x4 matrix
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n-1 4 0\n")
+    with pytest.raises(GF2Error):
+        read_matrix_market(str(path))
+
+
+def test_matrix_market_rejects_missing_entries(tmp_path):
+    # fewer entry lines than nnz once ended in a tuple-unpacking ValueError
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate pattern general\n3 4 2\n3 4\n")
+    with pytest.raises(GF2Error):
+        read_matrix_market(str(path))
+
+
+def test_alist_rejects_negative_size(tmp_path):
+    # 3 columns and -1 rows, no entries: once a 0x3 matrix
+    path = tmp_path / "m.alist"
+    path.write_text("3 -1\n0 0\n0 0 0\n\n")
     with pytest.raises(GF2Error):
         read_alist(str(path))

@@ -11,12 +11,12 @@ from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.complexes import build_coset_complex
 from cosetcode.gf2 import BitMatrix, BitVector, row_space_equal
 from cosetcode.group import enumerate_group
-from cosetcode.local_codes import reed_muller
+from cosetcode.local_codes import LinearCode, reed_muller
 from cosetcode.sheaf import (
     Cochain,
-    Sheaf,
     SheafError,
     attach_constant_sheaf,
+    attach_explicit,
     attach_local_codes,
     check_flasque,
     check_locally_acyclic,
@@ -68,10 +68,10 @@ def test_torus_cone_is_not_locally_acyclic():
 def test_flasque_detects_widened_face_code():
     c = fixtures.cross_polytope_3sphere()
     s = attach_constant_sheaf(c)
-    bad = dict(s.local_bases)
+    bad = {face: s.basis(face) for face in s.local_bases}
     width = len(c.up_sets[7][0])
     bad[(7, 0)] = BitMatrix.identity(width)
-    assert not check_flasque(Sheaf(c, bad))
+    assert not check_flasque(attach_explicit(c, bad))
 
 
 def test_coboundary_squares_to_zero(sheaf2, dual2):
@@ -160,6 +160,97 @@ def test_projection_and_restriction_match_set_bits_reference(
                 assert restrict_to_type(s, j, T) == _restriction_by_set_bits(s, j, t_mask)
 
 
+def _ref_attach(c, code, iso, ring):
+    """The BitMatrix construction of the oriented edge codes that the
+    int-row sheaf replaced, kept as the reference."""
+    table = c.group
+    gen_col = {(color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)}
+    q = ring.field.q
+    out = {}
+    for mask in c.level_masks(c.D - 1):
+        cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
+        for idx in c.faces(mask):
+            g = c.keys[mask][idx]
+            pos = {t: p for p, t in enumerate(c.up_sets[mask][idx])}
+            perm = [0] * q
+            for alpha, _ in table.k_color_elements(cotype):
+                top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
+                perm[iso.apply_int(alpha)] = pos[top]
+            rows = []
+            for w in code.generator.int_rows():
+                rows.append(sum(1 << perm[p] for p in range(q) if (w >> p) & 1))
+            out[(mask, idx)] = BitMatrix.from_int_rows(rows, q).rref()[0]
+    return out
+
+
+def _ref_induce(c, defining):
+    """Lower codes as kernels of the stacked BitMatrix kernels above."""
+    out = dict(defining)
+    top_masks = c.level_masks(c.D - 1)
+    duals = {face: out[face].kernel_basis() for face in c.level_faces(c.D - 1)}
+    for level in range(c.D - 2, -1, -1):
+        for face in c.level_faces(level):
+            ups = c.up_set(face)
+            pos = {t: p for p, t in enumerate(ups)}
+            rows = []
+            for smask in top_masks:
+                for sidx in c.cofaces(face, smask):
+                    sups = c.up_sets[smask][sidx]
+                    for w in duals[(smask, sidx)].int_rows():
+                        rows.append(sum(1 << pos[t] for p, t in enumerate(sups) if (w >> p) & 1))
+            if rows:
+                constraints = BitMatrix.from_int_rows(rows, len(ups))
+                out[face] = constraints.kernel_basis().row_space_basis()
+            else:
+                out[face] = BitMatrix.identity(len(ups))
+    return out
+
+
+def _ref_dual(c, bases):
+    top = c.level_faces(c.D - 1)
+    return _ref_induce(c, {f: bases[f].kernel_basis().row_space_basis() for f in top})
+
+
+def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
+    c, iso = complex2, VectorIso(ring2.field)
+    cases = []
+    # every Reed-Muller code of length 2 or 4 is invariant under all
+    # coordinate permutations; the span of 10 is not, so only it pins
+    # the orientation that attach_local_codes scatters by
+    for rm in (reed_muller(0, 1), reed_muller(1, 1), LinearCode.from_int_rows([0b01], 2)):
+        s = induce_lower_codes(attach_local_codes(c, rm, iso, ring2))
+        ref = _ref_induce(c, _ref_attach(c, rm, iso, ring2))
+        d = dual_sheaf(s)
+        ref_d = _ref_dual(c, ref)
+        cases += [(s, ref), (d, ref_d), (dual_sheaf(d), _ref_dual(c, ref_d))]
+    for s in _constant_sheaves():
+        cx = s.complex
+        ref = {
+            f: BitMatrix.from_int_rows([(1 << len(cx.up_set(f))) - 1], len(cx.up_set(f)))
+            for j in range(cx.D)
+            for f in cx.level_faces(j)
+        }
+        cases += [(s, ref), (dual_sheaf(s), _ref_dual(cx, ref))]
+    for s, ref in cases:
+        cx = s.complex
+        assert set(s.local_bases) == set(ref)
+        for face, basis in ref.items():
+            assert s.basis(face) == basis
+        r = attach_explicit(cx, ref)
+        for j in range(cx.D + 1):
+            if j < cx.D:
+                assert coboundary_matrix(s, j) == coboundary_matrix(r, j)
+                assert coboundary_matrix(s, j) is coboundary_matrix(s, j)
+            assert projection_matrix(s, j) == projection_matrix(r, j)
+            assert cohomology_reps(s, j) == cohomology_reps(r, j)
+
+
+def test_attach_explicit_rejects_wrong_width():
+    c = fixtures.octahedron()
+    with pytest.raises(SheafError):
+        attach_explicit(c, {(0b011, 0): BitMatrix.identity(3)})
+
+
 def test_cocycles_contain_coboundaries(sheaf2):
     z = cocycle_basis(sheaf2, 1)
     d0 = coboundary_matrix(sheaf2, 0)
@@ -232,7 +323,7 @@ def test_coboundary_rejects_restriction_outside_local_code():
         for idx in c.faces(mask):
             local[(mask, idx)] = BitMatrix.identity(4)
     with pytest.raises(SheafError):
-        coboundary_matrix(Sheaf(c, local), 0)
+        coboundary_matrix(attach_explicit(c, local), 0)
 
 
 def test_cup_product_leibniz_rule():
@@ -301,7 +392,7 @@ def test_pair_products_catch_odd_overlap():
     for mask in (1, 2, 4):
         for idx in c.faces(mask):
             local[(mask, idx)] = BitMatrix.identity(4)
-    s = Sheaf(c, local)
+    s = attach_explicit(c, local)
     assert not check_pair_products(s, s, 2)["ok"]
     assert not check_projected_weights(s, 2)["ok"]
 
