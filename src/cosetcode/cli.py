@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-tableau", type=int, default=1 << 14)
     p.add_argument("--seed", type=int, default=20240811)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", default="json", choices=["alist", "mtx", "json"])
     p.add_argument(
         "--fixture",
         help="use a named built-in complex instead of a coset build "

@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from .gf2 import EchelonBasis
+from .gf2 import CertifiedBasis
 from .local_codes import LinearCode, divisibility_level, is_multi_orthogonal
 
 
@@ -277,14 +277,14 @@ def _mask(qubits: Iterable[int]) -> int:
 _factored: List[Any] = [None, None]  # the latest generator tuple, its basis
 
 
-def _symplectic_basis(generators: Sequence[Pauli]) -> EchelonBasis:
+def _symplectic_basis(generators: Sequence[Pauli]) -> CertifiedBasis:
     """The generators' symplectic rows factored, kept for the latest
     generator tuple.  Tuple `==` tries identity before `Pauli.__eq__`, and
     the latest tuple is always the one kept, so checking a repeated set is
     one C loop, with no hashing."""
     key = tuple(generators)
     if key != _factored[0]:
-        _factored[1] = EchelonBasis(g.x | (g.z << g.n) for g in key)
+        _factored[1] = CertifiedBasis([g.x | (g.z << g.n) for g in key])
     _factored[0] = key
     return _factored[1]
 

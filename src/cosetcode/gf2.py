@@ -4,10 +4,15 @@ BitVector wraps a Python int bitset; BitMatrix stores rows packed into
 numpy uint64 words.  Bit i of a vector is the coefficient of coordinate
 i; within a word, bit b of word w is coordinate 64*w + b.
 
-Elimination (rank, rref, kernel_basis, solve) runs on Python-int rows
-read with their columns reversed, column c at bit 64*nwords - 1 - c, so
-that a row's pivot, its lowest column, is its `bit_length()`.  One XOR
-of two such ints updates a whole row at C speed.
+All elimination runs through one loop, `EchelonBasis`: a forward-only
+dict from each Python-int row's `bit_length()` (its pivot) to the row.
+One XOR of two such ints updates a whole row at C speed.  Rank, rref,
+kernel_basis and solve read rows with their columns reversed, column c
+at bit 64*nwords - 1 - c, so a row's pivot is its lowest column, and
+back-substitute (`EchelonBasis.rref`) only for a reduced form;
+`rref_rows` and `dual_rows` serve int rows.  Certificates
+ride as tag bits: `CertifiedBasis` eliminates [rows | I], so one
+reduction gives both the residual and the rows that rebuild the query.
 """
 
 from __future__ import annotations
@@ -57,52 +62,6 @@ def _rev_data(rows: Sequence[int], nwords: int) -> np.ndarray:
     for i, v in enumerate(rows):
         flat[i * nb : (i + 1) * nb] = v.to_bytes(nb, "big").translate(_REV8)
     return data
-
-
-def _echelon(rows: Iterable[int]) -> Dict[int, int]:
-    """The elimination loop: an echelon basis of column-reversed rows,
-    keyed by each basis row's bit_length (so by its pivot column)."""
-    basis: Dict[int, int] = {}
-    for v in rows:
-        while v:
-            lead = v.bit_length()
-            other = basis.get(lead)
-            if other is None:
-                basis[lead] = v
-                break
-            v ^= other
-    return basis
-
-
-def _rref(rows: Iterable[int], nbits: int) -> Tuple[List[int], List[int]]:
-    """Reduced row echelon form of column-reversed rows of `nbits` bits:
-    the nonzero reduced rows in increasing pivot column, and those
-    columns."""
-    basis = _echelon(rows)
-    leads = sorted(basis)  # highest column first
-    done = 0  # the lead bits of the rows already fully reduced
-    for lead in leads:
-        v = basis[lead]
-        # a reduced row has no other reduced row's lead bit, so clearing
-        # one hit never sets another
-        hits = v & done
-        while hits:
-            h = hits.bit_length()
-            v ^= basis[h]
-            hits ^= 1 << (h - 1)
-        basis[lead] = v
-        done |= 1 << (lead - 1)
-    leads.reverse()
-    return [basis[lead] for lead in leads], [nbits - lead for lead in leads]
-
-
-def _columns(v: int, nbits: int) -> Iterator[int]:
-    """The columns set in a column-reversed row of `nbits` bits."""
-    s = format(v, "0%db" % nbits)  # character c is column c
-    c = s.find("1")
-    while c >= 0:
-        yield c
-        c = s.find("1", c + 1)
 
 
 class BitVector:
@@ -180,22 +139,19 @@ class BitVector:
 
 
 class EchelonBasis:
-    """An incrementally grown row basis over Python-int rows.
+    """The one elimination loop: an echelon basis of Python-int rows,
+    grown one row at a time and keyed by each row's `bit_length()`, so a
+    row's pivot is its highest set bit and no two rows share one.
 
-    Every stored row is fully reduced: its pivot is its lowest set bit,
-    and no other stored row has that bit.  Each stored row carries a
-    bitmask over insertion indices (one index per `insert` call, whether
-    or not the row was independent) naming the inserted rows it sums, so
-    `reduce` certifies membership with an explicit combination.
+    Inserting and reducing only eliminate forward; `rref` back-substitutes
+    when a caller asks for the reduced form.  Read a row with its columns
+    reversed (`_reversed`) and its pivot is its lowest column.
     """
 
-    __slots__ = ("_rows", "_combos", "_pivots", "_inserted")
+    __slots__ = ("_rows",)
 
     def __init__(self, rows: Iterable[int] = ()):
-        self._rows: Dict[int, int] = {}  # pivot bit -> reduced row
-        self._combos: Dict[int, int] = {}  # pivot bit -> its certificate
-        self._pivots = 0  # OR of all pivot bits
-        self._inserted = 0
+        self._rows: Dict[int, int] = {}  # bit_length -> row
         for v in rows:
             self.insert(v)
 
@@ -203,68 +159,113 @@ class EchelonBasis:
         """The rank of the inserted rows."""
         return len(self._rows)
 
-    def reduce(self, v: int) -> Tuple[int, int]:
-        """(residual, combination): the inserted rows named by
-        `combination` XOR to `v ^ residual`; v is in the span iff the
-        residual is 0."""
-        combo = 0
-        # full reduction: clearing one pivot bit never sets another, so
-        # the pivots to apply are exactly those set in v
-        hits = v & self._pivots
-        while hits:
-            low = hits & -hits
-            v ^= self._rows[low]
-            combo ^= self._combos[low]
-            hits ^= low
-        return v, combo
+    def reduce(self, v: int) -> int:
+        """v less basis rows until its highest bit is no pivot: 0 iff v is
+        in the span."""
+        rows = self._rows
+        while v:
+            other = rows.get(v.bit_length())
+            if other is None:
+                break
+            v ^= other
+        return v
 
     def insert(self, v: int) -> bool:
-        """Add v under the next insertion index; True iff it was
-        independent of the rows already inserted."""
-        index = self._inserted
-        self._inserted += 1
-        v, combo = self.reduce(v)
-        if not v:
-            return False
-        combo |= 1 << index
-        low = v & -v
-        rows, combos = self._rows, self._combos
-        for pivot, row in rows.items():  # values change, keys do not
-            if row & low:
-                rows[pivot] = row ^ v
-                combos[pivot] ^= combo
-        rows[low] = v
-        combos[low] = combo
-        self._pivots |= low
-        return True
+        """Add v; True iff it was independent of the rows already in."""
+        v = self.reduce(v)
+        if v:
+            self._rows[v.bit_length()] = v
+        return bool(v)
 
-    def rref(self) -> List[int]:
-        """The stored rows by increasing pivot: the reduced row echelon
-        form of the inserted rows, as `BitMatrix.rref` gives it."""
-        return [self._rows[p] for p in sorted(self._rows)]
-
-    def kernel(self, width: int) -> List[int]:
-        """The kernel of the inserted rows over `width` columns, as
-        `BitMatrix.kernel_basis` gives it: for each free column c in
-        increasing order, bit c plus every pivot whose row has bit c."""
-        return [
-            (1 << c) | sum(p for p, row in self._rows.items() if (row >> c) & 1)
-            for c in range(width)
-            if not (self._pivots >> c) & 1
-        ]
+    def rref(self, nbits: int) -> Tuple[List[int], List[int]]:
+        """Back-substitution: the reduced row echelon form of the rows read
+        as column-reversed rows of `nbits` bits, as the reduced rows in
+        increasing pivot column and those columns.  The basis rows are
+        reduced in place (their span and pivots stay)."""
+        rows = self._rows
+        leads = sorted(rows)  # highest column first
+        done = 0  # the lead bits of the rows already fully reduced
+        for lead in leads:
+            v = rows[lead]
+            # a reduced row has no other reduced row's lead bit, so clearing
+            # one hit never sets another
+            hits = v & done
+            while hits:
+                h = hits.bit_length()
+                v ^= rows[h]
+                hits ^= 1 << (h - 1)
+            rows[lead] = v
+            done |= 1 << (lead - 1)
+        leads.reverse()
+        return [rows[lead] for lead in leads], [nbits - lead for lead in leads]
 
 
-def weight_and_star(vs: Sequence[BitVector]) -> int:
-    """Hamming weight of the element-wise AND (star product) of vectors."""
-    if not vs:
-        raise GF2Error("empty star product")
-    length = vs[0].length
-    acc = (1 << length) - 1 if length else 0
-    for v in vs:
-        if v.length != length:
-            raise GF2Error("length mismatch in star product")
-        acc &= v.value
-    return acc.bit_count()
+class CertifiedBasis:
+    """Rows factored so that a reduction names the rows it combined.
+
+    Row i of k enters one `EchelonBasis` as (row << k) | (1 << i), the
+    augmentation [rows | I]: every basis row's low k tag bits name the
+    rows it sums.  A row dependent on earlier ones leaves a tag-only row
+    keyed at its own index; every other basis row names independent rows
+    only, so a reduction's combination never has such a key as its
+    highest bit, and a certificate never names a dependent row.
+    """
+
+    __slots__ = ("_basis", "_k")
+
+    def __init__(self, rows: Sequence[int]):
+        k = self._k = len(rows)
+        self._basis = EchelonBasis((r << k) | (1 << i) for i, r in enumerate(rows))
+
+    def reduce(self, v: int) -> Tuple[int, int]:
+        """(residual, combination): the rows named by `combination` XOR to
+        `v ^ residual`; v is in the span iff the residual is 0."""
+        t = self._basis.reduce(v << self._k)
+        return t >> self._k, t & ((1 << self._k) - 1)
+
+
+def _kernel(rows: Sequence[int], pivots: Sequence[int], nbits: int, width: int) -> List[int]:
+    """The kernel over `width` columns of a reduced row echelon form as
+    `EchelonBasis.rref` gives it, column-reversed: for each free column c
+    in increasing order, column c plus each pivot column whose row has c."""
+    pivot_set = set(pivots)
+    out = {c: 1 << (nbits - 1 - c) for c in range(width) if c not in pivot_set}
+    for v, p in zip(rows, pivots):
+        bit = 1 << (nbits - 1 - p)
+        v ^= bit
+        while v:
+            lead = v.bit_length()
+            out[nbits - lead] |= bit
+            v ^= 1 << (lead - 1)
+    return list(out.values())
+
+
+def _reversed(rows: Iterable[int], nbytes: int) -> List[int]:
+    """Each row with its 8*nbytes bits in reverse order: column c moves to
+    bit 8*nbytes - 1 - c, and back (the map is its own inverse)."""
+    return [int.from_bytes(v.to_bytes(nbytes, "little").translate(_REV8), "big") for v in rows]
+
+
+def rref_rows(rows: Iterable[int], width: int) -> List[int]:
+    """The reduced row echelon form of int rows of `width` bits (bit c is
+    column c), as `BitMatrix.rref` gives it."""
+    nb = (width + 7) // 8
+    red, _ = EchelonBasis(_reversed(rows, nb)).rref(8 * nb)
+    return _reversed(red, nb)
+
+
+def dual_rows(rows: Iterable[int], width: int) -> List[int]:
+    """The dual of the span of int rows of `width` bits, in reduced row
+    echelon form, as `BitMatrix.kernel_basis().row_space_basis()` gives it.
+
+    Read as they are, the rows are the column-reversed rows of their
+    mirror image, so `_kernel` builds the kernel from the reduced form
+    whose pivots are the highest columns.  Each kernel row then has its
+    free column as its lowest bit, which no other kernel row has: in
+    reverse order they are the dual's (unique) reduced row echelon form,
+    with no bit reversal needed."""
+    red, pivots = EchelonBasis(rows).rref(width)
+    return _kernel(red, pivots, width, width)[::-1]
 
 
 class BitMatrix:
@@ -431,12 +432,12 @@ class BitMatrix:
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(_rev_rows(self.data)))
+        return len(EchelonBasis(_rev_rows(self.data)))
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
         """Reduced row echelon form and pivot columns; zero rows dropped."""
         nw = self.data.shape[1]
-        rows, pivots = _rref(_rev_rows(self.data), _WORD * nw)
+        rows, pivots = EchelonBasis(_rev_rows(self.data)).rref(_WORD * nw)
         return BitMatrix(len(rows), self.cols, _rev_data(rows, nw)), pivots
 
     def row_space_basis(self) -> "BitMatrix":
@@ -447,16 +448,9 @@ class BitMatrix:
         """Rows form a basis of {x : self @ x = 0} (x of length cols)."""
         nw = self.data.shape[1]
         nbits = _WORD * nw
-        rows, pivots = _rref(_rev_rows(self.data), nbits)
-        pivot_set = set(pivots)
-        # one basis vector per free column c: x[c] = 1, and x[p] = red[p, c]
-        # at each pivot column p
-        out = {c: 1 << (nbits - 1 - c) for c in range(self.cols) if c not in pivot_set}
-        for v, p in zip(rows, pivots):
-            bit = 1 << (nbits - 1 - p)
-            for c in _columns(v ^ bit, nbits):
-                out[c] |= bit
-        return BitMatrix(len(out), self.cols, _rev_data(list(out.values()), nw))
+        rows, pivots = EchelonBasis(_rev_rows(self.data)).rref(nbits)
+        ker = _kernel(rows, pivots, nbits, self.cols)
+        return BitMatrix(len(ker), self.cols, _rev_data(ker, nw))
 
     def _solve(self, rhs_rows: Iterable[int], k: int) -> Optional[List[Tuple[int, int]]]:
         """Solve self @ X = rhs by reducing [self | rhs], for rhs rows
@@ -465,7 +459,7 @@ class BitMatrix:
         pairs, rows not listed being 0; None if it is inconsistent."""
         shift = _WORD * self.data.shape[1] - self.cols
         aug = ((a >> shift) << k | b for a, b in zip(_rev_rows(self.data), rhs_rows))
-        rows, pivots = _rref(aug, self.cols + k)
+        rows, pivots = EchelonBasis(aug).rref(self.cols + k)
         if pivots and pivots[-1] >= self.cols:
             return None
         low = (1 << k) - 1
@@ -501,8 +495,7 @@ class BitMatrix:
     def in_row_space(self, v: BitVector) -> bool:
         if v.length != self.cols:
             raise GF2Error("in_row_space length mismatch")
-        residual, _ = EchelonBasis(self.int_rows()).reduce(v.value)
-        return residual == 0
+        return not EchelonBasis(self.int_rows()).reduce(v.value)
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
@@ -575,18 +568,15 @@ def read_alist(path: str) -> BitMatrix:
     with open(path) as fh:
         cols, rows = _ints(fh.readline(), 2, "size")
         max_c, _max_r = _ints(fh.readline(), 2, "degree bound")
-        tokens = fh.read().split()
-    it = iter(tokens)
-    col_deg = [int(next(it)) for _ in range(cols)]
-    _row_deg = [int(next(it)) for _ in range(rows)]
-    int_rows = [0] * rows
-    for j in range(cols):
-        entries = [int(next(it)) for _ in range(max_c)]
-        for i in entries[: col_deg[j]]:
-            if not 0 <= i <= rows:
-                raise GF2Error("row index %d of column %d outside 1..%d" % (i, j + 1, rows))
-            if i:
-                int_rows[i - 1] |= 1 << j
+        col_deg = _ints(fh.readline(), cols, "column degree")
+        _ints(fh.readline(), rows, "row degree")
+        int_rows = [0] * rows
+        for j in range(cols):
+            for i in _ints(fh.readline(), max_c, "column entry")[: col_deg[j]]:
+                if i > rows:
+                    raise GF2Error("row index %d of column %d outside 1..%d" % (i, j + 1, rows))
+                if i:
+                    int_rows[i - 1] |= 1 << j
     return BitMatrix.from_int_rows(int_rows, cols)
 
 
@@ -595,7 +585,9 @@ __all__ = [
     "BitVector",
     "BitMatrix",
     "EchelonBasis",
-    "weight_and_star",
+    "CertifiedBasis",
+    "rref_rows",
+    "dual_rows",
     "row_space_equal",
     "write_matrix_market",
     "read_matrix_market",

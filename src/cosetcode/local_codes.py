@@ -85,11 +85,6 @@ def dual_code(c: LinearCode) -> LinearCode:
     return LinearCode(ker, labels=c.labels)
 
 
-def star(a: int, b: int) -> int:
-    """Element-wise product of int bitsets."""
-    return a & b
-
-
 def divisibility_level(c: LinearCode, max_level: Optional[int] = None) -> int:
     """Largest ell such that every codeword weight is divisible by 2^ell.
 
@@ -189,7 +184,6 @@ __all__ = [
     "LinearCode",
     "reed_muller",
     "dual_code",
-    "star",
     "divisibility_level",
     "is_multi_orthogonal",
     "star_product_code",

@@ -14,7 +14,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, EchelonBasis
+from .gf2 import BitMatrix, BitVector, CertifiedBasis, EchelonBasis, dual_rows, rref_rows
 from .group import GroupTable
 from .local_codes import LinearCode, dual_code
 
@@ -37,7 +37,7 @@ class Sheaf:
         self.local_bases = local_bases
         self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
         self._dual_bases: Dict[FaceId, List[int]] = {}
-        self._echelons: Dict[FaceId, EchelonBasis] = {}
+        self._echelons: Dict[FaceId, CertifiedBasis] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
     # -- bases -------------------------------------------------------------
@@ -63,11 +63,14 @@ class Sheaf:
     def dim(self, face: FaceId) -> int:
         return len(self.rows(face))
 
-    def echelon(self, face: FaceId) -> EchelonBasis:
-        """`rows(face)` factored for reduction; certificates index them."""
+    def echelon(self, face: FaceId) -> CertifiedBasis:
+        """`rows(face)` factored once for reduction (coboundaries, cup
+        products, flasqueness).  Row i runs through gf2's one forward
+        elimination loop with tag bit i attached, so `reduce` returns the
+        residual and, as tag bits, the rows that rebuild the query."""
         cached = self._echelons.get(face)
         if cached is None:
-            cached = EchelonBasis(self.rows(face))
+            cached = CertifiedBasis(self.rows(face))
             self._echelons[face] = cached
         return cached
 
@@ -76,7 +79,7 @@ class Sheaf:
         top faces of a dual sheaf, the primal's rows)."""
         cached = self._dual_bases.get(face)
         if cached is None:
-            cached = _dual(self.rows(face), len(self.complex.up_set(face)))
+            cached = dual_rows(self.rows(face), len(self.complex.up_set(face)))
             self._dual_bases[face] = cached
         return cached
 
@@ -158,11 +161,6 @@ def _restrict(rows: Iterable[int], ups: Sequence[int], sub: Sequence[int]) -> Li
     return out
 
 
-def _dual(rows: Iterable[int], width: int) -> List[int]:
-    """The dual of the span of `rows` over `width` bits, in RREF."""
-    return EchelonBasis(EchelonBasis(rows).kernel(width)).rref()
-
-
 # -- construction -------------------------------------------------------------
 
 
@@ -201,7 +199,7 @@ def attach_local_codes(
             for alpha, _eid in pairs:
                 top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
                 perm[iso.apply_int(alpha)] = pos[top]
-            local[(mask, idx)] = EchelonBasis(_scatter(w, perm) for w in words).rref()
+            local[(mask, idx)] = rref_rows((_scatter(w, perm) for w in words), q)
     return Sheaf(c, local)
 
 
@@ -241,7 +239,7 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
                     for sidx in c.cofaces((mask, idx), smask):
                         spos = [pos[t] for t in c.up_sets[smask][sidx]]
                         rows.extend(_scatter(w, spos) for w in duals[(smask, sidx)])
-                local[(mask, idx)] = _dual(rows, len(ups))
+                local[(mask, idx)] = dual_rows(rows, len(ups))
     out = Sheaf(c, local)
     out._dual_bases.update(duals)  # the (D-1)-face codes are unchanged
     return out
@@ -450,7 +448,9 @@ def star_sheaf(s1: Sheaf, s2: Sheaf) -> Sheaf:
     if s2.complex is not c:
         raise SheafError("cup product needs a shared complex")
     defining = {
-        face: EchelonBasis(a & b for a in s1.rows(face) for b in s2.rows(face)).rref()
+        face: rref_rows(
+            (a & b for a in s1.rows(face) for b in s2.rows(face)), len(c.up_set(face))
+        )
         for face in c.level_faces(c.D - 1)
     }
     return induce_lower_codes(Sheaf(c, defining))

@@ -64,6 +64,13 @@ def test_config_errors_exit_two():
     assert main(["build", "--config", "/nonexistent/path.cfg"]) == 2
 
 
+def test_format_option_is_gone():
+    # --format was parsed and never read; argparse now rejects it
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--q", "2", "--format", "mtx"])
+    assert exc.value.code == 2
+
+
 def test_cap_refusals_exit_three():
     # group enumeration cap: q=8 full group has 16482816 elements
     assert main(["build", "--q", "8", "--cap-enumeration", "20000"]) == 3

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from cosetcode.gf2 import (
     BitMatrix,
     BitVector,
+    CertifiedBasis,
     EchelonBasis,
     GF2Error,
+    dual_rows,
     read_alist,
     read_matrix_market,
     row_space_equal,
-    weight_and_star,
+    rref_rows,
     write_alist,
     write_matrix_market,
 )
@@ -188,25 +190,32 @@ def test_echelon_basis_matches_rank_oracle(data):
     cols, rows, queries = data
     basis = EchelonBasis()
     rank = 0
+    dependent = 0  # the inserts that were dependent when inserted
     for i, r in enumerate(rows):
         grown = _rank_oracle(rows[: i + 1], cols)
         assert basis.insert(r) == (grown > rank)
+        if grown == rank:
+            dependent |= 1 << i
         rank = grown
     assert len(basis) == rank
     assert len(EchelonBasis(rows)) == len(basis)
+    certified = CertifiedBasis(rows)
     mat = BitMatrix.from_int_rows(rows or [0], cols)
     for v in rows + queries:
-        residual, combo = basis.reduce(v)
+        residual, combo = certified.reduce(v)
         assert combo >> len(rows) == 0
+        assert combo & dependent == 0
         assert _xor_of(rows, combo) ^ residual == v
         member = _rank_oracle(rows + [v], cols) == rank
         assert (residual == 0) == member
+        assert (basis.reduce(v) == 0) == member
         assert mat.in_row_space(BitVector(cols, v)) == member
 
 
 def test_echelon_basis_certificate_skips_dependent_inserts():
-    basis = EchelonBasis([0b011, 0b011, 0b110])
-    assert len(basis) == 2
+    rows = [0b011, 0b011, 0b110]
+    assert len(EchelonBasis(rows)) == 2
+    basis = CertifiedBasis(rows)
     assert basis.reduce(0b101) == (0, 0b101)  # rows 0 and 2; the repeat is unused
     assert basis.reduce(0b1000) == (0b1000, 0)
 
@@ -353,9 +362,8 @@ def _local_code_rows(draw):
 def test_echelon_rref_and_kernel_match_bitmatrix(data):
     cols, rows = data
     m = BitMatrix.from_int_rows(rows, cols)
-    basis = EchelonBasis(rows)
-    assert basis.rref() == m.rref()[0].int_rows()
-    assert basis.kernel(cols) == m.kernel_basis().int_rows()
+    assert rref_rows(rows, cols) == m.rref()[0].int_rows()
+    assert dual_rows(rows, cols) == m.kernel_basis().row_space_basis().int_rows()
 
 
 def test_row_space_equal_detects_difference():
@@ -374,7 +382,6 @@ def test_bitvector_basics():
     assert (v ^ BitVector(6, 0b000001)).value == 0b101000
     assert v.with_bit(1, 1).value == 0b101011
     assert v.with_bit(0, 0).value == 0b101000
-    assert weight_and_star([v, BitVector(6, 0b001001)]) == 2
 
 
 def test_length_mismatch_raises():
@@ -441,5 +448,22 @@ def test_alist_rejects_negative_size(tmp_path):
     # 3 columns and -1 rows, no entries: once a 0x3 matrix
     path = tmp_path / "m.alist"
     path.write_text("3 -1\n0 0\n0 0 0\n\n")
+    with pytest.raises(GF2Error):
+        read_alist(str(path))
+
+
+def test_alist_rejects_truncated_file(tmp_path):
+    # the 3x4 matrix cut after its first two column lines: once a bare
+    # StopIteration
+    path = tmp_path / "m.alist"
+    path.write_text("4 3\n1 2\n1 1 1 1\n1 1 1\n1\n2\n")
+    with pytest.raises(GF2Error):
+        read_alist(str(path))
+
+
+def test_alist_rejects_non_integer_token(tmp_path):
+    # once a bare ValueError from int()
+    path = tmp_path / "m.alist"
+    path.write_text("4 3\n1 2\n1 1 1 1\n1 1 1\n1\n2\nx\n3\n1 0\n2 0\n3 0\n")
     with pytest.raises(GF2Error):
         read_alist(str(path))

@@ -13,7 +13,6 @@ from cosetcode.local_codes import (
     is_multi_orthogonal,
     permute_code,
     reed_muller,
-    star,
     star_product_code,
 )
 
@@ -64,7 +63,6 @@ def test_rm25_self_dual():
 
 
 def test_star_and_multi_orthogonality():
-    assert star(0b1100, 0b1010) == 0b1000
     c = reed_muller(1, 3)
     assert is_multi_orthogonal([c, c], 2)
     # RM(1,2) is not 2-orthogonal: two distinct weight-2 words can overlap oddly
