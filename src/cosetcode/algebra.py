@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector, GF2Error
+from .gf2 import BitMatrix, BitVector
 
 
 class AlgebraError(ValueError):
@@ -284,11 +284,6 @@ class VectorIso:
         return self._images[x]
 
 
-def field_to_bits(x: int, iso: VectorIso) -> BitVector:
-    """Bit-vector image of a field element under U."""
-    return iso.apply(x)
-
-
 __all__ = [
     "AlgebraError",
     "PRIMITIVE_F2_POLY",
@@ -297,5 +292,4 @@ __all__ = [
     "VectorIso",
     "build_ring",
     "coprimality_check",
-    "field_to_bits",
 ]

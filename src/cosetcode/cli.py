@@ -1,8 +1,11 @@
 """Command-line front end: build instances, run verification suites,
 emit reports and matrix exports.
 
-Exit codes: 0 pass, 1 verification finding, 2 config error, 3 resource
-cap refused.
+Exit codes: 0 pass, 1 verification finding, 2 config error (including
+an unwritable --out and D != 2 for the rate and Floquet work), 3 resource
+cap refused, 4 internal error (any other exception, reported on one
+stderr line).  Caps and the D = 2 requirement are checked before any
+work starts.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .gates import (
     orbit_cz_circuit,
 )
 from .gf2 import write_alist, write_matrix_market
-from .group import GroupCapError, enumerate_group
+from .group import DEFAULT_ENUMERATION_CAP, GroupCapError, enumerate_group, sl_order
 from .local_codes import reed_muller
 from .sheaf import (
     attach_local_codes,
@@ -55,6 +58,7 @@ EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_CONFIG = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_RM = {2: (0, 1), 4: (0, 2), 8: (1, 3), 32: (2, 5)}
 
@@ -94,10 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="vertex-link computation and rate bound only (large instances)",
     )
-    p.add_argument("--cap-enumeration", type=int, default=1 << 22)
+    p.add_argument("--cap-enumeration", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--cap-qubits", type=int, default=1 << 20)
     p.add_argument("--cap-tableau", type=int, default=1 << 14)
-    p.add_argument("--seed", type=int, default=20240811)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument(
         "--fixture",
@@ -181,25 +184,41 @@ def _validate(args: argparse.Namespace) -> dict:
         "r": r,
         "x": args.x,
         "z": z,
-        "seed": args.seed,
         "type_cycle_coprime": coprime,
     }
 
 
-def build_instance(cfg: dict, cap_enumeration: int, cap_qubits: int) -> dict:
-    """Enumerate the group, build the complex, sheaves and CSS code."""
-    ring = build_ring(cfg["eta"], cfg["m"], cfg["phi"])
-    try:
-        table = enumerate_group(cfg["D"], ring, cap=cap_enumeration)
-    except GroupCapError as exc:
+def _refuse_early(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -> None:
+    """Refuse what D != 2 or a cap rules out, before any work starts.
+
+    |SL_{D+1}(R_m)| is both the number of elements to enumerate and the
+    number of qubits (one per top face)."""
+    if cfg["D"] != 2 and ({"css", "floquet"} & set(suites)):
+        raise ConfigError("rates and the Floquet schedule are defined for D = 2 only")
+    order = sl_order(cfg["D"] + 1, cfg["q"] ** cfg["m"])
+    if order > args.cap_enumeration:
         raise CapRefusal(
-            "group enumeration refused: %s (raise --cap-enumeration to override)" % exc
+            "group enumeration of %d elements exceeds cap %d "
+            "(raise --cap-enumeration to override)" % (order, args.cap_enumeration)
         )
-    if table.size > cap_qubits:
+    if order > args.cap_qubits:
         raise CapRefusal(
             "qubit count %d exceeds cap %d (use --local-only for the link report)"
-            % (table.size, cap_qubits)
+            % (order, args.cap_qubits)
         )
+    if "gates" in suites and order > args.cap_tableau:
+        raise CapRefusal(
+            "tableau size %d exceeds cap %d; only the arithmetic gate "
+            "conditions are available at this scale" % (order, args.cap_tableau)
+        )
+
+
+def build_instance(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -> dict:
+    """Enumerate the group, build the complex, sheaves and CSS code for
+    the given suites."""
+    _refuse_early(args, cfg, suites)
+    ring = build_ring(cfg["eta"], cfg["m"], cfg["phi"])
+    table = enumerate_group(cfg["D"], ring, cap=args.cap_enumeration)
     c = build_coset_complex(table)
     code_local = reed_muller(cfg["r"], cfg["eta"])
     iso = VectorIso(ring.field)
@@ -244,8 +263,8 @@ def local_report(cfg: dict) -> dict:
 # -- suites ----------------------------------------------------------------------
 
 
-def suite_structure(inst: dict, seed: int) -> dict:
-    report = verify_structure(inst["complex"], seed=seed)
+def suite_structure(inst: dict) -> dict:
+    report = verify_structure(inst["complex"])
     return {name: ok for name, (ok, _) in report.items()}
 
 
@@ -288,15 +307,10 @@ def _circuit_preserves(circ: Circuit, gens: List[Pauli]) -> bool:
     return all(in_group_with_sign(circ.conjugate(g), gens) for g in gens)
 
 
-def suite_gates(inst: dict, cap_tableau: int) -> dict:
+def suite_gates(inst: dict) -> dict:
     code = inst["code"]
     table = inst["table"]
     n = code.n
-    if n > cap_tableau:
-        raise CapRefusal(
-            "tableau size %d exceeds cap %d; only the arithmetic gate "
-            "conditions are available at this scale" % (n, cap_tableau)
-        )
     gens = _stabilizer_paulis(code)
     all_mask = (1 << n) - 1
     out: dict = {}
@@ -412,7 +426,7 @@ def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
         print("rate bound: %s" % rep["rate_bound"])
         print("wrote %s" % path)
         return EXIT_OK
-    inst = build_instance(cfg, args.cap_enumeration, args.cap_qubits)
+    inst = build_instance(args, cfg, ())
     code = inst["code"]
     base = os.path.join(args.out, "q%d_m%d" % (cfg["q"], cfg["m"]))
     write_alist(code.h_x, base + "_hx.alist")
@@ -436,23 +450,23 @@ def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     if args.fixture:
         return _verify_fixture(args)
-    inst = build_instance(cfg, args.cap_enumeration, args.cap_qubits)
     wanted = (
         ["structure", "sheaf", "css", "gates", "floquet"]
         if args.suite == "all"
         else [args.suite]
     )
+    inst = build_instance(args, cfg, wanted)
     results = {}
     ok = True
     for name in wanted:
         if name == "structure":
-            results[name] = suite_structure(inst, args.seed)
+            results[name] = suite_structure(inst)
         elif name == "sheaf":
             results[name] = suite_sheaf(inst)
         elif name == "css":
             results[name] = suite_css(inst)
         elif name == "gates":
-            results[name] = suite_gates(inst, args.cap_tableau)
+            results[name] = suite_gates(inst)
         elif name == "floquet":
             results[name] = suite_floquet(inst)
         ok = ok and _suite_passed(name, results[name])
@@ -465,7 +479,7 @@ def _verify_fixture(args: argparse.Namespace) -> int:
     if maker is None:
         raise ConfigError("unknown fixture %r" % args.fixture)
     c = maker()
-    report = verify_structure(c, seed=args.seed)
+    report = verify_structure(c)
     print(json.dumps(_jsonable({k: v for k, v in report.items()}), indent=2))
     return EXIT_OK if all(ok for ok, _ in report.values()) else EXIT_FINDING
 
@@ -476,7 +490,7 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
         print("rho0 = %s, rate >= %s" % (rep["rho0"], rep["rate_bound"]))
         print(json.dumps(_jsonable(rep), indent=2))
         return EXIT_OK
-    inst = build_instance(cfg, args.cap_enumeration, args.cap_qubits)
+    inst = build_instance(args, cfg, ("css", "floquet"))
     code = inst["code"]
     s, s_dual = inst["sheaf"], inst["dual"]
     lb = logical_basis(code, s, s_dual, cfg["x"], cfg["z"])
@@ -505,19 +519,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         _apply_config_file(args, parser)
         cfg = _validate(args)
         if args.command == "build":
-            return cmd_build(args, cfg)
+            try:
+                return cmd_build(args, cfg)
+            except OSError as exc:
+                raise ConfigError("cannot write to --out: %s" % exc)
         if args.command == "verify":
             return cmd_verify(args, cfg)
         return cmd_report(args, cfg)
     except (ConfigError, AlgebraError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except CapRefusal as exc:
+    except (CapRefusal, GroupCapError) as exc:
         print("refused: %s" % exc, file=sys.stderr)
         return EXIT_CAP
-    except GroupCapError as exc:
-        print("refused: %s" % exc, file=sys.stderr)
-        return EXIT_CAP
+    except Exception as exc:  # a library error or a bug; never a finding's exit 1
+        print("internal error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -157,7 +157,7 @@ class Complex:
         mask, _ = face
         rest = [c for c in range(self.n_colors) if not (mask >> c) & 1]
         if not rest:
-            return _empty_complex()
+            return Complex(-1, 0, {})
         tops = []
         for t in self.up_set(face):
             tops.append([self.face_in_top(1 << c, t) for c in rest])
@@ -184,21 +184,6 @@ class Complex:
                 raise ComplexError("face indices out of order in serialization")
             up_sets[mask].append(tuple(int(t) for t in ups_s.split(",")))
         return cls(D, n_top, up_sets)
-
-
-def _empty_complex() -> Complex:
-    c = object.__new__(Complex)
-    c.D = -1
-    c.n_colors = 0
-    c.n_top = 0
-    c.full_mask = 0
-    c.masks = []
-    c.up_sets = {}
-    c.keys = {}
-    c.group = None
-    c.original_colors = ()
-    c.top_to_face = {}
-    return c
 
 
 def build_coset_complex(table: GroupTable) -> Complex:
@@ -261,12 +246,7 @@ def type_cycle_face_map(c: Complex) -> Dict[int, np.ndarray]:
     return out
 
 
-def verify_structure(
-    c: Complex,
-    sample_pairs: int = 200,
-    seed: int = 20240811,
-    exhaustive_top_cap: int = 100_000,
-) -> Dict[str, Tuple[bool, str]]:
+def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     """Structural report: purity, colorability/partition, the up-set
     intersection law, and (small coset complexes) transitivity."""
     report: Dict[str, Tuple[bool, str]] = {}
@@ -380,24 +360,13 @@ def corrupt_complex(c: Complex, mask: Optional[int] = None) -> Complex:
     if len(victim) < 2:
         raise ComplexError("cannot corrupt a singleton up-set")
     victim.pop()
-    bad = object.__new__(Complex)
-    bad.D = c.D
-    bad.n_colors = c.n_colors
-    bad.n_top = c.n_top
-    bad.full_mask = c.full_mask
-    bad.masks = list(c.masks)
-    bad.up_sets = {k: [tuple(u) for u in v] for k, v in ups.items()}
-    bad.keys = c.keys
-    bad.group = None
-    bad.original_colors = c.original_colors
-    bad.top_to_face = {}
-    for mm in bad.masks:
-        lookup = np.full(bad.n_top, -1, dtype=np.int64)
-        for idx, u in enumerate(bad.up_sets[mm]):
-            for t in u:
-                lookup[t] = idx
-        bad.top_to_face[mm] = lookup
-    return bad
+    return Complex(
+        c.D,
+        c.n_top,
+        {k: [tuple(u) for u in v] for k, v in ups.items()},
+        keys=c.keys,
+        original_colors=c.original_colors,
+    )
 
 
 __all__ = [

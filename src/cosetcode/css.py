@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import colors_of, mask_of
+from .complexes import mask_of
 from .gf2 import BitMatrix, BitVector, row_space_equal
 from .sheaf import (
     Sheaf,
@@ -89,31 +89,29 @@ def extract_css(
     return CssCode(h_x, h_z, metadata=meta), s_dual
 
 
-def rate_report(s: Sheaf, exact: bool = True, s_dual: Optional[Sheaf] = None) -> dict:
-    """Local rates, the naive two-dimensional rate bound, and (optionally)
-    the exact redundancy corrections from global ranks."""
+def rate_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
+    """Local rates, the naive two-dimensional rate bound, and the exact
+    redundancy corrections from global ranks."""
     c = s.complex
     if c.D != 2:
         raise CSSError("rate report is defined for two-dimensional sheaves")
     rho0 = _uniform_local_rate(s, 0)
     rho1 = _uniform_local_rate(s, 1)
-    report = {
+    if s_dual is None:
+        s_dual = dual_sheaf(s)
+    n = Fraction(c.n_top)
+    z0 = s.level_dim(0) - coboundary_matrix(s, 0).rank()
+    z0_dual = s_dual.level_dim(0) - coboundary_matrix(s_dual, 0).rank()
+    rho_m1 = Fraction(z0) / n
+    rho_bar_m1 = Fraction(z0_dual) / n
+    return {
         "rho0": rho0,
         "rho1": rho1,
         "bound": 6 * rho1 - 6 * rho0 - 2,
+        "rho_minus1": rho_m1,
+        "rho_bar_minus1": rho_bar_m1,
+        "exact_half_rate": 3 * rho1 - 3 * rho0 - 1 + rho_m1 + rho_bar_m1,
     }
-    if exact:
-        if s_dual is None:
-            s_dual = dual_sheaf(s)
-        n = Fraction(c.n_top)
-        z0 = s.level_dim(0) - coboundary_matrix(s, 0).rank()
-        z0_dual = s_dual.level_dim(0) - coboundary_matrix(s_dual, 0).rank()
-        rho_m1 = Fraction(z0) / n
-        rho_bar_m1 = Fraction(z0_dual) / n
-        report["rho_minus1"] = rho_m1
-        report["rho_bar_minus1"] = rho_bar_m1
-        report["exact_half_rate"] = 3 * rho1 - 3 * rho0 - 1 + rho_m1 + rho_bar_m1
-    return report
 
 
 def _uniform_local_rate(s: Sheaf, level: int) -> Fraction:
@@ -363,7 +361,6 @@ def unfolding_check(
     s_dual: Sheaf,
     x: int,
     z: int,
-    squares: bool = True,
 ) -> dict:
     """k = C(D, x+1) * dim H^{x+1}, the chain-map squares, and the per-type
     shrunk dimension isomorphism."""
@@ -386,15 +383,14 @@ def unfolding_check(
         shrunk[T] = shrunk_cohomology_dim(s, s_dual, x, z, T)
     report["shrunk_dims"] = shrunk
     report["shrunk_iso"] = all(v == h_dim for v in shrunk.values())
-    if squares:
-        sq = {
-            T: chain_map_squares(s, s_dual, x, z, T)
-            for T in color_types_through_zero(D, x + 2)
-        }
-        report["squares"] = sq
-        report["squares_ok"] = all(all(r.values()) for r in sq.values())
-    report["ok"] = report["dimension_formula"] and report["shrunk_iso"] and (
-        not squares or report["squares_ok"]
+    sq = {
+        T: chain_map_squares(s, s_dual, x, z, T)
+        for T in color_types_through_zero(D, x + 2)
+    }
+    report["squares"] = sq
+    report["squares_ok"] = all(all(r.values()) for r in sq.values())
+    report["ok"] = (
+        report["dimension_formula"] and report["shrunk_iso"] and report["squares_ok"]
     )
     return report
 

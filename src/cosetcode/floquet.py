@@ -9,7 +9,7 @@ Edge color naming (fixed, arbitrary): orange = types {0,1}, green =
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -8,11 +8,8 @@ A Pauli is i^p * X(x) * Z(z) with the X block written first; p is mod 4.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .gf2 import CertifiedBasis
 from .local_codes import LinearCode, divisibility_level, is_multi_orthogonal
@@ -57,11 +54,6 @@ def pauli_mul(a: Pauli, b: Pauli) -> Pauli:
         raise GateError("pauli size mismatch")
     phase = a.p + b.p + 2 * (a.z & b.x).bit_count()
     return Pauli(a.n, phase, a.x ^ b.x, a.z ^ b.z)
-
-
-def pauli_inverse(a: Pauli) -> Pauli:
-    # a^2 = i^{2p} (-1)^{|x&z|} I, so the inverse flips p and adds 2|x&z|
-    return Pauli(a.n, -a.p - 2 * (a.x & a.z).bit_count(), a.x, a.z)
 
 
 # -- conjugation by Clifford gates (P -> U P U^dagger) -----------------------------
@@ -230,13 +222,6 @@ class Circuit:
         for apply, arg in self._steps:
             p = apply(p, arg)
         return p
-
-    def netlist(self) -> str:
-        lines = []
-        for layer in self.layers:
-            for g in layer:
-                lines.append("%s %s" % (g.name, " ".join(str(q) for q in g.qubits)))
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _check_layer_disjoint(gates: List[Gate]) -> None:
@@ -416,13 +401,12 @@ def _require_order3(perm: Sequence[int]) -> None:
 def transversal_rl_level(
     stabilizer_rows: Sequence[int],
     logical_rows: Sequence[int],
-    max_level: int = 6,
 ) -> int:
-    """Strongest ell such that every X-stabilizer weight is 0 mod 2^ell
-    and every logical/stabilizer overlap is 0 mod 2^{ell-1} (the
+    """Strongest ell <= 6 such that every X-stabilizer weight is 0 mod
+    2^ell and every logical/stabilizer overlap is 0 mod 2^{ell-1} (the
     sufficient condition for the transversal level-ell phase gate)."""
     level = 0
-    for ell in range(1, max_level + 1):
+    for ell in range(1, 7):
         mod_s = 1 << ell
         mod_l = 1 << (ell - 1)
         ok = all(s.bit_count() % mod_s == 0 for s in stabilizer_rows) and all(
@@ -463,23 +447,10 @@ def check_cz_conditions(local_code: LinearCode, D: int) -> dict:
     return {"d_orthogonal": ok, "D": D}
 
 
-def logical_phase_prediction(
-    logicals: Sequence[int], subset: int, D: int, ell: int
-) -> int:
-    """Parity datum governing which logical multi-controlled phase is
-    enacted: the star-product weight of the given logicals inside the
-    subset, reduced mod 2^{D - ell}."""
-    acc = subset if subset else -1
-    for l in logicals:
-        acc &= l
-    return acc.bit_count() % (1 << max(1, D - ell))
-
-
 __all__ = [
     "GateError",
     "Pauli",
     "pauli_mul",
-    "pauli_inverse",
     "apply_z",
     "apply_x",
     "apply_s",
@@ -500,5 +471,4 @@ __all__ = [
     "transversal_rl_level",
     "check_r_conditions",
     "check_cz_conditions",
-    "logical_phase_prediction",
 ]

@@ -75,14 +75,6 @@ class BitVector:
         self.length = length
         self.value = value
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "BitVector":
-        value = 0
-        for i, b in enumerate(bits):
-            if b & 1:
-                value |= 1 << i
-        return cls(len(bits), value)
-
     def bit(self, i: int) -> int:
         if not 0 <= i < self.length:
             raise GF2Error("bit index out of range")
@@ -95,9 +87,6 @@ class BitVector:
 
     def weight(self) -> int:
         return self.value.bit_count()
-
-    def bits(self) -> List[int]:
-        return [(self.value >> i) & 1 for i in range(self.length)]
 
     def support(self) -> List[int]:
         v, out, base = self.value, [], 0
@@ -314,13 +303,6 @@ class BitMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise GF2Error("from_rows needs at least one row (use zeros)")
-        cols = rows[0].length
-        return cls.from_int_rows([r.value for r in rows], cols)
-
-    @classmethod
     def from_dense(cls, array) -> "BitMatrix":
         a = np.asarray(array, dtype=np.uint8) & 1
         if a.ndim != 2:
@@ -351,9 +333,6 @@ class BitMatrix:
             self.data.view(np.uint8), axis=1, bitorder="little"
         )
         return bits[:, : self.cols]
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
 
     def row_weights(self) -> np.ndarray:
         return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
@@ -564,20 +543,34 @@ def write_alist(m: BitMatrix, path: str) -> None:
             fh.write(" ".join(str(x) for x in s + [0] * (max_r - len(s))) + "\n")
 
 
+def _alist_entries(fh, degrees: List[int], bound: int, limit: int, what: str):
+    """(line, 0-based index) for every entry of one alist section."""
+    for j, d in enumerate(degrees):
+        if d > bound:
+            raise GF2Error("%s %d has degree %d above the bound %d" % (what, j + 1, d, bound))
+        for i in _ints(fh.readline(), bound, what + " entry")[:d]:
+            if not 1 <= i <= limit:
+                raise GF2Error("index %d of %s %d outside 1..%d" % (i, what, j + 1, limit))
+            yield j, i - 1
+
+
 def read_alist(path: str) -> BitMatrix:
+    """Read MacKay alist; the row section must list the entries of the
+    column section."""
     with open(path) as fh:
         cols, rows = _ints(fh.readline(), 2, "size")
-        max_c, _max_r = _ints(fh.readline(), 2, "degree bound")
+        max_c, max_r = _ints(fh.readline(), 2, "degree bound")
         col_deg = _ints(fh.readline(), cols, "column degree")
-        _ints(fh.readline(), rows, "row degree")
-        int_rows = [0] * rows
-        for j in range(cols):
-            for i in _ints(fh.readline(), max_c, "column entry")[: col_deg[j]]:
-                if i > rows:
-                    raise GF2Error("row index %d of column %d outside 1..%d" % (i, j + 1, rows))
-                if i:
-                    int_rows[i - 1] |= 1 << j
-    return BitMatrix.from_int_rows(int_rows, cols)
+        row_deg = _ints(fh.readline(), rows, "row degree")
+        by_col = [0] * rows
+        for j, i in _alist_entries(fh, col_deg, max_c, rows, "column"):
+            by_col[i] |= 1 << j
+        by_row = [0] * rows
+        for i, j in _alist_entries(fh, row_deg, max_r, cols, "row"):
+            by_row[i] |= 1 << j
+    if by_row != by_col:
+        raise GF2Error("row section of %s disagrees with its column section" % path)
+    return BitMatrix.from_int_rows(by_col, cols)
 
 
 __all__ = [

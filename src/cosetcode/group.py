@@ -21,7 +21,7 @@ class GroupError(ValueError):
 
 
 class GroupCapError(GroupError):
-    """Raised when enumeration would exceed the configured cap."""
+    """Raised when enumeration would exceed the configured cap or the key width."""
 
 
 DEFAULT_ENUMERATION_CAP = 1 << 22
@@ -149,6 +149,10 @@ class GroupTable:
     default (all colors) closes to the whole group.  Restricting colors
     enumerates K_T for T = complement of `colors` - used for the
     vertex-link group K_0 of large instances without a global build.
+
+    Keys are uint64 and products use the ring's multiplication table, so
+    a group needing more than 63 key bits or a ring past 1024 elements is
+    refused before any work; the smallest such groups have ~1e10 elements.
     """
 
     def __init__(
@@ -166,7 +170,11 @@ class GroupTable:
             raise GroupError("colors out of range")
         self.cap = cap
         self.kbits = max(1, (ring.size - 1).bit_length())
-        self._digit_count = self.n * self.n
+        if self.n * self.n * self.kbits > 63 or ring.mul_table is None:
+            raise GroupCapError(
+                "SL_%d over a ring of %d elements is past 63-bit keys or the "
+                "1024-element multiplication table" % (self.n, ring.size)
+            )
         # generators: colors ascending, alpha in omega-power order
         self.gens: List[Tuple[int, int, int]] = []  # (color, alpha, key)
         field = ring.field
@@ -226,8 +234,6 @@ class GroupTable:
         mask = np.uint64((1 << kb) - 1)
         b = self._decode(gkey)
         tbl = self.ring.mul_table
-        if tbl is None:
-            raise GroupError("ring too large for vectorized multiplication")
         # decode digits of A
         a = np.empty((keys.size, n, n), dtype=np.uint32)
         for i in range(n):
@@ -248,7 +254,6 @@ class GroupTable:
         return out
 
     def _enumerate(self) -> None:
-        use_numpy = self._digit_count * self.kbits <= 63 and self.ring.mul_table is not None
         id_key = self._elementary_key(0, 1, 0) if self.n > 1 else self._encode([[1]])
         keys: List[int] = [id_key]
         index: Dict[int, int] = {id_key: 0}
@@ -260,40 +265,21 @@ class GroupTable:
                 raise GroupCapError(
                     "enumeration exceeded cap %d (have %d elements)" % (self.cap, stop)
                 )
-            if use_numpy:
-                batch = np.array(keys[start:stop], dtype=np.uint64)
-                products = [self._mul_batch(batch, g[2]) for g in self.gens]
-                for local in range(stop - start):
-                    row = []
-                    for gi in range(len(self.gens)):
-                        pk = int(products[gi][local])
-                        pid = index.get(pk)
-                        if pid is None:
-                            pid = len(keys)
-                            keys.append(pk)
-                            index[pk] = pid
-                        row.append(pid)
-                    cayley_rows.append(row)
-            else:
-                for gid in range(start, stop):
-                    g = GroupElement(self.ring, self._decode(keys[gid]), check=False)
-                    row = []
-                    for color, alpha, gkey in self.gens:
-                        p = g.mul(GroupElement(self.ring, self._decode(gkey), check=False))
-                        pk = self._encode(p.entries)
-                        pid = index.get(pk)
-                        if pid is None:
-                            pid = len(keys)
-                            keys.append(pk)
-                            index[pk] = pid
-                        row.append(pid)
-                    cayley_rows.append(row)
+            batch = np.array(keys[start:stop], dtype=np.uint64)
+            products = [self._mul_batch(batch, g[2]) for g in self.gens]
+            for local in range(stop - start):
+                row = []
+                for gi in range(len(self.gens)):
+                    pk = int(products[gi][local])
+                    pid = index.get(pk)
+                    if pid is None:
+                        pid = len(keys)
+                        keys.append(pk)
+                        index[pk] = pid
+                    row.append(pid)
+                cayley_rows.append(row)
             start = stop
-        if len(keys) > self.cap:
-            raise GroupCapError(
-                "enumeration exceeded cap %d (have %d elements)" % (self.cap, len(keys))
-            )
-        self.keys = np.array(keys, dtype=object if not use_numpy else np.uint64)
+        self.keys = np.array(keys, dtype=np.uint64)
         self.index = index
         self.size = len(keys)
         self.cayley = np.array(cayley_rows, dtype=np.int64)
@@ -378,9 +364,6 @@ class GroupTable:
         self._coset_cache[t_mask] = reps
         return reps
 
-    def canonical_coset_rep(self, gid: int, T: Iterable[int]) -> int:
-        return int(self.coset_reps(T)[gid])
-
     def type_cycle_perm(self) -> np.ndarray:
         """Permutation id -> id of the conjugation-by-P automorphism."""
         if self._cycle_perm is None:
@@ -408,12 +391,11 @@ def enumerate_group(
     ring: RingTable,
     cap: int = DEFAULT_ENUMERATION_CAP,
     colors: Optional[Sequence[int]] = None,
-    expect_full_order: bool = True,
 ) -> GroupTable:
     """BFS closure of the generator subgroups; checks the SL order formula
     when all colors are used (the generation claim)."""
     table = GroupTable(ring, D, colors=colors, cap=cap)
-    if colors is None and expect_full_order:
+    if colors is None:
         expected = sl_order(D + 1, ring.size)
         if table.size != expected:
             raise GroupError(
@@ -423,24 +405,23 @@ def enumerate_group(
     return table
 
 
-def verify_commutator_relation(table: GroupTable, sample: Optional[int] = None) -> bool:
+def verify_commutator_relation(table: GroupTable) -> bool:
     """Check [e_{i,j}(a), e_{j,k}(b)] = e_{i,k}(a*b) for i, j, k distinct.
 
-    Exhaustive over the ring when |R|^2 is small, otherwise sampled
-    deterministically."""
+    Exhaustive over the ring when |R|^2 <= 4096, otherwise over 64 pairs
+    sampled deterministically."""
     ring = table.ring
     n = table.n
     if n < 3:
         return True
     pairs: List[Tuple[int, int]]
-    if sample is None and ring.size ** 2 <= 4096:
+    if ring.size ** 2 <= 4096:
         pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
     else:
-        count = sample or 64
         rng = np.random.default_rng(20240811)
         pairs = [
             (int(rng.integers(ring.size)), int(rng.integers(ring.size)))
-            for _ in range(count)
+            for _ in range(64)
         ]
     for i in range(n):
         for j in range(n):

@@ -9,9 +9,9 @@ reproducible.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from .gf2 import BitMatrix, BitVector, GF2Error, row_space_equal
+from .gf2 import BitMatrix, BitVector, row_space_equal
 
 
 class LocalCodeError(ValueError):
@@ -21,14 +21,11 @@ class LocalCodeError(ValueError):
 class LinearCode:
     """A binary [n, k] linear code given by a full-rank generator matrix."""
 
-    def __init__(self, generator: BitMatrix, labels: Optional[Sequence] = None):
+    def __init__(self, generator: BitMatrix):
         basis, _ = generator.rref()
         self.generator = basis
         self.n = generator.cols
         self.k = basis.rows
-        self.labels = list(labels) if labels is not None else list(range(self.n))
-        if len(self.labels) != self.n:
-            raise LocalCodeError("label count must equal block length")
 
     @classmethod
     def from_int_rows(cls, rows: Sequence[int], n: int) -> "LinearCode":
@@ -74,7 +71,7 @@ def reed_muller(r: int, eta: int) -> LinearCode:
                 if all((point >> v) & 1 for v in vs):
                     word |= 1 << point
             rows.append(word)
-    return LinearCode(BitMatrix.from_int_rows(rows, n), labels=list(range(n)))
+    return LinearCode(BitMatrix.from_int_rows(rows, n))
 
 
 def dual_code(c: LinearCode) -> LinearCode:
@@ -82,17 +79,17 @@ def dual_code(c: LinearCode) -> LinearCode:
     ker = c.generator.kernel_basis()
     if ker.rows == 0:
         ker = BitMatrix.zeros(0, c.n)
-    return LinearCode(ker, labels=c.labels)
+    return LinearCode(ker)
 
 
-def divisibility_level(c: LinearCode, max_level: Optional[int] = None) -> int:
-    """Largest ell such that every codeword weight is divisible by 2^ell.
+def divisibility_level(c: LinearCode) -> int:
+    """Largest ell such that every codeword weight is divisible by 2^ell,
+    up to the bit length of n (returned for the zero code).
 
     Uses exhaustive span enumeration for dim <= 24 and the basis-tuple
     criterion otherwise; when both paths run they must agree.
     """
-    if max_level is None:
-        max_level = max(1, c.n.bit_length())
+    max_level = max(1, c.n.bit_length())
     if c.k == 0:
         return max_level
     exhaustive = c.k <= 24
@@ -154,29 +151,14 @@ def star_product_code(c: LinearCode, ell: int) -> LinearCode:
         raise LocalCodeError("ell must be >= 1")
     basis = c.generator.int_rows()
     if not basis:
-        return LinearCode(BitMatrix.zeros(0, c.n), labels=c.labels)
+        return LinearCode(BitMatrix.zeros(0, c.n))
     rows = []
     for tup in itertools.combinations_with_replacement(basis, ell):
         prod = -1
         for v in tup:
             prod &= v
         rows.append(prod & ((1 << c.n) - 1))
-    return LinearCode(BitMatrix.from_int_rows(rows, c.n), labels=c.labels)
-
-
-def permute_code(c: LinearCode, perm: Sequence[int]) -> LinearCode:
-    """The code with coordinate i moved to position perm[i]."""
-    if sorted(perm) != list(range(c.n)):
-        raise LocalCodeError("not a permutation")
-    rows = []
-    for i in range(c.k):
-        w = c.generator.row_int(i)
-        out = 0
-        for src in range(c.n):
-            if (w >> src) & 1:
-                out |= 1 << perm[src]
-        rows.append(out)
-    return LinearCode(BitMatrix.from_int_rows(rows, c.n), labels=c.labels)
+    return LinearCode(BitMatrix.from_int_rows(rows, c.n))
 
 
 __all__ = [
@@ -187,5 +169,4 @@ __all__ = [
     "divisibility_level",
     "is_multi_orthogonal",
     "star_product_code",
-    "permute_code",
 ]

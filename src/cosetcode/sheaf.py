@@ -100,9 +100,6 @@ class Sheaf:
     def level_dim(self, j: int) -> int:
         return self.level_offsets(j)[1]
 
-    def zero_cochain(self, j: int) -> "Cochain":
-        return Cochain(self, j, BitVector(self.level_dim(j)))
-
 
 class Cochain:
     """An element of C^j in global coordinates."""
@@ -460,12 +457,10 @@ def cup_product(
     f1: Cochain,
     f2: Cochain,
     target: Optional[Sheaf] = None,
-    order: Optional[Sequence[int]] = None,
 ) -> Cochain:
-    """The sheaf cup product under the color-induced vertex order.
+    """The sheaf cup product under the vertex order of ascending colors.
 
-    `order` lists the colors by priority (default ascending).  The result
-    lives in the star-product sheaf, passed as `target` to avoid
+    The result lives in the star-product sheaf, passed as `target` to avoid
     rebuilding it per call."""
     s1, s2 = f1.sheaf, f2.sheaf
     c = s1.complex
@@ -476,15 +471,12 @@ def cup_product(
         raise SheafError("cup product level overflow")
     if target is None:
         target = star_sheaf(s1, s2)
-    if order is None:
-        order = list(range(c.n_colors))
-    priority = {color: p for p, color in enumerate(order)}
     level = l1 + l2
     offsets, dim = target.level_offsets(level)
     data = 0
     for face in c.level_faces(level):
         mask, idx = face
-        cs = sorted(colors_of(mask), key=lambda col: priority[col])
+        cs = colors_of(mask)
         front_mask = mask_of(cs[: l1 + 1])
         back_mask = mask_of(cs[l1:])
         ups = c.up_sets[mask][idx]
@@ -557,10 +549,9 @@ def check_pair_products(
     s1: Sheaf,
     s2: Sheaf,
     modulus: int,
-    max_union_colors: Optional[int] = None,
 ) -> dict:
     """For every pair of basis rows (one from each sheaf) on faces whose
-    type union spans at most `max_union_colors` colors (default D), check
+    type union spans at most D colors, check
     that the star product of the projected codewords has weight divisible
     by `modulus`.
 
@@ -570,7 +561,6 @@ def check_pair_products(
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("pair products need a shared complex")
-    limit = c.D if max_union_colors is None else max_union_colors
     checked = 0
     for m1 in c.masks:
         if m1 == c.full_mask:
@@ -578,7 +568,7 @@ def check_pair_products(
         for m2 in c.masks:
             if m2 == c.full_mask:
                 continue
-            if bin(m1 | m2).count("1") > limit:
+            if bin(m1 | m2).count("1") > c.D:
                 continue
             for fa, fb, funion in intersecting_face_pairs(c, m1, m2):
                 shared = c.up_set(funion)
@@ -596,14 +586,11 @@ def check_pair_products(
     return {"ok": True, "checked": checked}
 
 
-def check_projected_weights(
-    s: Sheaf, modulus: int, levels: Optional[Sequence[int]] = None
-) -> dict:
-    """Every basis row at the selected levels (default: all below the
-    top) has weight divisible by the modulus (projection scatters rows
+def check_projected_weights(s: Sheaf, modulus: int) -> dict:
+    """Every basis row at every level below the top has weight divisible by the modulus (projection scatters rows
     injectively, so projected weight = row weight)."""
     checked = 0
-    for level in levels if levels is not None else range(s.complex.D):
+    for level in range(s.complex.D):
         for face in s.complex.level_faces(level):
             for w in s.rows(face):
                 checked += 1

@@ -5,7 +5,20 @@ import json
 
 import pytest
 
+from cosetcode import cli
 from cosetcode.cli import main
+from cosetcode.group import GroupTable
+from cosetcode.sheaf import SheafError
+
+
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """Fail any run that starts enumerating a group."""
+
+    def enumerate_(self):
+        raise AssertionError("group enumeration started")
+
+    monkeypatch.setattr(GroupTable, "_enumerate", enumerate_)
 
 
 def test_build_q2_writes_artifacts(tmp_path):
@@ -65,10 +78,11 @@ def test_config_errors_exit_two():
 
 
 def test_format_option_is_gone():
-    # --format was parsed and never read; argparse now rejects it
-    with pytest.raises(SystemExit) as exc:
-        main(["build", "--q", "2", "--format", "mtx"])
-    assert exc.value.code == 2
+    # --format and --seed were parsed and never read; argparse now rejects them
+    for flag in ("--format", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--q", "2", flag, "1"])
+        assert exc.value.code == 2
 
 
 def test_cap_refusals_exit_three():
@@ -81,6 +95,50 @@ def test_cap_refusals_exit_three():
     ]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # enumeration cap: q=8 full group has 16482816 elements
+        ["report", "--q", "8", "--cap-enumeration", "400000", "--cap-qubits", "100000000"],
+        # qubit cap: q=4 gives 60480 tops
+        ["build", "--q", "4", "--cap-qubits", "1000"],
+        # tableau cap: q=2 gives 168 qubits
+        ["verify", "--q", "2", "--suite", "gates", "--cap-tableau", "100"],
+    ],
+)
+def test_caps_refuse_before_enumeration(no_enumeration, argv):
+    assert main(argv) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["report"]] + [["verify", "--suite", s] for s in ("css", "floquet", "all")],
+)
+def test_d3_rate_and_floquet_work_refused_before_build(no_enumeration, argv):
+    assert main(argv + ["--D", "3", "--q", "2"]) == 2
+
+
+@pytest.mark.parametrize("suite", ["structure", "sheaf"])
+def test_d3_structure_and_sheaf_go_on_to_build(no_enumeration, suite, capsys):
+    assert main(["verify", "--suite", suite, "--D", "3", "--q", "2"]) == 4
+    assert "group enumeration started" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_two(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["build", "--q", "2", "--out", str(blocker / "x")]) == 2
+
+
+def test_library_error_exits_four(monkeypatch, capsys):
+    def fail(*args):
+        raise SheafError("injected")
+
+    monkeypatch.setattr(cli, "attach_local_codes", fail)
+    assert main(["verify", "--q", "2", "--suite", "structure"]) == 4
+    assert capsys.readouterr().err == "internal error: SheafError: injected\n"
+
+
 def test_config_file_parsing(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nq = 2\nsuite = structure\n")
@@ -91,8 +149,9 @@ def test_config_file_parsing(tmp_path, capsys):
 
 def test_config_file_unknown_key(tmp_path):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("nonsense = 1\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
+    for line in ("nonsense = 1", "seed = 1"):
+        cfg.write_text(line + "\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
 
 
 def test_config_file_values_are_typed(tmp_path, capsys):

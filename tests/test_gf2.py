@@ -444,6 +444,22 @@ def test_matrix_market_rejects_missing_entries(tmp_path):
         read_matrix_market(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # column degrees 2 1 under the bound 1: once cut down to 1
+        "2 2\n1 1\n2 1\n1 1\n1\n2\n1\n1\n",
+        # columns give the identity, rows the anti-identity: once the identity
+        "2 2\n1 1\n1 1\n1 1\n1\n2\n2\n1\n",
+    ],
+)
+def test_alist_rejects_inconsistent_sections(tmp_path, text):
+    path = tmp_path / "m.alist"
+    path.write_text(text)
+    with pytest.raises(GF2Error):
+        read_alist(str(path))
+
+
 def test_alist_rejects_negative_size(tmp_path):
     # 3 columns and -1 rows, no entries: once a 0x3 matrix
     path = tmp_path / "m.alist"

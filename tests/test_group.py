@@ -109,6 +109,17 @@ def test_enumeration_cap_refusal(ring2):
         enumerate_group(2, ring2, cap=10)
 
 
+def test_over_wide_table_refused_before_any_product(monkeypatch):
+    # SL_4 over 16 elements needs 16 digits of 4 bits: past 63-bit keys
+    def multiply(*args):
+        raise AssertionError("an element was multiplied")
+
+    monkeypatch.setattr(GroupTable, "_mul_batch", multiply)
+    monkeypatch.setattr(GroupElement, "mul", multiply)
+    with pytest.raises(GroupCapError):
+        GroupTable(build_ring(2, 2), 3)
+
+
 def test_subgroup_only_table_rejects_missing_color():
     ring = build_ring(1, 1)
     k0 = GroupTable(ring, 2, colors=(1, 2))

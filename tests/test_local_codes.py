@@ -11,7 +11,6 @@ from cosetcode.local_codes import (
     divisibility_level,
     dual_code,
     is_multi_orthogonal,
-    permute_code,
     reed_muller,
     star_product_code,
 )
@@ -80,14 +79,6 @@ def test_star_product_code_inside_dual():
     assert sq.k == reed_muller(2, 3).k
     assert not all(
         dual.contains(BitVector(c.n, row)) for row in sq.generator.int_rows()
-    )
-
-
-def test_permute_code_preserves_weights():
-    c = reed_muller(1, 2)
-    p = permute_code(c, [3, 2, 1, 0])
-    assert sorted(bin(w).count("1") for w in p.codewords()) == sorted(
-        bin(w).count("1") for w in c.codewords()
     )
 
 
