@@ -236,12 +236,15 @@ def type_cycle_face_map(c: Complex) -> Dict[int, np.ndarray]:
     full = c.full_mask
     for mask in c.masks:
         shifted = ((mask << 1) | (mask >> (n - 1))) & full
-        images = np.empty(c.n_faces(mask), dtype=np.int64)
-        for idx in range(c.n_faces(mask)):
-            t0 = c.up_sets[mask][idx][0]
-            images[idx] = c.face_in_top(shifted, int(perm[t0]))
-            # well-defined: check one more member on small complexes is done
-            # in verify-level tests, not here
+        face = c.top_to_face[mask]
+        image_of_top = c.top_to_face[shifted][perm]
+        images = np.full(c.n_faces(mask), -1, dtype=np.int64)
+        images[face] = image_of_top
+        # well defined: all tops of a face land in one image face
+        if not np.array_equal(images[face], image_of_top):
+            raise ComplexError(
+                "the permutation splits a type-%d face over type-%d faces" % (mask, shifted)
+            )
         out[mask] = images
     return out
 
@@ -331,15 +334,13 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
             for j in range(c.n_colors):
                 if (mask >> j) & 1:
                     continue
-                kj = table.enumerate_subgroup([j])
-                kt = table.enumerate_subgroup(T)
-                prod = {table.mul_ids(a, b) for a in kt for b in kj}
-                inter = None
-                for i in T:
-                    ki = table.enumerate_subgroup([i])
-                    s = {table.mul_ids(a, b) for a in ki for b in kj}
-                    inter = s if inter is None else (inter & s)
-                if prod != inter:
+                # K_A K_j is the union of the cosets a K_j over a in K_A
+                reps = table.coset_reps([j])
+                prod, *each = (
+                    np.isin(reps, reps[table.enumerate_subgroup(A)])
+                    for A in [T] + [[i] for i in T]
+                )
+                if not np.array_equal(prod, np.logical_and.reduce(each)):
                     ok = False
                     detail = "T=%r j=%d" % (T, j)
                     break

@@ -37,7 +37,6 @@ class CssCode:
         h_x: BitMatrix,
         h_z: BitMatrix,
         metadata: Optional[dict] = None,
-        check: bool = True,
     ):
         if h_x.cols != h_z.cols:
             raise CSSError("h_x and h_z qubit counts differ")
@@ -45,7 +44,7 @@ class CssCode:
         self.h_x = h_x
         self.h_z = h_z
         self.metadata = dict(metadata or {})
-        if check and not h_x.matmul(h_z.transpose()).is_zero():
+        if not h_x.matmul(h_z.transpose()).is_zero():
             raise CSSError("X and Z checks do not commute")
         self._k: Optional[int] = None
 

@@ -3,8 +3,16 @@
 Generator color j contributes the q elements e(alpha*t) with the
 off-diagonal entry at 1-based position (j, j+1) for 1 <= j <= D and at
 (D+1, 1) for j = 0.  Elements are encoded as integers packing the
-(D+1)^2 ring digits row-major; ids are BFS insertion order so every
-downstream label is reproducible.
+(D+1)^2 ring digits row-major.
+
+Enumeration is a breadth-first search from the identity that
+right-multiplies every element of a round by every generator.  Ids are
+BFS insertion order: a new key takes the next id at its first occurrence
+in (parent id, generator column) order, so every downstream label is
+reproducible.  The ids therefore form a BFS tree: element h > 0 is
+parent[h] * gens[gen[h]] with parent[h] in the round before h's, and
+any product a query needs is read from the Cayley table by walking that
+tree, one gather per round.
 """
 
 from __future__ import annotations
@@ -55,10 +63,6 @@ class GroupElement:
             raise GroupError("entries must be square")
         if check and self.det() != 1:
             raise GroupError("determinant is not 1")
-
-    @classmethod
-    def identity(cls, ring: RingTable, n: int) -> "GroupElement":
-        return cls(ring, [[1 if i == j else 0 for j in range(n)] for i in range(n)], check=False)
 
     @classmethod
     def elementary(cls, ring: RingTable, n: int, r: int, c: int, value: int) -> "GroupElement":
@@ -125,13 +129,6 @@ class GroupElement:
                     a[r] = [x ^ ring.mul(f, y) for x, y in zip(a[r], a[col])]
         return GroupElement(ring, [row[n:] for row in a], check=False)
 
-    def type_cycle(self) -> "GroupElement":
-        """Conjugation by the cyclic permutation matrix P: entry (i, j)
-        moves to (i+1, j+1) mod n."""
-        n = self.n
-        out = [[self.entries[(i - 1) % n][(j - 1) % n] for j in range(n)] for i in range(n)]
-        return GroupElement(self.ring, out, check=False)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GroupElement) and self.entries == other.entries
 
@@ -185,7 +182,6 @@ class GroupTable:
                 key = self._elementary_key(r, c, value)
                 self.gens.append((color, alpha, key))
         self._enumerate()
-        self._subgroup_cache: Dict[int, List[int]] = {}
         self._coset_cache: Dict[int, np.ndarray] = {}
         self._cycle_perm: Optional[np.ndarray] = None
 
@@ -220,11 +216,11 @@ class GroupTable:
         return GroupElement(self.ring, self._decode(int(self.keys[gid])), check=False)
 
     def id_of(self, g: GroupElement) -> int:
-        key = self._encode(g.entries)
-        gid = self.index.get(key)
-        if gid is None:
+        key = np.uint64(self._encode(g.entries))
+        pos = int(np.searchsorted(self._sorted_keys, key))
+        if pos == self.size or self._sorted_keys[pos] != key:
             raise GroupError("element not in enumerated set")
-        return gid
+        return int(self._sorted_ids[pos])
 
     # -- enumeration -------------------------------------------------------
 
@@ -254,35 +250,64 @@ class GroupTable:
         return out
 
     def _enumerate(self) -> None:
+        """BFS rounds as array operations.  Unseen keys are found by
+        `searchsorted` against the sorted known keys and numbered in
+        first-occurrence order, which keeps ids in insertion order."""
+        ngen = len(self.gens)
         id_key = self._elementary_key(0, 1, 0) if self.n > 1 else self._encode([[1]])
-        keys: List[int] = [id_key]
-        index: Dict[int, int] = {id_key: 0}
-        cayley_rows: List[List[int]] = []
-        start = 0
-        while start < len(keys):
-            stop = len(keys)
-            if stop > self.cap:
+        batch = np.array([id_key], dtype=np.uint64)
+        keys, parents, gen_cols, cayley = [batch], [np.array([-1])], [np.array([-1])], []
+        sorted_keys, sorted_ids = batch, np.zeros(1, dtype=np.int64)
+        bounds = [0, 1]  # round r holds ids bounds[r]:bounds[r+1]
+        while True:
+            start, size = bounds[-2], bounds[-1]
+            if size > self.cap:
                 raise GroupCapError(
-                    "enumeration exceeded cap %d (have %d elements)" % (self.cap, stop)
+                    "enumeration exceeded cap %d (have %d elements)" % (self.cap, size)
                 )
-            batch = np.array(keys[start:stop], dtype=np.uint64)
-            products = [self._mul_batch(batch, g[2]) for g in self.gens]
-            for local in range(stop - start):
-                row = []
-                for gi in range(len(self.gens)):
-                    pk = int(products[gi][local])
-                    pid = index.get(pk)
-                    if pid is None:
-                        pid = len(keys)
-                        keys.append(pk)
-                        index[pk] = pid
-                    row.append(pid)
-                cayley_rows.append(row)
-            start = stop
-        self.keys = np.array(keys, dtype=np.uint64)
-        self.index = index
-        self.size = len(keys)
-        self.cayley = np.array(cayley_rows, dtype=np.int64)
+            products = np.empty((batch.size, ngen), dtype=np.uint64)
+            for col, (_, _, gkey) in enumerate(self.gens):
+                products[:, col] = self._mul_batch(batch, gkey)
+            products = products.ravel()  # [local * ngen + col]
+            pos = np.searchsorted(sorted_keys, products)
+            np.minimum(pos, size - 1, out=pos)
+            fresh = np.flatnonzero(sorted_keys[pos] != products)
+            # first occurrence of each unseen key: the lead of its run in a
+            # stable sort; these are the new elements, taken in id order
+            order = np.argsort(products[fresh], kind="stable")
+            run = products[fresh[order]]
+            lead = np.ones(run.size, dtype=bool)
+            lead[1:] = run[1:] != run[:-1]
+            flat = fresh[np.sort(order[lead])]
+            batch = products[flat]
+            by_key = np.argsort(batch)
+            ins = np.searchsorted(sorted_keys, batch[by_key])
+            sorted_keys = np.insert(sorted_keys, ins, batch[by_key])
+            sorted_ids = np.insert(sorted_ids, ins, size + by_key)
+            cayley.append(sorted_ids[np.searchsorted(sorted_keys, products)].reshape(-1, ngen))
+            if not flat.size:
+                break
+            keys.append(batch)
+            parents.append(start + flat // ngen)
+            gen_cols.append(flat % ngen)
+            bounds.append(size + flat.size)
+        self.keys = np.concatenate(keys)
+        self.size = int(self.keys.size)
+        self.cayley = np.concatenate(cayley)
+        self._sorted_keys, self._sorted_ids = sorted_keys, sorted_ids
+        self._parent = np.concatenate(parents)
+        self._gen = np.concatenate(gen_cols)
+        self._bounds = bounds
+
+    def _walk(self, root: int, colmap: np.ndarray) -> np.ndarray:
+        """image[h] = root * s'_1 ... s'_k, where s_1 ... s_k is the
+        generator word of h's tree path and s'_i is the generator in
+        column colmap[col(s_i)]: one Cayley gather per BFS round."""
+        image = np.empty(self.size, dtype=np.int64)
+        image[0] = root
+        for lo, hi in zip(self._bounds[1:], self._bounds[2:]):
+            image[lo:hi] = self.cayley[image[self._parent[lo:hi]], colmap[self._gen[lo:hi]]]
+        return image
 
     # -- queries -----------------------------------------------------------
 
@@ -290,87 +315,64 @@ class GroupTable:
         wanted = set(colors)
         return [i for i, (color, _, _) in enumerate(self.gens) if color in wanted]
 
-    def mul_ids(self, a: int, b: int) -> int:
-        p = self.element(a).mul(self.element(b))
-        return self.id_of(p)
-
     def left_mul_perm(self, gid: int) -> np.ndarray:
         """Permutation h -> g*h over all element ids."""
-        g = self.element(gid)
-        out = np.empty(self.size, dtype=np.int64)
-        for h in range(self.size):
-            out[h] = self.id_of(g.mul(self.element(h)))
-        return out
+        return self._walk(gid, np.arange(len(self.gens)))
 
     def element_order(self, gid: int) -> int:
-        g = self.element(gid)
-        acc = g
-        order = 1
-        ident = GroupElement.identity(self.ring, self.n)
-        while acc != ident:
-            acc = acc.mul(g)
-            order += 1
-            if order > self.size:
-                raise GroupError("order computation ran away")
+        """Length of the identity's cycle under h -> g*h."""
+        perm = self._walk(gid, np.arange(len(self.gens)))
+        order, h = 1, int(perm[0])
+        while h != 0:
+            order, h = order + 1, int(perm[h])
         return order
 
     def enumerate_subgroup(self, T: Iterable[int]) -> List[int]:
-        """Element ids of K_T = <K_{j} : j in T^c>, BFS from the identity."""
+        """Element ids of K_T = <K_{j} : j in T^c>, ascending: the identity's coset."""
+        return np.flatnonzero(self.coset_reps(T) == 0).tolist()
+
+    def coset_reps(self, T: Iterable[int]) -> np.ndarray:
+        """reps[g] = min-id element of g*K_T, for every element id g.
+
+        Every generator is its own inverse (characteristic 2), so the
+        cosets are the components of the graph h -- h*s over the
+        generators s of K_T.  Labels start as the ids and take the least
+        label of their neighbours and of their own label until nothing
+        changes; each label is a coset member no larger than its id, so
+        the fixed point is the coset minimum."""
         t_mask = 0
         for j in T:
             if not 0 <= j <= self.D:
                 raise GroupError("color out of range")
             t_mask |= 1 << j
-        cached = self._subgroup_cache.get(t_mask)
-        if cached is not None:
-            return cached
-        complement = [j for j in range(self.D + 1) if not (t_mask >> j) & 1]
-        cols = self.gen_columns_for_colors(complement)
-        members = self._flood(0, cols)
-        members.sort()
-        self._subgroup_cache[t_mask] = members
-        return members
-
-    def _flood(self, seed: int, gen_cols: List[int]) -> List[int]:
-        seen = {seed}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for gid in frontier:
-                for col in gen_cols:
-                    h = int(self.cayley[gid, col])
-                    if h not in seen:
-                        seen.add(h)
-                        nxt.append(h)
-            frontier = nxt
-        return list(seen)
-
-    def coset_reps(self, T: Iterable[int]) -> np.ndarray:
-        """reps[g] = min-id element of g*K_T, for every element id g."""
-        t_mask = 0
-        for j in T:
-            t_mask |= 1 << j
         cached = self._coset_cache.get(t_mask)
         if cached is not None:
             return cached
         complement = [j for j in range(self.D + 1) if not (t_mask >> j) & 1]
-        cols = self.gen_columns_for_colors(complement)
-        reps = np.full(self.size, -1, dtype=np.int64)
-        for gid in range(self.size):
-            if reps[gid] >= 0:
-                continue
-            members = self._flood(gid, cols)
-            reps[members] = gid  # gid is minimal: smaller ids already visited
-        self._coset_cache[t_mask] = reps
-        return reps
+        nbrs = self.cayley[:, self.gen_columns_for_colors(complement)]
+        labels = np.arange(self.size)
+        while True:
+            nxt = np.minimum(labels, labels[nbrs].min(axis=1, initial=self.size))
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, labels):
+                break
+            labels = nxt
+        self._coset_cache[t_mask] = labels
+        return labels
 
     def type_cycle_perm(self) -> np.ndarray:
-        """Permutation id -> id of the conjugation-by-P automorphism."""
+        """Permutation id -> id of the conjugation-by-P automorphism.
+
+        P moves entry (i, j) to (i+1, j+1) mod n, so it sends e(alpha*t)
+        of color j to e(alpha*t) of color j+1 mod n: with the generators
+        ordered by color, then alpha, that is the column one color block
+        on."""
+        if self.colors != tuple(range(self.n)):
+            raise GroupError("type cycling needs every generator color enumerated")
         if self._cycle_perm is None:
-            out = np.empty(self.size, dtype=np.int64)
-            for gid in range(self.size):
-                out[gid] = self.id_of(self.element(gid).type_cycle())
-            self._cycle_perm = out
+            ngen = len(self.gens)
+            colmap = (np.arange(ngen) + ngen // self.n) % ngen
+            self._cycle_perm = self._walk(0, colmap)
         return self._cycle_perm
 
     def k_color_elements(self, j: int) -> List[Tuple[int, int]]:
@@ -378,30 +380,23 @@ class GroupTable:
         alpha running over all of F_q (alpha = 0 gives the identity)."""
         if j not in self.colors:
             raise GroupError("color %d not enumerated in this table" % j)
-        r, c = generator_position(j, self.n)
-        out = [(0, 0)]
-        for alpha in self.ring.field.antilog:
-            key = self._elementary_key(r, c, self.ring.scalar_times_t(alpha))
-            out.append((alpha, self.index[key]))
-        return out
+        return [(0, 0)] + [
+            (alpha, int(self.cayley[0, col]))
+            for col, (color, alpha, _) in enumerate(self.gens)
+            if color == j
+        ]
 
 
-def enumerate_group(
-    D: int,
-    ring: RingTable,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    colors: Optional[Sequence[int]] = None,
-) -> GroupTable:
-    """BFS closure of the generator subgroups; checks the SL order formula
-    when all colors are used (the generation claim)."""
-    table = GroupTable(ring, D, colors=colors, cap=cap)
-    if colors is None:
-        expected = sl_order(D + 1, ring.size)
-        if table.size != expected:
-            raise GroupError(
-                "generators closed to %d elements; SL order formula gives %d"
-                % (table.size, expected)
-            )
+def enumerate_group(D: int, ring: RingTable, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupTable:
+    """BFS closure of all generator subgroups; checks the SL order formula
+    (the generation claim)."""
+    table = GroupTable(ring, D, cap=cap)
+    expected = sl_order(D + 1, ring.size)
+    if table.size != expected:
+        raise GroupError(
+            "generators closed to %d elements; SL order formula gives %d"
+            % (table.size, expected)
+        )
     return table
 
 
@@ -447,24 +442,15 @@ def fixed_point_free_on_link(table: GroupTable, gid: int) -> bool:
     in the latter case membership in K_0 is required."""
     if table.D != 2:
         raise GroupError("fixed-point-freeness is defined for D = 2")
-    k0 = table.enumerate_subgroup([0]) if table.colors == (0, 1, 2) else list(range(table.size))
-    k0_set = set(k0)
-    if gid not in k0_set:
+    full = table.colors == (0, 1, 2)
+    k0 = np.array(table.enumerate_subgroup([0])) if full else np.arange(table.size)
+    if not (k0 == gid).any():
         raise GroupError("element is not in K_0")
     if gid == 0:
         return False
-    g = table.element(gid)
-    for T in ([0, 1], [0, 2]):
-        reps = table.coset_reps(T)
-        free = True
-        for h in k0:
-            gh = table.id_of(g.mul(table.element(h)))
-            if reps[gh] == reps[h]:
-                free = False
-                break
-        if free:
-            return True
-    return False
+    reps = np.stack([table.coset_reps([0, 1]), table.coset_reps([0, 2])])
+    moved = reps[:, table.left_mul_perm(gid)[k0]] != reps[:, k0]
+    return bool(moved.all(axis=1).any())
 
 
 __all__ = [

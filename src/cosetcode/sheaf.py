@@ -608,8 +608,6 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
 
     Stacks the oriented dual-code constraints of every edge through the
     vertex and returns |v-up-set| minus the constraint rank."""
-    from .group import GroupTable  # local import to keep module load light
-
     if ring.m != 1:
         raise SheafError("link fast path assumes m = 1")
     q = ring.field.q
@@ -625,19 +623,17 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
         [p for p in range(q) if (w >> p) & 1] for w in dual.generator.int_rows()
     ]
     # edges through v: cotype-2 cosets (type {0,1}) and cotype-1 ({0,2})
-    cosets = []
+    rows = []
     for cotype in (2, 1):
         reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
+        pairs = table.k_color_elements(cotype)
         for rep in sorted(set(int(r) for r in reps)):
-            cosets.append((cotype, rep))
-    rows = []
-    for cotype, rep in cosets:
-        top_bits = [0] * q
-        for alpha, _eid in table.k_color_elements(cotype):
-            top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
-            top_bits[iso.apply_int(alpha)] = 1 << top
-        # the q tops of an edge are distinct, so a sum of their bits is an OR
-        rows.extend(sum(top_bits[p] for p in support) for support in supports)
+            top_bits = [0] * q
+            for alpha, _eid in pairs:
+                top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
+                top_bits[iso.apply_int(alpha)] = 1 << top
+            # the q tops of an edge are distinct, so a sum of their bits is an OR
+            rows.extend(sum(top_bits[p] for p in support) for support in supports)
     mat = BitMatrix.from_int_rows(rows, n)
     del rows  # only the packed matrix stays alive through the rank
     return n - mat.rank()

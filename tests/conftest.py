@@ -23,6 +23,12 @@ def table2(ring2):
 
 
 @pytest.fixture(scope="session")
+def table_d3(ring2):
+    """SL_4(F_2), the D = 3 group at q = 2: 20,160 elements."""
+    return enumerate_group(3, ring2)
+
+
+@pytest.fixture(scope="session")
 def complex2(table2):
     return build_coset_complex(table2)
 

@@ -39,7 +39,6 @@ from cosetcode.sheaf import (
     check_pair_products,
     check_projected_weights,
     cohomology_dim,
-    dual_sheaf,
     link_vertex_code_dimension,
 )
 

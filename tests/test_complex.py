@@ -7,6 +7,8 @@ import pytest
 from cosetcode import fixtures
 from cosetcode.complexes import (
     Complex,
+    ComplexError,
+    build_coset_complex,
     colors_of,
     mask_of,
     type_cycle_face_map,
@@ -109,6 +111,29 @@ def test_type_cycle_face_map(complex2):
     for j in range(3):
         m = maps[1 << j]
         assert len(set(int(v) for v in m)) == complex2.n_faces(1 << j)
+
+
+def test_type_cycle_face_map_rejects_non_automorphism(complex2):
+    # the cycle with two tops' images swapped splits a face over two images
+    class SwappedCycle:
+        def type_cycle_perm(self):
+            perm = complex2.group.type_cycle_perm().copy()
+            perm[[0, 1]] = perm[[1, 0]]
+            return perm
+
+    c = Complex(
+        complex2.D, complex2.n_top, complex2.up_sets, keys=complex2.keys, group=SwappedCycle()
+    )
+    with pytest.raises(ComplexError):
+        type_cycle_face_map(c)
+
+
+def test_d3_q2_coset_complex_structure(table_d3):
+    assert table_d3.size == 20160
+    report = verify_structure(build_coset_complex(table_d3))
+    checks = {"purity", "disjoint_union", "colorability", "intersection", "transitivity"}
+    assert set(report) == checks
+    assert _all_ok(report), report
 
 
 def test_serialize_deserialize_roundtrip():

@@ -12,7 +12,6 @@ from cosetcode.css import (
     color_types_through_zero,
     darboux_basis,
     extract_css,
-    logical_basis,
     rate_report,
     redundancy_report,
     shrunk_cohomology_dim,

@@ -1,5 +1,7 @@
 """Special-linear group enumeration over the coefficient rings."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -63,12 +65,15 @@ def test_type_cycle_is_order_three(table2):
     perm = table2.type_cycle_perm()
     triple = perm[perm[perm]]
     assert (triple == np.arange(table2.size)).all()
-    # it permutes generator colors cyclically: check on one generator
+    # it permutes generator colors cyclically: check on one generator,
+    # conjugated here by moving entry (i, j) to (i+1, j+1) mod 3
     pairs = table2.k_color_elements(1)
     alpha, gid = pairs[1]
-    cycled = table2.element(gid).type_cycle()
+    e = table2.element(gid).entries
+    cycled = tuple(tuple(e[(i - 1) % 3][(j - 1) % 3] for j in range(3)) for i in range(3))
+    assert table2.element(int(perm[gid])).entries == cycled
     r, c = generator_position(2, 3)
-    assert cycled.entries[r][c] != 0
+    assert cycled[r][c] != 0
 
 
 def test_coset_partition(table2):
@@ -131,3 +136,150 @@ def test_subgroup_only_table_rejects_missing_color():
 def test_group_element_validates_determinant(ring2):
     with pytest.raises(GroupError):
         GroupElement(ring2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+# -- references: the product loops the Cayley-table queries replaced --------
+
+
+def _ref_enumerate(table):
+    """The dict enumeration loop: BFS from the identity with GroupElement
+    products, each new element taking the next id at its first
+    occurrence.  Returns (elements, index, cayley rows)."""
+    ring, n = table.ring, table.n
+    gens = []
+    for color, alpha, _ in table.gens:
+        r, c = generator_position(color, n)
+        gens.append(GroupElement.elementary(ring, n, r, c, ring.scalar_times_t(alpha)))
+    elems = [GroupElement.elementary(ring, n, 0, 1, 0)]
+    index = {elems[0]: 0}
+    cayley = []
+    for g in elems:  # grows while it is read: a queue in id order
+        row = []
+        for s in gens:
+            p = g.mul(s)
+            if p not in index:
+                index[p] = len(elems)
+                elems.append(p)
+            row.append(index[p])
+        cayley.append(row)
+    return elems, index, cayley
+
+
+def _ref_flood_reps(table, T):
+    """reps[g] = min id of g*K_T by one BFS per coset over the Cayley table."""
+    cols = table.gen_columns_for_colors(j for j in range(table.D + 1) if j not in T)
+    reps = np.full(table.size, -1, dtype=np.int64)
+    for gid in range(table.size):
+        if reps[gid] >= 0:
+            continue
+        seen, frontier = {gid}, [gid]
+        while frontier:
+            nxt = []
+            for h in frontier:
+                for col in cols:
+                    x = int(table.cayley[h, col])
+                    if x not in seen:
+                        seen.add(x)
+                        nxt.append(x)
+            frontier = nxt
+        reps[list(seen)] = gid
+    return reps
+
+
+def _conjugate_by_p(g):
+    n = g.n
+    e = g.entries
+    return GroupElement(g.ring, [[e[(i - 1) % n][(j - 1) % n] for j in range(n)] for i in range(n)])
+
+
+def _subsets(D):
+    return [list(T) for r in range(D + 2) for T in itertools.combinations(range(D + 1), r)]
+
+
+# elements whose left multiplication is checked: all, or 1 plus a sample
+SAMPLES = {"table2": None, "k0_table8": 16, "table_d3": 2}
+
+
+@pytest.fixture(scope="module", params=sorted(SAMPLES))
+def with_ref(request):
+    table = request.getfixturevalue(request.param)
+    return request.param, table, _ref_enumerate(table)
+
+
+def test_enumeration_matches_dict_loop(with_ref):
+    _, table, (elems, index, cayley) = with_ref
+    assert table.size == len(elems)
+    assert [table.element(i) for i in range(table.size)] == elems
+    assert np.array_equal(table.cayley, np.array(cayley, dtype=np.int64))
+    assert all(table.id_of(g) == i for g, i in index.items())
+    n = table.n
+    outside = GroupElement(table.ring, [[1] * n] + [[0] * n] * (n - 1), check=False)
+    with pytest.raises(GroupError):
+        table.id_of(outside)
+
+
+def test_coset_reps_and_subgroups_match_flood(with_ref):
+    _, table, _ = with_ref
+    for T in _subsets(table.D):
+        ref = _ref_flood_reps(table, T)
+        assert np.array_equal(table.coset_reps(T), ref), T
+        assert table.enumerate_subgroup(T) == np.flatnonzero(ref == 0).tolist(), T
+
+
+def test_left_mul_orders_and_link_action_match_products(with_ref):
+    name, table, (elems, index, _) = with_ref
+    k = SAMPLES[name]
+    rng = np.random.default_rng(3)
+    gids = range(table.size) if k is None else [1, *rng.integers(2, table.size, k).tolist()]
+    if table.D == 2:
+        full = table.colors == (0, 1, 2)
+        k0 = np.flatnonzero(_ref_flood_reps(table, [0]) == 0) if full else np.arange(table.size)
+        link_reps = [_ref_flood_reps(table, T) for T in ([0, 1], [0, 2])]
+    for gid in gids:
+        g = elems[gid]
+        perm = table.left_mul_perm(gid)
+        assert perm.tolist() == [index[g.mul(h)] for h in elems], gid
+        acc, order = g, 1
+        while acc != elems[0]:
+            acc, order = acc.mul(g), order + 1
+        assert table.element_order(gid) == order, gid
+        if table.D == 2 and gid in k0:
+            free = any(all(reps[perm[h]] != reps[h] for h in k0) for reps in link_reps)
+            assert fixed_point_free_on_link(table, gid) == free, gid
+
+
+def test_type_cycle_matches_conjugation(with_ref):
+    _, table, (elems, index, _) = with_ref
+    if table.colors != tuple(range(table.n)):
+        with pytest.raises(GroupError):
+            table.type_cycle_perm()
+        return
+    ref = [index[_conjugate_by_p(g)] for g in elems]
+    assert table.type_cycle_perm().tolist() == ref
+
+
+def test_coset_unions_match_set_products(with_ref):
+    # K_A K_j, as verify_structure reads it: the union of the cosets a K_j
+    _, table, (elems, index, _) = with_ref
+    for j in table.colors:
+        reps = table.coset_reps([j])
+        kj = table.enumerate_subgroup([j])
+        for A in _subsets(table.D):
+            if not A or j in A:
+                continue
+            ka = table.enumerate_subgroup(A)
+            ref = {index[elems[a].mul(elems[b])] for a in ka for b in kj}
+            union = np.flatnonzero(np.isin(reps, reps[ka]))
+            assert set(union.tolist()) == ref, (A, j)
+
+
+def test_k_color_elements_match_elementary_matrices(with_ref):
+    _, table, (_, index, _) = with_ref
+    ring, n = table.ring, table.n
+    for j in table.colors:
+        r, c = generator_position(j, n)
+        ref = [(0, 0)] + [
+            (alpha, index[GroupElement.elementary(ring, n, r, c, ring.scalar_times_t(alpha))])
+            for alpha in ring.field.antilog
+        ]
+        assert table.k_color_elements(j) == ref

@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 
 from cosetcode import fixtures
-from cosetcode.algebra import VectorIso, build_ring
-from cosetcode.complexes import build_coset_complex
+from cosetcode.algebra import VectorIso
 from cosetcode.gf2 import BitMatrix, BitVector, row_space_equal
-from cosetcode.group import enumerate_group
 from cosetcode.local_codes import LinearCode, reed_muller
 from cosetcode.sheaf import (
     Cochain,
