@@ -213,6 +213,19 @@ def _refuse_early(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) ->
         )
 
 
+def _refuse_link_early(args: argparse.Namespace, cfg: dict) -> None:
+    """Refuse what the vertex-link work cannot do, or a cap rules out,
+    before it enumerates K_0 (q^3 elements)."""
+    if cfg["m"] != 1 or cfg["D"] != 2:
+        raise ConfigError("local-only mode supports D = 2, m = 1")
+    order = cfg["q"] ** 3
+    if order > args.cap_enumeration:
+        raise CapRefusal(
+            "link group enumeration of %d elements exceeds cap %d "
+            "(raise --cap-enumeration to override)" % (order, args.cap_enumeration)
+        )
+
+
 def build_instance(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -> dict:
     """Enumerate the group, build the complex, sheaves and CSS code for
     the given suites."""
@@ -241,9 +254,8 @@ def build_instance(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -
 
 
 def local_report(cfg: dict) -> dict:
-    """Link-level computation: vertex-code dimension and the rate bound."""
-    if cfg["m"] != 1 or cfg["D"] != 2:
-        raise ConfigError("local-only mode supports D = 2, m = 1")
+    """Link-level computation: vertex-code dimension and the rate bound
+    (D = 2, m = 1, as `_refuse_link_early` checks)."""
     ring = build_ring(cfg["eta"], 1, cfg["phi"])
     code_local = reed_muller(cfg["r"], cfg["eta"])
     iso = VectorIso(ring.field)
@@ -418,6 +430,7 @@ def _jsonable(v):
 def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
     os.makedirs(args.out, exist_ok=True)
     if args.local_only:
+        _refuse_link_early(args, cfg)
         rep = local_report(cfg)
         path = os.path.join(args.out, "local_report.json")
         with open(path, "w") as fh:
@@ -486,6 +499,7 @@ def _verify_fixture(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
     if args.local_only:
+        _refuse_link_early(args, cfg)
         rep = local_report(cfg)
         print("rho0 = %s, rate >= %s" % (rep["rho0"], rep["rate_bound"]))
         print(json.dumps(_jsonable(rep), indent=2))

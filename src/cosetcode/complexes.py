@@ -249,6 +249,13 @@ def type_cycle_face_map(c: Complex) -> Dict[int, np.ndarray]:
     return out
 
 
+def _n_distinct(sorted_values: np.ndarray) -> int:
+    """The number of distinct values in a sorted array."""
+    if not sorted_values.size:
+        return 0
+    return 1 + int(np.count_nonzero(sorted_values[1:] != sorted_values[:-1]))
+
+
 def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     """Structural report: purity, colorability/partition, the up-set
     intersection law, and (small coset complexes) transitivity."""
@@ -276,21 +283,26 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     )
 
     # colorability: |T(face)| vertices per face, one per color, is implied by
-    # the per-type partition plus containment coherence of vertices
+    # the per-type partition plus containment coherence of vertices: every
+    # top of a face has the color vertex of the face's first top
     color_ok = True
     detail = "vertex lookups coherent"
     for m in c.masks:
-        for i in c.faces(m):
-            ups = c.up_sets[m][i]
+        tops = np.flatnonzero(c.top_to_face[m] >= 0)
+        face = c.top_to_face[m][tops]
+        first = np.array([u[0] if u else -1 for u in c.up_sets[m]], dtype=np.int64)
+        bad = first < 0  # an empty face spans no vertex
+        for color in colors_of(m):
+            vertex = c.top_to_face[1 << color]
+            bad[face[vertex[tops] != vertex[first[face]]]] = True
+        if bad.any():
+            i = int(np.argmax(bad))
             for color in colors_of(m):
-                vs = {c.face_in_top(1 << color, t) for t in ups}
+                vs = {c.face_in_top(1 << color, t) for t in c.up_sets[m][i]}
                 if len(vs) != 1:
-                    color_ok = False
-                    detail = "face (%d,%d) spans %d color-%d vertices" % (m, i, len(vs), color)
                     break
-            if not color_ok:
-                break
-        if not color_ok:
+            color_ok = False
+            detail = "face (%d,%d) spans %d color-%d vertices" % (m, i, len(vs), color)
             break
     report["colorability"] = (color_ok, detail)
 
@@ -298,19 +310,21 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     # union-face, or not at all.  Exhaustive over all intersecting pairs:
     # the pair of faces through a top determines its union-type face, so
     # the law is equivalent to "(f1[t], f2[t]) determines fu[t]" per top.
-    # Disjoint pairs satisfy the law vacuously.
+    # Disjoint pairs satisfy the law vacuously.  Sorting the (pair, union
+    # face) codes of the tops counts distinct codes and distinct pairs as
+    # adjacent differences; a top no face covers reads face -1.
     inter_ok = True
     inter_detail = "exhaustive over all intersecting pairs via top faces"
+    n_union = {m: np.count_nonzero(np.bincount(c.top_to_face[m] + 1)) for m in c.masks}
     for m1 in c.masks:
         for m2 in c.masks:
             mu = m1 | m2
-            f1 = c.top_to_face[m1]
-            f2 = c.top_to_face[m2]
-            fu = c.top_to_face[mu]
-            key = f1.astype(np.int64) * (max(len(c.up_sets[m2]), 1) + 1) + f2
-            both = np.unique(key * (c.n_top + 1) + fu)
+            key = c.top_to_face[m1] * (c.n_faces(m2) + 1) + c.top_to_face[m2]
+            width = c.n_faces(mu) + 1
+            both = np.sort(key * width + c.top_to_face[mu] + 1)
             # the pair and the union face must determine each other on tops
-            if len(both) != len(np.unique(key)) or len(both) != len(np.unique(fu)):
+            n_both = _n_distinct(both)
+            if n_both != _n_distinct(both // width) or n_both != n_union[mu]:
                 inter_ok = False
                 inter_detail = "type masks %d, %d: a face pair spans two union faces" % (
                     m1,

@@ -172,15 +172,13 @@ class GroupTable:
                 "SL_%d over a ring of %d elements is past 63-bit keys or the "
                 "1024-element multiplication table" % (self.n, ring.size)
             )
-        # generators: colors ascending, alpha in omega-power order
-        self.gens: List[Tuple[int, int, int]] = []  # (color, alpha, key)
-        field = ring.field
-        for color in self.colors:
-            r, c = generator_position(color, self.n)
-            for alpha in field.antilog:
-                value = ring.scalar_times_t(alpha)
-                key = self._elementary_key(r, c, value)
-                self.gens.append((color, alpha, key))
+        # generators (color, alpha, v), colors ascending, alpha in omega-power
+        # order: I + v*e_rc with v = alpha*t and (r, c) the color's position
+        self.gens: List[Tuple[int, int, int]] = [
+            (color, alpha, ring.scalar_times_t(alpha))
+            for color in self.colors
+            for alpha in ring.field.antilog
+        ]
         self._enumerate()
         self._coset_cache: Dict[int, np.ndarray] = {}
         self._cycle_perm: Optional[np.ndarray] = None
@@ -207,11 +205,6 @@ class GroupTable:
             out.append(row)
         return out
 
-    def _elementary_key(self, r: int, c: int, value: int) -> int:
-        entries = [[1 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        entries[r][c] = value
-        return self._encode(entries)
-
     def element(self, gid: int) -> GroupElement:
         return GroupElement(self.ring, self._decode(int(self.keys[gid])), check=False)
 
@@ -224,29 +217,16 @@ class GroupTable:
 
     # -- enumeration -------------------------------------------------------
 
-    def _mul_batch(self, keys: np.ndarray, gkey: int) -> np.ndarray:
-        """Right-multiply a batch of encoded elements by one generator."""
-        n, kb = self.n, self.kbits
+    def _mul_batch(self, keys: np.ndarray, r: int, c: int, v: int) -> np.ndarray:
+        """Right-multiply a batch of encoded elements by I + v*e_rc: only
+        column c changes, digit (i, c) gaining digit (i, r) times v."""
+        kb = self.kbits
         mask = np.uint64((1 << kb) - 1)
-        b = self._decode(gkey)
-        tbl = self.ring.mul_table
-        # decode digits of A
-        a = np.empty((keys.size, n, n), dtype=np.uint32)
-        for i in range(n):
-            for j in range(n):
-                sh = np.uint64(kb * (i * n + j))
-                a[:, i, j] = ((keys >> sh) & mask).astype(np.uint32)
-        c = np.zeros_like(a)
-        for k in range(n):
-            for j in range(n):
-                bkj = b[k][j]
-                if bkj:
-                    c[:, :, j] ^= tbl[a[:, :, k], bkj]
-        out = np.zeros(keys.size, dtype=np.uint64)
-        for i in range(n):
-            for j in range(n):
-                sh = np.uint64(kb * (i * n + j))
-                out |= c[:, i, j].astype(np.uint64) << sh
+        times_v = self.ring.mul_table[:, v].astype(np.uint64)
+        out = keys.copy()
+        for i in range(self.n):
+            digit = (keys >> np.uint64(kb * (i * self.n + r))) & mask
+            out ^= times_v[digit] << np.uint64(kb * (i * self.n + c))
         return out
 
     def _enumerate(self) -> None:
@@ -254,7 +234,9 @@ class GroupTable:
         `searchsorted` against the sorted known keys and numbered in
         first-occurrence order, which keeps ids in insertion order."""
         ngen = len(self.gens)
-        id_key = self._elementary_key(0, 1, 0) if self.n > 1 else self._encode([[1]])
+        position = {color: generator_position(color, self.n) for color in self.colors}
+        elementary = [(*position[color], v) for color, _, v in self.gens]
+        id_key = self._encode([[int(i == j) for j in range(self.n)] for i in range(self.n)])
         batch = np.array([id_key], dtype=np.uint64)
         keys, parents, gen_cols, cayley = [batch], [np.array([-1])], [np.array([-1])], []
         sorted_keys, sorted_ids = batch, np.zeros(1, dtype=np.int64)
@@ -266,8 +248,8 @@ class GroupTable:
                     "enumeration exceeded cap %d (have %d elements)" % (self.cap, size)
                 )
             products = np.empty((batch.size, ngen), dtype=np.uint64)
-            for col, (_, _, gkey) in enumerate(self.gens):
-                products[:, col] = self._mul_batch(batch, gkey)
+            for col, (r, c, v) in enumerate(elementary):
+                products[:, col] = self._mul_batch(batch, r, c, v)
             products = products.ravel()  # [local * ngen + col]
             pos = np.searchsorted(sorted_keys, products)
             np.minimum(pos, size - 1, out=pos)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import functools
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
 from .gf2 import BitMatrix, BitVector, CertifiedBasis, EchelonBasis, dual_rows, rref_rows
@@ -606,37 +608,58 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     """dim F_v for a color-0 vertex of the D = 2 coset complex, computed
     inside the link group K_0 without enumerating the global group.
 
-    Stacks the oriented dual-code constraints of every edge through the
-    vertex and returns |v-up-set| minus the constraint rank."""
+    Every top through v holds exactly one edge of each cotype through v,
+    so the E = q^2 edges of either cotype partition the q^3 tops and F_v
+    = C_A ∩ C_B, where C_A and C_B are the direct sums of the oriented
+    local code C over the cotype-2 and the cotype-1 edges.  The rows of M
+    are the syndromes, under C_A's checks, of C_B's generators (one per
+    cotype-1 edge and row of C), so C_A ∩ C_B is the kernel of M's rows:
+
+        dim F_v = E*k - rank(M),   M of E*k rows and E*(q-k) columns.
+    """
     if ring.m != 1:
         raise SheafError("link fast path assumes m = 1")
     q = ring.field.q
     if code.n != q:
         raise SheafError("code length %d != q = %d" % (code.n, q))
     table = GroupTable(ring, 2, colors=(1, 2))
-    n = table.size
-    dual = dual_code(code)
     gen_col = {
         (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
     }
+
+    def edge_tops(cotype: int) -> np.ndarray:
+        """[e, p] = the top of edge e at code position p.  The edges
+        through v of cotype j are the cosets of K_{0,3-j}, numbered by
+        ascending rep; top rep*e(alpha*t) sits at position U(alpha)."""
+        reps = np.unique(table.coset_reps([jc for jc in range(3) if jc != cotype]))
+        out = np.empty((reps.size, q), dtype=np.int64)
+        for alpha, _eid in table.k_color_elements(cotype):
+            out[:, iso.apply_int(alpha)] = (
+                reps if alpha == 0 else table.cayley[reps, gen_col[(cotype, alpha)]]
+            )
+        return out
+
+    tops_a, tops_b = edge_tops(2), edge_tops(1)
+    n_edges = tops_b.shape[0]
+    edge_a = np.empty(table.size, dtype=np.int64)
+    pos_a = np.empty(table.size, dtype=np.int64)
+    edge_a[tops_a] = np.arange(tops_a.shape[0])[:, None]
+    pos_a[tops_a] = np.arange(q)
+    checks = dual_code(code).generator.int_rows()
+    r = q - code.k
+    hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
     supports = [
-        [p for p in range(q) if (w >> p) & 1] for w in dual.generator.int_rows()
+        [p for p in range(q) if (w >> p) & 1] for w in code.generator.int_rows()
     ]
-    # edges through v: cotype-2 cosets (type {0,1}) and cotype-1 ({0,2})
+    # a cotype-1 edge meets each cotype-2 edge in at most one top, so the
+    # shifted check columns of one edge's tops occupy disjoint bits
     rows = []
-    for cotype in (2, 1):
-        reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
-        pairs = table.k_color_elements(cotype)
-        for rep in sorted(set(int(r) for r in reps)):
-            top_bits = [0] * q
-            for alpha, _eid in pairs:
-                top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
-                top_bits[iso.apply_int(alpha)] = 1 << top
-            # the q tops of an edge are distinct, so a sum of their bits is an OR
-            rows.extend(sum(top_bits[p] for p in support) for support in supports)
-    mat = BitMatrix.from_int_rows(rows, n)
+    for shifts, cols in zip((r * edge_a[tops_b]).tolist(), pos_a[tops_b].tolist()):
+        terms = [hcol[c] << sh for c, sh in zip(cols, shifts)]
+        rows.extend(sum(terms[p] for p in support) for support in supports)
+    mat = BitMatrix.from_int_rows(rows, n_edges * r)
     del rows  # only the packed matrix stays alive through the rank
-    return n - mat.rank()
+    return n_edges * code.k - mat.rank()
 
 
 __all__ = [

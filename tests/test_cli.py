@@ -104,15 +104,20 @@ def test_cap_refusals_exit_three():
         ["build", "--q", "4", "--cap-qubits", "1000"],
         # tableau cap: q=2 gives 168 qubits
         ["verify", "--q", "2", "--suite", "gates", "--cap-tableau", "100"],
+        # the link group K_0 has q^3 = 4096 elements at q=16
+        ["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
+        ["build", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
     ],
 )
-def test_caps_refuse_before_enumeration(no_enumeration, argv):
+def test_caps_refuse_before_enumeration(no_enumeration, argv, capsys):
     assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines()[-1].startswith("refused: ")
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["report"]] + [["verify", "--suite", s] for s in ("css", "floquet", "all")],
+    [["report"]] + [["verify", "--suite", s] for s in ("css", "floquet", "all")]
+    + [["report", "--local-only", "--cap-enumeration", "1"]],
 )
 def test_d3_rate_and_floquet_work_refused_before_build(no_enumeration, argv):
     assert main(argv + ["--D", "3", "--q", "2"]) == 2

@@ -128,9 +128,14 @@ def test_type_cycle_face_map_rejects_non_automorphism(complex2):
         type_cycle_face_map(c)
 
 
-def test_d3_q2_coset_complex_structure(table_d3):
+@pytest.fixture(scope="module")
+def complex_d3(table_d3):
+    return build_coset_complex(table_d3)
+
+
+def test_d3_q2_coset_complex_structure(table_d3, complex_d3):
     assert table_d3.size == 20160
-    report = verify_structure(build_coset_complex(table_d3))
+    report = verify_structure(complex_d3)
     checks = {"purity", "disjoint_union", "colorability", "intersection", "transitivity"}
     assert set(report) == checks
     assert _all_ok(report), report
@@ -147,3 +152,88 @@ def test_vertex_labels_of_top():
     c = fixtures.octahedron()
     labels = c.vertex_labels_of_top(0)
     assert len(labels) == 3
+
+
+# -- reference: the per-face loops the array checks replaced -------------------
+
+
+def _ref_colorability(c):
+    """One vertex set per face and color through `face_in_top`."""
+    for m in c.masks:
+        for i in c.faces(m):
+            ups = c.up_sets[m][i]
+            for color in colors_of(m):
+                vs = {c.face_in_top(1 << color, t) for t in ups}
+                if len(vs) != 1:
+                    return False, "face (%d,%d) spans %d color-%d vertices" % (
+                        m, i, len(vs), color,
+                    )
+    return True, "vertex lookups coherent"
+
+
+def _ref_intersection(c):
+    """Three `np.unique` counts per pair of type masks."""
+    for m1 in c.masks:
+        for m2 in c.masks:
+            f1, f2, fu = (c.top_to_face[m] for m in (m1, m2, m1 | m2))
+            key = f1.astype(np.int64) * (max(len(c.up_sets[m2]), 1) + 1) + f2
+            both = np.unique(key * (c.n_top + 1) + fu)
+            if len(both) != len(np.unique(key)) or len(both) != len(np.unique(fu)):
+                return False, "type masks %d, %d: a face pair spans two union faces" % (m1, m2)
+    return True, "exhaustive over all intersecting pairs via top faces"
+
+
+def _swapped_vertices():
+    """The octahedron with one top moved between the two color-0 vertices
+    and another moved back: still a partition, but its edges split."""
+    c = fixtures.octahedron()
+    ups = {m: list(u) for m, u in c.up_sets.items()}
+    a, b = ups[1][0], ups[1][1]
+    ups[1][0] = tuple(sorted(a[1:] + b[:1]))
+    ups[1][1] = tuple(sorted(b[1:] + a[:1]))
+    return Complex(c.D, c.n_top, ups)
+
+
+def _split_edge():
+    """The octahedron with one type-{0,1} edge split into two one-top
+    edges: each edge still fixes its vertices, but the two vertices no
+    longer fix their edge."""
+    c = fixtures.octahedron()
+    ups = {m: list(u) for m, u in c.up_sets.items()}
+    t0, t1 = ups[0b011][0]
+    ups[0b011][0:1] = [(t0,), (t1,)]
+    return Complex(c.D, c.n_top, ups)
+
+
+NEGATIVE = {"swapped_vertices": _swapped_vertices, "split_edge": _split_edge}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        "complex2",
+        "complex_d3",
+        "octahedron",
+        "hexagonal_torus",
+        "single_triangle",
+        "torus_cone",
+        "cross_polytope_3sphere",
+        "corrupted_octahedron",
+        "swapped_vertices",
+        "split_edge",
+    ],
+)
+def test_structure_checks_match_per_face_loops(make, request):
+    if make in NEGATIVE:
+        c = NEGATIVE[make]()
+    elif make.startswith("complex"):
+        c = request.getfixturevalue(make)
+    else:
+        c = getattr(fixtures, make)()
+    report = verify_structure(c)
+    assert report["colorability"] == _ref_colorability(c)
+    assert report["intersection"] == _ref_intersection(c)
+    if make == "swapped_vertices":
+        assert not report["colorability"][0] and report["disjoint_union"][0]
+    if make == "split_edge":
+        assert not report["intersection"][0] and report["colorability"][0]

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from cosetcode import fixtures
-from cosetcode.algebra import VectorIso
+from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.gf2 import BitMatrix, BitVector, row_space_equal
-from cosetcode.local_codes import LinearCode, reed_muller
+from cosetcode.group import GroupTable
+from cosetcode.local_codes import LinearCode, dual_code, reed_muller
 from cosetcode.sheaf import (
     Cochain,
     SheafError,
@@ -399,6 +400,67 @@ def test_link_vertex_code_dimension_q2(ring2):
     code = reed_muller(0, 1)
     iso = VectorIso(ring2.field)
     assert link_vertex_code_dimension(ring2, code, iso) == 1
+
+
+def _ref_link_dimension(ring, code, iso):
+    """The stacked-check construction: the oriented dual-code constraints
+    of every edge through the vertex, as rows over the q^3 tops; dim F_v
+    is q^3 minus their rank."""
+    q = ring.field.q
+    table = GroupTable(ring, 2, colors=(1, 2))
+    gen_col = {(color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)}
+    supports = [
+        [p for p in range(q) if (w >> p) & 1] for w in dual_code(code).generator.int_rows()
+    ]
+    rows = []
+    for cotype in (2, 1):
+        reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
+        for rep in sorted(set(int(r) for r in reps)):
+            top_bits = [0] * q
+            for alpha, _eid in table.k_color_elements(cotype):
+                top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
+                top_bits[iso.apply_int(alpha)] = 1 << top
+            rows.extend(sum(top_bits[p] for p in support) for support in supports)
+    return table.size - BitMatrix.from_int_rows(rows, table.size).rank()
+
+
+# dim F_v for RM(r, eta), r = 0..eta; 76 at q=8 is the paper's, the rest
+# are regression pins (137 for RM(1,4) at q=16 among them)
+LINK_DIMS = {1: [1, 8], 2: [1, 33, 64], 3: [1, 76, 385, 512], 4: [1, 137, 1673, 3585, 4096]}
+
+
+@pytest.mark.parametrize("eta", sorted(LINK_DIMS))
+def test_link_dimension_matches_stacked_checks_on_reed_muller(eta):
+    ring = build_ring(eta, 1)
+    iso = VectorIso(ring.field)
+    codes = [reed_muller(r, eta) for r in range(eta + 1)]
+    dims = [link_vertex_code_dimension(ring, code, iso) for code in codes]
+    assert dims == LINK_DIMS[eta]
+    assert dims == [_ref_link_dimension(ring, code, iso) for code in codes]
+
+
+def _random_code(rng, q, k):
+    while True:
+        code = LinearCode.from_int_rows([rng.getrandbits(q) for _ in range(k)], q)
+        if code.k == k:
+            return code
+
+
+@pytest.mark.parametrize("eta", [2, 3])
+def test_link_dimension_matches_stacked_checks_on_random_codes(eta):
+    """Every dimension from the zero code to the full code, so k > q - k
+    is covered, two seeded codes each."""
+    rng = random.Random(eta)
+    ring = build_ring(eta, 1)
+    iso = VectorIso(ring.field)
+    q = ring.field.q
+    for k in range(q + 1):
+        for _ in range(2):
+            code = _random_code(rng, q, k)
+            dim = link_vertex_code_dimension(ring, code, iso)
+            assert dim == _ref_link_dimension(ring, code, iso), (k, code.generator.int_rows())
+            if k in (0, q):
+                assert dim == k * q * q
 
 
 def test_attach_rejects_wrong_length(complex2, ring2):
