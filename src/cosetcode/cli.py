@@ -163,7 +163,8 @@ def _validate(args: argparse.Namespace) -> dict:
     if args.x + z != args.D - 2 or args.x < 0 or z < 0:
         raise ConfigError("need x + z = D - 2 with both nonnegative")
     coprime = coprimality_check(eta, args.m, args.D)
-    if not coprime:
+    gates_run = args.command == "verify" and not args.fixture and args.suite in ("gates", "all")
+    if not coprime and gates_run:
         print(
             "note: gcd(2^%d - 1, %d) != 1; type-cycle gate checks are skipped"
             % (eta * args.m, args.D + 1),

@@ -9,6 +9,7 @@ well-defined lookup.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,18 +58,24 @@ class Complex:
         self.original_colors = (
             tuple(original_colors) if original_colors is not None else tuple(range(self.n_colors))
         )
-        # top_to_face[mask][top] = face index of the unique type-mask face in top
+        # top_to_face[mask][top] = face index of the unique type-mask face
+        # in top, top_pos[mask][top] = the top's position in that face's
+        # up-set; -1 where no face of the type covers the top
         self.top_to_face: Dict[int, np.ndarray] = {}
+        self.top_pos: Dict[int, np.ndarray] = {}
+        self._face_tops: Dict[int, np.ndarray] = {}
         for m in self.masks:
+            faces = up_sets[m]
+            sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
+            tops = np.fromiter(chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum()))
+            if np.bincount(tops, minlength=n_top).max(initial=0) > 1:
+                raise ComplexError("type %d faces do not partition the top faces" % m)
             lookup = np.full(n_top, -1, dtype=np.int64)
-            for idx, ups in enumerate(up_sets[m]):
-                for t in ups:
-                    if lookup[t] != -1:
-                        raise ComplexError(
-                            "type %d faces do not partition the top faces" % m
-                        )
-                    lookup[t] = idx
+            lookup[tops] = np.repeat(np.arange(len(faces)), sizes)
+            pos = np.full(n_top, -1, dtype=np.int64)
+            pos[tops] = np.arange(tops.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
             self.top_to_face[m] = lookup
+            self.top_pos[m] = pos
 
     # -- constructors ------------------------------------------------------
 
@@ -122,6 +129,18 @@ class Complex:
             return self.up_sets[mask][idx]
         except (KeyError, IndexError):
             raise ComplexError("unknown face %r" % (face,))
+
+    def face_tops(self, mask: int) -> np.ndarray:
+        """[face, p] = top p of the face's up-set, one row per type-`mask`
+        face, padded with -1 past the face's up-set (sizes may differ)."""
+        cached = self._face_tops.get(mask)
+        if cached is None:
+            pos = self.top_pos[mask]
+            tops = np.flatnonzero(pos >= 0)
+            cached = np.full((self.n_faces(mask), int(pos.max(initial=-1)) + 1), -1, dtype=np.int64)
+            cached[self.top_to_face[mask][tops], pos[tops]] = tops
+            self._face_tops[mask] = cached
+        return cached
 
     def face_in_top(self, mask: int, top: int) -> int:
         return int(self.top_to_face[mask][top])
@@ -200,25 +219,15 @@ def build_coset_complex(table: GroupTable) -> Complex:
             up_sets[mask] = [(g,) for g in range(table.size)]
             keys[mask] = list(range(table.size))
             continue
+        # a stable sort groups the elements by coset rep (the coset's least
+        # element), each coset in ascending order; split at each new rep
         reps = table.coset_reps(T)
         order = np.argsort(reps, kind="stable")
-        faces: List[Tuple[int, ...]] = []
-        face_keys: List[int] = []
-        members: List[int] = []
-        current = -1
-        for g in order:
-            r = int(reps[g])
-            if r != current:
-                if members:
-                    faces.append(tuple(sorted(members)))
-                members = []
-                current = r
-                face_keys.append(r)
-            members.append(int(g))
-        if members:
-            faces.append(tuple(sorted(members)))
-        up_sets[mask] = faces
-        keys[mask] = face_keys
+        starts = np.flatnonzero(np.diff(reps[order], prepend=-1)).tolist()
+        members = order.tolist()
+        bounds = zip(starts, starts[1:] + [len(members)])
+        up_sets[mask] = [tuple(members[a:b]) for a, b in bounds]
+        keys[mask] = reps[order[starts]].tolist()
     return Complex(D, table.size, up_sets, keys=keys, group=table)
 
 

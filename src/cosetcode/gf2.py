@@ -303,6 +303,19 @@ class BitMatrix:
         return m
 
     @classmethod
+    def from_coords(cls, rows: int, cols: int, r, c) -> "BitMatrix":
+        """The rows x cols matrix with a one at every (r[k], c[k]) (repeats
+        allowed), set by one scatter."""
+        r = np.asarray(r, dtype=np.int64)
+        c = np.asarray(c, dtype=np.int64)
+        if r.size and not (0 <= r.min() and r.max() < rows and 0 <= c.min() and c.max() < cols):
+            raise GF2Error("entry outside a %dx%d matrix" % (rows, cols))
+        m = cls(rows, cols)
+        words = r * m.data.shape[1] + (c >> 6)
+        np.bitwise_or.at(m.data.reshape(-1), words, np.uint64(1) << (c & 63).astype(np.uint64))
+        return m
+
+    @classmethod
     def from_dense(cls, array) -> "BitMatrix":
         a = np.asarray(array, dtype=np.uint8) & 1
         if a.ndim != 2:

@@ -3,20 +3,23 @@ codes, coboundary/projection/restriction matrices, duals, cup products.
 
 Global cochain coordinates at level j concatenate the local bases of
 the level-j faces in (type mask ascending, face index ascending) order.
-A local code is a list of Python-int rows; bit p of a row is position p
-of the face's sorted up-set.
+A local code is a list of Python-int rows in reduced row echelon form:
+bit p of a row is position p of the face's sorted up-set, and a row's
+pivot is its lowest set bit.  Incidence work gathers from arrays built
+once per type (`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's
+coefficient on a coface row is its bit at that row's pivot.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, CertifiedBasis, EchelonBasis, dual_rows, rref_rows
+from .gf2 import BitMatrix, BitVector, EchelonBasis, dual_rows, rref_rows
 from .group import GroupTable
 from .local_codes import LinearCode, dual_code
 
@@ -29,9 +32,10 @@ class Sheaf:
     """Local codes for every face of a complex.
 
     `local_bases[(mask, idx)]` lists int rows spanning the local code, in
-    reduced row echelon form (`attach_explicit` keeps rows as given).
-    Top faces implicitly carry the full one-dimensional code and are not
-    stored.
+    reduced row echelon form with each row's pivot at its lowest set bit
+    (every constructor, `attach_explicit` included, stores that form; the
+    coboundary reads coefficients at the pivots).  Top faces implicitly
+    carry the full one-dimensional code and are not stored.
     """
 
     def __init__(self, complex_: Complex, local_bases: Dict[FaceId, List[int]]):
@@ -39,7 +43,7 @@ class Sheaf:
         self.local_bases = local_bases
         self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
         self._dual_bases: Dict[FaceId, List[int]] = {}
-        self._echelons: Dict[FaceId, CertifiedBasis] = {}
+        self._types: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
     # -- bases -------------------------------------------------------------
@@ -65,15 +69,25 @@ class Sheaf:
     def dim(self, face: FaceId) -> int:
         return len(self.rows(face))
 
-    def echelon(self, face: FaceId) -> CertifiedBasis:
-        """`rows(face)` factored once for reduction (coboundaries, cup
-        products, flasqueness).  Row i runs through gf2's one forward
-        elimination loop with tag bit i attached, so `reduce` returns the
-        residual and, as tag bits, the rows that rebuild the query."""
-        cached = self._echelons.get(face)
+    def type_rows(self, mask: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The type-`mask` local codes as arrays, built once: `first[f]`, the
+        level coordinate of face f's row 0, and `bits[f, i, p]`, bit p of its
+        row i, zero past its rows and up-set (both may vary within a type)."""
+        cached = self._types.get(mask)
         if cached is None:
-            cached = CertifiedBasis(self.rows(face))
-            self._echelons[face] = cached
+            c = self.complex
+            rows = [self.rows((mask, f)) for f in c.faces(mask)]
+            dims = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+            width = c.face_tops(mask).shape[1]
+            starts = np.cumsum(dims) - dims
+            bits = np.zeros((len(rows), int(dims.max(initial=0)), width), dtype=np.uint8)
+            row = np.arange(dims.sum()) - np.repeat(starts, dims)
+            flat = [w for r in rows for w in r]
+            bits[np.repeat(np.arange(len(rows)), dims), row] = BitMatrix.from_int_rows(
+                flat, width
+            ).to_dense()
+            offsets, _ = self.level_offsets(bin(mask).count("1") - 1)
+            cached = self._types[mask] = (offsets.get((mask, 0), 0) + starts, bits)
         return cached
 
     def dual_local_basis(self, face: FaceId) -> List[int]:
@@ -144,20 +158,29 @@ def _scatter(w: int, targets: Sequence[int]) -> int:
     return out
 
 
-def _restrict(rows: Iterable[int], ups: Sequence[int], sub: Sequence[int]) -> List[int]:
-    """Rows over the up-set `ups` read on its subset `sub`: bit k of a
-    result is top sub[k]."""
-    if len(sub) == len(ups):  # up-sets are sorted, so sub is ups
-        return list(rows)
-    spos = [ups.index(t) for t in sub]
-    out = []
-    for w in rows:
-        r = 0
-        for k, p in enumerate(spos):
-            if (w >> p) & 1:
-                r |= 1 << k
-        out.append(r)
-    return out
+def _restricted(s: Sheaf, mask: int, tops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row g of `tops` (one face's tops, -1 padded, as in `face_tops`):
+    the type-`mask` face through tops[g, 0], and its rows on those tops."""
+    c = s.complex
+    _, bits = s.type_rows(mask)
+    face = c.top_to_face[mask][tops[:, 0]]
+    pos = c.top_pos[mask][tops]
+    out = bits.transpose(0, 2, 1)[face[:, None], pos].transpose(0, 2, 1)
+    out &= (tops >= 0)[:, None, :]
+    return face, out
+
+
+def _coefficients(s: Sheaf, mask: int, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """coeffs[g, k, l], the bit of vector values[g, k, :] at the pivot of
+    row l of type-`mask` face g, and per face whether some vector is not
+    the sum of the rows its coefficients name (it leaves the local code)."""
+    _, bits = s.type_rows(mask)
+    pivots = bits.argmax(axis=2)  # the lowest set bit of each RREF row
+    coeffs = np.take_along_axis(values, pivots[:, None, :], axis=2)
+    coeffs &= bits.any(axis=2)[:, None, :]
+    # uint8 sums wrap mod 256, which keeps their parity
+    escaped = ((np.matmul(coeffs, bits) & 1) != values).any(axis=(1, 2))
+    return coeffs, escaped
 
 
 # -- construction -------------------------------------------------------------
@@ -214,11 +237,11 @@ def attach_constant_sheaf(c: Complex) -> Sheaf:
 
 def attach_explicit(c: Complex, defining: Dict[FaceId, BitMatrix]) -> Sheaf:
     """User-supplied codes as matrices over each face's up-set (fixtures
-    and negative controls); their rows are kept as given."""
+    and negative controls), stored as the RREF of their rows."""
     for face, m in defining.items():
         if m.cols != len(c.up_set(face)):
             raise SheafError("code of face %r has %d columns" % (face, m.cols))
-    return Sheaf(c, {face: m.int_rows() for face, m in defining.items()})
+    return Sheaf(c, {face: rref_rows(m.int_rows(), m.cols) for face, m in defining.items()})
 
 
 def induce_lower_codes(s: Sheaf) -> Sheaf:
@@ -272,59 +295,45 @@ def _per_level(build):
     return cached
 
 
-def _restrictions(s: Sheaf, level: int) -> Iterator[Tuple[FaceId, FaceId, List[int]]]:
-    """(face, coface, the face's rows restricted to the coface) for every
-    level-`level` face and each of its cofaces one level up."""
-    c = s.complex
-    for face in c.level_faces(level):
-        ups = c.up_set(face)
-        for smask in c.level_masks(level + 1):
-            for sidx in c.cofaces(face, smask):
-                sub = c.up_sets[smask][sidx]
-                yield face, (smask, sidx), _restrict(s.rows(face), ups, sub)
-
-
 @_per_level
 def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
-    """delta^j : C^j -> C^{j+1} in global coordinates (rows = target)."""
+    """delta^j : C^j -> C^{j+1} in global coordinates (rows = target).
+
+    Entry ((g, l), (f, i)) is the coefficient of row l of g in row i of
+    its face f restricted to g: one gather per (target type, facet type)."""
     c = s.complex
     if not 0 <= j < c.D:
         raise SheafError("coboundary level out of range")
-    src_off, src_dim = s.level_offsets(j)
-    dst_off, dst_dim = s.level_offsets(j + 1)
-    out = [0] * dst_dim
-    for face, tface, restricted in _restrictions(s, j):
-        target = s.echelon(tface)
-        base = dst_off[tface]
-        for i, r in enumerate(restricted):
-            residual, combo = target.reduce(r)
-            if residual:
-                raise SheafError(
-                    "restriction to %r leaves the local code: sheaf is "
-                    "inconsistent" % (tface,)
-                )
-            bit = 1 << (src_off[face] + i)
-            while combo:
-                low = combo & -combo
-                out[base + low.bit_length() - 1] |= bit
-                combo ^= low
-    return BitMatrix.from_int_rows(out, src_dim)
+    rows, cols = [], []
+    for tmask in c.level_masks(j + 1):
+        tfirst, _ = s.type_rows(tmask)
+        for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
+            face, restricted = _restricted(s, mask, c.face_tops(tmask))
+            coeffs, escaped = _coefficients(s, tmask, restricted)
+            if escaped.any():
+                bad = (tmask, int(np.argmax(escaped)))
+                raise SheafError("restriction to %r leaves the local code" % (bad,))
+            g, i, l = np.nonzero(coeffs)
+            rows.append(tfirst[g] + l)
+            cols.append(s.type_rows(mask)[0][face[g]] + i)
+    return BitMatrix.from_coords(
+        s.level_dim(j + 1), s.level_dim(j), np.concatenate(rows), np.concatenate(cols)
+    )
 
 
 def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     """pi-up : C^j -> F_2^{top faces}; column (face, row) scatters the
     basis row over the face's up-set."""
     c = s.complex
-    offsets, dim = s.level_offsets(j)
-    rows = [0] * c.n_top
-    for face in c.level_faces(j):
-        ups = c.up_set(face)
-        for i, w in enumerate(s.rows(face)):
-            bit = 1 << (offsets[face] + i)
-            for p, t in enumerate(ups):
-                if (w >> p) & 1:
-                    rows[t] |= bit
-    return BitMatrix.from_int_rows(rows, dim)
+    rows, cols = [], []
+    for mask in c.level_masks(j):
+        first, bits = s.type_rows(mask)
+        f, i, p = np.nonzero(bits)
+        rows.append(c.face_tops(mask)[f, p])
+        cols.append(first[f] + i)
+    return BitMatrix.from_coords(
+        c.n_top, s.level_dim(j), np.concatenate(rows), np.concatenate(cols)
+    )
 
 
 def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
@@ -332,14 +341,13 @@ def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
     type is contained in T."""
     t_mask = mask_of(T)
     offsets, dim = s.level_offsets(j)
-    rows = [0] * dim
-    for face, off in offsets.items():
-        mask, _ = face
-        if mask & ~t_mask:
-            continue
-        for i in range(off, off + s.dim(face)):
-            rows[i] = 1 << i
-    return BitMatrix.from_int_rows(rows, dim)
+    keep = [
+        i
+        for face, off in offsets.items()
+        if not face[0] & ~t_mask
+        for i in range(off, off + s.dim(face))
+    ]
+    return BitMatrix.from_coords(dim, dim, keep, keep)
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -391,14 +399,19 @@ def euler_characteristic_cohomology(s: Sheaf) -> int:
 
 
 def check_flasque(s: Sheaf) -> bool:
-    """Every one-step restriction F_sigma -> F_tau is surjective."""
-    for level in range(s.complex.D):
-        for _, tface, restricted in _restrictions(s, level):
-            if len(EchelonBasis(restricted)) != s.dim(tface):
-                return False
-            target = s.echelon(tface)
-            if any(target.reduce(r)[0] for r in restricted):
-                return False
+    """Every one-step restriction F_sigma -> F_tau is surjective: the
+    restricted rows stay in F_tau and their coefficients have full rank."""
+    c = s.complex
+    for level in range(1, c.D + 1):
+        for tmask in c.level_masks(level):
+            dims = s.type_rows(tmask)[1].any(axis=2).sum(axis=1).tolist()
+            for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
+                _, restricted = _restricted(s, mask, c.face_tops(tmask))
+                coeffs, escaped = _coefficients(s, tmask, restricted)
+                if escaped.any() or any(
+                    BitMatrix.from_dense(k).rank() != d for k, d in zip(coeffs, dims)
+                ):
+                    return False
     return True
 
 
@@ -474,32 +487,31 @@ def cup_product(
     if target is None:
         target = star_sheaf(s1, s2)
     level = l1 + l2
-    offsets, dim = target.level_offsets(level)
-    data = 0
-    for face in c.level_faces(level):
-        mask, idx = face
+    coords = np.zeros(target.level_dim(level), dtype=np.uint8)
+    for mask in c.level_masks(level):
         cs = colors_of(mask)
-        front_mask = mask_of(cs[: l1 + 1])
-        back_mask = mask_of(cs[l1:])
-        ups = c.up_sets[mask][idx]
-        t0 = ups[0]
-        fface = (front_mask, c.face_in_top(front_mask, t0))
-        bface = (back_mask, c.face_in_top(back_mask, t0))
-        fups = c.up_set(fface)
-        bups = c.up_set(bface)
-        fpos = {t: p for p, t in enumerate(fups)}
-        bpos = {t: p for p, t in enumerate(bups)}
-        v1 = f1.value_at(fface)
-        v2 = f2.value_at(bface)
-        val = 0
-        for p, t in enumerate(ups):
-            if ((v1 >> fpos[t]) & 1) and ((v2 >> bpos[t]) & 1):
-                val |= 1 << p
-        residual, combo = target.echelon(face).reduce(val)
-        if residual:
-            raise SheafError("cup product value escapes the star sheaf at %r" % (face,))
-        data |= combo << offsets[face]
-    return Cochain(target, level, BitVector(dim, data))
+        prod = _top_values(f1, mask_of(cs[: l1 + 1])) & _top_values(f2, mask_of(cs[l1:]))
+        tops = c.face_tops(mask)
+        values = (prod[tops] & (tops >= 0))[:, None, :]
+        coeffs, escaped = _coefficients(target, mask, values)
+        if escaped.any():
+            raise SheafError("cup product value escapes the star sheaf at type %d" % mask)
+        g, _, l = np.nonzero(coeffs)
+        coords[target.type_rows(mask)[0][g] + l] = 1
+    data = int.from_bytes(np.packbits(coords, bitorder="little").tobytes(), "little")
+    return Cochain(target, level, BitVector(coords.size, data))
+
+
+def _top_values(f: Cochain, mask: int) -> np.ndarray:
+    """At every top, the bit there of f's local codeword on the top's
+    type-`mask` face (`mask` is a type of f's level)."""
+    c = f.sheaf.complex
+    first, bits = f.sheaf.type_rows(mask)
+    # long enough for the zero rows padding the last face
+    coords = BitMatrix.from_int_rows([f.data.value], f.data.length + bits.shape[1]).to_dense()[0]
+    coeffs = coords[first[:, None] + np.arange(bits.shape[1])][:, None, :]
+    words = np.matmul(coeffs, bits)[:, 0, :] & 1
+    return words[c.top_to_face[mask], c.top_pos[mask]]
 
 
 # -- lifting ---------------------------------------------------------------------
@@ -531,60 +543,45 @@ def lift_shrunk_cocycle(s: Sheaf, T: Sequence[int], f: BitVector) -> Cochain:
 # -- exhaustive projected-product checks --------------------------------------------
 
 
-def intersecting_face_pairs(c: Complex, m1: int, m2: int):
-    """All (face-of-type-m1, face-of-type-m2, union-face) triples with a
-    nonempty up-set intersection, found through the top faces."""
-    f1 = c.top_to_face[m1]
-    f2 = c.top_to_face[m2]
-    mu = m1 | m2
-    fu = c.top_to_face[mu]
-    seen = set()
-    for t in range(c.n_top):
-        key = (int(f1[t]), int(f2[t]))
-        if key in seen:
-            continue
-        seen.add(key)
-        yield (m1, key[0]), (m2, key[1]), (mu, int(fu[t]))
-
-
 def check_pair_products(
     s1: Sheaf,
     s2: Sheaf,
     modulus: int,
 ) -> dict:
     """For every pair of basis rows (one from each sheaf) on faces whose
-    type union spans at most D colors, check
-    that the star product of the projected codewords has weight divisible
-    by `modulus`.
+    type union spans at most D colors, check that the star product of the
+    projected codewords has weight divisible by `modulus`.
 
-    Pairs with disjoint up-sets have star weight zero and are exactly
-    covered by the per-type partition; only intersecting pairs are
-    enumerated, through the top faces."""
+    Pairs with disjoint up-sets have star weight zero.  Each union-type
+    face holds exactly one intersecting pair, and its up-set is the shared
+    one, so both rows are gathered at its tops.  Pairs count in order of
+    the union face's first top, then a-row by b-row."""
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("pair products need a shared complex")
     checked = 0
-    for m1 in c.masks:
-        if m1 == c.full_mask:
-            continue
-        for m2 in c.masks:
-            if m2 == c.full_mask:
-                continue
+    types = [m for m in c.masks if m != c.full_mask]
+    for m1 in types:
+        for m2 in types:
             if bin(m1 | m2).count("1") > c.D:
                 continue
-            for fa, fb, funion in intersecting_face_pairs(c, m1, m2):
-                shared = c.up_set(funion)
-                a_rows = _restrict(s1.rows(fa), c.up_set(fa), shared)
-                b_rows = _restrict(s2.rows(fb), c.up_set(fb), shared)
-                for a in a_rows:
-                    for b in b_rows:
-                        checked += 1
-                        if (a & b).bit_count() % modulus:
-                            return {
-                                "ok": False,
-                                "checked": checked,
-                                "witness": (fa, fb),
-                            }
+            tops = c.face_tops(m1 | m2)
+            tops = tops[np.argsort(tops[:, 0], kind="stable")]
+            fa, a = _restricted(s1, m1, tops)
+            fb, b = _restricted(s2, m2, tops)
+            present = s1.type_rows(m1)[1].any(axis=2)[fa][:, :, None]
+            present = present & s2.type_rows(m2)[1].any(axis=2)[fb][:, None, :]
+            weights = np.matmul(a.astype(np.int32), b.astype(np.int32).transpose(0, 2, 1))
+            odd = np.flatnonzero(present & (weights % modulus != 0))
+            if odd.size:
+                checked += int(np.count_nonzero(present.reshape(-1)[: odd[0] + 1]))
+                u = odd[0] // (present.shape[1] * present.shape[2])
+                return {
+                    "ok": False,
+                    "checked": checked,
+                    "witness": ((m1, int(fa[u])), (m2, int(fb[u]))),
+                }
+            checked += int(np.count_nonzero(present))
     return {"ok": True, "checked": checked}
 
 

@@ -129,6 +129,27 @@ def test_d3_structure_and_sheaf_go_on_to_build(no_enumeration, suite, capsys):
     assert "group enumeration started" in capsys.readouterr().err
 
 
+NOTE = "type-cycle gate checks are skipped"
+
+
+@pytest.mark.parametrize(
+    "argv,code,noted",
+    [
+        # gcd(2^4 - 1, 3) = 3 and gcd(2^2 - 1, 3) = 3: neither is coprime;
+        # every run but the fixture's is refused before it enumerates
+        (["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"], 3, False),
+        (["build", "--q", "4", "--cap-qubits", "1000"], 3, False),
+        (["verify", "--q", "4", "--suite", "structure", "--cap-qubits", "1000"], 3, False),
+        (["verify", "--q", "4", "--fixture", "octahedron"], 0, False),
+        (["verify", "--q", "4", "--suite", "gates"], 3, True),
+        (["verify", "--q", "4", "--suite", "all"], 3, True),
+    ],
+)
+def test_type_cycle_note_only_when_gates_run(no_enumeration, argv, code, noted, capsys):
+    assert main(argv) == code
+    assert (NOTE in capsys.readouterr().err) == noted
+
+
 def test_unwritable_out_exits_two(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("")

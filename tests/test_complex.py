@@ -237,3 +237,67 @@ def test_structure_checks_match_per_face_loops(make, request):
         assert not report["colorability"][0] and report["disjoint_union"][0]
     if make == "split_edge":
         assert not report["intersection"][0] and report["colorability"][0]
+
+
+def _ref_coset_faces(table, mask):
+    """Faces of one type by a loop over the elements sorted by coset rep."""
+    reps = table.coset_reps(colors_of(mask))
+    faces, keys, members, current = [], [], [], -1
+    for g in np.argsort(reps, kind="stable"):
+        r = int(reps[g])
+        if r != current:
+            if members:
+                faces.append(tuple(sorted(members)))
+            members, current = [], r
+            keys.append(r)
+        members.append(int(g))
+    faces.append(tuple(sorted(members)))
+    return faces, keys
+
+
+def _ref_lookups(c):
+    """top_to_face and top_pos by a loop over every up-set member."""
+    face, pos = {}, {}
+    for m in c.masks:
+        face[m] = np.full(c.n_top, -1, dtype=np.int64)
+        pos[m] = np.full(c.n_top, -1, dtype=np.int64)
+        for idx, ups in enumerate(c.up_sets[m]):
+            for p, t in enumerate(ups):
+                face[m][t], pos[m][t] = idx, p
+    return face, pos
+
+
+@pytest.mark.parametrize("make", ["complex2", "complex_d3"])
+def test_coset_faces_match_per_element_loop(make, request):
+    c = request.getfixturevalue(make)
+    for m in c.masks:
+        if m != c.full_mask:
+            assert (c.up_sets[m], c.keys[m]) == _ref_coset_faces(c.group, m)
+
+
+@pytest.mark.parametrize(
+    "make",
+    ["complex2", "complex_d3", "octahedron", "hexagonal_torus", "single_triangle",
+     "torus_cone", "cross_polytope_3sphere", "corrupted_octahedron", "split_edge"],
+)
+def test_top_lookups_match_per_member_loop(make, request):
+    if make in NEGATIVE:
+        c = NEGATIVE[make]()
+    elif make.startswith("complex"):
+        c = request.getfixturevalue(make)
+    else:
+        c = getattr(fixtures, make)()
+    face, pos = _ref_lookups(c)
+    for m in c.masks:
+        assert np.array_equal(c.top_to_face[m], face[m])
+        assert np.array_equal(c.top_pos[m], pos[m])
+        tops = c.face_tops(m)
+        assert [tuple(int(t) for t in row if t >= 0) for row in tops] == c.up_sets[m]
+
+
+def test_overlapping_faces_are_rejected():
+    c = fixtures.octahedron()
+    ups = dict(c.up_sets)
+    ups[1] = [ups[1][0], ups[1][0]]  # one top in two color-0 vertices
+    with pytest.raises(ComplexError):
+        Complex(c.D, c.n_top, ups)

@@ -55,6 +55,18 @@ def test_dense_roundtrip():
         assert back.int_rows() == ints
 
 
+def test_from_coords_matches_dense_and_rejects_outside_entries():
+    rng = np.random.default_rng(6)
+    for rows, cols in [(1, 1), (3, 65), (10, 64), (7, 130), (0, 5), (3, 0)]:
+        d = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
+        r, c = np.nonzero(d)
+        twice = np.concatenate([r, r]), np.concatenate([c, c])  # repeats set a bit once
+        assert BitMatrix.from_coords(rows, cols, *twice) == BitMatrix.from_dense(d)
+    for r, c in ((3, 0), (0, 5), (-1, 0), (0, -1)):
+        with pytest.raises(GF2Error):
+            BitMatrix.from_coords(3, 5, [r], [c])
+
+
 def test_from_dense_accepts_noncontiguous_views():
     rng = np.random.default_rng(5)
     d = (rng.integers(0, 2, size=(40, 70)).astype(np.uint8)).T

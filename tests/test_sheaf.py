@@ -8,7 +8,8 @@ import pytest
 
 from cosetcode import fixtures
 from cosetcode.algebra import VectorIso, build_ring
-from cosetcode.gf2 import BitMatrix, BitVector, row_space_equal
+from cosetcode.complexes import Complex, colors_of, mask_of
+from cosetcode.gf2 import BitMatrix, BitVector, CertifiedBasis, EchelonBasis, row_space_equal
 from cosetcode.group import GroupTable
 from cosetcode.local_codes import LinearCode, dual_code, reed_muller
 from cosetcode.sheaf import (
@@ -64,13 +65,19 @@ def test_torus_cone_is_not_locally_acyclic():
     assert not check_locally_acyclic(s)
 
 
-def test_flasque_detects_widened_face_code():
+def _widened_face_sheaf():
+    """The constant sheaf on the 16-cell with one level-2 face's code
+    widened to its whole up-set: local dimensions differ within a type."""
     c = fixtures.cross_polytope_3sphere()
     s = attach_constant_sheaf(c)
     bad = {face: s.basis(face) for face in s.local_bases}
     width = len(c.up_sets[7][0])
     bad[(7, 0)] = BitMatrix.identity(width)
-    assert not check_flasque(attach_explicit(c, bad))
+    return attach_explicit(c, bad)
+
+
+def test_flasque_detects_widened_face_code():
+    assert not check_flasque(_widened_face_sheaf())
 
 
 def test_coboundary_squares_to_zero(sheaf2, dual2):
@@ -382,18 +389,25 @@ def test_pair_products_even_overlap_q2(sheaf2, dual2):
 
 
 def test_pair_products_catch_odd_overlap():
-    # identity "codes" on the octahedron edges violate even overlap
-    c = fixtures.octahedron()
-    local = {}
-    for mask in (0b011, 0b101, 0b110):
-        for idx in c.faces(mask):
-            local[(mask, idx)] = BitMatrix.identity(2)
-    for mask in (1, 2, 4):
-        for idx in c.faces(mask):
-            local[(mask, idx)] = BitMatrix.identity(4)
-    s = attach_explicit(c, local)
-    assert not check_pair_products(s, s, 2)["ok"]
-    assert not check_projected_weights(s, 2)["ok"]
+    # identity "codes" on the octahedron edges violate even overlap; with
+    # the color-0 labels swapped, face 1 holds the first top, so the first
+    # odd pair is found on it
+    tops = [[sx, sy, sz] for sx in (0, 1) for sy in (0, 1) for sz in (0, 1)]
+    swapped = [[1 - sx, sy, sz] for sx, sy, sz in tops]
+    for c in (fixtures.octahedron(), Complex.from_top_faces(2, swapped)):
+        local = {}
+        for mask in (0b011, 0b101, 0b110):
+            for idx in c.faces(mask):
+                local[(mask, idx)] = BitMatrix.identity(2)
+        for mask in (1, 2, 4):
+            for idx in c.faces(mask):
+                local[(mask, idx)] = BitMatrix.identity(4)
+        s = attach_explicit(c, local)
+        result = check_pair_products(s, s, 2)
+        assert not result["ok"]
+        assert result == _ref_pair_products(s, s, 2)
+        assert not check_projected_weights(s, 2)["ok"]
+    assert result["witness"] == ((1, 1), (1, 1))
 
 
 def test_link_vertex_code_dimension_q2(ring2):
@@ -485,3 +499,143 @@ def test_value_at_reads_local_codeword(sheaf2):
     f = Cochain(s, 0, BitVector(s.level_dim(0), 1))
     face = s.complex.level_faces(0)[0]
     assert f.value_at(face) == s.basis(face).row_int(0)
+
+
+# -- references: the face-pair restrict-and-reduce loops the gathers replaced
+
+
+def _ref_restrict(rows, ups, sub):
+    """Rows over the up-set `ups` read bit by bit on its subset `sub`."""
+    spos = [ups.index(t) for t in sub]
+    return [sum(((w >> p) & 1) << k for k, p in enumerate(spos)) for w in rows]
+
+
+def _ref_restrictions(s, level):
+    """(face, coface, the face's rows restricted to the coface)."""
+    c = s.complex
+    for face in c.level_faces(level):
+        for smask in c.level_masks(level + 1):
+            for sidx in c.cofaces(face, smask):
+                sub = c.up_sets[smask][sidx]
+                yield face, (smask, sidx), _ref_restrict(s.rows(face), c.up_set(face), sub)
+
+
+def _ref_coboundary(s, j):
+    """Reduce every restricted row against its coface's CertifiedBasis."""
+    src_off, src_dim = s.level_offsets(j)
+    dst_off, dst_dim = s.level_offsets(j + 1)
+    out = [0] * dst_dim
+    for face, tface, restricted in _ref_restrictions(s, j):
+        target = CertifiedBasis(s.rows(tface))
+        for i, r in enumerate(restricted):
+            residual, combo = target.reduce(r)
+            if residual:
+                raise SheafError("restriction to %r leaves the local code" % (tface,))
+            for l in range(s.dim(tface)):
+                if (combo >> l) & 1:
+                    out[dst_off[tface] + l] |= 1 << (src_off[face] + i)
+    return BitMatrix.from_int_rows(out, src_dim)
+
+
+def _ref_flasque(s):
+    for level in range(s.complex.D):
+        for _, tface, restricted in _ref_restrictions(s, level):
+            target = CertifiedBasis(s.rows(tface))
+            if len(EchelonBasis(restricted)) != s.dim(tface):
+                return False
+            if any(target.reduce(r)[0] for r in restricted):
+                return False
+    return True
+
+
+def _ref_pair_products(s1, s2, modulus):
+    """Face pairs met through the tops in top order; rows restricted to
+    the union face bit by bit."""
+    c = s1.complex
+    checked = 0
+    for m1 in c.masks[:-1]:
+        for m2 in c.masks[:-1]:
+            if bin(m1 | m2).count("1") > c.D:
+                continue
+            seen = set()
+            for t in range(c.n_top):
+                fa = (m1, int(c.top_to_face[m1][t]))
+                fb = (m2, int(c.top_to_face[m2][t]))
+                if (fa, fb) in seen:
+                    continue
+                seen.add((fa, fb))
+                shared = c.up_set((m1 | m2, int(c.top_to_face[m1 | m2][t])))
+                for a in _ref_restrict(s1.rows(fa), c.up_set(fa), shared):
+                    for b in _ref_restrict(s2.rows(fb), c.up_set(fb), shared):
+                        checked += 1
+                        if (a & b).bit_count() % modulus:
+                            return {"ok": False, "checked": checked, "witness": (fa, fb)}
+    return {"ok": True, "checked": checked}
+
+
+def _ref_cup(f1, f2, target):
+    """The cup product face by face: both values restricted to the face,
+    multiplied, and reduced in the star sheaf."""
+    c = target.complex
+    level = f1.level + f2.level
+    offsets, _ = target.level_offsets(level)
+    data = 0
+    for face in c.level_faces(level):
+        cs = colors_of(face[0])
+        ups = c.up_set(face)
+        vals = []
+        for f, m in ((f1, mask_of(cs[: f1.level + 1])), (f2, mask_of(cs[f1.level :]))):
+            sub = (m, c.face_in_top(m, ups[0]))
+            vals.append(_ref_restrict([f.value_at(sub)], c.up_set(sub), ups)[0])
+        residual, combo = CertifiedBasis(target.rows(face)).reduce(vals[0] & vals[1])
+        assert not residual
+        data |= combo << offsets[face]
+    return data
+
+
+@pytest.fixture(scope="module")
+def reference_sheaves(sheaf2, dual2, complex2, ring2):
+    iso = VectorIso(ring2.field)
+    span10 = induce_lower_codes(
+        attach_local_codes(complex2, LinearCode.from_int_rows([0b01], 2), iso, ring2)
+    )
+    out = {
+        "q2": sheaf2,
+        "q2_dual": dual2,
+        "q2_double_dual": dual_sheaf(dual2),
+        "rm11": induce_lower_codes(attach_local_codes(complex2, reed_muller(1, 1), iso, ring2)),
+        "span10": span10,
+        "span10_square": star_sheaf(span10, span10),
+        "widened": _widened_face_sheaf(),
+    }
+    for s in _constant_sheaves():
+        out["constant_%d_%d" % (s.complex.D, s.complex.n_top)] = s
+    sphere = attach_constant_sheaf(fixtures.cross_polytope_3sphere())
+    for face in ((1, 0), (2, 1), (3, 0), (6, 1), (7, 0)):
+        out["sphere_link_%d_%d" % face] = sheaf_at_link(sphere, face)
+    return out
+
+
+def test_coboundary_and_flasque_match_restrict_and_reduce(reference_sheaves):
+    for name, s in reference_sheaves.items():
+        for j in range(s.complex.D):
+            assert coboundary_matrix(s, j) == _ref_coboundary(s, j), (name, j)
+        assert check_flasque(s) == _ref_flasque(s), name
+
+
+def test_pair_products_match_face_pair_sweep(reference_sheaves):
+    for name, s in reference_sheaves.items():
+        d = dual_sheaf(s)
+        for a, b, modulus in ((s, s, 2), (s, d, 2), (d, s, 2), (s, s, 4)):
+            assert check_pair_products(a, b, modulus) == _ref_pair_products(a, b, modulus), name
+
+
+def test_cup_product_matches_face_by_face_reference(sheaf2):
+    s = sheaf2
+    ss = star_sheaf(s, s)
+    rng = random.Random(3)
+    for l1, l2 in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)):
+        for _ in range(3):
+            f = Cochain(s, l1, BitVector(s.level_dim(l1), rng.getrandbits(s.level_dim(l1))))
+            g = Cochain(s, l2, BitVector(s.level_dim(l2), rng.getrandbits(s.level_dim(l2))))
+            assert cup_product(f, g, target=ss).data.value == _ref_cup(f, g, ss)
