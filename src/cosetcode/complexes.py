@@ -154,14 +154,6 @@ class Complex:
         any_top = self.up_sets[bm][bi][0]
         return self.face_in_top(sm, any_top) == si
 
-    def cofaces(self, face: FaceId, super_mask: int) -> List[int]:
-        """Indices of type-`super_mask` faces containing `face`."""
-        mask, _ = face
-        if mask & ~super_mask:
-            return []
-        lookup = self.top_to_face[super_mask]
-        return sorted({int(lookup[t]) for t in self.up_set(face)})
-
     def vertex_labels_of_top(self, top: int) -> List[int]:
         """Per color, the vertex face index of a top face."""
         return [self.face_in_top(1 << c, top) for c in range(self.n_colors)]

@@ -10,6 +10,8 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .complexes import mask_of
 from .gf2 import BitMatrix, BitVector, row_space_equal
 from .sheaf import (
@@ -20,7 +22,6 @@ from .sheaf import (
     cocycle_basis,
     dual_sheaf,
     projection_matrix,
-    restrict_to_type,
 )
 
 
@@ -185,10 +186,9 @@ def _tagged_logicals(
     pi = projection_matrix(s, level + 1)
     out: List[Tuple[Tuple[int, ...], BitVector]] = []
     for T in color_types_through_zero(D, level + 2):
-        res = restrict_to_type(s, level + 1, T)
-        for i in range(reps.rows):
-            restricted = res.matvec(reps.row(i))
-            v = pi.matvec(restricted)
+        keep = int.from_bytes(_type_masks(s, level + 1, T)[1].tobytes(), "little")
+        for rep in reps.int_rows():
+            v = pi.matvec(BitVector(reps.cols, rep & keep))
             if other_checks.matvec(v).value != 0:
                 raise CSSError(
                     "logical candidate for T=%r anticommutes with a check" % (T,)
@@ -303,36 +303,75 @@ def type_coords(s: Sheaf, j: int, T: Sequence[int]) -> List[int]:
     return out
 
 
+def _type_masks(s: Sheaf, j: int, T: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The C^j coordinates of faces with type contained in T, as a boolean
+    row select and as packed column-mask words (`BitMatrix.data` of one row)."""
+    keep = np.zeros(s.level_dim(j), dtype=bool)
+    keep[type_coords(s, j, T)] = True
+    return keep, BitMatrix.from_dense(keep[None, :]).data[0]
+
+
+def _cols(m: BitMatrix, words: np.ndarray) -> BitMatrix:
+    """m times the diagonal projection whose packed diagonal is `words`."""
+    return BitMatrix(m.rows, m.cols, m.data & words)
+
+
+def _rows(m: BitMatrix, keep: np.ndarray) -> BitMatrix:
+    """The rows of m that `keep` selects."""
+    return BitMatrix(int(keep.sum()), m.cols, m.data[keep])
+
+
+def _pairing(s: Sheaf, s_dual: Sheaf, z: int, j: int) -> BitMatrix:
+    """pi-bar_z^T pi_j, the dual pairing of C^j, which does not depend on
+    the color type."""
+    return projection_matrix(s_dual, z).transpose().matmul(projection_matrix(s, j))
+
+
 def chain_map_squares(
     s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int]
 ) -> Dict[str, bool]:
     """The four commuting-square identities relating the sheaf complex to
     the T-shrunk three-term complex, as exact matrix equations."""
+    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
+    zt = cocycle_basis(s, x + 1).transpose()
+    return _squares(s, s_dual, x, z, T, pairing, pairing1, zt)
+
+
+def _squares(
+    s: Sheaf,
+    s_dual: Sheaf,
+    x: int,
+    z: int,
+    T: Sequence[int],
+    pairing: BitMatrix,
+    pairing1: BitMatrix,
+    zt: BitMatrix,
+) -> Dict[str, bool]:
+    """`chain_map_squares` given the dual pairings and the transposed
+    cocycle basis.  A restriction to a color type is a column mask on the
+    right and a row select (or, where the rows outside it count, a row
+    mask) on the left."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
     delta_x = coboundary_matrix(s, x)
-    r_x = restrict_to_type(s, x, T)
-    r_x1 = restrict_to_type(s, x + 1, T)
-    pi_x = projection_matrix(s, x)
-    pi_x1 = projection_matrix(s, x + 1)
-    pid_z = projection_matrix(s_dual, z)
-    rbar = restrict_to_type(s_dual, z, t_c)
+    _, cols_x = _type_masks(s, x, T)
+    rows_x1, cols_x1 = _type_masks(s, x + 1, T)
+    rows_bar, _ = _type_masks(s_dual, z, t_c)
 
     report: Dict[str, bool] = {}
     # restriction commutes with the shrunk coboundary
-    lhs = r_x1.matmul(delta_x)
-    report["bottom_left"] = lhs == r_x1.matmul(delta_x).matmul(r_x)
+    lhs = _rows(delta_x, rows_x1)
+    report["bottom_left"] = lhs == _cols(lhs, cols_x)
     # projections of a T-cochain agree across one shrunk step
-    report["top_left"] = pi_x.matmul(r_x) == pi_x1.matmul(r_x1).matmul(
-        delta_x
-    ).matmul(r_x)
+    report["top_left"] = _cols(projection_matrix(s, x), cols_x) == _cols(
+        projection_matrix(s, x + 1), cols_x1
+    ).matmul(_cols(delta_x, cols_x))
     # the dual pairing of a T-cochain is supported on T-complement faces
-    q = pid_z.transpose().matmul(pi_x)
-    report["top_right"] = q.matmul(r_x) == rbar.matmul(q).matmul(r_x)
+    lhs = _cols(pairing, cols_x)
+    report["top_right"] = lhs == BitMatrix(lhs.rows, lhs.cols, lhs.data * rows_bar[:, None])
     # the shrunk top map annihilates global cocycles
-    psi = rbar.matmul(pid_z.transpose()).matmul(pi_x1).matmul(r_x1)
-    zbasis = cocycle_basis(s, x + 1)
-    report["bottom_right"] = psi.matmul(zbasis.transpose()).is_zero()
+    psi = _cols(_rows(pairing1, rows_bar), cols_x1)
+    report["bottom_right"] = psi.matmul(zt).is_zero()
     return report
 
 
@@ -341,17 +380,22 @@ def shrunk_cohomology_dim(
 ) -> int:
     """dim H^1 of the T-shrunk three-term complex, in T-supported
     coordinates."""
+    return _shrunk_dim(s, s_dual, x, z, T, _pairing(s, s_dual, z, x + 1))
+
+
+def _shrunk_dim(
+    s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int], pairing1: BitMatrix
+) -> int:
+    """`shrunk_cohomology_dim` given pi-bar_z^T pi_{x+1}: masked-out
+    columns are zero columns, which leave ranks unchanged."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
-    src = type_coords(s, x, T)
-    mid = type_coords(s, x + 1, T)
-    dst = type_coords(s_dual, z, t_c)
-    a = coboundary_matrix(s, x).take_cols(src).take_rows(mid)
-    psi_full = (
-        projection_matrix(s_dual, z).transpose().matmul(projection_matrix(s, x + 1))
-    )
-    b = psi_full.take_rows(dst).take_cols(mid)
-    return (len(mid) - b.rank()) - a.rank()
+    _, cols_x = _type_masks(s, x, T)
+    rows_x1, cols_x1 = _type_masks(s, x + 1, T)
+    rows_bar, _ = _type_masks(s_dual, z, t_c)
+    a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
+    b = _cols(_rows(pairing1, rows_bar), cols_x1)
+    return (int(rows_x1.sum()) - b.rank()) - a.rank()
 
 
 def unfolding_check(
@@ -373,17 +417,16 @@ def unfolding_check(
         "expected_k": expected,
         "dimension_formula": k == expected,
     }
-    types = [
-        tuple(t)
-        for t in itertools.combinations(range(D + 1), x + 2)
-    ]
-    shrunk = {}
-    for T in types:
-        shrunk[T] = shrunk_cohomology_dim(s, s_dual, x, z, T)
+    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
+    shrunk = {
+        T: _shrunk_dim(s, s_dual, x, z, T, pairing1)
+        for T in itertools.combinations(range(D + 1), x + 2)
+    }
     report["shrunk_dims"] = shrunk
     report["shrunk_iso"] = all(v == h_dim for v in shrunk.values())
+    zt = cocycle_basis(s, x + 1).transpose()
     sq = {
-        T: chain_map_squares(s, s_dual, x, z, T)
+        T: _squares(s, s_dual, x, z, T, pairing, pairing1, zt)
         for T in color_types_through_zero(D, x + 2)
     }
     report["squares"] = sq

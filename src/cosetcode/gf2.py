@@ -336,7 +336,9 @@ class BitMatrix:
         return BitVector(self.cols, self.row_int(i))
 
     def int_rows(self) -> List[int]:
-        return [self.row_int(i) for i in range(self.rows)]
+        nb = 8 * self.data.shape[1]
+        buf = self.data.tobytes()
+        return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb)]
 
     def get(self, i: int, j: int) -> int:
         return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
@@ -378,37 +380,24 @@ class BitMatrix:
             np.vstack([self.data, other.data]),
         )
 
-    def take_rows(self, idx: Sequence[int]) -> "BitMatrix":
-        idx = list(idx)
-        return BitMatrix(len(idx), self.cols, self.data[idx] if idx else None)
-
-    def take_cols(self, idx: Sequence[int]) -> "BitMatrix":
-        idx = list(idx)
-        out = BitMatrix(self.rows, len(idx))
-        for new_j, j in enumerate(idx):
-            colbits = (self.data[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-            out.data[:, new_j >> 6] |= colbits << np.uint64(new_j & 63)
-        return out
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense(self.to_dense().T)
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        """Product self @ other over GF(2)."""
+        """Product self @ other over GF(2): each row XORs the int rows of
+        `other` that its set bits name."""
         if self.cols != other.rows:
             raise GF2Error("matmul shape mismatch")
-        out = BitMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            acc = None
-            v = self.row_int(i)
+        rows = other.int_rows()
+        out = []
+        for v in self.int_rows():
+            acc = 0
             while v:
                 b = v & -v
-                k = b.bit_length() - 1
+                acc ^= rows[b.bit_length() - 1]
                 v ^= b
-                acc = other.data[k] if acc is None else acc ^ other.data[k]
-            if acc is not None:
-                out.data[i] = acc
-        return out
+            out.append(acc)
+        return BitMatrix.from_int_rows(out, other.cols)
 
     def matvec(self, x: BitVector) -> BitVector:
         """Product self @ x over GF(2) (x indexed by columns)."""

@@ -7,7 +7,10 @@ A local code is a list of Python-int rows in reduced row echelon form:
 bit p of a row is position p of the face's sorted up-set, and a row's
 pivot is its lowest set bit.  Incidence work gathers from arrays built
 once per type (`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's
-coefficient on a coface row is its bit at that row's pivot.
+coefficient on a coface row is its bit at that row's pivot.  Construction
+works per type too: one orientation array per (D-1)-type, and one gather
+of the stacked dual constraints per (lower type, (D-1)-type); faces that
+share an orientation or a constraint set share one elimination.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class Sheaf:
         self.complex = complex_
         self.local_bases = local_bases
         self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
-        self._dual_bases: Dict[FaceId, List[int]] = {}
+        self._dual_bases: Dict[FaceId, List[int]] = {}  # (D-1)-faces, see _top_duals
         self._types: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
@@ -75,28 +78,13 @@ class Sheaf:
         row i, zero past its rows and up-set (both may vary within a type)."""
         cached = self._types.get(mask)
         if cached is None:
-            c = self.complex
-            rows = [self.rows((mask, f)) for f in c.faces(mask)]
-            dims = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-            width = c.face_tops(mask).shape[1]
-            starts = np.cumsum(dims) - dims
-            bits = np.zeros((len(rows), int(dims.max(initial=0)), width), dtype=np.uint8)
-            row = np.arange(dims.sum()) - np.repeat(starts, dims)
-            flat = [w for r in rows for w in r]
-            bits[np.repeat(np.arange(len(rows)), dims), row] = BitMatrix.from_int_rows(
-                flat, width
-            ).to_dense()
+            dims, bits = _code_bits(
+                [self.rows((mask, f)) for f in self.complex.faces(mask)],
+                self.complex.face_tops(mask).shape[1],
+            )
             offsets, _ = self.level_offsets(bin(mask).count("1") - 1)
-            cached = self._types[mask] = (offsets.get((mask, 0), 0) + starts, bits)
-        return cached
-
-    def dual_local_basis(self, face: FaceId) -> List[int]:
-        """The dual of the local code of `face` as int rows in RREF (on the
-        top faces of a dual sheaf, the primal's rows)."""
-        cached = self._dual_bases.get(face)
-        if cached is None:
-            cached = dual_rows(self.rows(face), len(self.complex.up_set(face)))
-            self._dual_bases[face] = cached
+            first = offsets.get((mask, 0), 0) + np.cumsum(dims) - dims
+            cached = self._types[mask] = (first, bits)
         return cached
 
     # -- global coordinates ---------------------------------------------------
@@ -158,6 +146,19 @@ def _scatter(w: int, targets: Sequence[int]) -> int:
     return out
 
 
+def _code_bits(codes: List[List[int]], width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The number of rows of each code, and `bits[f, i, p]`, bit p of row i
+    of code f, zero past its rows and `width`."""
+    dims = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
+    bits = np.zeros((len(codes), int(dims.max(initial=0)), width), dtype=np.uint8)
+    row = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
+    flat = [w for r in codes for w in r]
+    bits[np.repeat(np.arange(len(codes)), dims), row] = (
+        BitMatrix.from_int_rows(flat, width).to_dense()
+    )
+    return dims, bits
+
+
 def _restricted(s: Sheaf, mask: int, tops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per row g of `tops` (one face's tops, -1 padded, as in `face_tops`):
     the type-`mask` face through tops[g, 0], and its rows on those tops."""
@@ -211,17 +212,21 @@ def attach_local_codes(
     local: Dict[FaceId, List[int]] = {}
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
-        pairs = table.k_color_elements(cotype)
-        for idx in c.faces(mask):
-            g = c.keys[mask][idx]
-            ups = c.up_sets[mask][idx]
-            pos = {t: p for p, t in enumerate(ups)}
-            # column permutation: code coordinate U(alpha) -> up-set position
-            perm = [0] * q
-            for alpha, _eid in pairs:
-                top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
-                perm[iso.apply_int(alpha)] = pos[top]
-            local[(mask, idx)] = rref_rows((_scatter(w, perm) for w in words), q)
+        reps = np.asarray(c.keys[mask], dtype=np.int64)
+        faces = np.arange(reps.size)
+        # orient[f, U(alpha)] = the up-set position of face f's top rep*e(alpha*t)
+        orient = np.zeros((reps.size, q), dtype=np.int64)
+        for alpha, _eid in table.k_color_elements(cotype):
+            tops = reps if alpha == 0 else table.cayley[reps, gen_col[(cotype, alpha)]]
+            outside = c.top_to_face[mask][tops] != faces
+            if outside.any():
+                bad = int(np.argmax(outside))
+                raise SheafError("top %d is outside face %r" % (tops[bad], (mask, bad)))
+            orient[:, iso.apply_int(alpha)] = c.top_pos[mask][tops]
+        # one RREF per distinct orientation, shared by the faces that have it
+        distinct, which = np.unique(orient, axis=0, return_inverse=True)
+        codes = [rref_rows((_scatter(w, perm) for w in words), q) for perm in distinct.tolist()]
+        local.update(((mask, f), codes[i]) for f, i in enumerate(which.reshape(-1).tolist()))
     return Sheaf(c, local)
 
 
@@ -244,26 +249,80 @@ def attach_explicit(c: Complex, defining: Dict[FaceId, BitMatrix]) -> Sheaf:
     return Sheaf(c, {face: rref_rows(m.int_rows(), m.cols) for face, m in defining.items()})
 
 
+def _top_duals(s: Sheaf) -> List[FaceId]:
+    """Fill in the local duals of the (D-1)-faces of `s`, one `dual_rows`
+    call per distinct code, and list those faces."""
+    c = s.complex
+    faces = c.level_faces(c.D - 1)
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    for face in faces:
+        if face not in s._dual_bases:
+            rows = s.rows(face)
+            key = (len(c.up_set(face)), tuple(rows))
+            if key not in memo:
+                memo[key] = dual_rows(rows, key[0])
+            s._dual_bases[face] = memo[key]
+    return faces
+
+
+def _constraints(
+    c: Complex, bits: np.ndarray, mask: int, smask: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The dual rows of every type-`smask` face above every type-`mask`
+    face (`bits` as `_code_bits` gives them), on the lower face's up-set:
+    the lower face of each row, and the rows as packed words
+    (`BitMatrix.data`).
+
+    A coface's tops lie in the lower face's up-set, so each coface is met
+    once, at its top in position 0.  One gather takes the cofaces' rows
+    and one scatter puts them at the lower faces' positions of their tops."""
+    ftops = c.face_tops(mask)
+    nbits = 64 * max(1, -(-ftops.shape[1] // 64))
+    f, p = np.nonzero((ftops >= 0) & (c.top_pos[smask][ftops] == 0))
+    coface = c.top_to_face[smask][ftops[f, p]]
+    stops = c.face_tops(smask)[coface]
+    # past a coface's up-set, bits are zero and land in a spare column
+    pos = np.where(stops >= 0, c.top_pos[mask][stops], nbits)
+    rows = np.zeros((f.size, bits.shape[1], nbits + 1), dtype=np.uint8)
+    pairs, dual_row = np.arange(f.size)[:, None, None], np.arange(bits.shape[1])[:, None]
+    rows[pairs, dual_row, pos[:, None, :]] = bits[coface]
+    words = np.packbits(rows[:, :, :nbits], axis=2, bitorder="little").view(np.uint64)
+    present = bits.any(axis=2)[coface]  # zero rows pad the smaller codes
+    return np.broadcast_to(f[:, None], present.shape)[present], words[present]
+
+
 def induce_lower_codes(s: Sheaf) -> Sheaf:
     """Fill every level below D-1 with the kernel of the stacked dual
-    constraints of the (D-1)-faces above each face."""
+    constraints of the (D-1)-faces above each face: one gather per (type,
+    (D-1)-type), one `dual_rows` call per distinct constraint set."""
     c = s.complex
     local = dict(s.local_bases)
+    top = _top_duals(s)
     top_masks = c.level_masks(c.D - 1)
-    duals = {face: s.dual_local_basis(face) for face in c.level_faces(c.D - 1)}
+    dual_bits = {
+        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops(m).shape[1])[1]
+        for m in top_masks
+    }
+    memo: Dict[Tuple[int, bytes], List[int]] = {}
     for level in range(c.D - 2, -1, -1):
         for mask in c.level_masks(level):
-            for idx in c.faces(mask):
-                ups = c.up_sets[mask][idx]
-                pos = {t: p for p, t in enumerate(ups)}
-                rows: List[int] = []
-                for smask in top_masks:
-                    for sidx in c.cofaces((mask, idx), smask):
-                        spos = [pos[t] for t in c.up_sets[smask][sidx]]
-                        rows.extend(_scatter(w, spos) for w in duals[(smask, sidx)])
-                local[(mask, idx)] = dual_rows(rows, len(ups))
+            found = [_constraints(c, dual_bits[m], mask, m) for m in top_masks if not mask & ~m]
+            owner = np.concatenate([o for o, _ in found])
+            words = np.concatenate([w for _, w in found])
+            # per face, its rows in one canonical order: equal sets, equal bytes
+            order = np.lexsort((*words.T[::-1], owner))
+            words = words[order]
+            bounds = np.searchsorted(owner[order], np.arange(c.n_faces(mask) + 1)).tolist()
+            ftops = c.face_tops(mask)
+            for f, width in enumerate((ftops >= 0).sum(axis=1).tolist()):
+                block = words[bounds[f] : bounds[f + 1]]
+                key = (width, block.tobytes())
+                if key not in memo:
+                    rows = BitMatrix(len(block), ftops.shape[1], block).int_rows()
+                    memo[key] = dual_rows(rows, width)
+                local[(mask, f)] = memo[key]
     out = Sheaf(c, local)
-    out._dual_bases.update(duals)  # the (D-1)-face codes are unchanged
+    out._dual_bases.update((face, s._dual_bases[face]) for face in top)  # codes unchanged
     return out
 
 
@@ -272,8 +331,8 @@ def dual_sheaf(s: Sheaf) -> Sheaf:
 
     The primal's local duals are the dual's codes, and the primal codes
     are the dual's local duals, so no local kernel is computed twice."""
-    top = s.complex.level_faces(s.complex.D - 1)
-    d = Sheaf(s.complex, {face: s.dual_local_basis(face) for face in top})
+    top = _top_duals(s)
+    d = Sheaf(s.complex, {face: s._dual_bases[face] for face in top})
     d._dual_bases.update((face, s.rows(face)) for face in top)
     return induce_lower_codes(d)
 

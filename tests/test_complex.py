@@ -63,8 +63,10 @@ def test_containment_and_cofaces():
     c = fixtures.octahedron()
     v = (1, 0)
     for emask in (0b011, 0b101):
-        for eidx in c.cofaces(v, emask):
-            assert c.contains(v, (emask, eidx))
+        # the faces through the vertex's tops are exactly the faces containing it
+        through = {int(c.top_to_face[emask][t]) for t in c.up_set(v)}
+        assert through == {e for e in c.faces(emask) if c.contains(v, (emask, e))}
+        assert len(through) == 2
     top0 = c.up_sets[1][0][0]
     assert c.face_in_top(1, top0) == 0
 

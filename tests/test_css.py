@@ -19,8 +19,20 @@ from cosetcode.css import (
     unfolding_check,
     LogicalBasis,
 )
+from cosetcode.algebra import VectorIso
 from cosetcode.gf2 import BitMatrix, BitVector
-from cosetcode.sheaf import attach_constant_sheaf, cohomology_dim, dual_sheaf
+from cosetcode.local_codes import reed_muller
+from cosetcode.sheaf import (
+    attach_constant_sheaf,
+    attach_local_codes,
+    coboundary_matrix,
+    cocycle_basis,
+    cohomology_dim,
+    dual_sheaf,
+    induce_lower_codes,
+    projection_matrix,
+    restrict_to_type,
+)
 
 
 def test_code_parameters(code2):
@@ -117,6 +129,50 @@ def test_unfolding_on_torus_constant_sheaf(torus_sheaves):
 def test_chain_map_squares_both_types(sheaf2, dual2):
     for T in ((0, 1), (0, 2)):
         assert all(chain_map_squares(sheaf2, dual2, 0, 0, T).values())
+
+
+def _ref_chain_map_squares(s, s_dual, x, z, T):
+    """The squares with every type restriction a product with the diagonal
+    `restrict_to_type` matrix."""
+    c = s.complex
+    t_c = [j for j in range(c.n_colors) if j not in set(T)]
+    delta_x = coboundary_matrix(s, x)
+    r_x = restrict_to_type(s, x, T)
+    r_x1 = restrict_to_type(s, x + 1, T)
+    pi_x = projection_matrix(s, x)
+    pi_x1 = projection_matrix(s, x + 1)
+    pid_zt = projection_matrix(s_dual, z).transpose()
+    rbar = restrict_to_type(s_dual, z, t_c)
+    q = pid_zt.matmul(pi_x)
+    psi = rbar.matmul(pid_zt).matmul(pi_x1).matmul(r_x1)
+    return {
+        "bottom_left": r_x1.matmul(delta_x) == r_x1.matmul(delta_x).matmul(r_x),
+        "top_left": pi_x.matmul(r_x) == pi_x1.matmul(r_x1).matmul(delta_x).matmul(r_x),
+        "top_right": q.matmul(r_x) == rbar.matmul(q).matmul(r_x),
+        "bottom_right": psi.matmul(cocycle_basis(s, x + 1).transpose()).is_zero(),
+    }
+
+
+def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex2, ring2):
+    # the full local code paired against the repetition code's dual (and
+    # the reverse) breaks the dual pairing, so some squares fail
+    full = induce_lower_codes(
+        attach_local_codes(complex2, reed_muller(1, 1), VectorIso(ring2.field), ring2)
+    )
+    cube = attach_constant_sheaf(fixtures.cross_polytope_3sphere())
+    cases = [(sheaf2, dual2, 0, 0), (full, dual2, 0, 0), (sheaf2, full, 0, 0)]
+    cases += [(cube, dual_sheaf(cube), x, 1 - x) for x in (0, 1)]
+    results = []
+    for s, sd, x, z in cases:
+        for T in color_types_through_zero(s.complex.D, x + 2):
+            got = chain_map_squares(s, sd, x, z, T)
+            assert got == _ref_chain_map_squares(s, sd, x, z, T)
+            results.append(got)
+    assert not all(all(r.values()) for r in results)
+    # unfolding_check shares its pairings across types and gets the same squares
+    rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
+    for T, squares in rep["squares"].items():
+        assert squares == _ref_chain_map_squares(sheaf2, dual2, 0, 0, T)
 
 
 def test_shrunk_dims_match_cohomology(sheaf2, dual2):

@@ -1,6 +1,7 @@
 """Tanner sheaves: induction, cohomology, cup products, lifting, and the
 exhaustive local product checks."""
 
+import itertools
 import random
 
 import numpy as np
@@ -166,6 +167,13 @@ def test_projection_and_restriction_match_set_bits_reference(
                 assert restrict_to_type(s, j, T) == _restriction_by_set_bits(s, j, t_mask)
 
 
+def _cofaces(c, face, super_mask):
+    """Indices of the type-`super_mask` faces containing `face`."""
+    if face[0] & ~super_mask:
+        return []
+    return sorted({int(c.top_to_face[super_mask][t]) for t in c.up_set(face)})
+
+
 def _ref_attach(c, code, iso, ring):
     """The BitMatrix construction of the oriented edge codes that the
     int-row sheaf replaced, kept as the reference."""
@@ -200,7 +208,7 @@ def _ref_induce(c, defining):
             pos = {t: p for p, t in enumerate(ups)}
             rows = []
             for smask in top_masks:
-                for sidx in c.cofaces(face, smask):
+                for sidx in _cofaces(c, face, smask):
                     sups = c.up_sets[smask][sidx]
                     for w in duals[(smask, sidx)].int_rows():
                         rows.append(sum(1 << pos[t] for p, t in enumerate(sups) if (w >> p) & 1))
@@ -215,6 +223,24 @@ def _ref_induce(c, defining):
 def _ref_dual(c, bases):
     top = c.level_faces(c.D - 1)
     return _ref_induce(c, {f: bases[f].kernel_basis().row_space_basis() for f in top})
+
+
+def _ragged_complex():
+    """A 2-complex from 14 random label triples: up-set sizes vary within
+    a type (vertices lie in 3 to 6 tops, edges in 1 to 3)."""
+    triples = list(itertools.product(range(3), repeat=3))
+    return Complex.from_top_faces(2, sorted(random.Random(5).sample(triples, 14)))
+
+
+def _random_codes(c, seed):
+    """A random code over the up-set of every (D-1)-face, in RREF."""
+    rng = random.Random(seed)
+    out = {}
+    for face in c.level_faces(c.D - 1):
+        n = len(c.up_set(face))
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(n + 1))]
+        out[face] = BitMatrix.from_int_rows(rows, n).row_space_basis()
+    return out
 
 
 def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
@@ -237,6 +263,15 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
             for f in cx.level_faces(j)
         }
         cases += [(s, ref), (dual_sheaf(s), _ref_dual(cx, ref))]
+    # non-constant codes: two induced levels at D = 3, ragged up-sets, and
+    # a vertex in 81 tops (constraint rows of two words)
+    wide = Complex.from_top_faces(2, [[0, a, b] for a in range(9) for b in range(9)])
+    for cx, seed in ((fixtures.cross_polytope_3sphere(), 7), (_ragged_complex(), 8), (wide, 9)):
+        defining = _random_codes(cx, seed)
+        assert len({defining[f].rank() for f in defining}) > 1
+        s = induce_lower_codes(attach_explicit(cx, defining))
+        ref = _ref_induce(cx, defining)
+        cases += [(s, ref), (dual_sheaf(s), _ref_dual(cx, ref))]
     for s, ref in cases:
         cx = s.complex
         assert set(s.local_bases) == set(ref)
@@ -249,6 +284,17 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
                 assert coboundary_matrix(s, j) is coboundary_matrix(s, j)
             assert projection_matrix(s, j) == projection_matrix(r, j)
             assert cohomology_reps(s, j) == cohomology_reps(r, j)
+
+
+def test_attach_rejects_a_rep_outside_its_face(complex2, ring2):
+    # swapping two faces' reps puts each rep's tops in the other face
+    c = complex2
+    mask = c.level_masks(1)[0]
+    keys = {m: list(k) for m, k in c.keys.items()}
+    keys[mask][0], keys[mask][1] = keys[mask][1], keys[mask][0]
+    bad = Complex(c.D, c.n_top, c.up_sets, keys=keys, group=c.group)
+    with pytest.raises(SheafError, match="outside face"):
+        attach_local_codes(bad, reed_muller(0, 1), VectorIso(ring2.field), ring2)
 
 
 def test_attach_explicit_rejects_wrong_width():
@@ -280,7 +326,7 @@ def _coboundary_by_solve(s, j):
         for smask in c.level_masks(j + 1):
             if mask & ~smask:
                 continue
-            for sidx in c.cofaces(face, smask):
+            for sidx in _cofaces(c, face, smask):
                 spos = [ups.index(t) for t in c.up_sets[smask][sidx]]
                 for i in range(basis.rows):
                     w = basis.row_int(i)
@@ -304,7 +350,7 @@ def _cohomology_reps_by_rank(s, j):
     acc = coboundary_image_basis(s, j)
     reps = []
     for i in range(z.rows):
-        grown = acc.vstack(z.take_rows([i]))
+        grown = acc.vstack(BitMatrix.from_int_rows([z.row_int(i)], z.cols))
         if grown.rank() > acc.rank():
             reps.append(z.row_int(i))
             acc = grown
@@ -515,7 +561,7 @@ def _ref_restrictions(s, level):
     c = s.complex
     for face in c.level_faces(level):
         for smask in c.level_masks(level + 1):
-            for sidx in c.cofaces(face, smask):
+            for sidx in _cofaces(c, face, smask):
                 sub = c.up_sets[smask][sidx]
                 yield face, (smask, sidx), _ref_restrict(s.rows(face), c.up_set(face), sub)
 
