@@ -294,7 +294,8 @@ def _constraints(
 def induce_lower_codes(s: Sheaf) -> Sheaf:
     """Fill every level below D-1 with the kernel of the stacked dual
     constraints of the (D-1)-faces above each face: one gather per (type,
-    (D-1)-type), one `dual_rows` call per distinct constraint set."""
+    (D-1)-type), one `dual_rows` call per distinct constraint set (at q=2,
+    63 vertices share 28 sets; at q=4, 2,835 share about 2,580)."""
     c = s.complex
     local = dict(s.local_bases)
     top = _top_duals(s)
