@@ -154,10 +154,6 @@ class Complex:
         any_top = self.up_sets[bm][bi][0]
         return self.face_in_top(sm, any_top) == si
 
-    def vertex_labels_of_top(self, top: int) -> List[int]:
-        """Per color, the vertex face index of a top face."""
-        return [self.face_in_top(1 << c, top) for c in range(self.n_colors)]
-
     # -- link ------------------------------------------------------------------
 
     def link(self, face: FaceId) -> "Complex":

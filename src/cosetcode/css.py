@@ -10,8 +10,6 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .complexes import mask_of
 from .gf2 import BitMatrix, BitVector, row_space_equal
 from .sheaf import (
@@ -58,7 +56,7 @@ class CssCode:
         out: Dict[str, Dict[int, int]] = {"x": {}, "z": {}}
         for name, m in (("x", self.h_x), ("z", self.h_z)):
             for w in m.row_weights():
-                out[name][int(w)] = out[name].get(int(w), 0) + 1
+                out[name][w] = out[name].get(w, 0) + 1
         return out
 
     def __repr__(self) -> str:
@@ -186,7 +184,7 @@ def _tagged_logicals(
     pi = projection_matrix(s, level + 1)
     out: List[Tuple[Tuple[int, ...], BitVector]] = []
     for T in color_types_through_zero(D, level + 2):
-        keep = int.from_bytes(_type_masks(s, level + 1, T)[1].tobytes(), "little")
+        keep = _type_masks(s, level + 1, T)[1]
         for rep in reps.int_rows():
             v = pi.matvec(BitVector(reps.cols, rep & keep))
             if other_checks.matvec(v).value != 0:
@@ -210,13 +208,12 @@ def darboux_basis(lb: LogicalBasis) -> LogicalBasis:
     if a is None:
         raise CSSError("degenerate logical pairing: rank %d of %d" % (p.rank(), k2))
     # new Z_j = sum_m A^T[j, m] old Z_m gives <X_i, Z'_j> = delta_ij
-    at = a.transpose()
     new_z: List[Tuple[Tuple[int, ...], BitVector]] = []
     for j in range(k2):
         tag = None
         acc = 0
         for m in range(k2):
-            if at.get(j, m):
+            if a.get(m, j):
                 old_tag, zv = lb.z_logicals[m]
                 acc ^= zv.value
                 if tag is None:
@@ -303,22 +300,25 @@ def type_coords(s: Sheaf, j: int, T: Sequence[int]) -> List[int]:
     return out
 
 
-def _type_masks(s: Sheaf, j: int, T: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-    """The C^j coordinates of faces with type contained in T, as a boolean
-    row select and as packed column-mask words (`BitMatrix.data` of one row)."""
-    keep = np.zeros(s.level_dim(j), dtype=bool)
-    keep[type_coords(s, j, T)] = True
-    return keep, BitMatrix.from_dense(keep[None, :]).data[0]
+def _type_masks(s: Sheaf, j: int, T: Sequence[int]) -> Tuple[List[int], int]:
+    """The C^j coordinates of faces with type contained in T, as a list (a
+    row select) and as an int column mask."""
+    coords = type_coords(s, j, T)
+    mask = bytearray((s.level_dim(j) + 7) // 8)
+    for i in coords:
+        mask[i >> 3] |= 1 << (i & 7)
+    return coords, int.from_bytes(mask, "little")
 
 
-def _cols(m: BitMatrix, words: np.ndarray) -> BitMatrix:
-    """m times the diagonal projection whose packed diagonal is `words`."""
-    return BitMatrix(m.rows, m.cols, m.data & words)
+def _cols(m: BitMatrix, mask: int) -> BitMatrix:
+    """m times the diagonal projection whose diagonal is `mask`."""
+    return BitMatrix.from_int_rows([v & mask for v in m.int_rows()], m.cols)
 
 
-def _rows(m: BitMatrix, keep: np.ndarray) -> BitMatrix:
-    """The rows of m that `keep` selects."""
-    return BitMatrix(int(keep.sum()), m.cols, m.data[keep])
+def _rows(m: BitMatrix, coords: List[int]) -> BitMatrix:
+    """The rows of m that `coords` names."""
+    rows = m.int_rows()
+    return BitMatrix.from_int_rows([rows[i] for i in coords], m.cols)
 
 
 def _pairing(s: Sheaf, s_dual: Sheaf, z: int, j: int) -> BitMatrix:
@@ -349,8 +349,8 @@ def _squares(
 ) -> Dict[str, bool]:
     """`chain_map_squares` given the dual pairings and the transposed
     cocycle basis.  A restriction to a color type is a column mask on the
-    right and a row select (or, where the rows outside it count, a row
-    mask) on the left."""
+    right and a row select on the left (or, where the rows outside it
+    count, a check that they vanish)."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
     delta_x = coboundary_matrix(s, x)
@@ -368,7 +368,8 @@ def _squares(
     ).matmul(_cols(delta_x, cols_x))
     # the dual pairing of a T-cochain is supported on T-complement faces
     lhs = _cols(pairing, cols_x)
-    report["top_right"] = lhs == BitMatrix(lhs.rows, lhs.cols, lhs.data * rows_bar[:, None])
+    keep = set(rows_bar)
+    report["top_right"] = not any(v for i, v in enumerate(lhs.int_rows()) if i not in keep)
     # the shrunk top map annihilates global cocycles
     psi = _cols(_rows(pairing1, rows_bar), cols_x1)
     report["bottom_right"] = psi.matmul(zt).is_zero()
@@ -395,7 +396,7 @@ def _shrunk_dim(
     rows_bar, _ = _type_masks(s_dual, z, t_c)
     a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
     b = _cols(_rows(pairing1, rows_bar), cols_x1)
-    return (int(rows_x1.sum()) - b.rank()) - a.rank()
+    return (len(rows_x1) - b.rank()) - a.rank()
 
 
 def unfolding_check(

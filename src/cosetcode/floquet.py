@@ -44,15 +44,8 @@ class StabilizerGroup:
         self.n = n
         self.gens: List[Pauli] = list(gens or [])
 
-    @classmethod
-    def all_z(cls, n: int) -> "StabilizerGroup":
-        return cls(n, [Pauli.z_op(n, 1 << i) for i in range(n)])
-
     def rank(self) -> int:
         return len(self.canonical())
-
-    def logical_dimension(self) -> int:
-        return self.n - self.rank()
 
     def canonical(self) -> List[Pauli]:
         """Unique reduced-echelon generator list over the (x|z) rows,

@@ -215,9 +215,6 @@ class Circuit:
         self.layers.append(gates)
         self._steps += steps
 
-    def depth(self) -> int:
-        return len(self.layers)
-
     def conjugate(self, p: Pauli) -> Pauli:
         for apply, arg in self._steps:
             p = apply(p, arg)

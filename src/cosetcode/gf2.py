@@ -1,16 +1,17 @@
-"""Exact linear algebra over GF(2) on bit-packed matrices.
+"""Exact linear algebra over GF(2) on Python-int rows.
 
-BitVector wraps a Python int bitset; BitMatrix stores rows packed into
-numpy uint64 words.  Bit i of a vector is the coefficient of coordinate
-i; within a word, bit b of word w is coordinate 64*w + b.
+BitVector wraps a Python int bitset, and BitMatrix keeps one such int per
+row: bit i of a vector, or of a row, is the coefficient of coordinate
+(column) i.  numpy enters only where matrices meet arrays: `from_coords`,
+`from_dense`, `to_dense` and `nonzero`, through little-endian packed words.
 
 All elimination runs through one loop, `EchelonBasis`: a forward-only
 dict from each Python-int row's `bit_length()` (its pivot) to the row.
 One XOR of two such ints updates a whole row at C speed.  Rank, rref,
-kernel_basis and solve read rows with their columns reversed, column c
-at bit 64*nwords - 1 - c, so a row's pivot is its lowest column, and
-back-substitute (`EchelonBasis.rref`) only for a reduced form;
-`rref_rows` and `dual_rows` serve int rows.  Certificates
+kernel_basis and solve read rows with their columns reversed over whole
+bytes (`_reversed`), column c at bit 8*nbytes - 1 - c, so a row's pivot
+is its lowest column, and back-substitute (`EchelonBasis.rref`) only for
+a reduced form; `rref_rows` and `dual_rows` serve int rows.  Certificates
 ride as tag bits: `CertifiedBasis` eliminates [rows | I], so one
 reduction gives both the residual and the rows that rebuild the query.
 """
@@ -21,47 +22,30 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-_WORD = 64
-
 
 class GF2Error(ValueError):
     """Raised on dimension mismatches or malformed input."""
 
 
-def _nwords(cols: int) -> int:
-    return max(1, (cols + _WORD - 1) // _WORD)
-
-
-def _int_to_words(value: int, cols: int) -> np.ndarray:
-    nw = _nwords(cols)
-    buf = value.to_bytes(nw * 8, "little")
-    return np.frombuffer(buf, dtype=np.uint64).copy()
-
-
-def _words_to_int(words: np.ndarray) -> int:
-    return int.from_bytes(words.tobytes(), "little")
-
-
 # every byte with its bits reversed: a row's bytes read through this table
-# as one big-endian int put column c at bit 64*nwords - 1 - c
+# as one big-endian int put column c at bit 8*nbytes - 1 - c
 _REV8 = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
 
 
-def _rev_rows(data: np.ndarray) -> Iterator[int]:
-    """The rows of packed words as column-reversed ints, one at a time
-    (no reversed copy of the whole matrix is made)."""
-    for row in data:
-        yield int.from_bytes(row.tobytes().translate(_REV8), "big")
+def _packed_rows(words: np.ndarray) -> List[int]:
+    """The rows of a C-contiguous 2-D array of packed little-endian words
+    (uint8 or uint64) as ints: bit c of a row's bytes is bit c of its int."""
+    nb = words.shape[1] * words.itemsize
+    if not nb:
+        return [0] * words.shape[0]
+    buf = memoryview(words.reshape(-1).view(np.uint8))
+    return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb)]
 
 
-def _rev_data(rows: Sequence[int], nwords: int) -> np.ndarray:
-    """Column-reversed ints packed back into a (len(rows), nwords) array."""
-    data = np.empty((len(rows), nwords), dtype=np.uint64)
-    flat = memoryview(data.reshape(-1).view(np.uint8))
-    nb = 8 * nwords
-    for i, v in enumerate(rows):
-        flat[i * nb : (i + 1) * nb] = v.to_bytes(nb, "big").translate(_REV8)
-    return data
+def _packed(rows: Sequence[int], nbytes: int) -> np.ndarray:
+    """Int rows as a (len(rows), nbytes) uint8 array of little-endian bytes."""
+    buf = b"".join([v.to_bytes(nbytes, "little") for v in rows])
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
 class BitVector:
@@ -79,11 +63,6 @@ class BitVector:
         if not 0 <= i < self.length:
             raise GF2Error("bit index out of range")
         return (self.value >> i) & 1
-
-    def with_bit(self, i: int, b: int) -> "BitVector":
-        if b & 1:
-            return BitVector(self.length, self.value | (1 << i))
-        return BitVector(self.length, self.value & ~(1 << i))
 
     def weight(self) -> int:
         return self.value.bit_count()
@@ -229,10 +208,11 @@ def _kernel(rows: Sequence[int], pivots: Sequence[int], nbits: int, width: int) 
     return list(out.values())
 
 
-def _reversed(rows: Iterable[int], nbytes: int) -> List[int]:
-    """Each row with its 8*nbytes bits in reverse order: column c moves to
-    bit 8*nbytes - 1 - c, and back (the map is its own inverse)."""
-    return [int.from_bytes(v.to_bytes(nbytes, "little").translate(_REV8), "big") for v in rows]
+def _reversed(rows: Iterable[int], nbytes: int) -> Iterator[int]:
+    """Each row with its 8*nbytes bits in reverse order, one at a time:
+    column c moves to bit 8*nbytes - 1 - c, and back (the map is its own
+    inverse)."""
+    return (int.from_bytes(v.to_bytes(nbytes, "little").translate(_REV8), "big") for v in rows)
 
 
 def rref_rows(rows: Iterable[int], width: int) -> List[int]:
@@ -240,7 +220,7 @@ def rref_rows(rows: Iterable[int], width: int) -> List[int]:
     column c), as `BitMatrix.rref` gives it."""
     nb = (width + 7) // 8
     red, _ = EchelonBasis(_reversed(rows, nb)).rref(8 * nb)
-    return _reversed(red, nb)
+    return list(_reversed(red, nb))
 
 
 def dual_rows(rows: Iterable[int], width: int) -> List[int]:
@@ -258,27 +238,29 @@ def dual_rows(rows: Iterable[int], width: int) -> List[int]:
 
 
 class BitMatrix:
-    """A rows x cols matrix over GF(2), rows packed into uint64 words.
+    """A rows x cols matrix over GF(2) as a list of Python-int rows: bit c
+    of a row is column c.
 
-    Immutable by convention: methods return new matrices.  `data` has
-    shape (rows, nwords) and trailing bits past `cols` are kept zero.
+    Immutable by convention: methods return new matrices, and `int_rows()`
+    hands out the stored list, which callers never mutate.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_ints")
 
-    def __init__(self, rows: int, cols: int, data: Optional[np.ndarray] = None):
+    def __init__(self, rows: int, cols: int):
+        """The rows x cols zero matrix."""
         self.rows = rows
         self.cols = cols
-        nw = _nwords(cols)
-        if data is None:
-            data = np.zeros((rows, nw), dtype=np.uint64)
-        else:
-            data = np.ascontiguousarray(data, dtype=np.uint64)
-            if data.shape != (rows, nw):
-                raise GF2Error("data shape %r does not match %dx%d" % (data.shape, rows, cols))
-        self.data = data
+        self._ints: List[int] = [0] * rows
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _of(cls, ints: List[int], cols: int) -> "BitMatrix":
+        """Wrap rows already known to fit in `cols` columns."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._ints = len(ints), cols, ints
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "BitMatrix":
@@ -286,85 +268,84 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i, i >> 6] = np.uint64(1) << np.uint64(i & 63)
-        return m
+        return cls._of([1 << i for i in range(n)], n)
 
     @classmethod
     def from_int_rows(cls, int_rows: Sequence[int], cols: int) -> "BitMatrix":
-        m = cls(len(int_rows), cols)
-        flat = memoryview(m.data.reshape(-1).view(np.uint8))
-        nb = 8 * m.data.shape[1]
-        for i, v in enumerate(int_rows):
+        ints = list(int_rows)
+        for i, v in enumerate(ints):
             if v < 0 or (cols < v.bit_length()):
                 raise GF2Error("row %d out of range for %d cols" % (i, cols))
-            flat[i * nb : (i + 1) * nb] = v.to_bytes(nb, "little")
-        return m
+        return cls._of(ints, cols)
 
     @classmethod
     def from_coords(cls, rows: int, cols: int, r, c) -> "BitMatrix":
         """The rows x cols matrix with a one at every (r[k], c[k]) (repeats
-        allowed), set by one scatter."""
+        allowed), set by one scatter into packed words."""
         r = np.asarray(r, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         if r.size and not (0 <= r.min() and r.max() < rows and 0 <= c.min() and c.max() < cols):
             raise GF2Error("entry outside a %dx%d matrix" % (rows, cols))
-        m = cls(rows, cols)
-        words = r * m.data.shape[1] + (c >> 6)
-        np.bitwise_or.at(m.data.reshape(-1), words, np.uint64(1) << (c & 63).astype(np.uint64))
-        return m
+        nw = (cols + 63) // 64
+        words = np.zeros((rows, nw), dtype=np.uint64)
+        bit = np.uint64(1) << (c & 63).astype(np.uint64)
+        np.bitwise_or.at(words.reshape(-1), r * nw + (c >> 6), bit)
+        return cls._of(_packed_rows(words), cols)
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":
         a = np.asarray(array, dtype=np.uint8) & 1
         if a.ndim != 2:
             raise GF2Error("dense input must be 2-D")
-        rows, cols = a.shape
-        pad = _nwords(cols) * _WORD - cols
-        if pad:
-            a = np.concatenate([a, np.zeros((rows, pad), dtype=np.uint8)], axis=1)
-        packed = np.ascontiguousarray(np.packbits(a, axis=1, bitorder="little"))
-        return cls(rows, cols, packed.view(np.uint64).reshape(rows, _nwords(cols)).copy())
+        return cls._of(_packed_rows(np.packbits(a, axis=1, bitorder="little")), a.shape[1])
 
     # -- accessors ------------------------------------------------------
 
     def row_int(self, i: int) -> int:
-        return _words_to_int(self.data[i])
+        return self._ints[i]
 
     def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.row_int(i))
+        return BitVector(self.cols, self._ints[i])
 
     def int_rows(self) -> List[int]:
-        nb = 8 * self.data.shape[1]
-        buf = self.data.tobytes()
-        return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb)]
+        """The rows as ints (the stored list: never mutate it)."""
+        return self._ints
 
     def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
+        return (self._ints[i] >> j) & 1
 
     def to_dense(self) -> np.ndarray:
-        bits = np.unpackbits(
-            self.data.view(np.uint8), axis=1, bitorder="little"
-        )
-        return bits[:, : self.cols]
+        """The matrix as a (rows, cols) uint8 array, one byte per entry."""
+        packed = _packed(self._ints, (self.cols + 7) // 8)
+        return np.unpackbits(packed, axis=1, count=self.cols, bitorder="little")
 
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.data).sum(axis=1).astype(np.int64)
+    def nonzero(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The (row, column) coordinates of the ones in row-major order,
+        unpacked from the nonzero 64-bit words only."""
+        nw = (self.cols + 63) // 64
+        packed = _packed(self._ints, 8 * nw)
+        words = np.flatnonzero(packed.view("<u8"))
+        bits = np.unpackbits(packed.reshape(-1, 8)[words], axis=1, bitorder="little")
+        k = np.flatnonzero(bits.view(bool))  # 1-D and on bools: many times faster
+        word = words[k >> 6]
+        return word // nw, 64 * (word % nw) + (k & 63)
+
+    def row_weights(self) -> List[int]:
+        return [v.bit_count() for v in self._ints]
 
     def is_zero(self) -> bool:
-        return not self.data.any()
+        return not any(self._ints)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BitMatrix)
             and self.rows == other.rows
             and self.cols == other.cols
-            and bool(np.array_equal(self.data, other.data))
+            and self._ints == other._ints
         )
 
     def __hash__(self):  # pragma: no cover - matrices are not dict keys
-        return hash((self.rows, self.cols, self.data.tobytes()))
+        return hash((self.rows, self.cols, tuple(self._ints)))
 
     def __repr__(self) -> str:
         return "BitMatrix(%dx%d)" % (self.rows, self.cols)
@@ -374,52 +355,47 @@ class BitMatrix:
     def vstack(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.cols:
             raise GF2Error("vstack column mismatch")
-        return BitMatrix(
-            self.rows + other.rows,
-            self.cols,
-            np.vstack([self.data, other.data]),
-        )
+        return BitMatrix._of(self._ints + other._ints, self.cols)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense(self.to_dense().T)
+        r, c = self.nonzero()
+        return BitMatrix.from_coords(self.cols, self.rows, c, r)
 
     def matmul(self, other: "BitMatrix") -> "BitMatrix":
-        """Product self @ other over GF(2): each row XORs the int rows of
+        """Product self @ other over GF(2): each row XORs the rows of
         `other` that its set bits name."""
         if self.cols != other.rows:
             raise GF2Error("matmul shape mismatch")
-        rows = other.int_rows()
+        rows = other._ints
         out = []
-        for v in self.int_rows():
+        for v in self._ints:
             acc = 0
             while v:
                 b = v & -v
                 acc ^= rows[b.bit_length() - 1]
                 v ^= b
             out.append(acc)
-        return BitMatrix.from_int_rows(out, other.cols)
+        return BitMatrix._of(out, other.cols)
 
     def matvec(self, x: BitVector) -> BitVector:
         """Product self @ x over GF(2) (x indexed by columns)."""
         if x.length != self.cols:
             raise GF2Error("matvec length mismatch")
-        xw = _int_to_words(x.value, self.cols)
-        prods = np.bitwise_count(self.data & xw[None, :]).sum(axis=1)
         out = 0
-        for i in np.nonzero(prods & 1)[0]:
-            out |= 1 << int(i)
+        for i, v in enumerate(self._ints):
+            out |= ((v & x.value).bit_count() & 1) << i
         return BitVector(self.rows, out)
 
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        return len(EchelonBasis(_rev_rows(self.data)))
+        return len(EchelonBasis(_reversed(self._ints, (self.cols + 7) // 8)))
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
         """Reduced row echelon form and pivot columns; zero rows dropped."""
-        nw = self.data.shape[1]
-        rows, pivots = EchelonBasis(_rev_rows(self.data)).rref(_WORD * nw)
-        return BitMatrix(len(rows), self.cols, _rev_data(rows, nw)), pivots
+        nb = (self.cols + 7) // 8
+        rows, pivots = EchelonBasis(_reversed(self._ints, nb)).rref(8 * nb)
+        return BitMatrix._of(list(_reversed(rows, nb)), self.cols), pivots
 
     def row_space_basis(self) -> "BitMatrix":
         m, _ = self.rref()
@@ -427,19 +403,19 @@ class BitMatrix:
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form a basis of {x : self @ x = 0} (x of length cols)."""
-        nw = self.data.shape[1]
-        nbits = _WORD * nw
-        rows, pivots = EchelonBasis(_rev_rows(self.data)).rref(nbits)
-        ker = _kernel(rows, pivots, nbits, self.cols)
-        return BitMatrix(len(ker), self.cols, _rev_data(ker, nw))
+        nb = (self.cols + 7) // 8
+        rows, pivots = EchelonBasis(_reversed(self._ints, nb)).rref(8 * nb)
+        ker = _kernel(rows, pivots, 8 * nb, self.cols)
+        return BitMatrix._of(list(_reversed(ker, nb)), self.cols)
 
     def _solve(self, rhs_rows: Iterable[int], k: int) -> Optional[List[Tuple[int, int]]]:
         """Solve self @ X = rhs by reducing [self | rhs], for rhs rows
         given column-reversed over k bits.  Returns the solution whose
         free variables are 0 as (row of X, its column-reversed bits)
         pairs, rows not listed being 0; None if it is inconsistent."""
-        shift = _WORD * self.data.shape[1] - self.cols
-        aug = ((a >> shift) << k | b for a, b in zip(_rev_rows(self.data), rhs_rows))
+        nb = (self.cols + 7) // 8
+        shift = 8 * nb - self.cols
+        aug = ((a >> shift) << k | b for a, b in zip(_reversed(self._ints, nb), rhs_rows))
         rows, pivots = EchelonBasis(aug).rref(self.cols + k)
         if pivots and pivots[-1] >= self.cols:
             return None
@@ -454,15 +430,15 @@ class BitMatrix:
         """
         if rhs.rows != self.rows:
             raise GF2Error("solve rhs row mismatch")
-        nw = rhs.data.shape[1]
-        shift = _WORD * nw - rhs.cols
-        sol = self._solve((b >> shift for b in _rev_rows(rhs.data)), rhs.cols)
+        nb = (rhs.cols + 7) // 8
+        shift = 8 * nb - rhs.cols
+        sol = self._solve((b >> shift for b in _reversed(rhs._ints, nb)), rhs.cols)
         if sol is None:
             return None
         x = [0] * self.cols
         for p, v in sol:
             x[p] = v << shift
-        return BitMatrix(self.cols, rhs.cols, _rev_data(x, nw))
+        return BitMatrix._of(list(_reversed(x, nb)), rhs.cols)
 
     def solve_vec(self, b: BitVector) -> Optional[BitVector]:
         """Solve self @ x = b; returns some solution or None."""
@@ -476,7 +452,7 @@ class BitMatrix:
     def in_row_space(self, v: BitVector) -> bool:
         if v.length != self.cols:
             raise GF2Error("in_row_space length mismatch")
-        return not EchelonBasis(self.int_rows()).reduce(v.value)
+        return not EchelonBasis(self._ints).reduce(v.value)
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
@@ -500,12 +476,11 @@ def _ints(line: str, n: int, what: str) -> List[int]:
 
 def write_matrix_market(m: BitMatrix, path: str) -> None:
     """Write in Matrix Market coordinate pattern format (1-based)."""
-    dense = m.to_dense()
-    rr, cc = np.nonzero(dense)
+    rr, cc = m.nonzero()
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate pattern general\n")
         fh.write("%d %d %d\n" % (m.rows, m.cols, len(rr)))
-        for i, j in zip(rr, cc):
+        for i, j in zip(rr.tolist(), cc.tolist()):
             fh.write("%d %d\n" % (i + 1, j + 1))
 
 
@@ -527,22 +502,29 @@ def read_matrix_market(path: str) -> BitMatrix:
         return BitMatrix.from_int_rows(int_rows, cols)
 
 
+def _alist_lines(entries: np.ndarray, degrees: np.ndarray, width: int) -> Iterator[str]:
+    """One line per group of `degrees` consecutive entries, zero-padded to
+    `width`."""
+    end = 0
+    for d in degrees.tolist():
+        start, end = end, end + d
+        yield " ".join(map(str, entries[start:end].tolist() + [0] * (width - d))) + "\n"
+
+
 def write_alist(m: BitMatrix, path: str) -> None:
     """Write in MacKay alist format (columns first, 1-based indices)."""
-    dense = m.to_dense()
-    cols_support = [list(np.nonzero(dense[:, j])[0] + 1) for j in range(m.cols)]
-    rows_support = [list(np.nonzero(dense[i, :])[0] + 1) for i in range(m.rows)]
-    max_c = max((len(s) for s in cols_support), default=0)
-    max_r = max((len(s) for s in rows_support), default=0)
+    rr, cc = m.nonzero()
+    col_deg = np.bincount(cc, minlength=m.cols)
+    row_deg = np.bincount(rr, minlength=m.rows)
+    max_c, max_r = int(col_deg.max(initial=0)), int(row_deg.max(initial=0))
+    by_col = rr[np.argsort(cc, kind="stable")] + 1  # rows ascending per column
     with open(path, "w") as fh:
         fh.write("%d %d\n" % (m.cols, m.rows))
         fh.write("%d %d\n" % (max_c, max_r))
-        fh.write(" ".join(str(len(s)) for s in cols_support) + "\n")
-        fh.write(" ".join(str(len(s)) for s in rows_support) + "\n")
-        for s in cols_support:
-            fh.write(" ".join(str(x) for x in s + [0] * (max_c - len(s))) + "\n")
-        for s in rows_support:
-            fh.write(" ".join(str(x) for x in s + [0] * (max_r - len(s))) + "\n")
+        fh.write(" ".join(map(str, col_deg.tolist())) + "\n")
+        fh.write(" ".join(map(str, row_deg.tolist())) + "\n")
+        fh.writelines(_alist_lines(by_col, col_deg, max_c))
+        fh.writelines(_alist_lines(cc + 1, row_deg, max_r))
 
 
 def _alist_entries(fh, degrees: List[int], bound: int, limit: int, what: str):

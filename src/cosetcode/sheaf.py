@@ -22,7 +22,7 @@ import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, EchelonBasis, dual_rows, rref_rows
+from .gf2 import BitMatrix, BitVector, EchelonBasis, _packed_rows, dual_rows, rref_rows
 from .group import GroupTable
 from .local_codes import LinearCode, dual_code
 
@@ -59,10 +59,6 @@ class Sheaf:
             return self.local_bases[face]
         except KeyError:
             raise SheafError("no local basis for face %r (induce first?)" % (face,))
-
-    def basis(self, face: FaceId) -> BitMatrix:
-        """`rows(face)` as a matrix over the face's up-set columns."""
-        return BitMatrix.from_int_rows(self.rows(face), len(self.complex.up_set(face)))
 
     def supports(self, face: FaceId) -> List[int]:
         """The rows of `face` on the top faces: bit t is top t."""
@@ -267,28 +263,27 @@ def _top_duals(s: Sheaf) -> List[FaceId]:
 
 def _constraints(
     c: Complex, bits: np.ndarray, mask: int, smask: int
-) -> Tuple[np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, List[int]]:
     """The dual rows of every type-`smask` face above every type-`mask`
     face (`bits` as `_code_bits` gives them), on the lower face's up-set:
-    the lower face of each row, and the rows as packed words
-    (`BitMatrix.data`).
+    the lower face of each row, and the rows as ints.
 
     A coface's tops lie in the lower face's up-set, so each coface is met
     once, at its top in position 0.  One gather takes the cofaces' rows
     and one scatter puts them at the lower faces' positions of their tops."""
     ftops = c.face_tops(mask)
-    nbits = 64 * max(1, -(-ftops.shape[1] // 64))
+    width = ftops.shape[1]
     f, p = np.nonzero((ftops >= 0) & (c.top_pos[smask][ftops] == 0))
     coface = c.top_to_face[smask][ftops[f, p]]
     stops = c.face_tops(smask)[coface]
     # past a coface's up-set, bits are zero and land in a spare column
-    pos = np.where(stops >= 0, c.top_pos[mask][stops], nbits)
-    rows = np.zeros((f.size, bits.shape[1], nbits + 1), dtype=np.uint8)
+    pos = np.where(stops >= 0, c.top_pos[mask][stops], width)
+    rows = np.zeros((f.size, bits.shape[1], width + 1), dtype=np.uint8)
     pairs, dual_row = np.arange(f.size)[:, None, None], np.arange(bits.shape[1])[:, None]
     rows[pairs, dual_row, pos[:, None, :]] = bits[coface]
-    words = np.packbits(rows[:, :, :nbits], axis=2, bitorder="little").view(np.uint64)
     present = bits.any(axis=2)[coface]  # zero rows pad the smaller codes
-    return np.broadcast_to(f[:, None], present.shape)[present], words[present]
+    words = np.packbits(rows[:, :, :width][present], axis=1, bitorder="little")
+    return np.broadcast_to(f[:, None], present.shape)[present], _packed_rows(words)
 
 
 def induce_lower_codes(s: Sheaf) -> Sheaf:
@@ -304,23 +299,21 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
         m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops(m).shape[1])[1]
         for m in top_masks
     }
-    memo: Dict[Tuple[int, bytes], List[int]] = {}
+    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
     for level in range(c.D - 2, -1, -1):
         for mask in c.level_masks(level):
             found = [_constraints(c, dual_bits[m], mask, m) for m in top_masks if not mask & ~m]
             owner = np.concatenate([o for o, _ in found])
-            words = np.concatenate([w for _, w in found])
-            # per face, its rows in one canonical order: equal sets, equal bytes
-            order = np.lexsort((*words.T[::-1], owner))
-            words = words[order]
+            rows = [v for _, r in found for v in r]
+            order = np.argsort(owner)
             bounds = np.searchsorted(owner[order], np.arange(c.n_faces(mask) + 1)).tolist()
+            rows = [rows[i] for i in order.tolist()]
             ftops = c.face_tops(mask)
             for f, width in enumerate((ftops >= 0).sum(axis=1).tolist()):
-                block = words[bounds[f] : bounds[f + 1]]
-                key = (width, block.tobytes())
+                # the face's rows in one canonical order: equal sets, equal keys
+                key = (width, tuple(sorted(rows[bounds[f] : bounds[f + 1]])))
                 if key not in memo:
-                    rows = BitMatrix(len(block), ftops.shape[1], block).int_rows()
-                    memo[key] = dual_rows(rows, width)
+                    memo[key] = dual_rows(key[1], width)
                 local[(mask, f)] = memo[key]
     out = Sheaf(c, local)
     out._dual_bases.update((face, s._dual_bases[face]) for face in top)  # codes unchanged
@@ -443,18 +436,6 @@ def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:
     return BitMatrix.from_int_rows(reps, z.cols)
 
 
-def euler_characteristic_spaces(s: Sheaf) -> int:
-    return sum(
-        (-1) ** j * s.level_dim(j) for j in range(s.complex.D + 1)
-    )
-
-
-def euler_characteristic_cohomology(s: Sheaf) -> int:
-    return sum(
-        (-1) ** j * cohomology_dim(s, j) for j in range(s.complex.D + 1)
-    )
-
-
 # -- predicates ----------------------------------------------------------------
 
 
@@ -468,8 +449,14 @@ def check_flasque(s: Sheaf) -> bool:
             for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
                 _, restricted = _restricted(s, mask, c.face_tops(tmask))
                 coeffs, escaped = _coefficients(s, tmask, restricted)
-                if escaped.any() or any(
-                    BitMatrix.from_dense(k).rank() != d for k, d in zip(coeffs, dims)
+                if escaped.any():
+                    return False
+                # face g's coefficient vectors are ints g*n .. g*n + n - 1
+                g_count, n, _ = coeffs.shape
+                packed = np.packbits(coeffs, axis=2, bitorder="little")
+                rows = _packed_rows(packed.reshape(g_count * n, packed.shape[2]))
+                if any(
+                    len(EchelonBasis(rows[g * n : (g + 1) * n])) != d for g, d in enumerate(dims)
                 ):
                     return False
     return True
@@ -568,7 +555,9 @@ def _top_values(f: Cochain, mask: int) -> np.ndarray:
     c = f.sheaf.complex
     first, bits = f.sheaf.type_rows(mask)
     # long enough for the zero rows padding the last face
-    coords = BitMatrix.from_int_rows([f.data.value], f.data.length + bits.shape[1]).to_dense()[0]
+    nbytes = (f.data.length + bits.shape[1] + 7) // 8
+    packed = np.frombuffer(f.data.value.to_bytes(nbytes, "little"), dtype=np.uint8)
+    coords = np.unpackbits(packed, bitorder="little")
     coeffs = coords[first[:, None] + np.arange(bits.shape[1])][:, None, :]
     words = np.matmul(coeffs, bits)[:, 0, :] & 1
     return words[c.top_to_face[mask], c.top_pos[mask]]
@@ -714,9 +703,7 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     for shifts, cols in zip((r * edge_a[tops_b]).tolist(), pos_a[tops_b].tolist()):
         terms = [hcol[c] << sh for c, sh in zip(cols, shifts)]
         rows.extend(sum(terms[p] for p in support) for support in supports)
-    mat = BitMatrix.from_int_rows(rows, n_edges * r)
-    del rows  # only the packed matrix stays alive through the rank
-    return n_edges * code.k - mat.rank()
+    return n_edges * code.k - BitMatrix.from_int_rows(rows, n_edges * r).rank()
 
 
 __all__ = [
@@ -735,8 +722,6 @@ __all__ = [
     "coboundary_image_basis",
     "cohomology_dim",
     "cohomology_reps",
-    "euler_characteristic_spaces",
-    "euler_characteristic_cohomology",
     "check_flasque",
     "check_locally_acyclic",
     "sheaf_at_link",

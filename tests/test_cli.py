@@ -1,6 +1,7 @@
 """Command-line interface: builds, verification suites, reports, config
 files, and the resource-cap refusal paths."""
 
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,32 @@ def test_build_q2_writes_artifacts(tmp_path):
     assert meta["n"] == 168
     assert meta["k"] == 46
     assert meta["check_weights"]["x"] == {"8": 63}
+
+
+# sha256 of the q=2 outputs: the build files, and stdout of verify and report
+Q2_DIGESTS = {
+    "q2_m1_hx.alist": "4cc2481f2f676959d88099e154330f75caa1206df7c863388f1a818b05866651",
+    "q2_m1_hz.alist": "4cc2481f2f676959d88099e154330f75caa1206df7c863388f1a818b05866651",
+    "q2_m1_hx.mtx": "c8fc75bf32443c864863fd1319fd4fef732224958d838598308a109ba90bcfd3",
+    "q2_m1_hz.mtx": "c8fc75bf32443c864863fd1319fd4fef732224958d838598308a109ba90bcfd3",
+    "q2_m1_meta.json": "8a9565c9a3baf0926d5cca1ae6c2e30052a37d71b6e30a70c47769f8a3170532",
+    "q2_m1_complex.txt": "adea764addc85278fbc837d252b4bf13bb7bbd195e0a3ab58905a884615c112f",
+    "verify": "275a4ede1e6a5a9b398013ea61fa94cc1bd06af39fbe7457f4e962c1d67697b0",
+    "report": "8ccb679b62494bb3418e3d226a405820b47ebacc0694fbe55ec92743b82da9ec",
+}
+
+
+def test_q2_outputs_match_pinned_digests(tmp_path, capsys):
+    def digest(data):
+        return hashlib.sha256(data).hexdigest()
+
+    assert main(["build", "--q", "2", "--out", str(tmp_path)]) == 0
+    got = {p.name: digest(p.read_bytes()) for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    for name, argv in (("verify", ["--suite", "all"]), ("report", [])):
+        assert main([name, "--q", "2"] + argv) == 0
+        got[name] = digest(capsys.readouterr().out.encode())
+    assert got == Q2_DIGESTS
 
 
 def test_build_local_only_q8(tmp_path, capsys):

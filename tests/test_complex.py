@@ -150,12 +150,6 @@ def test_serialize_deserialize_roundtrip():
     assert all(back.up_sets[m] == c.up_sets[m] for m in c.masks)
 
 
-def test_vertex_labels_of_top():
-    c = fixtures.octahedron()
-    labels = c.vertex_labels_of_top(0)
-    assert len(labels) == 3
-
-
 # -- reference: the per-face loops the array checks replaced -------------------
 
 

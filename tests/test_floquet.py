@@ -28,8 +28,8 @@ def test_round_plan_alternates_and_covers_colors():
 
 
 def test_stabilizer_group_measure_classes():
-    g = StabilizerGroup.all_z(2)
-    assert g.rank() == 2 and g.logical_dimension() == 0
+    g = StabilizerGroup(2, [Pauli.z_op(2, 1 << i) for i in range(2)])
+    assert g.rank() == 2 and g.n - g.rank() == 0
     # X0 anticommutes with Z0: random outcome, rank preserved
     assert g.measure(Pauli.x_op(2, 0b01)) == "random"
     assert g.rank() == 2

@@ -67,6 +67,42 @@ def test_from_coords_matches_dense_and_rejects_outside_entries():
             BitMatrix.from_coords(3, 5, [r], [c])
 
 
+def _boundary_arrays(rng, rows, cols):
+    """Random, all-ones, diagonal and last-column-only 0/1 arrays."""
+    last = np.zeros((rows, cols), dtype=np.uint8)
+    last[:, cols - 1 :] = 1
+    return [
+        rng.integers(0, 2, size=(rows, cols), dtype=np.uint8),
+        np.ones((rows, cols), dtype=np.uint8),
+        np.eye(rows, cols, dtype=np.uint8),
+        last,
+    ]
+
+
+def test_numpy_boundary_matches_numpy_references():
+    rng = np.random.default_rng(12)
+    for rows in (0, 1, 5, 64, 65):
+        for cols in (0, 1, 63, 64, 65, 129, 130):
+            for d in _boundary_arrays(rng, rows, cols):
+                ints = [sum(1 << int(j) for j in np.nonzero(row)[0]) for row in d]
+                m = BitMatrix.from_dense(d)
+                assert (m.rows, m.cols) == (rows, cols)
+                assert m.int_rows() == ints
+                assert BitMatrix.from_dense(3 * d) == m  # entries are read mod 2
+                dense = m.to_dense()
+                assert dense.dtype == np.uint8 and dense.shape == (rows, cols)
+                assert (dense == d).all()
+                r, c = m.nonzero()
+                ref_r, ref_c = np.nonzero(d)
+                assert (r.tolist(), c.tolist()) == (ref_r.tolist(), ref_c.tolist())
+                t = m.transpose()
+                assert (t.rows, t.cols) == (cols, rows)
+                assert (t.to_dense() == d.T).all()
+                # every one listed twice, the repeats in reverse order, sets one bit
+                twice = np.concatenate([r, r[::-1]]), np.concatenate([c, c[::-1]])
+                assert BitMatrix.from_coords(rows, cols, *twice).int_rows() == ints
+
+
 def test_from_dense_accepts_noncontiguous_views():
     rng = np.random.default_rng(5)
     d = (rng.integers(0, 2, size=(40, 70)).astype(np.uint8)).T
@@ -239,28 +275,26 @@ def test_echelon_basis_certificate_skips_dependent_inserts():
 
 def _ref_eliminate(m, reduced):
     """The numpy loop over columns that BitMatrix eliminated with before
-    its int-row kernel, kept here as the reference."""
-    work = m.data.copy()
+    its int-row kernel, kept here as the reference, on its own array of
+    one byte per entry."""
+    work = m.to_dense().copy()
     pivots = []
     r = 0
     for c in range(m.cols):
         if r >= m.rows:
             break
-        w = c >> 6
-        shift = np.uint64(c & 63)
-        nz = np.nonzero((work[r:, w] >> shift) & np.uint64(1))[0]
+        nz = np.nonzero(work[r:, c])[0]
         if nz.size == 0:
             continue
         p = r + int(nz[0])
         if p != r:
             work[[r, p]] = work[[p, r]]
         if reduced:
-            colall = (work[:, w] >> shift) & np.uint64(1)
+            colall = work[:, c].copy()
             colall[r] = 0
             hits = np.nonzero(colall)[0]
         else:
-            colbelow = (work[r + 1 :, w] >> shift) & np.uint64(1)
-            hits = np.nonzero(colbelow)[0] + r + 1
+            hits = np.nonzero(work[r + 1 :, c])[0] + r + 1
         if hits.size:
             work[hits] ^= work[r]
         pivots.append(c)
@@ -270,16 +304,16 @@ def _ref_eliminate(m, reduced):
 
 def _ref_rref(m):
     work, pivots = _ref_eliminate(m, reduced=True)
-    return BitMatrix(len(pivots), m.cols, work[: len(pivots)].copy()), pivots
+    return BitMatrix.from_dense(work[: len(pivots)]), pivots
 
 
 def _ref_kernel_basis(m):
-    red, pivots = _ref_rref(m)
+    work, pivots = _ref_eliminate(m, reduced=True)
     free = [c for c in range(m.cols) if c not in set(pivots)]
     rows = []
     for c in free:
-        colbits = (red.data[:, c >> 6] >> np.uint64(c & 63)) & np.uint64(1)
-        rows.append(1 << c | sum(1 << pivots[int(p)] for p in np.nonzero(colbits)[0]))
+        hits = np.nonzero(work[: len(pivots), c])[0]
+        rows.append(1 << c | sum(1 << pivots[int(p)] for p in hits))
     return BitMatrix.from_int_rows(rows, m.cols)
 
 
@@ -397,8 +431,6 @@ def test_bitvector_basics():
     assert v.support() == [0, 3, 5]
     assert v.bit(3) and not v.bit(1)
     assert (v ^ BitVector(6, 0b000001)).value == 0b101000
-    assert v.with_bit(1, 1).value == 0b101011
-    assert v.with_bit(0, 0).value == 0b101000
 
 
 def test_length_mismatch_raises():
