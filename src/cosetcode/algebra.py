@@ -12,7 +12,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitVector
 
 
 class AlgebraError(ValueError):
@@ -260,19 +260,16 @@ class VectorIso:
     def __init__(self, field: FieldTable):
         self.field = field
         self.eta = field.eta
-        # columns of B are the bit patterns of omega^j; U = B^{-1}
-        cols = [field.pow(field.omega, j) for j in range(self.eta)]
-        b = BitMatrix.from_int_rows(cols, self.eta).transpose()
-        inv = b.solve(BitMatrix.identity(self.eta))
-        if inv is None:
+        # U^{-1}(u) for every coordinate pattern u: the XOR of omega^j over
+        # the set bits j of u; U is the inverse permutation
+        powers = [field.pow(field.omega, j) for j in range(self.eta)]
+        elements = [0] * field.q
+        for u in range(1, field.q):
+            low = u & -u
+            elements[u] = elements[u ^ low] ^ powers[low.bit_length() - 1]
+        if sorted(elements) != list(range(field.q)):
             raise AlgebraError("omega powers do not form a basis")
-        self.matrix = inv  # eta x eta, maps bit pattern -> coordinates
-        # U(x) for every x, by linearity from the images of single bits
-        columns = inv.transpose().int_rows()
-        self._images = [0] * field.q
-        for x in range(1, field.q):
-            low = x & -x
-            self._images[x] = self._images[x ^ low] ^ columns[low.bit_length() - 1]
+        self._images = sorted(range(field.q), key=elements.__getitem__)
 
     def apply(self, x: int) -> BitVector:
         return BitVector(self.eta, self.apply_int(x))

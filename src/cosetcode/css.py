@@ -29,7 +29,9 @@ class CSSError(ValueError):
 
 class CssCode:
     """A CSS code on the top faces: rows of h_x (h_z) are X (Z) check
-    supports.  Commutation h_x . h_z^T = 0 is verified on construction."""
+    supports.  Commutation is verified on construction, as h . g^T = 0
+    with g the side of fewer rows, so only the smaller matrix is
+    transposed."""
 
     def __init__(
         self,
@@ -43,7 +45,8 @@ class CssCode:
         self.h_x = h_x
         self.h_z = h_z
         self.metadata = dict(metadata or {})
-        if not h_x.matmul(h_z.transpose()).is_zero():
+        small, large = sorted((h_x, h_z), key=lambda m: m.rows)
+        if not large.matmul(small.transpose()).is_zero():
             raise CSSError("X and Z checks do not commute")
         self._k: Optional[int] = None
 
@@ -70,8 +73,9 @@ def extract_css(
     s_dual: Optional[Sheaf] = None,
     metadata: Optional[dict] = None,
 ) -> Tuple[CssCode, Sheaf]:
-    """Stabilizer code with X checks = projected x-level primal basis and
-    Z checks = projected z-level dual basis; x + z = D - 2 required."""
+    """Stabilizer code with X checks = the projected x-level primal basis
+    rows and Z checks = the projected z-level dual basis rows, both taken
+    as `projection_matrix` builds them; x + z = D - 2 required."""
     D = s.complex.D
     if x + z != D - 2:
         raise CSSError(
@@ -80,8 +84,8 @@ def extract_css(
         )
     if s_dual is None:
         s_dual = dual_sheaf(s)
-    h_x = projection_matrix(s, x).transpose()
-    h_z = projection_matrix(s_dual, z).transpose()
+    h_x = projection_matrix(s, x)
+    h_z = projection_matrix(s_dual, z)
     meta = dict(metadata or {})
     meta.update({"D": D, "x": x, "z": z})
     return CssCode(h_x, h_z, metadata=meta), s_dual
@@ -98,10 +102,8 @@ def rate_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
     if s_dual is None:
         s_dual = dual_sheaf(s)
     n = Fraction(c.n_top)
-    z0 = s.level_dim(0) - coboundary_matrix(s, 0).rank()
-    z0_dual = s_dual.level_dim(0) - coboundary_matrix(s_dual, 0).rank()
-    rho_m1 = Fraction(z0) / n
-    rho_bar_m1 = Fraction(z0_dual) / n
+    rho_m1 = Fraction(cohomology_dim(s, 0)) / n  # dim Z^0 = dim H^0
+    rho_bar_m1 = Fraction(cohomology_dim(s_dual, 0)) / n
     return {
         "rho0": rho0,
         "rho1": rho1,
@@ -179,19 +181,16 @@ def logical_basis(
 def _tagged_logicals(
     s: Sheaf, level: int, other_checks: BitMatrix
 ) -> List[Tuple[Tuple[int, ...], BitVector]]:
-    D = s.complex.D
+    """Per color type T through 0, the T-masked cohomology reps times the
+    projection: one product per type, checked against the other side."""
     reps = cohomology_reps(s, level + 1)
     pi = projection_matrix(s, level + 1)
     out: List[Tuple[Tuple[int, ...], BitVector]] = []
-    for T in color_types_through_zero(D, level + 2):
-        keep = _type_masks(s, level + 1, T)[1]
-        for rep in reps.int_rows():
-            v = pi.matvec(BitVector(reps.cols, rep & keep))
-            if other_checks.matvec(v).value != 0:
-                raise CSSError(
-                    "logical candidate for T=%r anticommutes with a check" % (T,)
-                )
-            out.append((T, v))
+    for T in color_types_through_zero(s.complex.D, level + 2):
+        logicals = _cols(reps, _type_masks(s, level + 1, T)[1]).matmul(pi)
+        if not other_checks.matmul(logicals.transpose()).is_zero():
+            raise CSSError("logical candidate for T=%r anticommutes with a check" % (T,))
+        out += [(T, logicals.row(i)) for i in range(logicals.rows)]
     return out
 
 
@@ -323,8 +322,9 @@ def _rows(m: BitMatrix, coords: List[int]) -> BitMatrix:
 
 def _pairing(s: Sheaf, s_dual: Sheaf, z: int, j: int) -> BitMatrix:
     """pi-bar_z^T pi_j, the dual pairing of C^j, which does not depend on
-    the color type."""
-    return projection_matrix(s_dual, z).transpose().matmul(projection_matrix(s, j))
+    the color type: the projected rows of both sides, the primal's
+    transposed."""
+    return projection_matrix(s_dual, z).matmul(projection_matrix(s, j).transpose())
 
 
 def chain_map_squares(
@@ -350,22 +350,24 @@ def _squares(
     """`chain_map_squares` given the dual pairings and the transposed
     cocycle basis.  A restriction to a color type is a column mask on the
     right and a row select on the left (or, where the rows outside it
-    count, a check that they vanish)."""
+    count, a check that they vanish); the projections are row-oriented,
+    so there they restrict by rows."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
-    delta_x = coboundary_matrix(s, x)
-    _, cols_x = _type_masks(s, x, T)
+    rows_x, cols_x = _type_masks(s, x, T)
     rows_x1, cols_x1 = _type_masks(s, x + 1, T)
     rows_bar, _ = _type_masks(s_dual, z, t_c)
 
     report: Dict[str, bool] = {}
     # restriction commutes with the shrunk coboundary
-    lhs = _rows(delta_x, rows_x1)
+    lhs = _rows(coboundary_matrix(s, x), rows_x1)
     report["bottom_left"] = lhs == _cols(lhs, cols_x)
-    # projections of a T-cochain agree across one shrunk step
-    report["top_left"] = _cols(projection_matrix(s, x), cols_x) == _cols(
-        projection_matrix(s, x + 1), cols_x1
-    ).matmul(_cols(delta_x, cols_x))
+    # projections of a T-cochain agree across one shrunk step: the T rows
+    # of pi_x are A^T times the T rows of pi_{x+1}, A the T block of delta_x
+    a_t = _rows(_cols(lhs, cols_x).transpose(), rows_x)
+    report["top_left"] = _rows(projection_matrix(s, x), rows_x) == a_t.matmul(
+        _rows(projection_matrix(s, x + 1), rows_x1)
+    )
     # the dual pairing of a T-cochain is supported on T-complement faces
     lhs = _cols(pairing, cols_x)
     keep = set(rows_bar)
@@ -438,24 +440,6 @@ def unfolding_check(
     return report
 
 
-def redundancy_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
-    """Counts dim Z^0 on both sides and cross-checks it against the
-    alternating-sum identity dim H^0 = chi - sum of higher cohomology."""
-    D = s.complex.D
-    if s_dual is None:
-        s_dual = dual_sheaf(s)
-    out = {}
-    for name, sh in (("primal", s), ("dual", s_dual)):
-        z0 = sh.level_dim(0) - coboundary_matrix(sh, 0).rank()
-        chi = sum((-1) ** j * sh.level_dim(j) for j in range(D + 1))
-        higher = sum((-1) ** j * cohomology_dim(sh, j) for j in range(1, D + 1))
-        out[name] = {
-            "z0": z0,
-            "euler_consistent": z0 == chi - higher,
-        }
-    return out
-
-
 __all__ = [
     "CSSError",
     "CssCode",
@@ -470,5 +454,4 @@ __all__ = [
     "chain_map_squares",
     "shrunk_cohomology_dim",
     "unfolding_check",
-    "redundancy_report",
 ]

@@ -14,8 +14,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .complexes import Complex, mask_of
+from .css import type_coords
 from .gates import Pauli, membership_phase, pauli_mul
-from .sheaf import Sheaf
+from .sheaf import Sheaf, projection_matrix
 
 
 class FloquetError(ValueError):
@@ -120,27 +121,24 @@ def build_schedule(s: Sheaf, s_dual: Sheaf) -> FloquetSchedule:
         raise FloquetError("the dynamic schedule is two-dimensional only")
     rounds: List[Tuple[str, str, List[Pauli]]] = []
     for kind, color in ROUND_PLAN:
-        mask = mask_of(EDGE_COLORS[color])
         sheaf = s if kind == "X" else s_dual
         op = Pauli.x_op if kind == "X" else Pauli.z_op
-        checks = [
-            op(c.n_top, supp) for idx in c.faces(mask) for supp in sheaf.supports((mask, idx))
-        ]
-        rounds.append((kind, color, checks))
+        rounds.append((kind, color, _type_operators(sheaf, 1, EDGE_COLORS[color], op)))
     return FloquetSchedule(c.n_top, rounds)
+
+
+def _type_operators(s: Sheaf, level: int, colors: Tuple[int, ...], op) -> List[Pauli]:
+    """`op` on each projected level basis row of the faces of type `colors`
+    (their block of the level's coordinates)."""
+    pi = projection_matrix(s, level)
+    return [op(pi.cols, pi.row_int(i)) for i in type_coords(s, level, colors)]
 
 
 def vertex_x_operators(s: Sheaf) -> Dict[int, List[Pauli]]:
     """Per color, the X operators carrying each vertex-code basis row on
     the vertex up-set (the operators whose lifecycle the rounds drive)."""
-    c = s.complex
-    out: Dict[int, List[Pauli]] = {}
-    for color in range(c.n_colors):
-        mask = 1 << color
-        out[color] = [
-            Pauli.x_op(c.n_top, supp) for idx in c.faces(mask) for supp in s.supports((mask, idx))
-        ]
-    return out
+    colors = range(s.complex.n_colors)
+    return {color: _type_operators(s, 0, (color,), Pauli.x_op) for color in colors}
 
 
 def run_schedule(

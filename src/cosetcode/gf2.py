@@ -27,6 +27,9 @@ class GF2Error(ValueError):
     """Raised on dimension mismatches or malformed input."""
 
 
+# the packed 64-bit words `BitMatrix.from_coords` scatters into at once (8 MB)
+_CHUNK_WORDS = 1 << 20
+
 # every byte with its bits reversed: a row's bytes read through this table
 # as one big-endian int put column c at bit 8*nbytes - 1 - c
 _REV8 = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
@@ -281,16 +284,24 @@ class BitMatrix:
     @classmethod
     def from_coords(cls, rows: int, cols: int, r, c) -> "BitMatrix":
         """The rows x cols matrix with a one at every (r[k], c[k]) (repeats
-        allowed), set by one scatter into packed words."""
+        allowed), scattered into packed words a block of rows at a time:
+        no more than `_CHUNK_WORDS` words are alive next to the int rows."""
         r = np.asarray(r, dtype=np.int64)
         c = np.asarray(c, dtype=np.int64)
         if r.size and not (0 <= r.min() and r.max() < rows and 0 <= c.min() and c.max() < cols):
             raise GF2Error("entry outside a %dx%d matrix" % (rows, cols))
         nw = (cols + 63) // 64
-        words = np.zeros((rows, nw), dtype=np.uint64)
-        bit = np.uint64(1) << (c & 63).astype(np.uint64)
-        np.bitwise_or.at(words.reshape(-1), r * nw + (c >> 6), bit)
-        return cls._of(_packed_rows(words), cols)
+        step = max(1, _CHUNK_WORDS // max(nw, 1))
+        order = np.argsort(r)  # sorted by row, each block's entries are one slice
+        r, c = r[order], c[order]
+        ints: List[int] = []
+        for lo in range(0, rows, step):
+            a, b = np.searchsorted(r, (lo, lo + step))
+            words = np.zeros((min(step, rows - lo), nw), dtype=np.uint64)
+            bit = np.uint64(1) << (c[a:b] & 63).astype(np.uint64)
+            np.bitwise_or.at(words.reshape(-1), (r[a:b] - lo) * nw + (c[a:b] >> 6), bit)
+            ints += _packed_rows(words)
+        return cls._of(ints, cols)
 
     @classmethod
     def from_dense(cls, array) -> "BitMatrix":

@@ -60,11 +60,6 @@ class Sheaf:
         except KeyError:
             raise SheafError("no local basis for face %r (induce first?)" % (face,))
 
-    def supports(self, face: FaceId) -> List[int]:
-        """The rows of `face` on the top faces: bit t is top t."""
-        ups = self.complex.up_set(face)
-        return [_scatter(w, ups) for w in self.rows(face)]
-
     def dim(self, face: FaceId) -> int:
         return len(self.rows(face))
 
@@ -374,18 +369,22 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
     )
 
 
+@_per_level
 def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
-    """pi-up : C^j -> F_2^{top faces}; column (face, row) scatters the
-    basis row over the face's up-set."""
+    """The level-j basis rows on the qubits, shape (level_dim(j), n_top):
+    row (face, i) is row i of the face's code scattered over its up-set,
+    bit t for top face t.  These rows are the checks (or logicals) that
+    `extract_css` and the Floquet rounds read; as a map, pi-up : C^j ->
+    F_2^{top faces} is the transpose."""
     c = s.complex
     rows, cols = [], []
     for mask in c.level_masks(j):
         first, bits = s.type_rows(mask)
         f, i, p = np.nonzero(bits)
-        rows.append(c.face_tops(mask)[f, p])
-        cols.append(first[f] + i)
+        rows.append(first[f] + i)
+        cols.append(c.face_tops(mask)[f, p])
     return BitMatrix.from_coords(
-        c.n_top, s.level_dim(j), np.concatenate(rows), np.concatenate(cols)
+        s.level_dim(j), c.n_top, np.concatenate(rows), np.concatenate(cols)
     )
 
 
@@ -423,9 +422,14 @@ def coboundary_image_basis(s: Sheaf, j: int) -> BitMatrix:
 
 
 def cohomology_dim(s: Sheaf, j: int) -> int:
-    z = cocycle_basis(s, j).rows
-    b = coboundary_image_basis(s, j).rows
-    return z - b
+    """dim H^j = dim C^j - rank delta^j - rank delta^{j-1}: two ranks, and
+    no basis or transpose (delta^D and delta^{-1} are zero)."""
+    dim = s.level_dim(j)
+    if j < s.complex.D:
+        dim -= coboundary_matrix(s, j).rank()
+    if j > 0:
+        dim -= coboundary_matrix(s, j - 1).rank()
+    return dim
 
 
 def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:

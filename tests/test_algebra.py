@@ -1,5 +1,7 @@
 """Field/ring tables and the coordinate isomorphism."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from cosetcode.algebra import (
     build_ring,
     coprimality_check,
 )
-from cosetcode.gf2 import BitVector
+from cosetcode.gf2 import BitMatrix, BitVector
 
 
 @pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
@@ -94,12 +96,25 @@ def test_vector_iso_maps_omega_powers_to_units(eta):
         assert iso.apply_int(a ^ b) == iso.apply_int(a) ^ iso.apply_int(b)
 
 
+def _brute_force_inverse(f):
+    """U as an eta x eta matrix: column k is the coordinate pattern u
+    whose omega powers XOR to the bit pattern 2^k, found by search."""
+    powers = [f.pow(f.omega, j) for j in range(f.eta)]
+
+    def element(u):
+        return functools.reduce(operator.xor, (p for j, p in enumerate(powers) if u >> j & 1), 0)
+
+    columns = [next(u for u in range(f.q) if element(u) == 1 << k) for k in range(f.eta)]
+    return BitMatrix.from_int_rows(columns, f.eta).transpose()
+
+
 @pytest.mark.parametrize("eta", [1, 2, 3, 4, 5])
 def test_vector_iso_table_matches_matrix(eta):
     f = FieldTable(eta)
     iso = VectorIso(f)
+    u = _brute_force_inverse(f)
     for x in range(f.q):
-        image = iso.matrix.matvec(BitVector(eta, x))
+        image = u.matvec(BitVector(eta, x))
         assert iso.apply(x) == image
         assert iso.apply_int(x) == image.value
     for bad in (-1, f.q):
@@ -107,6 +122,15 @@ def test_vector_iso_table_matches_matrix(eta):
             iso.apply(bad)
         with pytest.raises(AlgebraError):
             iso.apply_int(bad)
+
+
+def test_vector_iso_rejects_dependent_omega_powers():
+    class Degenerate(FieldTable):
+        def pow(self, a, e):  # every omega power the same element
+            return 1
+
+    with pytest.raises(AlgebraError, match="basis"):
+        VectorIso(Degenerate(2))
 
 
 def test_build_ring_rejects_nonprimitive_phi():

@@ -95,6 +95,32 @@ def test_verify_structure_suite_q2(capsys):
     assert report["structure"]["intersection"]
 
 
+def _instance_without(monkeypatch, suites, *builders):
+    """`build_instance` at q=2 for `suites`, with each named builder
+    raising if it is called."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("built for %r" % (suites,))
+
+    for name in builders:
+        monkeypatch.setattr(cli, name, fail)
+    args = cli._build_parser().parse_args(["verify", "--q", "2"])
+    return cli.build_instance(args, cli._validate(args), suites)
+
+
+def test_structure_builds_no_sheaf(monkeypatch):
+    builders = ("attach_local_codes", "induce_lower_codes", "dual_sheaf", "extract_css")
+    inst = _instance_without(monkeypatch, ("structure",), *builders)
+    assert inst["complex"].n_top == 168
+    assert not {"sheaf", "dual", "code"} & set(inst)
+
+
+def test_sheaf_suite_builds_no_css_code(monkeypatch):
+    inst = _instance_without(monkeypatch, ("sheaf",), "extract_css")
+    assert inst["sheaf"].level_dim(0) == inst["dual"].level_dim(0) == 63
+    assert "code" not in inst
+
+
 def test_config_errors_exit_two():
     assert main(["build", "--q", "6"]) == 2  # not a power of two
     assert main(["build", "--q", "16"]) == 2  # no default local code
@@ -188,7 +214,7 @@ def test_library_error_exits_four(monkeypatch, capsys):
         raise SheafError("injected")
 
     monkeypatch.setattr(cli, "attach_local_codes", fail)
-    assert main(["verify", "--q", "2", "--suite", "structure"]) == 4
+    assert main(["verify", "--q", "2", "--suite", "sheaf"]) == 4
     assert capsys.readouterr().err == "internal error: SheafError: injected\n"
 
 

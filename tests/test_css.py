@@ -13,7 +13,6 @@ from cosetcode.css import (
     darboux_basis,
     extract_css,
     rate_report,
-    redundancy_report,
     shrunk_cohomology_dim,
     symplectic_color_basis,
     unfolding_check,
@@ -139,9 +138,9 @@ def _ref_chain_map_squares(s, s_dual, x, z, T):
     delta_x = coboundary_matrix(s, x)
     r_x = restrict_to_type(s, x, T)
     r_x1 = restrict_to_type(s, x + 1, T)
-    pi_x = projection_matrix(s, x)
-    pi_x1 = projection_matrix(s, x + 1)
-    pid_zt = projection_matrix(s_dual, z).transpose()
+    pi_x = projection_matrix(s, x).transpose()
+    pi_x1 = projection_matrix(s, x + 1).transpose()
+    pid_zt = projection_matrix(s_dual, z)
     rbar = restrict_to_type(s_dual, z, t_c)
     q = pid_zt.matmul(pi_x)
     psi = rbar.matmul(pid_zt).matmul(pi_x1).matmul(r_x1)
@@ -178,13 +177,6 @@ def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex
 def test_shrunk_dims_match_cohomology(sheaf2, dual2):
     for T in ((0, 1), (0, 2), (1, 2)):
         assert shrunk_cohomology_dim(sheaf2, dual2, 0, 0, T) == 23
-
-
-def test_redundancy_report(sheaf2, dual2):
-    rep = redundancy_report(sheaf2, s_dual=dual2)
-    assert rep["primal"]["euler_consistent"]
-    assert rep["dual"]["euler_consistent"]
-    assert rep["primal"]["z0"] == 1
 
 
 def test_octahedron_sphere_has_no_logicals():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetcode import gf2
 from cosetcode.gf2 import (
     BitMatrix,
     BitVector,
@@ -65,6 +66,35 @@ def test_from_coords_matches_dense_and_rejects_outside_entries():
     for r, c in ((3, 0), (0, 5), (-1, 0), (0, -1)):
         with pytest.raises(GF2Error):
             BitMatrix.from_coords(3, 5, [r], [c])
+
+
+def _scatter_reference(rows, cols, r, c):
+    """One scatter into a whole rows x words array, then one int per row."""
+    nw = (cols + 63) // 64
+    words = np.zeros((rows, nw), dtype=np.uint64)
+    bit = np.uint64(1) << (c & 63).astype(np.uint64)
+    np.bitwise_or.at(words.reshape(-1), r * nw + (c >> 6), bit)
+    return [int.from_bytes(w.tobytes(), "little") for w in words]
+
+
+@pytest.mark.parametrize("chunk_words", [1, 2, 3, 1 << 20])
+def test_from_coords_in_row_blocks_matches_whole_scatter(monkeypatch, chunk_words):
+    # blocks of one row and up, across word boundaries, with repeats and empty rows
+    monkeypatch.setattr(gf2, "_CHUNK_WORDS", chunk_words)
+    rng = np.random.default_rng(chunk_words)
+    for rows, cols in [(0, 5), (5, 0), (0, 0), (1, 1), (9, 64), (17, 65), (40, 200)]:
+        for nnz in (0, 1, rows * cols // 3 + 1, 3 * rows * cols):
+            if not rows * cols:
+                nnz = 0
+            busy = rng.choice(rows, size=max(1, rows // 2)) if rows else []
+            r = rng.choice(busy, size=nnz) if nnz else np.zeros(0, dtype=np.int64)
+            c = rng.integers(0, max(cols, 1), size=nnz)
+            m = BitMatrix.from_coords(rows, cols, r, c)
+            assert (m.rows, m.cols) == (rows, cols)
+            assert m.int_rows() == _scatter_reference(rows, cols, r, c)
+    for r, c in ((9, 0), (0, 130), (-1, 0), (0, -1)):
+        with pytest.raises(GF2Error):
+            BitMatrix.from_coords(9, 130, [0, r], [0, c])
 
 
 def _boundary_arrays(rng, rows, cols):

@@ -109,8 +109,9 @@ def test_dual_of_dual_is_original(sheaf2):
 
 def test_projection_scatters_injectively(sheaf2):
     pi = projection_matrix(sheaf2, 0)
-    # every column has the weight of its source basis row (8 here)
-    assert set(int(w) for w in pi.transpose().row_weights()) == {8}
+    # every row has the weight of its source basis row (8 here)
+    assert (pi.rows, pi.cols) == (63, 168)
+    assert set(pi.row_weights()) == {8}
 
 
 def test_restriction_is_diagonal_selector(sheaf2):
@@ -128,7 +129,7 @@ def _set_bits(out, i, js):
 def _projection_by_set_bits(s, j):
     c = s.complex
     offsets, dim = s.level_offsets(j)
-    out = np.zeros((c.n_top, dim), dtype=np.uint8)
+    out = np.zeros((dim, c.n_top), dtype=np.uint8)
     for face in c.level_faces(j):
         ups = c.up_sets[face[0]][face[1]]
         basis = _basis(s, face)
@@ -136,7 +137,7 @@ def _projection_by_set_bits(s, j):
             w = basis.row_int(i)
             for p, t in enumerate(ups):
                 if (w >> p) & 1:
-                    _set_bits(out, t, [offsets[face] + i])
+                    _set_bits(out, offsets[face] + i, [t])
     return BitMatrix.from_dense(out)
 
 
@@ -672,6 +673,16 @@ def test_coboundary_and_flasque_match_restrict_and_reduce(reference_sheaves):
         for j in range(s.complex.D):
             assert coboundary_matrix(s, j) == _ref_coboundary(s, j), (name, j)
         assert check_flasque(s) == _ref_flasque(s), name
+
+
+def test_cohomology_dim_matches_basis_counts(reference_sheaves, sheaf2, dual2):
+    # the rank route against dim Z^j - dim B^j from the bases
+    for name, s in reference_sheaves.items():
+        for j in range(s.complex.D + 1):
+            want = cocycle_basis(s, j).rows - coboundary_image_basis(s, j).rows
+            assert cohomology_dim(s, j) == want, (name, j)
+    # dim Z^0: the q=2 code's one global constant on either side (rate 1/168)
+    assert cohomology_dim(sheaf2, 0) == 1 == cohomology_dim(dual2, 0)
 
 
 def test_pair_products_match_face_pair_sweep(reference_sheaves):
