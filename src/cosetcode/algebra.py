@@ -243,6 +243,8 @@ def _default_phi(field: FieldTable, m: int) -> List[int]:
 
 def build_ring(eta: int, m: int, phi: Optional[List[int]] = None) -> RingTable:
     """Construct R_m = F_{2^eta}[t]/(phi); phi defaults to a shipped choice."""
+    if m < 1:
+        raise AlgebraError("ring extension degree m must be at least 1, got %d" % m)
     field = FieldTable(eta)
     if phi is None:
         phi = _default_phi(field, m)

@@ -62,6 +62,9 @@ EXIT_INTERNAL = 4
 
 DEFAULT_RM = {2: (0, 1), 4: (0, 2), 8: (1, 3), 32: (2, 5)}
 
+# the values a config file may give a store_true flag
+BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 class ConfigError(ValueError):
     pass
@@ -125,11 +128,14 @@ def _apply_config_file(
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
                 value = value.strip().strip("\"'")
-                if not hasattr(args, key):
+                # the command and the config file itself come from the command line
+                if key in ("command", "config") or not hasattr(args, key):
                     raise ConfigError("unknown config key %r" % key)
                 action = actions[key]
                 if action.nargs == 0:  # store_true flags
-                    setattr(args, key, value.lower() in ("1", "true", "yes"))
+                    if value.lower() not in BOOLEANS:
+                        raise ConfigError("bad value %r for config key %r" % (value, key))
+                    setattr(args, key, BOOLEANS[value.lower()])
                     continue
                 try:
                     typed = (action.type or str)(value)
@@ -155,6 +161,8 @@ def _validate(args: argparse.Namespace) -> dict:
             raise ConfigError("--rm expects r,eta")
         if (1 << rm_eta) != q:
             raise ConfigError("local code length 2^%d != q = %d" % (rm_eta, q))
+        if not 0 <= r <= rm_eta:
+            raise ConfigError("--rm needs 0 <= r <= eta, got r=%d eta=%d" % (r, rm_eta))
     elif q in DEFAULT_RM:
         r, rm_eta = DEFAULT_RM[q]
     else:

@@ -179,19 +179,6 @@ class Complex:
                 lines.append("%d %d %s" % (m, idx, ",".join(str(t) for t in ups)))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def deserialize(cls, text: str) -> "Complex":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        D, n_top = (int(x) for x in lines[0].split())
-        up_sets: Dict[int, List[Tuple[int, ...]]] = {m: [] for m in range(1, 1 << (D + 1))}
-        for ln in lines[1:]:
-            mask_s, idx_s, ups_s = ln.split()
-            mask, idx = int(mask_s), int(idx_s)
-            if idx != len(up_sets[mask]):
-                raise ComplexError("face indices out of order in serialization")
-            up_sets[mask].append(tuple(int(t) for t in ups_s.split(",")))
-        return cls(D, n_top, up_sets)
-
 
 def build_coset_complex(table: GroupTable) -> Complex:
     """Faces of type T are the cosets g*K_T; top faces are the elements."""

@@ -10,7 +10,6 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import mask_of
 from .gf2 import BitMatrix, BitVector, row_space_equal
 from .sheaf import (
     Sheaf,
@@ -187,7 +186,7 @@ def _tagged_logicals(
     pi = projection_matrix(s, level + 1)
     out: List[Tuple[Tuple[int, ...], BitVector]] = []
     for T in color_types_through_zero(s.complex.D, level + 2):
-        logicals = _cols(reps, _type_masks(s, level + 1, T)[1]).matmul(pi)
+        logicals = _cols(reps, s.type_coords(level + 1, T)[1]).matmul(pi)
         if not other_checks.matmul(logicals.transpose()).is_zero():
             raise CSSError("logical candidate for T=%r anticommutes with a check" % (T,))
         out += [(T, logicals.row(i)) for i in range(logicals.rows)]
@@ -286,29 +285,6 @@ def symplectic_color_basis(
 # -- unfolding and chain-map squares ---------------------------------------------
 
 
-def type_coords(s: Sheaf, j: int, T: Sequence[int]) -> List[int]:
-    """Global C^j coordinate indices of faces with type contained in T."""
-    t_mask = mask_of(T)
-    offsets, _ = s.level_offsets(j)
-    out: List[int] = []
-    for face in s.complex.level_faces(j):
-        if face[0] & ~t_mask:
-            continue
-        off = offsets[face]
-        out.extend(range(off, off + s.dim(face)))
-    return out
-
-
-def _type_masks(s: Sheaf, j: int, T: Sequence[int]) -> Tuple[List[int], int]:
-    """The C^j coordinates of faces with type contained in T, as a list (a
-    row select) and as an int column mask."""
-    coords = type_coords(s, j, T)
-    mask = bytearray((s.level_dim(j) + 7) // 8)
-    for i in coords:
-        mask[i >> 3] |= 1 << (i & 7)
-    return coords, int.from_bytes(mask, "little")
-
-
 def _cols(m: BitMatrix, mask: int) -> BitMatrix:
     """m times the diagonal projection whose diagonal is `mask`."""
     return BitMatrix.from_int_rows([v & mask for v in m.int_rows()], m.cols)
@@ -354,9 +330,9 @@ def _squares(
     so there they restrict by rows."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
-    rows_x, cols_x = _type_masks(s, x, T)
-    rows_x1, cols_x1 = _type_masks(s, x + 1, T)
-    rows_bar, _ = _type_masks(s_dual, z, t_c)
+    rows_x, cols_x = s.type_coords(x, T)
+    rows_x1, cols_x1 = s.type_coords(x + 1, T)
+    rows_bar, _ = s_dual.type_coords(z, t_c)
 
     report: Dict[str, bool] = {}
     # restriction commutes with the shrunk coboundary
@@ -393,9 +369,9 @@ def _shrunk_dim(
     columns are zero columns, which leave ranks unchanged."""
     c = s.complex
     t_c = [j for j in range(c.n_colors) if j not in set(T)]
-    _, cols_x = _type_masks(s, x, T)
-    rows_x1, cols_x1 = _type_masks(s, x + 1, T)
-    rows_bar, _ = _type_masks(s_dual, z, t_c)
+    _, cols_x = s.type_coords(x, T)
+    rows_x1, cols_x1 = s.type_coords(x + 1, T)
+    rows_bar, _ = s_dual.type_coords(z, t_c)
     a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
     b = _cols(_rows(pairing1, rows_bar), cols_x1)
     return (len(rows_x1) - b.rank()) - a.rank()
@@ -450,7 +426,6 @@ __all__ = [
     "logical_basis",
     "darboux_basis",
     "symplectic_color_basis",
-    "type_coords",
     "chain_map_squares",
     "shrunk_cohomology_dim",
     "unfolding_check",

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .complexes import Complex, mask_of
-from .css import type_coords
 from .gates import Pauli, membership_phase, pauli_mul
 from .sheaf import Sheaf, projection_matrix
 
@@ -131,7 +130,7 @@ def _type_operators(s: Sheaf, level: int, colors: Tuple[int, ...], op) -> List[P
     """`op` on each projected level basis row of the faces of type `colors`
     (their block of the level's coordinates)."""
     pi = projection_matrix(s, level)
-    return [op(pi.cols, pi.row_int(i)) for i in type_coords(s, level, colors)]
+    return [op(pi.cols, pi.row_int(i)) for i in s.type_coords(level, colors)[0]]
 
 
 def vertex_x_operators(s: Sheaf) -> Dict[int, List[Pauli]]:

@@ -477,14 +477,6 @@ def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
 # -- I/O ------------------------------------------------------------------
 
 
-def _ints(line: str, n: int, what: str) -> List[int]:
-    """The n non-negative integers of a header or entry line."""
-    vals = line.split()
-    if len(vals) != n or not all(v.isdecimal() for v in vals):
-        raise GF2Error("malformed %s line: %r" % (what, line.strip()))
-    return [int(v) for v in vals]
-
-
 def write_matrix_market(m: BitMatrix, path: str) -> None:
     """Write in Matrix Market coordinate pattern format (1-based)."""
     rr, cc = m.nonzero()
@@ -493,24 +485,6 @@ def write_matrix_market(m: BitMatrix, path: str) -> None:
         fh.write("%d %d %d\n" % (m.rows, m.cols, len(rr)))
         for i, j in zip(rr.tolist(), cc.tolist()):
             fh.write("%d %d\n" % (i + 1, j + 1))
-
-
-def read_matrix_market(path: str) -> BitMatrix:
-    with open(path) as fh:
-        header = fh.readline()
-        if "coordinate" not in header or "pattern" not in header:
-            raise GF2Error("unsupported Matrix Market header: %s" % header.strip())
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        rows, cols, nnz = _ints(line, 3, "size")
-        int_rows = [0] * rows
-        for _ in range(nnz):
-            i, j = _ints(fh.readline(), 2, "entry")
-            if not (1 <= i <= rows and 1 <= j <= cols):
-                raise GF2Error("entry (%d, %d) outside a %dx%d matrix" % (i, j, rows, cols))
-            int_rows[i - 1] |= 1 << (j - 1)
-        return BitMatrix.from_int_rows(int_rows, cols)
 
 
 def _alist_lines(entries: np.ndarray, degrees: np.ndarray, width: int) -> Iterator[str]:
@@ -538,36 +512,6 @@ def write_alist(m: BitMatrix, path: str) -> None:
         fh.writelines(_alist_lines(cc + 1, row_deg, max_r))
 
 
-def _alist_entries(fh, degrees: List[int], bound: int, limit: int, what: str):
-    """(line, 0-based index) for every entry of one alist section."""
-    for j, d in enumerate(degrees):
-        if d > bound:
-            raise GF2Error("%s %d has degree %d above the bound %d" % (what, j + 1, d, bound))
-        for i in _ints(fh.readline(), bound, what + " entry")[:d]:
-            if not 1 <= i <= limit:
-                raise GF2Error("index %d of %s %d outside 1..%d" % (i, what, j + 1, limit))
-            yield j, i - 1
-
-
-def read_alist(path: str) -> BitMatrix:
-    """Read MacKay alist; the row section must list the entries of the
-    column section."""
-    with open(path) as fh:
-        cols, rows = _ints(fh.readline(), 2, "size")
-        max_c, max_r = _ints(fh.readline(), 2, "degree bound")
-        col_deg = _ints(fh.readline(), cols, "column degree")
-        row_deg = _ints(fh.readline(), rows, "row degree")
-        by_col = [0] * rows
-        for j, i in _alist_entries(fh, col_deg, max_c, rows, "column"):
-            by_col[i] |= 1 << j
-        by_row = [0] * rows
-        for i, j in _alist_entries(fh, row_deg, max_r, cols, "row"):
-            by_row[i] |= 1 << j
-    if by_row != by_col:
-        raise GF2Error("row section of %s disagrees with its column section" % path)
-    return BitMatrix.from_int_rows(by_col, cols)
-
-
 __all__ = [
     "GF2Error",
     "BitVector",
@@ -578,7 +522,5 @@ __all__ = [
     "dual_rows",
     "row_space_equal",
     "write_matrix_market",
-    "read_matrix_market",
     "write_alist",
-    "read_alist",
 ]

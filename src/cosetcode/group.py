@@ -208,13 +208,6 @@ class GroupTable:
     def element(self, gid: int) -> GroupElement:
         return GroupElement(self.ring, self._decode(int(self.keys[gid])), check=False)
 
-    def id_of(self, g: GroupElement) -> int:
-        key = np.uint64(self._encode(g.entries))
-        pos = int(np.searchsorted(self._sorted_keys, key))
-        if pos == self.size or self._sorted_keys[pos] != key:
-            raise GroupError("element not in enumerated set")
-        return int(self._sorted_ids[pos])
-
     # -- enumeration -------------------------------------------------------
 
     def _mul_batch(self, keys: np.ndarray, r: int, c: int, v: int) -> np.ndarray:
@@ -276,7 +269,6 @@ class GroupTable:
         self.keys = np.concatenate(keys)
         self.size = int(self.keys.size)
         self.cayley = np.concatenate(cayley)
-        self._sorted_keys, self._sorted_ids = sorted_keys, sorted_ids
         self._parent = np.concatenate(parents)
         self._gen = np.concatenate(gen_cols)
         self._bounds = bounds

@@ -2,7 +2,8 @@
 codes, coboundary/projection/restriction matrices, duals, cup products.
 
 Global cochain coordinates at level j concatenate the local bases of
-the level-j faces in (type mask ascending, face index ascending) order.
+the level-j faces in (type mask ascending, face index ascending) order,
+so each type's coordinates are one block (`Sheaf.layout`).
 A local code is a list of Python-int rows in reduced row echelon form:
 bit p of a row is position p of the face's sorted up-set, and a row's
 pivot is its lowest set bit.  Incidence work gathers from arrays built
@@ -44,9 +45,9 @@ class Sheaf:
     def __init__(self, complex_: Complex, local_bases: Dict[FaceId, List[int]]):
         self.complex = complex_
         self.local_bases = local_bases
-        self._offsets: Dict[int, Tuple[Dict[FaceId, int], int]] = {}
+        self._layout: Dict[int, Dict[int, Tuple[int, np.ndarray]]] = {}
         self._dual_bases: Dict[FaceId, List[int]] = {}  # (D-1)-faces, see _top_duals
-        self._types: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self._types: Dict[int, np.ndarray] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
     # -- bases -------------------------------------------------------------
@@ -63,37 +64,59 @@ class Sheaf:
     def dim(self, face: FaceId) -> int:
         return len(self.rows(face))
 
-    def type_rows(self, mask: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The type-`mask` local codes as arrays, built once: `first[f]`, the
-        level coordinate of face f's row 0, and `bits[f, i, p]`, bit p of its
-        row i, zero past its rows and up-set (both may vary within a type)."""
-        cached = self._types.get(mask)
-        if cached is None:
-            dims, bits = _code_bits(
+    def type_rows(self, mask: int) -> np.ndarray:
+        """The type-`mask` local codes as `bits[f, i, p]`, bit p of face f's
+        row i, built once; zero past its rows and up-set (both may vary
+        within a type)."""
+        bits = self._types.get(mask)
+        if bits is None:
+            bits = self._types[mask] = _code_bits(
                 [self.rows((mask, f)) for f in self.complex.faces(mask)],
                 self.complex.face_tops(mask).shape[1],
             )
-            offsets, _ = self.level_offsets(bin(mask).count("1") - 1)
-            first = offsets.get((mask, 0), 0) + np.cumsum(dims) - dims
-            cached = self._types[mask] = (first, bits)
-        return cached
+        return bits
 
     # -- global coordinates ---------------------------------------------------
 
-    def level_offsets(self, j: int) -> Tuple[Dict[FaceId, int], int]:
-        cached = self._offsets.get(j)
-        if cached is not None:
-            return cached
-        offsets: Dict[FaceId, int] = {}
-        total = 0
-        for face in self.complex.level_faces(j):
-            offsets[face] = total
-            total += self.dim(face)
-        self._offsets[j] = (offsets, total)
-        return offsets, total
+    def layout(self, j: int) -> Dict[int, Tuple[int, np.ndarray]]:
+        """The coordinates of C^j, built once: per level-j type `mask`,
+        ascending, the start of the type's block and the local dimension
+        of each of its faces.  The block holds the faces in index order,
+        and each face's rows in order."""
+        table = self._layout.get(j)
+        if table is None:
+            table, start = {}, 0
+            for mask in self.complex.level_masks(j):
+                faces = self.complex.faces(mask)
+                dims = np.fromiter((self.dim((mask, f)) for f in faces), np.int64, len(faces))
+                table[mask] = (start, dims)
+                start += int(dims.sum())
+            self._layout[j] = table
+        return table
 
     def level_dim(self, j: int) -> int:
-        return self.level_offsets(j)[1]
+        return sum(int(dims.sum()) for _, dims in self.layout(j).values())
+
+    def dims(self, mask: int) -> np.ndarray:
+        """The local dimension of each type-`mask` face."""
+        return self.layout(bin(mask).count("1") - 1)[mask][1]
+
+    def first(self, mask: int) -> np.ndarray:
+        """The coordinate of row 0 of each type-`mask` face."""
+        start, dims = self.layout(bin(mask).count("1") - 1)[mask]
+        return start + np.cumsum(dims) - dims
+
+    def type_coords(self, j: int, T: Sequence[int]) -> Tuple[List[int], int]:
+        """The C^j coordinates of the faces whose type lies in T, one block
+        per type: as an ascending list (a row select) and as an int with
+        those bits set (a column mask)."""
+        t_mask, rows, cols = mask_of(T), [], 0
+        for mask, (start, dims) in self.layout(j).items():
+            if not mask & ~t_mask:
+                stop = start + int(dims.sum())
+                rows.extend(range(start, stop))
+                cols |= ((1 << (stop - start)) - 1) << start
+        return rows, cols
 
 
 class Cochain:
@@ -107,16 +130,6 @@ class Cochain:
         self.sheaf = sheaf
         self.level = level
         self.data = data
-
-    def value_at(self, face: FaceId) -> int:
-        """The local codeword at `face` as an int over its up-set columns."""
-        offsets, _ = self.sheaf.level_offsets(self.level)
-        coeffs = self.data.value >> offsets[face]
-        out = 0
-        for i, w in enumerate(self.sheaf.rows(face)):
-            if (coeffs >> i) & 1:
-                out ^= w
-        return out
 
     def __xor__(self, other: "Cochain") -> "Cochain":
         if other.level != self.level or other.sheaf is not self.sheaf:
@@ -137,9 +150,9 @@ def _scatter(w: int, targets: Sequence[int]) -> int:
     return out
 
 
-def _code_bits(codes: List[List[int]], width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The number of rows of each code, and `bits[f, i, p]`, bit p of row i
-    of code f, zero past its rows and `width`."""
+def _code_bits(codes: List[List[int]], width: int) -> np.ndarray:
+    """`bits[f, i, p]`, bit p of row i of code f, zero past its rows and
+    `width`."""
     dims = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
     bits = np.zeros((len(codes), int(dims.max(initial=0)), width), dtype=np.uint8)
     row = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
@@ -147,14 +160,14 @@ def _code_bits(codes: List[List[int]], width: int) -> Tuple[np.ndarray, np.ndarr
     bits[np.repeat(np.arange(len(codes)), dims), row] = (
         BitMatrix.from_int_rows(flat, width).to_dense()
     )
-    return dims, bits
+    return bits
 
 
 def _restricted(s: Sheaf, mask: int, tops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Per row g of `tops` (one face's tops, -1 padded, as in `face_tops`):
     the type-`mask` face through tops[g, 0], and its rows on those tops."""
     c = s.complex
-    _, bits = s.type_rows(mask)
+    bits = s.type_rows(mask)
     face = c.top_to_face[mask][tops[:, 0]]
     pos = c.top_pos[mask][tops]
     out = bits.transpose(0, 2, 1)[face[:, None], pos].transpose(0, 2, 1)
@@ -166,7 +179,7 @@ def _coefficients(s: Sheaf, mask: int, values: np.ndarray) -> Tuple[np.ndarray, 
     """coeffs[g, k, l], the bit of vector values[g, k, :] at the pivot of
     row l of type-`mask` face g, and per face whether some vector is not
     the sum of the rows its coefficients name (it leaves the local code)."""
-    _, bits = s.type_rows(mask)
+    bits = s.type_rows(mask)
     pivots = bits.argmax(axis=2)  # the lowest set bit of each RREF row
     coeffs = np.take_along_axis(values, pivots[:, None, :], axis=2)
     coeffs &= bits.any(axis=2)[:, None, :]
@@ -291,7 +304,7 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
     top = _top_duals(s)
     top_masks = c.level_masks(c.D - 1)
     dual_bits = {
-        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops(m).shape[1])[1]
+        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops(m).shape[1])
         for m in top_masks
     }
     memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
@@ -354,7 +367,7 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
         raise SheafError("coboundary level out of range")
     rows, cols = [], []
     for tmask in c.level_masks(j + 1):
-        tfirst, _ = s.type_rows(tmask)
+        tfirst = s.first(tmask)
         for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
             face, restricted = _restricted(s, mask, c.face_tops(tmask))
             coeffs, escaped = _coefficients(s, tmask, restricted)
@@ -363,7 +376,7 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
                 raise SheafError("restriction to %r leaves the local code" % (bad,))
             g, i, l = np.nonzero(coeffs)
             rows.append(tfirst[g] + l)
-            cols.append(s.type_rows(mask)[0][face[g]] + i)
+            cols.append(s.first(mask)[face[g]] + i)
     return BitMatrix.from_coords(
         s.level_dim(j + 1), s.level_dim(j), np.concatenate(rows), np.concatenate(cols)
     )
@@ -379,9 +392,8 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     c = s.complex
     rows, cols = [], []
     for mask in c.level_masks(j):
-        first, bits = s.type_rows(mask)
-        f, i, p = np.nonzero(bits)
-        rows.append(first[f] + i)
+        f, i, p = np.nonzero(s.type_rows(mask))
+        rows.append(s.first(mask)[f] + i)
         cols.append(c.face_tops(mask)[f, p])
     return BitMatrix.from_coords(
         s.level_dim(j), c.n_top, np.concatenate(rows), np.concatenate(cols)
@@ -390,16 +402,10 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
 
 def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
     """The square diagonal projection keeping coordinates of faces whose
-    type is contained in T."""
-    t_mask = mask_of(T)
-    offsets, dim = s.level_offsets(j)
-    keep = [
-        i
-        for face, off in offsets.items()
-        if not face[0] & ~t_mask
-        for i in range(off, off + s.dim(face))
-    ]
-    return BitMatrix.from_coords(dim, dim, keep, keep)
+    type is contained in T: the diagonal of `type_coords`' column mask."""
+    _, keep = s.type_coords(j, T)
+    dim = s.level_dim(j)
+    return BitMatrix.from_int_rows([keep & (1 << i) for i in range(dim)], dim)
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -449,7 +455,7 @@ def check_flasque(s: Sheaf) -> bool:
     c = s.complex
     for level in range(1, c.D + 1):
         for tmask in c.level_masks(level):
-            dims = s.type_rows(tmask)[1].any(axis=2).sum(axis=1).tolist()
+            dims = s.dims(tmask).tolist()
             for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
                 _, restricted = _restricted(s, mask, c.face_tops(tmask))
                 coeffs, escaped = _coefficients(s, tmask, restricted)
@@ -548,7 +554,7 @@ def cup_product(
         if escaped.any():
             raise SheafError("cup product value escapes the star sheaf at type %d" % mask)
         g, _, l = np.nonzero(coeffs)
-        coords[target.type_rows(mask)[0][g] + l] = 1
+        coords[target.first(mask)[g] + l] = 1
     data = int.from_bytes(np.packbits(coords, bitorder="little").tobytes(), "little")
     return Cochain(target, level, BitVector(coords.size, data))
 
@@ -557,7 +563,7 @@ def _top_values(f: Cochain, mask: int) -> np.ndarray:
     """At every top, the bit there of f's local codeword on the top's
     type-`mask` face (`mask` is a type of f's level)."""
     c = f.sheaf.complex
-    first, bits = f.sheaf.type_rows(mask)
+    first, bits = f.sheaf.first(mask), f.sheaf.type_rows(mask)
     # long enough for the zero rows padding the last face
     nbytes = (f.data.length + bits.shape[1] + 7) // 8
     packed = np.frombuffer(f.data.value.to_bytes(nbytes, "little"), dtype=np.uint8)
@@ -622,8 +628,9 @@ def check_pair_products(
             tops = tops[np.argsort(tops[:, 0], kind="stable")]
             fa, a = _restricted(s1, m1, tops)
             fb, b = _restricted(s2, m2, tops)
-            present = s1.type_rows(m1)[1].any(axis=2)[fa][:, :, None]
-            present = present & s2.type_rows(m2)[1].any(axis=2)[fb][:, None, :]
+            # rows past a face's dimension are zero padding
+            present = (np.arange(a.shape[1]) < s1.dims(m1)[fa, None])[:, :, None]
+            present = present & (np.arange(b.shape[1]) < s2.dims(m2)[fb, None])[:, None, :]
             weights = np.matmul(a.astype(np.int32), b.astype(np.int32).transpose(0, 2, 1))
             odd = np.flatnonzero(present & (weights % modulus != 0))
             if odd.size:
@@ -732,4 +739,7 @@ __all__ = [
     "star_sheaf",
     "cup_product",
     "lift_shrunk_cocycle",
+    "check_pair_products",
+    "check_projected_weights",
+    "link_vertex_code_dimension",
 ]

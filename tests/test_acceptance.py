@@ -174,11 +174,13 @@ def test_criterion_09_divisibility(sheaf2, logicals2, code2, inst4):
     assert check_projected_weights(sheaf2, 2)["ok"]
     assert check_pair_products(sheaf2, sheaf2, 2)["ok"]
     b_rows = [code2.h_x.row_int(i) for i in range(code2.h_x.rows)]
-    offsets, _ = sheaf2.level_offsets(0)
-    row_color = {}
-    for (mask, idx), off in offsets.items():
-        for i in range(sheaf2.dim((mask, idx))):
-            row_color[off + i] = mask.bit_length() - 1
+    # the color of each h_x row: level-0 faces in (mask, index) order,
+    # one row per local dimension
+    row_color = [
+        mask.bit_length() - 1
+        for mask, idx in sheaf2.complex.level_faces(0)
+        for _ in range(sheaf2.dim((mask, idx)))
+    ]
     logicals = [(T, v.value) for T, v in logicals2.x_logicals]
     for s in b_rows:
         assert s.bit_count() % 2 == 0

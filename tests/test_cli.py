@@ -247,6 +247,44 @@ def test_config_file_bad_value_exits_two(tmp_path, line):
     assert main(["verify", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("line", ["command = build", "config = other.cfg"])
+def test_config_file_cannot_set_command_or_config(tmp_path, line):
+    # a file cannot switch the command: `command = build` would write to --out
+    cfg = tmp_path / "cmd.cfg"
+    cfg.write_text(line + "\nq = 2\nsuite = structure\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,code", [("yes", 0), ("No", 3), ("maybe", 2), ("", 2)])
+def test_config_file_booleans(tmp_path, capsys, value, code):
+    # `maybe` is no boolean; read as false it would start the full q=8 build
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("local_only = %s\n" % value)
+    assert main(["report", "--q", "8", "--config", str(cfg)]) == code
+
+
+def test_ring_degree_below_one_exits_two(no_enumeration, capsys):
+    # m = 0 has no default modulus: refused as configuration, not a crash
+    assert main(["verify", "--q", "2", "--m", "0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--q", "2", "--rm", "5,1"],
+        ["report", "--q", "4", "--local-only", "--rm", "3,2"],
+        ["build", "--q", "2", "--rm=-1,1"],
+    ],
+)
+def test_rm_order_outside_zero_to_eta_exits_two(no_enumeration, argv, capsys):
+    # RM(r, eta) needs 0 <= r <= eta: refused before any build
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+
+
 @pytest.mark.parametrize("phi", ["x,y", "1,,1"])
 def test_malformed_phi_exits_two(tmp_path, phi):
     assert main(["build", "--q", "2", "--phi", phi, "--out", str(tmp_path)]) == 2

@@ -143,11 +143,22 @@ def test_d3_q2_coset_complex_structure(table_d3, complex_d3):
     assert _all_ok(report), report
 
 
+def _parse_serialized(text):
+    """D, n_top and the up-sets from `Complex.serialize` text: a "D n_top"
+    line, then one "mask index tops" line per face in (mask, index) order."""
+    head, *lines = text.splitlines()
+    D, n_top = map(int, head.split())
+    up_sets = {m: [] for m in range(1, 1 << (D + 1))}
+    for line in lines:
+        mask, idx, tops = line.split()
+        assert int(idx) == len(up_sets[int(mask)])
+        up_sets[int(mask)].append(tuple(map(int, tops.split(","))))
+    return D, n_top, up_sets
+
+
 def test_serialize_deserialize_roundtrip():
     c = fixtures.hexagonal_torus()
-    back = Complex.deserialize(c.serialize())
-    assert back.n_top == c.n_top
-    assert all(back.up_sets[m] == c.up_sets[m] for m in c.masks)
+    assert _parse_serialized(c.serialize()) == (c.D, c.n_top, c.up_sets)
 
 
 # -- reference: the per-face loops the array checks replaced -------------------

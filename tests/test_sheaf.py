@@ -71,6 +71,18 @@ def _basis(s, face):
     return BitMatrix.from_int_rows(s.rows(face), len(s.complex.up_set(face)))
 
 
+def _walk_offsets(s, j):
+    """Reference for the C^j coordinate layout: walk the level-j faces in
+    (mask, index) order, `dim(face)` coordinates each.  Returns each
+    face's first coordinate and the level's dimension."""
+    offsets, total = {}, 0
+    for mask in s.complex.level_masks(j):
+        for idx in s.complex.faces(mask):
+            offsets[(mask, idx)] = total
+            total += s.dim((mask, idx))
+    return offsets, total
+
+
 def _widened_face_sheaf():
     """The constant sheaf on the 16-cell with one level-2 face's code
     widened to its whole up-set: local dimensions differ within a type."""
@@ -128,7 +140,7 @@ def _set_bits(out, i, js):
 
 def _projection_by_set_bits(s, j):
     c = s.complex
-    offsets, dim = s.level_offsets(j)
+    offsets, dim = _walk_offsets(s, j)
     out = np.zeros((dim, c.n_top), dtype=np.uint8)
     for face in c.level_faces(j):
         ups = c.up_sets[face[0]][face[1]]
@@ -142,7 +154,7 @@ def _projection_by_set_bits(s, j):
 
 
 def _restriction_by_set_bits(s, j, t_mask):
-    offsets, dim = s.level_offsets(j)
+    offsets, dim = _walk_offsets(s, j)
     out = np.zeros((dim, dim), dtype=np.uint8)
     for face, off in offsets.items():
         if not face[0] & ~t_mask:
@@ -321,8 +333,8 @@ def _coboundary_by_solve(s, j):
     """Reference: gather restrictions per target face and solve each in
     the transposed target basis."""
     c = s.complex
-    src_off, src_dim = s.level_offsets(j)
-    dst_off, dst_dim = s.level_offsets(j + 1)
+    src_off, src_dim = _walk_offsets(s, j)
+    dst_off, dst_dim = _walk_offsets(s, j + 1)
     out = [0] * dst_dim
     pending = {}
     for face in c.level_faces(j):
@@ -546,13 +558,6 @@ def test_sheaf_at_link_matches_vertex_code(sheaf2):
     assert total > 0
 
 
-def test_value_at_reads_local_codeword(sheaf2):
-    s = sheaf2
-    f = Cochain(s, 0, BitVector(s.level_dim(0), 1))
-    face = s.complex.level_faces(0)[0]
-    assert f.value_at(face) == s.rows(face)[0]
-
-
 # -- references: the face-pair restrict-and-reduce loops the gathers replaced
 
 
@@ -574,8 +579,8 @@ def _ref_restrictions(s, level):
 
 def _ref_coboundary(s, j):
     """Reduce every restricted row against its coface's CertifiedBasis."""
-    src_off, src_dim = s.level_offsets(j)
-    dst_off, dst_dim = s.level_offsets(j + 1)
+    src_off, src_dim = _walk_offsets(s, j)
+    dst_off, dst_dim = _walk_offsets(s, j + 1)
     out = [0] * dst_dim
     for face, tface, restricted in _ref_restrictions(s, j):
         target = CertifiedBasis(s.rows(tface))
@@ -630,15 +635,25 @@ def _ref_cup(f1, f2, target):
     multiplied, and reduced in the star sheaf."""
     c = target.complex
     level = f1.level + f2.level
-    offsets, _ = target.level_offsets(level)
+    offsets, _ = _walk_offsets(target, level)
+    f_offsets = [_walk_offsets(f.sheaf, f.level)[0] for f in (f1, f2)]
     data = 0
     for face in c.level_faces(level):
         cs = colors_of(face[0])
         ups = c.up_set(face)
         vals = []
-        for f, m in ((f1, mask_of(cs[: f1.level + 1])), (f2, mask_of(cs[f1.level :]))):
+        for f, off, m in (
+            (f1, f_offsets[0], mask_of(cs[: f1.level + 1])),
+            (f2, f_offsets[1], mask_of(cs[f1.level :])),
+        ):
             sub = (m, c.face_in_top(m, ups[0]))
-            vals.append(_ref_restrict([f.value_at(sub)], c.up_set(sub), ups)[0])
+            # the local codeword at sub: the sum of the rows f's coordinates name
+            coeffs = f.data.value >> off[sub]
+            value = 0
+            for i, w in enumerate(f.sheaf.rows(sub)):
+                if (coeffs >> i) & 1:
+                    value ^= w
+            vals.append(_ref_restrict([value], c.up_set(sub), ups)[0])
         residual, combo = CertifiedBasis(target.rows(face)).reduce(vals[0] & vals[1])
         assert not residual
         data |= combo << offsets[face]
@@ -666,6 +681,29 @@ def reference_sheaves(sheaf2, dual2, complex2, ring2):
     for face in ((1, 0), (2, 1), (3, 0), (6, 1), (7, 0)):
         out["sphere_link_%d_%d" % face] = sheaf_at_link(sphere, face)
     return out
+
+
+def test_layout_matches_face_walk(reference_sheaves):
+    for name, s in reference_sheaves.items():
+        c = s.complex
+        for j in range(c.D + 1):
+            offsets, total = _walk_offsets(s, j)
+            assert s.level_dim(j) == total, (name, j)
+            for mask in c.level_masks(j):
+                faces = [(mask, f) for f in c.faces(mask)]
+                assert s.first(mask).tolist() == [offsets[face] for face in faces], (name, mask)
+                assert s.dims(mask).tolist() == [s.dim(face) for face in faces], (name, mask)
+            for t_mask in range(1 << c.n_colors):
+                want = [
+                    off + i
+                    for face, off in offsets.items()
+                    if not face[0] & ~t_mask
+                    for i in range(s.dim(face))
+                ]
+                T = colors_of(t_mask)
+                rows, cols = s.type_coords(j, T)
+                assert rows == sorted(want), (name, j, T)
+                assert cols == sum(1 << i for i in want), (name, j, T)
 
 
 def test_coboundary_and_flasque_match_restrict_and_reduce(reference_sheaves):
