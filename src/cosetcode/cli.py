@@ -170,14 +170,6 @@ def _validate(args: argparse.Namespace) -> dict:
     z = args.z if args.z is not None else args.D - 2 - args.x
     if args.x + z != args.D - 2 or args.x < 0 or z < 0:
         raise ConfigError("need x + z = D - 2 with both nonnegative")
-    coprime = coprimality_check(eta, args.m, args.D)
-    gates_run = args.command == "verify" and not args.fixture and args.suite in ("gates", "all")
-    if not coprime and gates_run:
-        print(
-            "note: gcd(2^%d - 1, %d) != 1; type-cycle gate checks are skipped"
-            % (eta * args.m, args.D + 1),
-            file=sys.stderr,
-        )
     phi = None
     if args.phi:
         try:
@@ -193,7 +185,7 @@ def _validate(args: argparse.Namespace) -> dict:
         "r": r,
         "x": args.x,
         "z": z,
-        "type_cycle_coprime": coprime,
+        "type_cycle_coprime": coprimality_check(eta, args.m, args.D),
     }
 
 
@@ -215,10 +207,11 @@ def _refuse_early(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) ->
             "qubit count %d exceeds cap %d (use --local-only for the link report)"
             % (order, args.cap_qubits)
         )
-    if "gates" in suites and order > args.cap_tableau:
+    tableau = [name for name in ("gates", "floquet") if name in suites]
+    if tableau and order > args.cap_tableau:
         raise CapRefusal(
-            "tableau size %d exceeds cap %d; only the arithmetic gate "
-            "conditions are available at this scale" % (order, args.cap_tableau)
+            "tableau size %d exceeds cap %d for the %s suite "
+            "(raise --cap-tableau to override)" % (order, args.cap_tableau, tableau[0])
         )
 
 
@@ -243,7 +236,7 @@ def build_instance(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -
     """Enumerate the group and build the complex; then the primal and dual
     sheaves (`sheaf`, `dual`) for any suite but `structure`, and the CSS
     code (`code`) for `css`, `gates`, `floquet` and `build` only (`report`
-    asks for `css` and `floquet`)."""
+    asks for `css`)."""
     _refuse_early(args, cfg, suites)
     ring = build_ring(cfg["eta"], cfg["m"], cfg["phi"])
     table = enumerate_group(cfg["D"], ring, cap=args.cap_enumeration)
@@ -359,7 +352,14 @@ def suite_gates(inst: dict) -> dict:
         circ = orbit_cz_circuit(perm)
         out["orbit_order_%d" % o] = _circuit_preserves(circ, gens)
     # type-cycle gates (need gcd(q^m - 1, D + 1) = 1 for order-1/3 orbits)
-    if inst["cfg"].get("type_cycle_coprime", True):
+    cfg = inst["cfg"]
+    if not cfg.get("type_cycle_coprime", True):
+        print(
+            "note: gcd(2^%d - 1, %d) != 1; type-cycle gate checks are skipped"
+            % (cfg["eta"] * cfg["m"], cfg["D"] + 1),
+            file=sys.stderr,
+        )
+    else:
         cyc = [int(v) for v in table.type_cycle_perm()]
         out["cycle_phase_gate"] = _circuit_preserves(cycle_phase_circuit(cyc), gens)
         out["cycle_clifford_gate"] = _circuit_preserves(cycle_clifford_circuit(cyc), gens)
@@ -513,7 +513,7 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
         print("rho0 = %s, rate >= %s" % (rep["rho0"], rep["rate_bound"]))
         print(json.dumps(_jsonable(rep), indent=2))
         return EXIT_OK
-    inst = build_instance(args, cfg, ("css", "floquet"))
+    inst = build_instance(args, cfg, ("css",))
     code = inst["code"]
     s, s_dual = inst["sheaf"], inst["dual"]
     lb = logical_basis(code, s, s_dual, cfg["x"], cfg["z"])

@@ -114,9 +114,11 @@ def rate_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
 
 
 def _uniform_local_rate(s: Sheaf, level: int) -> Fraction:
-    rates = set()
-    for face in s.complex.level_faces(level):
-        rates.add(Fraction(s.dim(face), len(s.complex.up_set(face))))
+    c, pairs = s.complex, set()
+    for mask in c.level_masks(level):
+        up = (c.face_tops(mask) >= 0).sum(axis=1)
+        pairs.update(zip(s.dims(mask).tolist(), up.tolist()))
+    rates = {Fraction(d, u) for d, u in pairs}
     if len(rates) != 1:
         raise CSSError("level-%d local rates are not uniform: %r" % (level, rates))
     return rates.pop()
@@ -140,12 +142,13 @@ class LogicalBasis:
 
     def pairing(self) -> BitMatrix:
         """Overlap-parity matrix: entry (i, j) = |X_i & Z_j| mod 2."""
-        rows = [
-            sum(((xv.value & zv.value).bit_count() & 1) << j
-                for j, (_, zv) in enumerate(self.z_logicals))
-            for _, xv in self.x_logicals
-        ]
-        return BitMatrix.from_int_rows(rows, len(self.z_logicals))
+        z = _supports(self.n, self.z_logicals)
+        return _supports(self.n, self.x_logicals).matmul(z.transpose())
+
+
+def _supports(n: int, logicals: List[Tuple[Tuple[int, ...], BitVector]]) -> BitMatrix:
+    """The supports of tagged logicals as the rows of a matrix."""
+    return BitMatrix.from_int_rows([v.value for _, v in logicals], n)
 
 
 def color_types_through_zero(D: int, size: int) -> List[Tuple[int, ...]]:
@@ -171,8 +174,7 @@ def logical_basis(
         ("Z", zl, code.h_z),
     ):
         if rows:
-            log_m = BitMatrix.from_int_rows([v.value for _, v in rows], code.n)
-            if checks.vstack(log_m).rank() != checks.rank() + len(rows):
+            if checks.vstack(_supports(code.n, rows)).rank() != checks.rank() + len(rows):
                 raise CSSError("%s logicals are dependent modulo the checks" % name)
     return lb
 
@@ -205,22 +207,19 @@ def darboux_basis(lb: LogicalBasis) -> LogicalBasis:
     a = p.solve(BitMatrix.identity(k2))
     if a is None:
         raise CSSError("degenerate logical pairing: rank %d of %d" % (p.rank(), k2))
-    # new Z_j = sum_m A^T[j, m] old Z_m gives <X_i, Z'_j> = delta_ij
+    # new Z = A^T old Z gives <X_i, Z'_j> = delta_ij; row j of A^T names
+    # the old Z logicals it combines, all of one tag
+    a_t = a.transpose()
+    z = a_t.matmul(_supports(lb.n, lb.z_logicals))
+    masks: Dict[Tuple[int, ...], int] = {}
+    for m, (tag, _) in enumerate(lb.z_logicals):
+        masks[tag] = masks.get(tag, 0) | 1 << m
     new_z: List[Tuple[Tuple[int, ...], BitVector]] = []
-    for j in range(k2):
-        tag = None
-        acc = 0
-        for m in range(k2):
-            if a.get(m, j):
-                old_tag, zv = lb.z_logicals[m]
-                acc ^= zv.value
-                if tag is None:
-                    tag = old_tag
-                elif tag != old_tag:
-                    raise CSSError("Darboux reduction would mix color tags")
-        if tag is None:
-            raise CSSError("empty Z combination in Darboux reduction")
-        new_z.append((tag, BitVector(lb.n, acc)))
+    for j, combo in enumerate(a_t.int_rows()):
+        tag = lb.z_logicals[(combo & -combo).bit_length() - 1][0]
+        if combo & ~masks[tag]:
+            raise CSSError("Darboux reduction would mix color tags")
+        new_z.append((tag, z.row(j)))
     out = LogicalBasis(lb.n, list(lb.x_logicals), new_z)
     if out.pairing() != BitMatrix.identity(k2):
         raise CSSError("Darboux reduction failed to reach the identity pairing")
@@ -230,9 +229,9 @@ def darboux_basis(lb: LogicalBasis) -> LogicalBasis:
 def symplectic_color_basis(
     code: CssCode, lb: LogicalBasis
 ) -> Tuple[List[BitVector], List[BitVector]]:
-    """For a self-dual code, reduce the X logical supports to a symplectic
-    basis (red_i, blue_j) with |red_i & blue_j| = delta_ij, never adding
-    across the two color tags.
+    """For a self-dual code, a symplectic basis (red_i, blue_j) of the X
+    logical supports with |red_i & blue_j| = delta_ij: the red supports as
+    given, the blue ones recombined within their color by `darboux_basis`.
 
     The same support vectors then serve as X and Z logical representatives
     (self-duality makes every X-logical support a valid Z logical), giving
@@ -243,43 +242,15 @@ def symplectic_color_basis(
     tags = sorted({t for t, _ in lb.x_logicals})
     if len(tags) != 2:
         raise CSSError("self-dual symplectic basis needs exactly two color tags")
-    red = [v.value for t, v in lb.x_logicals if t == tags[0]]
-    blue = [v.value for t, v in lb.x_logicals if t == tags[1]]
-    k = len(red)
-    if len(blue) != k:
+    red = [(t, v) for t, v in lb.x_logicals if t == tags[0]]
+    blue = [(t, v) for t, v in lb.x_logicals if t == tags[1]]
+    if len(blue) != len(red):
         raise CSSError("color classes have unequal sizes")
-
-    def w(a: int, b: int) -> int:
-        return (a & b).bit_count() & 1
-
-    for a in red:
-        for b in red:
-            if w(a, b):
-                raise CSSError("same-color logical supports overlap oddly")
-    for a in blue:
-        for b in blue:
-            if w(a, b):
-                raise CSSError("same-color logical supports overlap oddly")
-    for i in range(k):
-        j = next((jj for jj in range(i, k) if w(red[i], blue[jj])), None)
-        if j is None:
-            raise CSSError("degenerate cross-color pairing at index %d" % i)
-        blue[i], blue[j] = blue[j], blue[i]
-        for r in range(i + 1, k):
-            if w(red[r], blue[i]):
-                red[r] ^= red[i]
-        for b in range(i + 1, k):
-            if w(red[i], blue[b]):
-                blue[b] ^= blue[i]
-    for i in range(k):
-        for j in range(k):
-            if w(red[i], blue[j]) != (1 if i == j else 0):
-                raise CSSError("symplectic reduction failed")
-    n = code.n
-    return (
-        [BitVector(n, v) for v in red],
-        [BitVector(n, v) for v in blue],
-    )
+    for same in (red, blue):
+        if not LogicalBasis(code.n, same, same).pairing().is_zero():
+            raise CSSError("same-color logical supports overlap oddly")
+    dlb = darboux_basis(LogicalBasis(code.n, red, blue))
+    return [v for _, v in red], [v for _, v in dlb.z_logicals]
 
 
 # -- unfolding and chain-map squares ---------------------------------------------

@@ -14,7 +14,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .complexes import Complex, mask_of
-from .gates import Pauli, membership_phase, pauli_mul
+from .gates import Pauli, membership_phase, pauli_mul, perm_orbits
+from .gf2 import EchelonBasis
 from .sheaf import Sheaf, projection_matrix
 
 
@@ -38,46 +39,26 @@ ROUND_PLAN: List[Tuple[str, str]] = [
 
 class StabilizerGroup:
     """A list of commuting sign-exact Pauli generators with measurement
-    update and canonical-form comparison."""
+    update; rank and equality go through the `gf2` kernel."""
 
     def __init__(self, n: int, gens: Optional[List[Pauli]] = None):
         self.n = n
         self.gens: List[Pauli] = list(gens or [])
+        # -identity is in the group iff some generator is the product of
+        # earlier ones up to a phase other than 1; `measure` never puts it in
+        independent: List[Pauli] = []
+        for g in self.gens:
+            phase = membership_phase(g, independent)
+            if phase is None:
+                independent.append(g)
+            elif phase:
+                raise FloquetError("stabilizer group contains -identity")
 
     def rank(self) -> int:
-        return len(self.canonical())
-
-    def canonical(self) -> List[Pauli]:
-        """Unique reduced-echelon generator list over the (x|z) rows,
-        with phases carried along by genuine Pauli multiplication."""
-        rows = list(self.gens)
-        out: List[Pauli] = []
-        for col in range(2 * self.n):
-            bit = 1 << (col % self.n)
-            is_x = col < self.n
-
-            def has(p: Pauli) -> bool:
-                return bool((p.x if is_x else p.z) & bit)
-
-            piv = next((i for i, p in enumerate(rows) if has(p)), None)
-            if piv is None:
-                continue
-            pivot = rows.pop(piv)
-            rows = [pauli_mul(p, pivot) if has(p) else p for p in rows]
-            out = [pauli_mul(p, pivot) if has(p) else p for p in out]
-            out.append(pivot)
-        # drop identity rows (dependent inputs); a -I row is inconsistent
-        clean = []
-        for p in out + rows:
-            if p.x == 0 and p.z == 0:
-                if p.p != 0:
-                    raise FloquetError("stabilizer group contains -identity")
-                continue
-            clean.append(p)
-        return clean
+        return _rank(self.gens)
 
     def equals(self, other: "StabilizerGroup") -> bool:
-        return self.canonical() == other.canonical()
+        return _same_group(self.gens, other.gens)
 
     def measure(self, m: Pauli) -> str:
         """Project onto the +1 outcome of m; returns the outcome class:
@@ -97,6 +78,17 @@ class StabilizerGroup:
             self.gens.append(m)
             return "adjoined"
         return "anomaly"
+
+
+def _rank(gens: List[Pauli]) -> int:
+    return len(EchelonBasis(g.x | g.z << g.n for g in gens))
+
+
+def _same_group(a: List[Pauli], b: List[Pauli]) -> bool:
+    """Exact equality of the signed groups that two consistent generator
+    lists generate: equal ranks, and every generator of `a` in `b` with
+    its sign."""
+    return _rank(a) == _rank(b) and all(membership_phase(g, b) == 0 for g in a)
 
 
 class FloquetSchedule:
@@ -158,7 +150,7 @@ def run_schedule(
     n = schedule.n
     isg = StabilizerGroup(n)
     per_round = []
-    snapshots: List[List[Pauli]] = []  # canonical ISG after each round
+    snapshots: List[List[Pauli]] = []  # the ISG generators after each round
     anomalies = 0
     for t in range(6 * periods):
         kind, color, checks = schedule.rounds[t % 6]
@@ -181,11 +173,11 @@ def run_schedule(
                 for c_, ops in vertex_ops.items()
             }
         per_round.append(entry)
-        snapshots.append(isg.canonical())
+        snapshots.append(list(isg.gens))
     periodic = all(
-        snapshots[t] == snapshots[t + 6] for t in range(6, 6 * (periods - 1))
+        _same_group(snapshots[t], snapshots[t + 6]) for t in range(6, 6 * (periods - 1))
     )
-    steady_logical = n - len(snapshots[-1])
+    steady_logical = n - per_round[-1]["rank"]
     report = {
         "per_round": per_round,
         "anomalies": anomalies,
@@ -206,18 +198,9 @@ def permutation_layout(c: Complex) -> dict:
         raise FloquetError("layout needs a two-dimensional coset complex")
     perm = c.group.type_cycle_perm()
     n = c.n_top
-    # orbit census
     sizes: Dict[int, int] = {}
-    seen = np.zeros(n, dtype=bool)
-    for i in range(n):
-        if seen[i]:
-            continue
-        j, size = i, 0
-        while not seen[j]:
-            seen[j] = True
-            size += 1
-            j = int(perm[j])
-        sizes[size] = sizes.get(size, 0) + 1
+    for orbit in perm_orbits(perm.tolist()):
+        sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
     triple = perm[perm[perm]]
     # edge partitions: qubits grouped by containing edge, per color
     partition_map_ok = True

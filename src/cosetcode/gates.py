@@ -63,10 +63,6 @@ def apply_z(p: Pauli, mask: int) -> Pauli:
     return Pauli(p.n, p.p + 2 * (p.x & mask).bit_count(), p.x, p.z)
 
 
-def apply_x(p: Pauli, mask: int) -> Pauli:
-    return Pauli(p.n, p.p + 2 * (p.z & mask).bit_count(), p.x, p.z)
-
-
 def apply_s(p: Pauli, mask: int) -> Pauli:
     """S: X -> Y on each masked qubit."""
     hit = p.x & mask
@@ -78,13 +74,6 @@ def apply_h(p: Pauli, mask: int) -> Pauli:
     xm, zm = p.x & mask, p.z & mask
     phase = p.p + 2 * (xm & zm).bit_count()
     return Pauli(p.n, phase, p.x ^ xm ^ zm, p.z ^ zm ^ xm)
-
-
-def apply_cz_pairs(p: Pauli, pairs: Sequence[Tuple[int, int]]) -> Pauli:
-    """CZ on each of the disjoint pairs (a, b): X_a -> X_a Z_b, X_b -> X_b Z_a."""
-    gates = [Gate("CZ", pair) for pair in pairs]
-    _check_layer_disjoint(gates)
-    return _apply_cz_layer(p, _cz_table(gates))
 
 
 def _cz_table(gates: Sequence["Gate"]) -> Tuple[Dict[int, int], int]:
@@ -282,8 +271,6 @@ def membership_phase(p: Pauli, generators: Sequence[Pauli]) -> Optional[int]:
     is factored again); a query is one reduction, so this pays off when
     many queries share one generator set, as in gate-preservation checks."""
     n = p.n
-    if not generators:
-        return 0 if (p.x == 0 and p.z == 0) else None
     residual, combo = _symplectic_basis(generators).reduce(p.x | (p.z << n))
     if residual:
         return None
@@ -449,10 +436,8 @@ __all__ = [
     "Pauli",
     "pauli_mul",
     "apply_z",
-    "apply_x",
     "apply_s",
     "apply_h",
-    "apply_cz_pairs",
     "apply_permutation",
     "apply_gamma",
     "apply_upsilon",

@@ -62,11 +62,6 @@ class BitVector:
         self.length = length
         self.value = value
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise GF2Error("bit index out of range")
-        return (self.value >> i) & 1
-
     def weight(self) -> int:
         return self.value.bit_count()
 
@@ -387,15 +382,6 @@ class BitMatrix:
                 v ^= b
             out.append(acc)
         return BitMatrix._of(out, other.cols)
-
-    def matvec(self, x: BitVector) -> BitVector:
-        """Product self @ x over GF(2) (x indexed by columns)."""
-        if x.length != self.cols:
-            raise GF2Error("matvec length mismatch")
-        out = 0
-        for i, v in enumerate(self._ints):
-            out |= ((v & x.value).bit_count() & 1) << i
-        return BitVector(self.rows, out)
 
     # -- elimination ----------------------------------------------------
 

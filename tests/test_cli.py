@@ -9,6 +9,7 @@ import pytest
 from cosetcode import cli
 from cosetcode.cli import main
 from cosetcode.group import GroupTable
+from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import SheafError
 
 
@@ -160,11 +161,19 @@ def test_cap_refusals_exit_three():
         # the link group K_0 has q^3 = 4096 elements at q=16
         ["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
         ["build", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
+        # the Floquet schedule tracks a tableau over the qubits too
+        ["verify", "--q", "2", "--suite", "floquet", "--cap-tableau", "100"],
     ],
 )
 def test_caps_refuse_before_enumeration(no_enumeration, argv, capsys):
     assert main(argv) == 3
     assert capsys.readouterr().err.splitlines()[-1].startswith("refused: ")
+
+
+def test_tableau_cap_names_the_suite(no_enumeration, capsys):
+    for suite in ("gates", "floquet"):
+        assert main(["verify", "--q", "2", "--suite", suite, "--cap-tableau", "100"]) == 3
+        assert "for the %s suite" % suite in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -189,18 +198,31 @@ NOTE = "type-cycle gate checks are skipped"
     "argv,code,noted",
     [
         # gcd(2^4 - 1, 3) = 3 and gcd(2^2 - 1, 3) = 3: neither is coprime;
-        # every run but the fixture's is refused before it enumerates
+        # every run but the fixture's is refused before it enumerates, so
+        # none reaches the gates suite, which is where the note is printed
         (["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"], 3, False),
         (["build", "--q", "4", "--cap-qubits", "1000"], 3, False),
         (["verify", "--q", "4", "--suite", "structure", "--cap-qubits", "1000"], 3, False),
         (["verify", "--q", "4", "--fixture", "octahedron"], 0, False),
-        (["verify", "--q", "4", "--suite", "gates"], 3, True),
-        (["verify", "--q", "4", "--suite", "all"], 3, True),
+        (["verify", "--q", "4", "--suite", "gates"], 3, False),
+        (["verify", "--q", "4", "--suite", "all"], 3, False),
     ],
 )
 def test_type_cycle_note_only_when_gates_run(no_enumeration, argv, code, noted, capsys):
     assert main(argv) == code
     assert (NOTE in capsys.readouterr().err) == noted
+
+
+def test_gates_suite_notes_skipped_type_cycle_checks(code2, table2, capsys):
+    inst = {
+        "code": code2,
+        "table": table2,
+        "local_code": reed_muller(0, 1),
+        "cfg": {"D": 2, "eta": 1, "m": 2, "type_cycle_coprime": False},
+    }
+    out = cli.suite_gates(inst)
+    assert "cycle_phase_gate" not in out and "cycle_clifford_gate" not in out
+    assert capsys.readouterr().err == "note: gcd(2^2 - 1, 3) != 1; %s\n" % NOTE
 
 
 def test_unwritable_out_exits_two(tmp_path):
@@ -268,7 +290,9 @@ def test_config_file_booleans(tmp_path, capsys, value, code):
 def test_ring_degree_below_one_exits_two(no_enumeration, capsys):
     # m = 0 has no default modulus: refused as configuration, not a crash
     assert main(["verify", "--q", "2", "--m", "0"]) == 2
-    assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+    # one line: no type-cycle note ahead of the refusal
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
 
 
 @pytest.mark.parametrize(

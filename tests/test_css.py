@@ -106,6 +106,19 @@ def test_symplectic_color_basis_needs_two_tags(code2):
         symplectic_color_basis(code2, lone)
 
 
+def test_symplectic_color_basis_refuses_odd_same_color_overlap(code2, logicals2):
+    # mutation control: one red support gains a qubit of another red
+    # support, so the two overlap oddly
+    tags = sorted({t for t, _ in logicals2.x_logicals})
+    red = [i for i, (t, _) in enumerate(logicals2.x_logicals) if t == tags[0]]
+    r0, r1 = (logicals2.x_logicals[i][1].value for i in red[:2])
+    q = next(q for q in range(code2.n) if (r1 >> q) & 1 and not (r0 >> q) & 1)
+    x = list(logicals2.x_logicals)
+    x[red[0]] = (tags[0], BitVector(code2.n, r0 | 1 << q))
+    with pytest.raises(CSSError, match="same-color"):
+        symplectic_color_basis(code2, LogicalBasis(code2.n, x, logicals2.z_logicals))
+
+
 def test_unfolding_on_coset_instance(code2, sheaf2, dual2):
     rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
     assert rep["dimension_formula"]

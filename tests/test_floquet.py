@@ -1,6 +1,8 @@
 """Dynamic measurement schedule: sign-exact stabilizer tracking, the
 six-round plan on small instances, and the fixed permutation layout."""
 
+import random
+
 import pytest
 
 from cosetcode import fixtures
@@ -15,7 +17,7 @@ from cosetcode.floquet import (
     run_schedule,
     vertex_x_operators,
 )
-from cosetcode.gates import Pauli
+from cosetcode.gates import Circuit, Gate, Pauli, pauli_mul
 from cosetcode.sheaf import attach_constant_sheaf, dual_sheaf
 
 
@@ -47,9 +49,10 @@ def test_stabilizer_group_anomaly_on_negated_member():
 
 
 def test_canonical_rejects_minus_identity():
-    g = StabilizerGroup(1, [Pauli(1, 2, 0, 1), Pauli.z_op(1, 1)])
     with pytest.raises(FloquetError):
-        g.canonical()
+        StabilizerGroup(1, [Pauli(1, 2, 0, 1), Pauli.z_op(1, 1)])
+    with pytest.raises(FloquetError):
+        StabilizerGroup(1, [Pauli(1, 2, 0, 0)])  # -I itself
 
 
 def test_canonical_drops_dependent_rows_and_compares():
@@ -59,6 +62,91 @@ def test_canonical_drops_dependent_rows_and_compares():
     )
     assert a.equals(b)
     assert b.rank() == 2
+
+
+def _ref_canonical(n, gens):
+    """Reference: the unique reduced-echelon generator list over the (x|z)
+    rows by column-by-column elimination, phases carried along by Pauli
+    multiplication; raises on -identity."""
+    rows = list(gens)
+    out = []
+    for col in range(2 * n):
+        bit = 1 << (col % n)
+        is_x = col < n
+
+        def has(p):
+            return bool((p.x if is_x else p.z) & bit)
+
+        piv = next((i for i, p in enumerate(rows) if has(p)), None)
+        if piv is None:
+            continue
+        pivot = rows.pop(piv)
+        rows = [pauli_mul(p, pivot) if has(p) else p for p in rows]
+        out = [pauli_mul(p, pivot) if has(p) else p for p in out]
+        out.append(pivot)
+    clean = []
+    for p in out + rows:
+        if p.x == 0 and p.z == 0:
+            if p.p != 0:
+                raise FloquetError("stabilizer group contains -identity")
+            continue
+        clean.append(p)
+    return clean
+
+
+def _random_group(rng, n, k):
+    """k independent commuting Hermitian generators: +-Z on qubits 0..k-1
+    conjugated by a random circuit of H, S and CZ layers."""
+    circ = Circuit(n)
+    for _ in range(3):
+        for name in ("H", "S"):
+            circ.add_layer([Gate(name, tuple(q for q in range(n) if rng.random() < 0.5))])
+        qs = rng.sample(range(n), n)
+        circ.add_layer([Gate("CZ", (qs[i], qs[i + 1])) for i in range(0, n - 1, 2)])
+    return [circ.conjugate(Pauli(n, 2 * rng.randrange(2), 0, 1 << i)) for i in range(k)]
+
+
+def _product(n, gens, rng):
+    p = Pauli(n, 0, 0, 0)
+    for g in gens:
+        if rng.random() < 0.5:
+            p = pauli_mul(p, g)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_rank_and_equals_match_reference_canonical(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(3, 9)
+    gens = _random_group(rng, n, rng.randrange(2, n + 1))
+    # dependent generators, in a shuffled order
+    mixed = gens + [_product(n, gens, rng) for _ in range(3)]
+    rng.shuffle(mixed)
+    flipped = [Pauli(n, gens[0].p + 2, gens[0].x, gens[0].z)] + gens[1:]  # -g_0
+    groups = {"gens": gens, "mixed": mixed, "flipped": flipped, "smaller": gens[1:]}
+    equal = {}
+    for a, ga in groups.items():
+        assert StabilizerGroup(n, ga).rank() == len(_ref_canonical(n, ga))
+        for b, gb in groups.items():
+            equal[a, b] = StabilizerGroup(n, ga).equals(StabilizerGroup(n, gb))
+            assert equal[a, b] == (_ref_canonical(n, ga) == _ref_canonical(n, gb))
+    assert equal["gens", "mixed"] and equal["mixed", "gens"]
+    assert not equal["gens", "flipped"] and not equal["gens", "smaller"]
+    assert not equal["smaller", "gens"]
+    # a dependent generator with the wrong sign puts -identity in the group
+    p = pauli_mul(gens[0], _product(n, gens[1:], rng))
+    bad = gens + [Pauli(n, p.p + 2, p.x, p.z)]
+    with pytest.raises(FloquetError):
+        _ref_canonical(n, bad)
+    with pytest.raises(FloquetError):
+        StabilizerGroup(n, bad)
+
+
+def test_equals_tells_z_from_minus_z():
+    z, minus_z = StabilizerGroup(1, [Pauli.z_op(1, 1)]), StabilizerGroup(1, [Pauli(1, 2, 0, 1)])
+    assert z.rank() == minus_z.rank() == 1
+    assert not z.equals(minus_z) and not minus_z.equals(z)
+    assert z.equals(StabilizerGroup(1, [Pauli.z_op(1, 1), Pauli.z_op(1, 1)]))
 
 
 def test_schedule_requires_six_rounds_and_dimension_two():

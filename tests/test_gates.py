@@ -12,13 +12,11 @@ from cosetcode.gates import (
     Gate,
     GateError,
     Pauli,
-    apply_cz_pairs,
     apply_gamma,
     apply_h,
     apply_permutation,
     apply_s,
     apply_upsilon,
-    apply_x,
     apply_z,
     check_cz_conditions,
     check_r_conditions,
@@ -77,7 +75,10 @@ def test_pauli_weight_and_constructors():
 def test_apply_z_and_x_flip_signs():
     assert apply_z(X1, 1) == Pauli(1, 2, 1, 0)  # Z X Z = -X
     assert apply_z(Z1, 1) == Z1
-    assert apply_x(Z1, 1) == Pauli(1, 2, 0, 1)  # X Z X = -Z
+    # X = H Z H
+    x_circ = Circuit(1, [[Gate("H", (0,))], [Gate("Z", (0,))], [Gate("H", (0,))]])
+    assert x_circ.conjugate(Z1) == Pauli(1, 2, 0, 1)  # X Z X = -Z
+    assert x_circ.conjugate(X1) == X1
 
 
 def test_apply_s_table():
@@ -100,21 +101,26 @@ def test_apply_h_table():
     assert apply_h(apply_h(p, 0b11), 0b11) == p
 
 
+def _cz_layer(*pairs):
+    return Circuit(2, [[Gate("CZ", pair) for pair in pairs]])
+
+
 def test_apply_cz_table():
+    cz = _cz_layer((0, 1))
     x0 = Pauli.x_op(2, 0b01)
-    assert apply_cz_pairs(x0, [(0, 1)]) == Pauli(2, 0, 0b01, 0b10)
+    assert cz.conjugate(x0) == Pauli(2, 0, 0b01, 0b10)
     z0 = Pauli.z_op(2, 0b01)
-    assert apply_cz_pairs(z0, [(0, 1)]) == z0
+    assert cz.conjugate(z0) == z0
     xx = Pauli.x_op(2, 0b11)
     # CZ (X X) CZ = -(Y Y) = X X Z Z with phase 2
-    assert apply_cz_pairs(xx, [(0, 1)]) == Pauli(2, 2, 0b11, 0b11)
+    assert cz.conjugate(xx) == Pauli(2, 2, 0b11, 0b11)
     # involution
     p = Pauli(2, 3, 0b10, 0b01)
-    assert apply_cz_pairs(apply_cz_pairs(p, [(0, 1)]), [(0, 1)]) == p
+    assert cz.conjugate(cz.conjugate(p)) == p
     with pytest.raises(GateError):
-        apply_cz_pairs(xx, [(0, 1), (1, 0)])
+        _cz_layer((0, 1), (1, 0))
     with pytest.raises(GateError):
-        apply_cz_pairs(xx, [(1, 1)])
+        _cz_layer((1, 1))
 
 
 def test_apply_permutation():
@@ -177,7 +183,7 @@ def test_circuit_layers_and_conjugate():
 
 
 def _cz_pairs_ref(p, pairs):
-    """Reference: CZ one pair at a time, as apply_cz_pairs once did."""
+    """Reference: CZ one pair at a time."""
     phase = p.p
     z = p.z
     for a, b in pairs:

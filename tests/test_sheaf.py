@@ -40,6 +40,12 @@ from cosetcode.sheaf import (
 )
 
 
+def _matvec(m, x):
+    """m @ x over GF(2), x indexed by the columns."""
+    bits = ((v & x.value).bit_count() & 1 for v in m.int_rows())
+    return BitVector(m.rows, sum(b << i for i, b in enumerate(bits)))
+
+
 @pytest.mark.parametrize(
     "name,betti",
     [
@@ -326,7 +332,7 @@ def test_cocycles_contain_coboundaries(sheaf2):
     d0 = coboundary_matrix(sheaf2, 0)
     for i in range(min(10, d0.cols)):
         col = BitVector(d0.cols, 1 << i)
-        assert z.in_row_space(d0.matvec(col))
+        assert z.in_row_space(_matvec(d0, col))
 
 
 def _coboundary_by_solve(s, j):
@@ -408,16 +414,16 @@ def test_cup_product_leibniz_rule():
     for _ in range(10):
         f = Cochain(s, 0, BitVector(s.level_dim(0), rng.getrandbits(s.level_dim(0))))
         g = Cochain(s, 0, BitVector(s.level_dim(0), rng.getrandbits(s.level_dim(0))))
-        df = Cochain(s, 1, d0.matvec(f.data))
-        dg = Cochain(s, 1, d0.matvec(g.data))
+        df = Cochain(s, 1, _matvec(d0, f.data))
+        dg = Cochain(s, 1, _matvec(d0, g.data))
         fg = cup_product(f, g, target=ss)
-        assert d0s.matvec(fg.data) == (
+        assert _matvec(d0s, fg.data) == (
             cup_product(df, g, target=ss) ^ cup_product(f, dg, target=ss)
         ).data
         h = Cochain(s, 1, BitVector(s.level_dim(1), rng.getrandbits(s.level_dim(1))))
-        dh = Cochain(s, 2, d1.matvec(h.data))
+        dh = Cochain(s, 2, _matvec(d1, h.data))
         hg = cup_product(h, g, target=ss)
-        assert d1s.matvec(hg.data) == (
+        assert _matvec(d1s, hg.data) == (
             cup_product(dh, g, target=ss) ^ cup_product(h, dg, target=ss)
         ).data
 
@@ -431,7 +437,7 @@ def test_cup_product_of_cocycles_is_cocycle(sheaf2):
     g = Cochain(s, 0, z0.row(0))
     fg = cup_product(f, g, target=ss)
     d1s = coboundary_matrix(ss, 1)
-    assert d1s.matvec(fg.data).value == 0
+    assert _matvec(d1s, fg.data).value == 0
 
 
 def test_lift_shrunk_cocycle_roundtrip(sheaf2):
@@ -440,10 +446,10 @@ def test_lift_shrunk_cocycle_roundtrip(sheaf2):
     d1 = coboundary_matrix(s, 1)
     for T in ((0, 1), (0, 2), (1, 2)):
         r = restrict_to_type(s, 1, T)
-        f = r.matvec(reps.row(0))
+        f = _matvec(r, reps.row(0))
         lifted = lift_shrunk_cocycle(s, T, f)
-        assert d1.matvec(lifted.data).value == 0
-        assert r.matvec(lifted.data) == f
+        assert _matvec(d1, lifted.data).value == 0
+        assert _matvec(r, lifted.data) == f
 
 
 def test_pair_products_even_overlap_q2(sheaf2, dual2):
