@@ -2,7 +2,8 @@
 emit reports and matrix exports.
 
 Exit codes: 0 pass, 1 verification finding, 2 config error (including
-an unwritable --out and D != 2 for the rate and Floquet work), 3 resource
+an unwritable --out, D != 2 for the rate and Floquet work, and a (q, m)
+whose generators close to less than SL_{D+1}(R_m)), 3 resource
 cap refused, 4 internal error (any other exception, reported on one
 stderr line).  Caps and the D = 2 requirement are checked before any
 work starts.
@@ -42,7 +43,13 @@ from .gates import (
     orbit_cz_circuit,
 )
 from .gf2 import write_alist, write_matrix_market
-from .group import DEFAULT_ENUMERATION_CAP, GroupCapError, enumerate_group, sl_order
+from .group import (
+    DEFAULT_ENUMERATION_CAP,
+    GroupCapError,
+    enumerate_group,
+    generated_field_size,
+    sl_order,
+)
 from .local_codes import reed_muller
 from .sheaf import (
     attach_local_codes,
@@ -239,6 +246,12 @@ def build_instance(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) -
     asks for `css`)."""
     _refuse_early(args, cfg, suites)
     ring = build_ring(cfg["eta"], cfg["m"], cfg["phi"])
+    n, sub = cfg["D"] + 1, generated_field_size(cfg["q"], cfg["m"], cfg["D"])
+    if sub != ring.size:
+        raise ConfigError(
+            "the generators close to a copy of SL_%d(F_%d), not SL_%d(R_%d): "
+            "t^%d lies in the subfield F_%d" % (n, sub, n, cfg["m"], n, sub)
+        )
     table = enumerate_group(cfg["D"], ring, cap=args.cap_enumeration)
     c = build_coset_complex(table)
     code_local = reed_muller(cfg["r"], cfg["eta"])

@@ -7,10 +7,12 @@ row: bit i of a vector, or of a row, is the coefficient of coordinate
 
 All elimination runs through one loop, `EchelonBasis`: a forward-only
 dict from each Python-int row's `bit_length()` (its pivot) to the row.
-One XOR of two such ints updates a whole row at C speed.  Rank, rref,
-kernel_basis and solve read rows with their columns reversed over whole
-bytes (`_reversed`), column c at bit 8*nbytes - 1 - c, so a row's pivot
-is its lowest column, and back-substitute (`EchelonBasis.rref`) only for
+One XOR of two such ints updates a whole row at C speed.  Rank reads
+rows as they are, pivoting on each row's highest set bit: rank does not
+depend on pivot order.  Rref, kernel_basis and solve read rows with
+their columns reversed over whole bytes (`_reversed`), column c at bit
+8*nbytes - 1 - c, so a row's pivot is its lowest column and their output
+keeps the usual form, and back-substitute (`EchelonBasis.rref`) only for
 a reduced form; `rref_rows` and `dual_rows` serve int rows.  Certificates
 ride as tag bits: `CertifiedBasis` eliminates [rows | I], so one
 reduction gives both the residual and the rows that rebuild the query.
@@ -110,8 +112,9 @@ class EchelonBasis:
     row's pivot is its highest set bit and no two rows share one.
 
     Inserting and reducing only eliminate forward; `rref` back-substitutes
-    when a caller asks for the reduced form.  Read a row with its columns
-    reversed (`_reversed`) and its pivot is its lowest column.
+    when a caller asks for the reduced form.  `BitMatrix.rank` inserts
+    rows as they are; rref, kernel_basis and solve insert them with their
+    columns reversed (`_reversed`), so a pivot is a row's lowest column.
     """
 
     __slots__ = ("_rows",)
@@ -386,7 +389,9 @@ class BitMatrix:
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        return len(EchelonBasis(_reversed(self._ints, (self.cols + 7) // 8)))
+        """The rank, eliminated on the rows as they are: pivots at the
+        highest set bits, since rank does not depend on pivot order."""
+        return len(EchelonBasis(self._ints))
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
         """Reduced row echelon form and pivot columns; zero rows dropped."""

@@ -17,6 +17,7 @@ tree, one gather per round.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +42,21 @@ def sl_order(n: int, size: int) -> int:
     for i in range(2, n + 1):
         order *= size ** i - 1
     return order
+
+
+def generated_field_size(q: int, m: int, D: int) -> int:
+    """The size of the subfield F_q(t^{D+1}) of R_m = F_{q^m}: the K_{j}
+    generate a conjugate of SL_{D+1} over it (D >= 2), so they generate
+    SL_{D+1}(R_m) iff it is q^m.
+
+    Conjugating by diag(1, t^-1, ..., t^-D) turns e(alpha*t) of every
+    color j >= 1 into e(alpha) and that of color 0 into e(alpha*t^{D+1});
+    for D + 1 >= 3 their commutators give every elementary matrix over
+    F_q[t^{D+1}].  t is primitive, so t^{D+1} has order (q^m - 1) /
+    gcd(q^m - 1, D + 1) and lies in F_{q^d} iff that divides q^d - 1."""
+    units = q ** m - 1
+    order = units // math.gcd(units, D + 1)
+    return q ** min(d for d in range(1, m + 1) if m % d == 0 and (q ** d - 1) % order == 0)
 
 
 def generator_position(j: int, n: int) -> Tuple[int, int]:
@@ -223,9 +239,11 @@ class GroupTable:
         return out
 
     def _enumerate(self) -> None:
-        """BFS rounds as array operations.  Unseen keys are found by
-        `searchsorted` against the sorted known keys and numbered in
-        first-occurrence order, which keeps ids in insertion order."""
+        """BFS rounds as array operations, one `searchsorted` of a round's
+        products against the sorted known keys each.  A known product's
+        Cayley entry is read at the position the search found; the unseen
+        keys are numbered in first-occurrence order, which keeps ids in
+        insertion order, and their entries come from that numbering."""
         ngen = len(self.gens)
         position = {color: generator_position(color, self.n) for color in self.colors}
         elementary = [(*position[color], v) for color, _, v in self.gens]
@@ -244,22 +262,28 @@ class GroupTable:
             for col, (r, c, v) in enumerate(elementary):
                 products[:, col] = self._mul_batch(batch, r, c, v)
             products = products.ravel()  # [local * ngen + col]
-            pos = np.searchsorted(sorted_keys, products)
-            np.minimum(pos, size - 1, out=pos)
-            fresh = np.flatnonzero(sorted_keys[pos] != products)
-            # first occurrence of each unseen key: the lead of its run in a
-            # stable sort; these are the new elements, taken in id order
-            order = np.argsort(products[fresh], kind="stable")
-            run = products[fresh[order]]
+            ids = np.searchsorted(sorted_keys, products)
+            np.minimum(ids, size - 1, out=ids)
+            fresh = np.flatnonzero(sorted_keys[ids] != products)
+            ids = sorted_ids[ids]  # right for every known product
+            # the unseen products by key, stably, so each key's run leads
+            # with its first occurrence: the new elements, taken in id order
+            fresh = fresh[np.argsort(products[fresh], kind="stable")]
+            run = products[fresh]
             lead = np.ones(run.size, dtype=bool)
             lead[1:] = run[1:] != run[:-1]
-            flat = fresh[np.sort(order[lead])]
+            firsts = fresh[lead]  # keys ascending
+            by_id = np.argsort(firsts)
+            new_ids = np.empty(firsts.size, dtype=np.int64)
+            new_ids[by_id] = size + np.arange(firsts.size)
+            ids[fresh] = new_ids[np.cumsum(lead) - 1]
+            cayley.append(ids.reshape(-1, ngen))
+            flat = firsts[by_id]
             batch = products[flat]
-            by_key = np.argsort(batch)
-            ins = np.searchsorted(sorted_keys, batch[by_key])
-            sorted_keys = np.insert(sorted_keys, ins, batch[by_key])
-            sorted_ids = np.insert(sorted_ids, ins, size + by_key)
-            cayley.append(sorted_ids[np.searchsorted(sorted_keys, products)].reshape(-1, ngen))
+            new_keys = run[lead]
+            ins = np.searchsorted(sorted_keys, new_keys)
+            sorted_keys = np.insert(sorted_keys, ins, new_keys)
+            sorted_ids = np.insert(sorted_ids, ins, new_ids)
             if not flat.size:
                 break
             keys.append(batch)
@@ -432,6 +456,7 @@ __all__ = [
     "GroupCapError",
     "DEFAULT_ENUMERATION_CAP",
     "sl_order",
+    "generated_field_size",
     "generator_position",
     "GroupElement",
     "GroupTable",

@@ -1,6 +1,7 @@
 """End-to-end acceptance: one test per headline property of the
 construction, each a single pass/fail line under pytest -v."""
 
+import math
 from fractions import Fraction
 
 from cosetcode import fixtures
@@ -77,13 +78,17 @@ def test_criterion_04_group_orders(table2, inst4):
     assert inst4["table"].size == sl_order(3, 4) == 60480
 
 
-def test_criterion_05_unfolded_dimension(code2, sheaf2, dual2, torus_sheaves):
+def test_criterion_05_unfolded_dimension(code2, sheaf2, dual2, torus_sheaves, inst4):
     assert code2.code_dimension() == 46 == 2 * cohomology_dim(sheaf2, 1)
     assert unfolding_check(code2, sheaf2, dual2, 0, 0)["ok"]
     s, sd = torus_sheaves
     tcode, _ = extract_css(s, 0, 0, s_dual=sd)
     assert tcode.code_dimension() == 4 == 2 * cohomology_dim(s, 1)
     assert unfolding_check(tcode, s, sd, 0, 0)["ok"]
+    # q=4 by the unfolding route alone: k = C(2, 1) h^1, from the ranks of
+    # δ^0 and δ^1 (60480×45360); `verify --q 4 --suite css` prints k = 44
+    h1 = cohomology_dim(inst4["sheaf"], 1)
+    assert h1 == 22 and math.comb(2, 1) * h1 == 44
 
 
 def test_criterion_06_structure_and_commutation(code2, complex2, sheaf2, dual2, inst4):

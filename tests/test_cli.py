@@ -8,7 +8,7 @@ import pytest
 
 from cosetcode import cli
 from cosetcode.cli import main
-from cosetcode.group import GroupTable
+from cosetcode.group import GroupError, GroupTable
 from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import SheafError
 
@@ -191,6 +191,14 @@ def test_d3_structure_and_sheaf_go_on_to_build(no_enumeration, suite, capsys):
     assert "group enumeration started" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["verify", "--suite", "structure"], ["build"], ["report"]])
+def test_generators_short_of_sl_refused_before_enumeration(no_enumeration, command, capsys):
+    # q=2, m=2: t^3 = 1, so the generators close to a copy of SL_3(F_2)
+    assert main(command + ["--q", "2", "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "SL_3(F_2)" in err
+
+
 NOTE = "type-cycle gate checks are skipped"
 
 
@@ -238,6 +246,14 @@ def test_library_error_exits_four(monkeypatch, capsys):
     monkeypatch.setattr(cli, "attach_local_codes", fail)
     assert main(["verify", "--q", "2", "--suite", "sheaf"]) == 4
     assert capsys.readouterr().err == "internal error: SheafError: injected\n"
+
+    # a GroupError other than the generation refusal is no config error
+    def fail_group(*args, **kwargs):
+        raise GroupError("injected")
+
+    monkeypatch.setattr(cli, "enumerate_group", fail_group)
+    assert main(["verify", "--q", "2", "--suite", "structure"]) == 4
+    assert capsys.readouterr().err == "internal error: GroupError: injected\n"
 
 
 def test_config_file_parsing(tmp_path, capsys):

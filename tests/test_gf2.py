@@ -144,11 +144,33 @@ def test_from_dense_accepts_noncontiguous_views():
     assert (m.to_dense() == d).all()
 
 
+def _structured_rank_inputs(rng):
+    """(int rows, cols) the random cases miss: three ones per row as in
+    δ^1, cols far past rows and not a multiple of 8, repeated rows and
+    XORs of other rows, zero rows, and empty shapes."""
+    for rows, cols in [(60, 45), (45, 60), (200, 150)]:
+        yield [sum(1 << c for c in rng.sample(range(cols), 3)) for _ in range(rows)], cols
+    for rows, cols in [(10, 301), (7, 1001), (3, 4099)]:
+        yield _random_matrix(rng, rows, cols)[1], cols
+    for base_rows, cols in [(8, 20), (20, 70), (40, 33)]:
+        ints = _random_matrix(rng, base_rows, cols)[1]
+        ints += [rng.choice(ints) for _ in range(5)]
+        ints += [_xor_of(ints, rng.getrandbits(len(ints))) for _ in range(10)]
+        rng.shuffle(ints)
+        yield ints, cols
+    yield [0] * 6, 13
+    yield [0, 1 << 12, 0, (1 << 12) | 1, 0], 13
+    yield [], 10
+    yield [0] * 5, 0
+    yield [], 0
+
+
 def test_rank_matches_oracle():
     rng = random.Random(23)
-    for rows, cols in [(5, 5), (20, 64), (30, 100), (64, 30)]:
-        m, ints = _random_matrix(rng, rows, cols)
-        assert m.rank() == _rank_oracle(ints, cols)
+    cases = [(_random_matrix(rng, r, c)[1], c) for r, c in [(5, 5), (20, 64), (30, 100), (64, 30)]]
+    for ints, cols in cases + list(_structured_rank_inputs(rng)):
+        m = BitMatrix.from_int_rows(ints, cols)
+        assert m.rank() == _rank_oracle(ints, cols) == len(m.rref()[1]), (len(ints), cols)
 
 
 def test_rref_preserves_row_space_and_is_idempotent():

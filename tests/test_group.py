@@ -13,6 +13,7 @@ from cosetcode.group import (
     GroupTable,
     enumerate_group,
     fixed_point_free_on_link,
+    generated_field_size,
     generator_position,
     sl_order,
     verify_commutator_relation,
@@ -124,6 +125,23 @@ def test_over_wide_table_refused_before_any_product(monkeypatch):
     monkeypatch.setattr(GroupElement, "mul", multiply)
     with pytest.raises(GroupCapError):
         GroupTable(build_ring(2, 2), 3)
+
+
+def test_generated_field_predicts_the_closure():
+    # m = 1: R_1 is F_q itself
+    assert [generated_field_size(q, 1, 2) for q in (2, 4, 8, 16, 32)] == [2, 4, 8, 16, 32]
+    # q=2, m=2: t^3 = 1, so the generators close to a copy of SL_3(F_2)
+    ring = build_ring(1, 2)
+    assert generated_field_size(2, 2, 2) == 2
+    assert GroupTable(ring, 2).size == sl_order(3, 2)
+    with pytest.raises(GroupError, match="closed to 168 elements"):
+        enumerate_group(2, ring)
+    # t^{D+1} primitive when gcd(q^m - 1, D + 1) = 1; at q=4, m=2 it has
+    # order 5, which does not divide 4 - 1
+    assert generated_field_size(2, 2, 3) == 4
+    assert generated_field_size(2, 3, 2) == 8
+    assert generated_field_size(4, 2, 2) == 16
+    assert generated_field_size(2, 2, 5) == 2  # t^6 = 1
 
 
 def test_subgroup_only_table_rejects_missing_color():
