@@ -2,11 +2,11 @@
 emit reports and matrix exports.
 
 Exit codes: 0 pass, 1 verification finding, 2 config error (including
-an unwritable --out, D != 2 for the rate and Floquet work, and a (q, m)
-whose generators close to less than SL_{D+1}(R_m)), 3 resource
-cap refused, 4 internal error (any other exception, reported on one
-stderr line).  Caps and the D = 2 requirement are checked before any
-work starts.
+an unwritable --out, a flag the command does not read, D != 2 for the
+rate and Floquet work, and a (q, m) whose generators close to less than
+SL_{D+1}(R_m)), 3 resource cap refused, 4 internal error (any other
+exception, reported on one stderr line).  Ignored flags, caps and the
+D = 2 requirement are checked before any work starts.
 """
 
 from __future__ import annotations
@@ -156,6 +156,10 @@ def _apply_config_file(
 
 
 def _validate(args: argparse.Namespace) -> dict:
+    if args.fixture and args.command != "verify":
+        raise ConfigError("--fixture is read by verify only")
+    if args.local_only and args.command == "verify":
+        raise ConfigError("--local-only is read by build and report only")
     q = args.q
     if q < 2 or q & (q - 1):
         raise ConfigError("q must be a power of two")

@@ -7,15 +7,14 @@ row: bit i of a vector, or of a row, is the coefficient of coordinate
 
 All elimination runs through one loop, `EchelonBasis`: a forward-only
 dict from each Python-int row's `bit_length()` (its pivot) to the row.
-One XOR of two such ints updates a whole row at C speed.  Rank reads
-rows as they are, pivoting on each row's highest set bit: rank does not
-depend on pivot order.  Rref, kernel_basis and solve read rows with
-their columns reversed over whole bytes (`_reversed`), column c at bit
-8*nbytes - 1 - c, so a row's pivot is its lowest column and their output
-keeps the usual form, and back-substitute (`EchelonBasis.rref`) only for
-a reduced form; `rref_rows` and `dual_rows` serve int rows.  Certificates
-ride as tag bits: `CertifiedBasis` eliminates [rows | I], so one
-reduction gives both the residual and the rows that rebuild the query.
+One XOR of two such ints updates a whole row at C speed.  Every pivot is
+a row's highest set bit: rank, rref, kernel_basis and solve all read the
+rows as they are, and back-substitute (`EchelonBasis.rref`) only for a
+reduced form.  A reduced row echelon form here has its rows in increasing
+pivot order, each pivot column being zero in every other row; `dual_rows`
+gives the dual of int rows in that form.  Certificates ride as tag bits:
+`CertifiedBasis` eliminates [rows | I], so one reduction gives both the
+residual and the rows that rebuild the query.
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ class GF2Error(ValueError):
 
 # the packed 64-bit words `BitMatrix.from_coords` scatters into at once (8 MB)
 _CHUNK_WORDS = 1 << 20
-
-# every byte with its bits reversed: a row's bytes read through this table
-# as one big-endian int put column c at bit 8*nbytes - 1 - c
-_REV8 = bytes(int("{:08b}".format(b)[::-1], 2) for b in range(256))
 
 
 def _packed_rows(words: np.ndarray) -> List[int]:
@@ -77,7 +72,7 @@ class BitVector:
                 low ^= b
             v >>= 64
             base += 64
-        return sorted(out)
+        return out
 
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
@@ -112,9 +107,7 @@ class EchelonBasis:
     row's pivot is its highest set bit and no two rows share one.
 
     Inserting and reducing only eliminate forward; `rref` back-substitutes
-    when a caller asks for the reduced form.  `BitMatrix.rank` inserts
-    rows as they are; rref, kernel_basis and solve insert them with their
-    columns reversed (`_reversed`), so a pivot is a row's lowest column.
+    when a caller asks for the reduced form.
     """
 
     __slots__ = ("_rows",)
@@ -146,13 +139,12 @@ class EchelonBasis:
             self._rows[v.bit_length()] = v
         return bool(v)
 
-    def rref(self, nbits: int) -> Tuple[List[int], List[int]]:
-        """Back-substitution: the reduced row echelon form of the rows read
-        as column-reversed rows of `nbits` bits, as the reduced rows in
-        increasing pivot column and those columns.  The basis rows are
-        reduced in place (their span and pivots stay)."""
+    def rref(self) -> Tuple[List[int], List[int]]:
+        """Back-substitution: the reduced row echelon form, as the reduced
+        rows in increasing pivot and those pivots (`lead - 1`).  The basis
+        rows are reduced in place (their span and pivots stay)."""
         rows = self._rows
-        leads = sorted(rows)  # highest column first
+        leads = sorted(rows)  # lowest pivot first
         done = 0  # the lead bits of the rows already fully reduced
         for lead in leads:
             v = rows[lead]
@@ -165,8 +157,7 @@ class EchelonBasis:
                 hits ^= 1 << (h - 1)
             rows[lead] = v
             done |= 1 << (lead - 1)
-        leads.reverse()
-        return [rows[lead] for lead in leads], [nbits - lead for lead in leads]
+        return [rows[lead] for lead in leads], [lead - 1 for lead in leads]
 
 
 class CertifiedBasis:
@@ -193,49 +184,28 @@ class CertifiedBasis:
         return t >> self._k, t & ((1 << self._k) - 1)
 
 
-def _kernel(rows: Sequence[int], pivots: Sequence[int], nbits: int, width: int) -> List[int]:
+def _kernel(rows: Sequence[int], pivots: Sequence[int], width: int) -> List[int]:
     """The kernel over `width` columns of a reduced row echelon form as
-    `EchelonBasis.rref` gives it, column-reversed: for each free column c
-    in increasing order, column c plus each pivot column whose row has c."""
+    `EchelonBasis.rref` gives it: for each free column c in increasing
+    order, column c plus each pivot column whose row has c."""
     pivot_set = set(pivots)
-    out = {c: 1 << (nbits - 1 - c) for c in range(width) if c not in pivot_set}
+    out = {c: 1 << c for c in range(width) if c not in pivot_set}
     for v, p in zip(rows, pivots):
-        bit = 1 << (nbits - 1 - p)
+        bit = 1 << p
         v ^= bit
         while v:
             lead = v.bit_length()
-            out[nbits - lead] |= bit
+            out[lead - 1] |= bit
             v ^= 1 << (lead - 1)
     return list(out.values())
 
 
-def _reversed(rows: Iterable[int], nbytes: int) -> Iterator[int]:
-    """Each row with its 8*nbytes bits in reverse order, one at a time:
-    column c moves to bit 8*nbytes - 1 - c, and back (the map is its own
-    inverse)."""
-    return (int.from_bytes(v.to_bytes(nbytes, "little").translate(_REV8), "big") for v in rows)
-
-
-def rref_rows(rows: Iterable[int], width: int) -> List[int]:
-    """The reduced row echelon form of int rows of `width` bits (bit c is
-    column c), as `BitMatrix.rref` gives it."""
-    nb = (width + 7) // 8
-    red, _ = EchelonBasis(_reversed(rows, nb)).rref(8 * nb)
-    return list(_reversed(red, nb))
-
-
 def dual_rows(rows: Iterable[int], width: int) -> List[int]:
     """The dual of the span of int rows of `width` bits, in reduced row
-    echelon form, as `BitMatrix.kernel_basis().row_space_basis()` gives it.
-
-    Read as they are, the rows are the column-reversed rows of their
-    mirror image, so `_kernel` builds the kernel from the reduced form
-    whose pivots are the highest columns.  Each kernel row then has its
-    free column as its lowest bit, which no other kernel row has: in
-    reverse order they are the dual's (unique) reduced row echelon form,
-    with no bit reversal needed."""
-    red, pivots = EchelonBasis(rows).rref(width)
-    return _kernel(red, pivots, width, width)[::-1]
+    echelon form, as `BitMatrix.kernel_basis().row_space_basis()` gives it:
+    the kernel rows, reduced once more on their highest set bits."""
+    red, pivots = EchelonBasis(rows).rref()
+    return EchelonBasis(_kernel(red, pivots, width)).rref()[0]
 
 
 class BitMatrix:
@@ -394,10 +364,10 @@ class BitMatrix:
         return len(EchelonBasis(self._ints))
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
-        """Reduced row echelon form and pivot columns; zero rows dropped."""
-        nb = (self.cols + 7) // 8
-        rows, pivots = EchelonBasis(_reversed(self._ints, nb)).rref(8 * nb)
-        return BitMatrix._of(list(_reversed(rows, nb)), self.cols), pivots
+        """Reduced row echelon form and pivot columns, each row's pivot its
+        highest set bit; zero rows dropped."""
+        rows, pivots = EchelonBasis(self._ints).rref()
+        return BitMatrix._of(rows, self.cols), pivots
 
     def row_space_basis(self) -> "BitMatrix":
         m, _ = self.rref()
@@ -405,24 +375,20 @@ class BitMatrix:
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form a basis of {x : self @ x = 0} (x of length cols)."""
-        nb = (self.cols + 7) // 8
-        rows, pivots = EchelonBasis(_reversed(self._ints, nb)).rref(8 * nb)
-        ker = _kernel(rows, pivots, 8 * nb, self.cols)
-        return BitMatrix._of(list(_reversed(ker, nb)), self.cols)
+        rows, pivots = EchelonBasis(self._ints).rref()
+        return BitMatrix._of(_kernel(rows, pivots, self.cols), self.cols)
 
     def _solve(self, rhs_rows: Iterable[int], k: int) -> Optional[List[Tuple[int, int]]]:
-        """Solve self @ X = rhs by reducing [self | rhs], for rhs rows
-        given column-reversed over k bits.  Returns the solution whose
-        free variables are 0 as (row of X, its column-reversed bits)
-        pairs, rows not listed being 0; None if it is inconsistent."""
-        nb = (self.cols + 7) // 8
-        shift = 8 * nb - self.cols
-        aug = ((a >> shift) << k | b for a, b in zip(_reversed(self._ints, nb), rhs_rows))
-        rows, pivots = EchelonBasis(aug).rref(self.cols + k)
-        if pivots and pivots[-1] >= self.cols:
+        """Solve self @ X = rhs by reducing the rows of self above those of
+        rhs (k bits each, `a << k | b`).  Returns the solution whose free
+        variables are 0 as (row of X, its bits) pairs, rows not listed
+        being 0; None if it is inconsistent: a pivot below bit k."""
+        aug = (a << k | b for a, b in zip(self._ints, rhs_rows))
+        rows, pivots = EchelonBasis(aug).rref()
+        if pivots and pivots[0] < k:
             return None
         low = (1 << k) - 1
-        return [(p, v & low) for v, p in zip(rows, pivots)]
+        return [(p - k, v & low) for v, p in zip(rows, pivots)]
 
     def solve(self, rhs: "BitMatrix") -> Optional["BitMatrix"]:
         """Solve self @ X = rhs for X (rhs given column-wise as a matrix).
@@ -432,15 +398,13 @@ class BitMatrix:
         """
         if rhs.rows != self.rows:
             raise GF2Error("solve rhs row mismatch")
-        nb = (rhs.cols + 7) // 8
-        shift = 8 * nb - rhs.cols
-        sol = self._solve((b >> shift for b in _reversed(rhs._ints, nb)), rhs.cols)
+        sol = self._solve(rhs._ints, rhs.cols)
         if sol is None:
             return None
         x = [0] * self.cols
         for p, v in sol:
-            x[p] = v << shift
-        return BitMatrix._of(list(_reversed(x, nb)), rhs.cols)
+            x[p] = v
+        return BitMatrix._of(x, rhs.cols)
 
     def solve_vec(self, b: BitVector) -> Optional[BitVector]:
         """Solve self @ x = b; returns some solution or None."""
@@ -509,7 +473,6 @@ __all__ = [
     "BitMatrix",
     "EchelonBasis",
     "CertifiedBasis",
-    "rref_rows",
     "dual_rows",
     "row_space_equal",
     "write_matrix_market",

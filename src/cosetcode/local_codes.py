@@ -2,7 +2,8 @@
 
 Coordinates of RM(r, eta) are the points of F_2^eta in integer order of
 their bit patterns (point i has j-th variable = bit j of i).  Generator
-bases are stored in reduced row echelon form so downstream labels are
+bases are stored in reduced row echelon form, each row's pivot at its
+highest set bit (`BitMatrix.rref`), so downstream labels are
 reproducible.
 """
 
@@ -76,18 +77,15 @@ def reed_muller(r: int, eta: int) -> LinearCode:
 
 def dual_code(c: LinearCode) -> LinearCode:
     """The dual code: kernel of the generator."""
-    ker = c.generator.kernel_basis()
-    if ker.rows == 0:
-        ker = BitMatrix.zeros(0, c.n)
-    return LinearCode(ker)
+    return LinearCode(c.generator.kernel_basis())
 
 
 def divisibility_level(c: LinearCode) -> int:
     """Largest ell such that every codeword weight is divisible by 2^ell,
     up to the bit length of n (returned for the zero code).
 
-    Uses exhaustive span enumeration for dim <= 24 and the basis-tuple
-    criterion otherwise; when both paths run they must agree.
+    Enumerates the span for dim <= 24 and uses the basis-tuple criterion
+    otherwise: one path runs, never both.
     """
     max_level = max(1, c.n.bit_length())
     if c.k == 0:
@@ -149,15 +147,12 @@ def star_product_code(c: LinearCode, ell: int) -> LinearCode:
     """The span of all products of ell codewords of c (C^{*ell})."""
     if ell < 1:
         raise LocalCodeError("ell must be >= 1")
-    basis = c.generator.int_rows()
-    if not basis:
-        return LinearCode(BitMatrix.zeros(0, c.n))
     rows = []
-    for tup in itertools.combinations_with_replacement(basis, ell):
+    for tup in itertools.combinations_with_replacement(c.generator.int_rows(), ell):
         prod = -1
         for v in tup:
             prod &= v
-        rows.append(prod & ((1 << c.n) - 1))
+        rows.append(prod)
     return LinearCode(BitMatrix.from_int_rows(rows, c.n))
 
 

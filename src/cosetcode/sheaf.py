@@ -6,7 +6,7 @@ the level-j faces in (type mask ascending, face index ascending) order,
 so each type's coordinates are one block (`Sheaf.layout`).
 A local code is a list of Python-int rows in reduced row echelon form:
 bit p of a row is position p of the face's sorted up-set, and a row's
-pivot is its lowest set bit.  Incidence work gathers from arrays built
+pivot is its highest set bit.  Incidence work gathers from arrays built
 once per type (`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's
 coefficient on a coface row is its bit at that row's pivot.  Construction
 works per type too: one orientation array per (D-1)-type, and one gather
@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, EchelonBasis, _packed_rows, dual_rows, rref_rows
+from .gf2 import BitMatrix, BitVector, EchelonBasis, _packed_rows, dual_rows
 from .group import GroupTable
 from .local_codes import LinearCode, dual_code
 
@@ -36,7 +36,7 @@ class Sheaf:
     """Local codes for every face of a complex.
 
     `local_bases[(mask, idx)]` lists int rows spanning the local code, in
-    reduced row echelon form with each row's pivot at its lowest set bit
+    reduced row echelon form with each row's pivot at its highest set bit
     (every constructor, `attach_explicit` included, stores that form; the
     coboundary reads coefficients at the pivots).  Top faces implicitly
     carry the full one-dimensional code and are not stored.
@@ -180,7 +180,7 @@ def _coefficients(s: Sheaf, mask: int, values: np.ndarray) -> Tuple[np.ndarray, 
     row l of type-`mask` face g, and per face whether some vector is not
     the sum of the rows its coefficients name (it leaves the local code)."""
     bits = s.type_rows(mask)
-    pivots = bits.argmax(axis=2)  # the lowest set bit of each RREF row
+    pivots = bits.shape[2] - 1 - bits[:, :, ::-1].argmax(axis=2)  # highest set bits
     coeffs = np.take_along_axis(values, pivots[:, None, :], axis=2)
     coeffs &= bits.any(axis=2)[:, None, :]
     # uint8 sums wrap mod 256, which keeps their parity
@@ -229,7 +229,9 @@ def attach_local_codes(
             orient[:, iso.apply_int(alpha)] = c.top_pos[mask][tops]
         # one RREF per distinct orientation, shared by the faces that have it
         distinct, which = np.unique(orient, axis=0, return_inverse=True)
-        codes = [rref_rows((_scatter(w, perm) for w in words), q) for perm in distinct.tolist()]
+        codes = [
+            EchelonBasis(_scatter(w, perm) for w in words).rref()[0] for perm in distinct.tolist()
+        ]
         local.update(((mask, f), codes[i]) for f, i in enumerate(which.reshape(-1).tolist()))
     return Sheaf(c, local)
 
@@ -250,7 +252,7 @@ def attach_explicit(c: Complex, defining: Dict[FaceId, BitMatrix]) -> Sheaf:
     for face, m in defining.items():
         if m.cols != len(c.up_set(face)):
             raise SheafError("code of face %r has %d columns" % (face, m.cols))
-    return Sheaf(c, {face: rref_rows(m.int_rows(), m.cols) for face, m in defining.items()})
+    return Sheaf(c, {face: EchelonBasis(m.int_rows()).rref()[0] for face, m in defining.items()})
 
 
 def _top_duals(s: Sheaf) -> List[FaceId]:
@@ -517,9 +519,7 @@ def star_sheaf(s1: Sheaf, s2: Sheaf) -> Sheaf:
     if s2.complex is not c:
         raise SheafError("cup product needs a shared complex")
     defining = {
-        face: rref_rows(
-            (a & b for a in s1.rows(face) for b in s2.rows(face)), len(c.up_set(face))
-        )
+        face: EchelonBasis(a & b for a in s1.rows(face) for b in s2.rows(face)).rref()[0]
         for face in c.level_faces(c.D - 1)
     }
     return induce_lower_codes(Sheaf(c, defining))

@@ -131,6 +131,30 @@ def test_config_errors_exit_two():
     assert main(["build", "--config", "/nonexistent/path.cfg"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (["report", "--fixture", "octahedron"], None),
+        (["build", "--fixture", "octahedron"], None),
+        (["verify", "--q", "8", "--local-only"], None),
+        (["report"], "fixture = octahedron"),
+        (["build"], "fixture = octahedron"),
+        (["verify", "--q", "8"], "local_only = yes"),
+    ],
+)
+def test_flags_the_command_ignores_exit_two(no_enumeration, tmp_path, argv, config, capsys):
+    # refused before any work: no enumeration, no --out directory
+    out = tmp_path / "out"
+    argv = argv + ["--out", str(out)]
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 def test_format_option_is_gone():
     # --format and --seed were parsed and never read; argparse now rejects them
     for flag in ("--format", "--seed"):

@@ -303,17 +303,22 @@ def test_membership_phase_and_sign():
 
 
 def _membership_phase_by_solve(p, generators):
-    """Reference: solve the transposed generator system from scratch."""
+    """Reference: solve the transposed generator system from scratch.
+
+    The generators enter as columns in reverse order, so the pivots, the
+    highest columns, are the earliest independent generators and setting
+    the free variables to 0 names the rows `CertifiedBasis` names."""
     n = p.n
     if not generators:
         return 0 if (p.x == 0 and p.z == 0) else None
-    rows = [g.x | (g.z << n) for g in generators]
+    last = len(generators) - 1
+    rows = [g.x | (g.z << n) for g in reversed(generators)]
     mat = BitMatrix.from_int_rows(rows, 2 * n).transpose()
     combo = mat.solve_vec(BitVector(2 * n, p.x | (p.z << n)))
     if combo is None:
         return None
     prod = Pauli(n, 0, 0, 0)
-    for i in combo.support():
+    for i in sorted(last - j for j in combo.support()):
         prod = pauli_mul(prod, generators[i])
     return (p.p - prod.p) % 4
 

@@ -16,7 +16,6 @@ from cosetcode.gf2 import (
     GF2Error,
     dual_rows,
     row_space_equal,
-    rref_rows,
     write_alist,
     write_matrix_market,
 )
@@ -332,11 +331,12 @@ def test_echelon_basis_certificate_skips_dependent_inserts():
 def _ref_eliminate(m, reduced):
     """The numpy loop over columns that BitMatrix eliminated with before
     its int-row kernel, kept here as the reference, on its own array of
-    one byte per entry."""
+    one byte per entry.  It walks the columns from the highest down, so a
+    row's pivot is its highest set bit, as in `EchelonBasis`."""
     work = m.to_dense().copy()
     pivots = []
     r = 0
-    for c in range(m.cols):
+    for c in reversed(range(m.cols)):
         if r >= m.rows:
             break
         nz = np.nonzero(work[r:, c])[0]
@@ -359,8 +359,9 @@ def _ref_eliminate(m, reduced):
 
 
 def _ref_rref(m):
+    """The reference's reduced rows and pivots, in increasing pivot order."""
     work, pivots = _ref_eliminate(m, reduced=True)
-    return BitMatrix.from_dense(work[: len(pivots)]), pivots
+    return BitMatrix.from_dense(work[: len(pivots)][::-1]), pivots[::-1]
 
 
 def _ref_kernel_basis(m):
@@ -374,17 +375,19 @@ def _ref_kernel_basis(m):
 
 
 def _ref_solve(m, rhs):
+    """The solution with free variables 0, from the reduced [m | rhs] with
+    m's columns above rhs's (`a << k | b`), so its pivots come first."""
+    k = rhs.cols
     aug = BitMatrix.from_int_rows(
-        [a | b << m.cols for a, b in zip(m.int_rows(), rhs.int_rows())],
-        m.cols + rhs.cols,
+        [a << k | b for a, b in zip(m.int_rows(), rhs.int_rows())], m.cols + k
     )
     red, pivots = _ref_rref(aug)
-    if any(p >= m.cols for p in pivots):
+    if any(p < k for p in pivots):
         return None
     x = [0] * m.cols
     for p_row, p_col in enumerate(pivots):
-        x[p_col] = sum(red.get(p_row, m.cols + j) << j for j in range(rhs.cols))
-    return BitMatrix.from_int_rows(x, rhs.cols)
+        x[p_col - k] = sum(red.get(p_row, j) << j for j in range(k))
+    return BitMatrix.from_int_rows(x, k)
 
 
 @st.composite
@@ -469,7 +472,7 @@ def _local_code_rows(draw):
 def test_echelon_rref_and_kernel_match_bitmatrix(data):
     cols, rows = data
     m = BitMatrix.from_int_rows(rows, cols)
-    assert rref_rows(rows, cols) == m.rref()[0].int_rows()
+    assert EchelonBasis(rows).rref()[0] == m.rref()[0].int_rows()
     assert dual_rows(rows, cols) == m.kernel_basis().row_space_basis().int_rows()
 
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cosetcode.gf2 import BitVector, row_space_equal
+from cosetcode.gf2 import BitMatrix, BitVector, row_space_equal
 from cosetcode.local_codes import (
     LinearCode,
     LocalCodeError,
@@ -43,11 +43,26 @@ def test_dual_code_dimensions_and_orthogonality():
             assert (u & v).bit_count() % 2 == 0
 
 
+def test_dual_of_the_full_code_is_the_zero_code():
+    d = dual_code(reed_muller(2, 2))  # all of F_2^4
+    assert (d.n, d.k) == (4, 0)
+    assert (d.generator.rows, d.generator.cols) == (0, 4)
+
+
 def test_divisibility_level_values():
     assert divisibility_level(reed_muller(0, 1)) == 1
     assert divisibility_level(reed_muller(1, 3)) == 2
     assert divisibility_level(reed_muller(0, 2)) == 2
     assert divisibility_level(reed_muller(1, 2)) == 1
+
+
+@pytest.mark.parametrize("r,eta,k,level", [(3, 6, 42, 1), (2, 7, 29, 3)])
+def test_divisibility_level_past_enumeration(r, eta, k, level):
+    # k > 24 takes the basis-tuple criterion; RM(r, eta) is exactly
+    # 2^(ceil(eta / r) - 1)-divisible (McEliece)
+    c = reed_muller(r, eta)
+    assert c.k == k
+    assert divisibility_level(c) == level == -(-eta // r) - 1
 
 
 def test_rm13_self_dual():
@@ -80,6 +95,12 @@ def test_star_product_code_inside_dual():
     assert not all(
         dual.contains(BitVector(c.n, row)) for row in sq.generator.int_rows()
     )
+
+
+def test_star_power_of_the_zero_code_is_zero():
+    for ell in (1, 2, 3):
+        sq = star_product_code(LinearCode(BitMatrix.zeros(0, 5)), ell)
+        assert (sq.n, sq.k) == (5, 0)
 
 
 def test_contains_and_from_int_rows():

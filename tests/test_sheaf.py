@@ -689,6 +689,15 @@ def reference_sheaves(sheaf2, dual2, complex2, ring2):
     return out
 
 
+def test_local_codes_are_stored_reduced_on_their_highest_bits(reference_sheaves, inst4):
+    # `_coefficients` reads a value's coefficient on a row at the row's
+    # highest set bit; inst4's dual has 3-dimensional edge codes
+    sheaves = dict(reference_sheaves, inst4_dual=inst4["dual"])
+    for name, s in sheaves.items():
+        for face, rows in s.local_bases.items():
+            assert rows == EchelonBasis(rows).rref()[0], (name, face)
+
+
 def test_layout_matches_face_walk(reference_sheaves):
     for name, s in reference_sheaves.items():
         c = s.complex
