@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=int, default=None, help="Z-check level (default D-2-x)")
     p.add_argument(
         "--suite",
-        default="all",
         choices=["structure", "sheaf", "css", "gates", "floquet", "all"],
     )
     p.add_argument(
@@ -111,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap-enumeration", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--cap-qubits", type=int, default=1 << 20)
     p.add_argument("--cap-tableau", type=int, default=1 << 14)
-    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--out", help="output directory")
     p.add_argument(
         "--fixture",
         help="use a named built-in complex instead of a coset build "
@@ -160,6 +159,10 @@ def _validate(args: argparse.Namespace) -> dict:
         raise ConfigError("--fixture is read by verify only")
     if args.local_only and args.command == "verify":
         raise ConfigError("--local-only is read by build and report only")
+    if args.suite is not None and args.command != "verify":
+        raise ConfigError("--suite is read by verify only")
+    if args.out is not None and args.command != "build":
+        raise ConfigError("--out is read by build only")
     q = args.q
     if q < 2 or q & (q - 1):
         raise ConfigError("q must be a power of two")
@@ -454,11 +457,12 @@ def _jsonable(v):
 
 
 def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
     if args.local_only:
         _refuse_link_early(args, cfg)
         rep = local_report(cfg)
-        path = os.path.join(args.out, "local_report.json")
+        path = os.path.join(out, "local_report.json")
         with open(path, "w") as fh:
             json.dump(_jsonable(rep), fh, indent=2)
         print("vertex code dimension: %d" % rep["vertex_code_dimension"])
@@ -467,7 +471,7 @@ def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
         return EXIT_OK
     inst = build_instance(args, cfg, ("build",))
     code = inst["code"]
-    base = os.path.join(args.out, "q%d_m%d" % (cfg["q"], cfg["m"]))
+    base = os.path.join(out, "q%d_m%d" % (cfg["q"], cfg["m"]))
     write_alist(code.h_x, base + "_hx.alist")
     write_alist(code.h_z, base + "_hz.alist")
     write_matrix_market(code.h_x, base + "_hx.mtx")
@@ -491,7 +495,7 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
         return _verify_fixture(args)
     wanted = (
         ["structure", "sheaf", "css", "gates", "floquet"]
-        if args.suite == "all"
+        if args.suite in (None, "all")
         else [args.suite]
     )
     inst = build_instance(args, cfg, wanted)

@@ -359,22 +359,25 @@ def unfolding_check(
     shrunk dimension isomorphism."""
     D = s.complex.D
     k = code.code_dimension()
-    h_dim = cohomology_dim(s, x + 1)
+    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
+    shrunk = {
+        T: _shrunk_dim(s, s_dual, x, z, T, pairing1)
+        for T in itertools.combinations(range(D + 1), x + 2)
+    }
+    # dim H^{x+1} = dim Z^{x+1} - rank delta^x: delta^{x+1} is eliminated
+    # once, for the cocycle basis the squares read too
+    cocycles = cocycle_basis(s, x + 1)
+    h_dim = cocycles.rows - coboundary_matrix(s, x).rank()
     expected = math.comb(D, x + 1) * h_dim
     report = {
         "k": k,
         "cohomology_dim": h_dim,
         "expected_k": expected,
         "dimension_formula": k == expected,
+        "shrunk_dims": shrunk,
+        "shrunk_iso": all(v == h_dim for v in shrunk.values()),
     }
-    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
-    shrunk = {
-        T: _shrunk_dim(s, s_dual, x, z, T, pairing1)
-        for T in itertools.combinations(range(D + 1), x + 2)
-    }
-    report["shrunk_dims"] = shrunk
-    report["shrunk_iso"] = all(v == h_dim for v in shrunk.values())
-    zt = cocycle_basis(s, x + 1).transpose()
+    zt = cocycles.transpose()
     sq = {
         T: _squares(s, s_dual, x, z, T, pairing, pairing1, zt)
         for T in color_types_through_zero(D, x + 2)

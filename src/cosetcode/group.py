@@ -6,10 +6,14 @@ off-diagonal entry at 1-based position (j, j+1) for 1 <= j <= D and at
 (D+1)^2 ring digits row-major.
 
 Enumeration is a breadth-first search from the identity that
-right-multiplies every element of a round by every generator.  Ids are
-BFS insertion order: a new key takes the next id at its first occurrence
-in (parent id, generator column) order, so every downstream label is
-reproducible.  The ids therefore form a BFS tree: element h > 0 is
+right-multiplies every element of a round by every generator.  Only the
+moving digits, those a generator product can move off the identity's
+(digit (i, c) moves once some generator at (r, c) meets a nonzero digit
+(i, r)), can tell elements apart, so they are packed into a compact key
+that indexes a flat table of ids: one gather looks up a whole round.
+Ids are BFS insertion order: a new key takes the next id at its first
+occurrence in (parent id, generator column) order, so every downstream
+label is reproducible.  The ids therefore form a BFS tree: element h > 0 is
 parent[h] * gens[gen[h]] with parent[h] in the round before h's, and
 any product a query needs is read from the Cayley table by walking that
 tree, one gather per round.
@@ -166,6 +170,8 @@ class GroupTable:
     Keys are uint64 and products use the ring's multiplication table, so
     a group needing more than 63 key bits or a ring past 1024 elements is
     refused before any work; the smallest such groups have ~1e10 elements.
+    So is one whose id table would pass 16 * cap entries or 32-bit compact
+    keys: SL_3(F_8) needs 2^27 entries, past 2^26 at the default cap.
     """
 
     def __init__(
@@ -195,20 +201,18 @@ class GroupTable:
             for color in self.colors
             for alpha in ring.field.antilog
         ]
-        self._enumerate()
+        digits = self._moving_digits()
+        bits = self.kbits * len(digits)
+        if bits > 32 or 1 << bits > 16 * cap:
+            raise GroupCapError(
+                "an id table of 2^%d entries is past 32-bit keys or 16 * cap %d"
+                % (bits, cap)
+            )
+        self._enumerate(digits)
         self._coset_cache: Dict[int, np.ndarray] = {}
         self._cycle_perm: Optional[np.ndarray] = None
 
     # -- key encoding ----------------------------------------------------
-
-    def _encode(self, entries: Sequence[Sequence[int]]) -> int:
-        key = 0
-        shift = 0
-        for row in entries:
-            for v in row:
-                key |= v << shift
-                shift += self.kbits
-        return key
 
     def _decode(self, key: int) -> List[List[int]]:
         mask = (1 << self.kbits) - 1
@@ -226,31 +230,58 @@ class GroupTable:
 
     # -- enumeration -------------------------------------------------------
 
-    def _mul_batch(self, keys: np.ndarray, r: int, c: int, v: int) -> np.ndarray:
-        """Right-multiply a batch of encoded elements by I + v*e_rc: only
-        column c changes, digit (i, c) gaining digit (i, r) times v."""
-        kb = self.kbits
-        mask = np.uint64((1 << kb) - 1)
-        times_v = self.ring.mul_table[:, v].astype(np.uint64)
-        out = keys.copy()
-        for i in range(self.n):
-            digit = (keys >> np.uint64(kb * (i * self.n + r))) & mask
-            out ^= times_v[digit] << np.uint64(kb * (i * self.n + c))
-        return out
+    def _moving_digits(self) -> List[Tuple[int, int]]:
+        """Row-major (i, c) of the digits that generator products can move
+        off the identity's.  I + v*e_rc adds digit (i, r) times v to digit
+        (i, c), so (i, c) moves once (i, r) can be nonzero: on the
+        diagonal, or moving itself."""
+        positions = [generator_position(color, self.n) for color in self.colors]
+        moving: set = set()
+        while True:
+            grown = moving | {
+                (i, c)
+                for r, c in positions
+                for i in range(self.n)
+                if i == r or (i, r) in moving
+            }
+            if grown == moving:
+                return sorted(moving)
+            moving = grown
 
-    def _enumerate(self) -> None:
-        """BFS rounds as array operations, one `searchsorted` of a round's
-        products against the sorted known keys each.  A known product's
-        Cayley entry is read at the position the search found; the unseen
-        keys are numbered in first-occurrence order, which keeps ids in
-        insertion order, and their entries come from that numbering."""
-        ngen = len(self.gens)
-        position = {color: generator_position(color, self.n) for color in self.colors}
-        elementary = [(*position[color], v) for color, _, v in self.gens]
-        id_key = self._encode([[int(i == j) for j in range(self.n)] for i in range(self.n)])
-        batch = np.array([id_key], dtype=np.uint64)
+    def _enumerate(self, digits: List[Tuple[int, int]]) -> None:
+        """BFS rounds as array operations on compact keys, which pack only
+        the moving `digits`, kbits each.  A flat table indexed by compact
+        key holds the id of every element seen so far (-1 if unseen), so
+        one gather looks up a round's products.  The unseen ones are
+        numbered in first-occurrence order, which keeps ids in insertion
+        order.  A color block's products come from one gather per matrix
+        row of `mul_table[:, vs]`, the block's generator values vs as
+        columns: right-multiplying by I + v*e_rc changes only column c."""
+        n, kb, ngen = self.n, self.kbits, len(self.gens)
+        mask = np.uint32((1 << kb) - 1)
+        shift = {d: kb * k for k, d in enumerate(digits)}
+        blocks = []  # (first column, end column, constant term, [(digit shift, table)])
+        lo = 0
+        for color in self.colors:
+            r, c = generator_position(color, n)
+            vs = [v for col, _, v in self.gens if col == color]
+            times = self.ring.mul_table[:, vs].astype(np.uint32)
+            const, terms = np.zeros(len(vs), dtype=np.uint32), []
+            for i in range(n):
+                if (i, c) not in shift:
+                    continue  # digit (i, r) is always 0
+                table = times << np.uint32(shift[i, c])
+                if (i, r) in shift:
+                    terms.append((np.uint32(shift[i, r]), table))
+                else:  # digit (i, r) keeps its identity value
+                    const ^= table[int(i == r)]
+            blocks.append((lo, lo + len(vs), const, terms))
+            lo += len(vs)
+        index = np.full(1 << (kb * len(digits)), -1, dtype=np.int64)
+        id_key = sum(1 << s for (i, c), s in shift.items() if i == c)
+        index[id_key] = 0
+        batch = np.array([id_key], dtype=np.uint32)
         keys, parents, gen_cols, cayley = [batch], [np.array([-1])], [np.array([-1])], []
-        sorted_keys, sorted_ids = batch, np.zeros(1, dtype=np.int64)
         bounds = [0, 1]  # round r holds ids bounds[r]:bounds[r+1]
         while True:
             start, size = bounds[-2], bounds[-1]
@@ -258,39 +289,38 @@ class GroupTable:
                 raise GroupCapError(
                     "enumeration exceeded cap %d (have %d elements)" % (self.cap, size)
                 )
-            products = np.empty((batch.size, ngen), dtype=np.uint64)
-            for col, (r, c, v) in enumerate(elementary):
-                products[:, col] = self._mul_batch(batch, r, c, v)
+            products = np.empty((batch.size, ngen), dtype=np.uint32)
+            for lo, hi, const, terms in blocks:
+                out = products[:, lo:hi]
+                np.bitwise_xor(batch[:, None], const, out=out)
+                for src, table in terms:
+                    out ^= table[(batch >> src) & mask]
             products = products.ravel()  # [local * ngen + col]
-            ids = np.searchsorted(sorted_keys, products)
-            np.minimum(ids, size - 1, out=ids)
-            fresh = np.flatnonzero(sorted_keys[ids] != products)
-            ids = sorted_ids[ids]  # right for every known product
-            # the unseen products by key, stably, so each key's run leads
-            # with its first occurrence: the new elements, taken in id order
-            fresh = fresh[np.argsort(products[fresh], kind="stable")]
+            ids = index[products]
+            fresh = np.flatnonzero(ids < 0)
+            # each unseen key's entry takes the least position it occurs
+            # at; the positions that won are the new elements, in id order
             run = products[fresh]
-            lead = np.ones(run.size, dtype=bool)
-            lead[1:] = run[1:] != run[:-1]
-            firsts = fresh[lead]  # keys ascending
-            by_id = np.argsort(firsts)
-            new_ids = np.empty(firsts.size, dtype=np.int64)
-            new_ids[by_id] = size + np.arange(firsts.size)
-            ids[fresh] = new_ids[np.cumsum(lead) - 1]
+            index[run] = products.size
+            np.minimum.at(index, run, fresh)
+            flat = fresh[index[run] == fresh]
+            index[products[flat]] = np.arange(size, size + flat.size)
+            ids[fresh] = index[run]
             cayley.append(ids.reshape(-1, ngen))
-            flat = firsts[by_id]
-            batch = products[flat]
-            new_keys = run[lead]
-            ins = np.searchsorted(sorted_keys, new_keys)
-            sorted_keys = np.insert(sorted_keys, ins, new_keys)
-            sorted_ids = np.insert(sorted_ids, ins, new_ids)
             if not flat.size:
                 break
+            batch = products[flat]
             keys.append(batch)
             parents.append(start + flat // ngen)
             gen_cols.append(flat % ngen)
             bounds.append(size + flat.size)
-        self.keys = np.concatenate(keys)
+        # full keys: the digits that never move, then the compact ones
+        compact = np.concatenate(keys)
+        fixed = sum(1 << (kb * (i * n + i)) for i in range(n) if (i, i) not in shift)
+        self.keys = np.full(compact.size, fixed, dtype=np.uint64)
+        for (i, c), s in shift.items():
+            digit = ((compact >> np.uint32(s)) & mask).astype(np.uint64)
+            self.keys |= digit << np.uint64(kb * (i * n + c))
         self.size = int(self.keys.size)
         self.cayley = np.concatenate(cayley)
         self._parent = np.concatenate(parents)

@@ -17,7 +17,7 @@ from cosetcode.sheaf import SheafError
 def no_enumeration(monkeypatch):
     """Fail any run that starts enumerating a group."""
 
-    def enumerate_(self):
+    def enumerate_(*args):
         raise AssertionError("group enumeration started")
 
     monkeypatch.setattr(GroupTable, "_enumerate", enumerate_)
@@ -135,20 +135,27 @@ def test_config_errors_exit_two():
     "argv,config",
     [
         (["report", "--fixture", "octahedron"], None),
-        (["build", "--fixture", "octahedron"], None),
+        (["build", "--fixture", "octahedron", "--out", "OUT"], None),
         (["verify", "--q", "8", "--local-only"], None),
         (["report"], "fixture = octahedron"),
-        (["build"], "fixture = octahedron"),
+        (["build", "--out", "OUT"], "fixture = octahedron"),
         (["verify", "--q", "8"], "local_only = yes"),
+        (["report", "--q", "2", "--suite", "gates"], None),
+        (["build", "--q", "2", "--suite", "css", "--out", "OUT"], None),
+        (["report", "--q", "2", "--out", "OUT"], None),
+        (["verify", "--q", "2", "--out", "OUT"], None),
+        (["report", "--q", "2"], "suite = gates"),
+        (["build", "--q", "2", "--out", "OUT"], "suite = all"),
+        (["verify", "--q", "2"], "out = OUT"),
     ],
 )
 def test_flags_the_command_ignores_exit_two(no_enumeration, tmp_path, argv, config, capsys):
     # refused before any work: no enumeration, no --out directory
     out = tmp_path / "out"
-    argv = argv + ["--out", str(out)]
+    argv = [str(out) if a == "OUT" else a for a in argv]
     if config:
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(config + "\n")
+        cfg.write_text(config.replace("OUT", str(out)) + "\n")
         argv += ["--config", str(cfg)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")

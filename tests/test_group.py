@@ -1,5 +1,6 @@
 """Special-linear group enumeration over the coefficient rings."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -112,19 +113,36 @@ def test_fixed_point_free_on_link_q2(table2):
 
 
 def test_enumeration_cap_refusal(ring2):
-    with pytest.raises(GroupCapError):
+    # SL_3(F_2) moves 9 one-bit digits: a 512-entry id table
+    with pytest.raises(GroupCapError, match="id table"):
         enumerate_group(2, ring2, cap=10)
+    with pytest.raises(GroupCapError, match="exceeded cap 40"):
+        enumerate_group(2, ring2, cap=40)
+
+
+def _refuse_products(monkeypatch):
+    def multiply(*args):
+        raise AssertionError("an element was multiplied")
+
+    monkeypatch.setattr(GroupTable, "_enumerate", multiply)
+    monkeypatch.setattr(GroupElement, "mul", multiply)
 
 
 def test_over_wide_table_refused_before_any_product(monkeypatch):
     # SL_4 over 16 elements needs 16 digits of 4 bits: past 63-bit keys
-    def multiply(*args):
-        raise AssertionError("an element was multiplied")
-
-    monkeypatch.setattr(GroupTable, "_mul_batch", multiply)
-    monkeypatch.setattr(GroupElement, "mul", multiply)
+    _refuse_products(monkeypatch)
     with pytest.raises(GroupCapError):
         GroupTable(build_ring(2, 2), 3)
+
+
+def test_oversized_id_table_refused_before_any_product(monkeypatch):
+    _refuse_products(monkeypatch)
+    # SL_3(F_8) moves 9 digits of 3 bits: 2^27 entries > 16 * 2^22
+    with pytest.raises(GroupCapError, match="2\\^27"):
+        GroupTable(build_ring(3, 1), 2)
+    # SL_3(F_16) moves 9 digits of 4 bits: past 32-bit compact keys at any cap
+    with pytest.raises(GroupCapError, match="2\\^36"):
+        GroupTable(build_ring(4, 1), 2, cap=1 << 40)
 
 
 def test_generated_field_predicts_the_closure():
@@ -155,6 +173,47 @@ def test_subgroup_only_table_rejects_missing_color():
 def test_group_element_validates_determinant(ring2):
     with pytest.raises(GroupError):
         GroupElement(ring2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+
+
+# sha256 (first 16 hex digits) of the bytes of keys (uint64), cayley,
+# _parent, _gen and _bounds (int64): every downstream label rests on this
+# numbering
+NUMBERING_DIGESTS = {
+    "table2": (
+        "528970347d3517e6", "95014ca498f05d28", "0afb9625faeede64",
+        "9da9dcd235eeafab", "1150451556d67a3b",
+    ),
+    "table_d3": (
+        "151822e1dc370bcd", "15dd12453a908b2c", "4c76a738c09df41d",
+        "97e2fe97bb3c8fad", "ada032423af48aa9",
+    ),
+    "k0_table8": (
+        "d6479c3e016331a9", "b50a4924237c26d7", "9ef6d4594588a7f0",
+        "418c7d2d8b570190", "f28d0db72339289a",
+    ),
+    "k0_table16": (
+        "d76994f5d1e2f54f", "be8fd3d9baebd3e6", "104842665f156275",
+        "36d978127b5e8c8c", "7e99b7f97c92b0d9",
+    ),
+    "inst4": (
+        "509d53dbfc862e96", "fdbdbeec150b3eed", "920c83db286e3759",
+        "a10ff48168aab12e", "454391d9575a45c3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_DIGESTS))
+def test_numbering_is_pinned(name, request):
+    if name == "k0_table16":
+        table = GroupTable(build_ring(4, 1), 2, colors=(1, 2))
+    elif name == "inst4":
+        table = request.getfixturevalue("inst4")["table"]
+    else:
+        table = request.getfixturevalue(name)
+    arrays = [table.keys, table.cayley, table._parent, table._gen, np.array(table._bounds)]
+    assert [a.dtype for a in arrays[1:]] == [np.dtype(np.int64)] * 4
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in arrays)
+    assert digests == NUMBERING_DIGESTS[name]
 
 
 # -- references: the product loops the Cayley-table queries replaced --------

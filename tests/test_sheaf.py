@@ -732,8 +732,12 @@ def test_cohomology_dim_matches_basis_counts(reference_sheaves, sheaf2, dual2):
     # the rank route against dim Z^j - dim B^j from the bases
     for name, s in reference_sheaves.items():
         for j in range(s.complex.D + 1):
-            want = cocycle_basis(s, j).rows - coboundary_image_basis(s, j).rows
+            z = cocycle_basis(s, j).rows
+            want = z - coboundary_image_basis(s, j).rows
             assert cohomology_dim(s, j) == want, (name, j)
+            # unfolding_check's route: dim Z^j - rank delta^{j-1}
+            if j > 0:
+                assert z - coboundary_matrix(s, j - 1).rank() == want, (name, j)
     # dim Z^0: the q=2 code's one global constant on either side (rate 1/168)
     assert cohomology_dim(sheaf2, 0) == 1 == cohomology_dim(dual2, 0)
 
