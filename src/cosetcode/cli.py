@@ -113,10 +113,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory")
     p.add_argument(
         "--fixture",
-        help="use a named built-in complex instead of a coset build "
-        "(octahedron, hexagonal_torus, single_triangle, corrupted_octahedron)",
+        choices=fixtures.__all__,
+        help="run the structure suite on a named built-in complex instead of a coset build",
     )
     return p
+
+
+# the flags that pick an instance: a fixture run reads none of them
+INSTANCE_FLAGS = (
+    "D", "q", "m", "phi", "rm", "x", "z", "cap_enumeration", "cap_qubits", "cap_tableau"
+)
 
 
 def _apply_config_file(
@@ -157,6 +163,13 @@ def _apply_config_file(
 def _validate(args: argparse.Namespace) -> dict:
     if args.fixture and args.command != "verify":
         raise ConfigError("--fixture is read by verify only")
+    if args.fixture:
+        if args.suite not in (None, "structure"):
+            raise ConfigError("--fixture runs the structure suite only")
+        parser = _build_parser()
+        for dest in INSTANCE_FLAGS:
+            if getattr(args, dest) != parser.get_default(dest):
+                raise ConfigError("--%s is not read with --fixture" % dest.replace("_", "-"))
     if args.local_only and args.command == "verify":
         raise ConfigError("--local-only is read by build and report only")
     if args.suite is not None and args.command != "verify":
@@ -518,11 +531,7 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
 
 
 def _verify_fixture(args: argparse.Namespace) -> int:
-    maker = getattr(fixtures, args.fixture, None)
-    if maker is None:
-        raise ConfigError("unknown fixture %r" % args.fixture)
-    c = maker()
-    report = verify_structure(c)
+    report = verify_structure(getattr(fixtures, args.fixture)())
     print(json.dumps(_jsonable({k: v for k, v in report.items()}), indent=2))
     return EXIT_OK if all(ok for ok, _ in report.values()) else EXIT_FINDING
 

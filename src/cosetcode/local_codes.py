@@ -1,18 +1,19 @@
 """Reed-Muller local codes, duals, star products, divisibility predicates.
 
 Coordinates of RM(r, eta) are the points of F_2^eta in integer order of
-their bit patterns (point i has j-th variable = bit j of i).  Generator
-bases are stored in reduced row echelon form, each row's pivot at its
-highest set bit (`BitMatrix.rref`), so downstream labels are
-reproducible.
+their bit patterns (point i has j-th variable = bit j of i).  A code is
+kept in the one form `Sheaf.rows` holds: Python-int rows in reduced row
+echelon form, each row's pivot its highest set bit
+(`EchelonBasis.rref`), so downstream labels are reproducible and equal
+codes have equal rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import Iterable, List, Sequence
 
-from .gf2 import BitMatrix, BitVector, row_space_equal
+from .gf2 import EchelonBasis, dual_rows
 
 
 class LocalCodeError(ValueError):
@@ -20,40 +21,27 @@ class LocalCodeError(ValueError):
 
 
 class LinearCode:
-    """A binary [n, k] linear code given by a full-rank generator matrix."""
+    """A binary [n, k] linear code: `rows` is the reduced row echelon form
+    of the span of the given rows, each row's pivot its highest set bit
+    (never mutate it).  RREF is unique to a row space, so two codes are
+    equal iff their `(n, rows)` are."""
 
-    def __init__(self, generator: BitMatrix):
-        basis, _ = generator.rref()
-        self.generator = basis
-        self.n = generator.cols
-        self.k = basis.rows
+    __slots__ = ("rows", "n", "k")
 
-    @classmethod
-    def from_int_rows(cls, rows: Sequence[int], n: int) -> "LinearCode":
-        return cls(BitMatrix.from_int_rows(list(rows), n))
-
-    def codewords(self) -> List[int]:
-        """All 2^k codewords as int bitsets (small codes only)."""
-        if self.k > 24:
-            raise LocalCodeError("codeword enumeration capped at dim 24")
-        words = [0]
-        for i in range(self.k):
-            g = self.generator.row_int(i)
-            words += [w ^ g for w in words]
-        return words
-
-    def contains(self, v: BitVector) -> bool:
-        return self.generator.in_row_space(v)
+    def __init__(self, rows: Iterable[int], n: int):
+        rows = list(rows)
+        for i, v in enumerate(rows):
+            if v < 0 or v.bit_length() > n:
+                raise LocalCodeError("row %d does not fit in n = %d bits" % (i, n))
+        self.rows = EchelonBasis(rows).rref()[0]
+        self.n = n
+        self.k = len(self.rows)
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LinearCode)
-            and self.n == other.n
-            and row_space_equal(self.generator, other.generator)
-        )
+        return isinstance(other, LinearCode) and (self.n, self.rows) == (other.n, other.rows)
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.n, self.k))
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.rows)))
 
     def __repr__(self) -> str:
         return "LinearCode(n=%d, k=%d)" % (self.n, self.k)
@@ -72,57 +60,46 @@ def reed_muller(r: int, eta: int) -> LinearCode:
                 if all((point >> v) & 1 for v in vs):
                     word |= 1 << point
             rows.append(word)
-    return LinearCode(BitMatrix.from_int_rows(rows, n))
+    return LinearCode(rows, n)
 
 
 def dual_code(c: LinearCode) -> LinearCode:
-    """The dual code: kernel of the generator."""
-    return LinearCode(c.generator.kernel_basis())
+    """The dual code."""
+    return LinearCode(dual_rows(c.rows, c.n), c.n)
+
+
+def star_rows(a: Iterable[int], b: Sequence[int]) -> List[int]:
+    """The span of the element-wise products of the rows of a with the
+    rows of b, in the reduced form `LinearCode.rows` holds."""
+    return EchelonBasis(x & y for x in a for y in b).rref()[0]
 
 
 def divisibility_level(c: LinearCode) -> int:
     """Largest ell such that every codeword weight is divisible by 2^ell,
     up to the bit length of n (returned for the zero code).
 
-    Enumerates the span for dim <= 24 and uses the basis-tuple criterion
-    otherwise: one path runs, never both.
+    wt(sum of v_i, i in S) = sum over nonempty A in S of (-2)^(|A|-1)
+    wt(prod A) (Ward), so C is 2^ell-divisible iff every subset S of the
+    basis with a nonzero product has v2(wt prod S) + |S| - 1 >= ell.  The
+    subsets grow one size at a time, and only sizes with |S| - 1 below
+    the running answer can lower it.
     """
-    max_level = max(1, c.n.bit_length())
-    if c.k == 0:
-        return max_level
-    exhaustive = c.k <= 24
-    if exhaustive:
-        best = max_level
-        for w in c.codewords():
-            wt = w.bit_count()
-            if wt == 0:
-                continue
-            tz = (wt & -wt).bit_length() - 1
-            best = min(best, tz)
-            if best == 0:
-                return 0
-        return best
-    # basis-tuple criterion: C is 2^ell-divisible iff for all 1 <= s <= ell
-    # every s-tuple of basis rows has star-product weight = 0 mod 2^{ell-s+1}
-    basis = c.generator.int_rows()
-    level = 0
-    for ell in range(1, max_level + 1):
-        ok = True
-        for s in range(1, ell + 1):
-            mod = 1 << (ell - s + 1)
-            for tup in itertools.combinations_with_replacement(basis, s):
-                prod = -1
-                for v in tup:
-                    prod &= v
-                if prod.bit_count() % mod:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-        level = ell
-    return level
+    best = max(1, c.n.bit_length())
+    layer = [(-1, 0)]  # (product of a subset, the first row it may grow by)
+    size = 0
+    while layer and size < best:
+        size += 1
+        grown = []
+        for prod, start in layer:
+            for i in range(start, c.k):
+                p = prod & c.rows[i]
+                if p:
+                    wt = p.bit_count()
+                    v2 = (wt & -wt).bit_length() - 1
+                    best = min(best, v2 + size - 1)
+                    grown.append((p, i + 1))
+        layer = grown
+    return best
 
 
 def is_multi_orthogonal(codes: Sequence[LinearCode], ell: int) -> bool:
@@ -133,8 +110,7 @@ def is_multi_orthogonal(codes: Sequence[LinearCode], ell: int) -> bool:
     n = codes[0].n
     if any(c.n != n for c in codes):
         raise LocalCodeError("length mismatch")
-    bases = [c.generator.int_rows() for c in codes]
-    for tup in itertools.product(*bases):
+    for tup in itertools.product(*(c.rows for c in codes)):
         prod = -1
         for v in tup:
             prod &= v
@@ -144,16 +120,14 @@ def is_multi_orthogonal(codes: Sequence[LinearCode], ell: int) -> bool:
 
 
 def star_product_code(c: LinearCode, ell: int) -> LinearCode:
-    """The span of all products of ell codewords of c (C^{*ell})."""
+    """The span of all products of ell codewords of c (C^{*ell}): the
+    pairwise star product with c, folded ell - 1 times."""
     if ell < 1:
         raise LocalCodeError("ell must be >= 1")
-    rows = []
-    for tup in itertools.combinations_with_replacement(c.generator.int_rows(), ell):
-        prod = -1
-        for v in tup:
-            prod &= v
-        rows.append(prod)
-    return LinearCode(BitMatrix.from_int_rows(rows, c.n))
+    rows = c.rows
+    for _ in range(ell - 1):
+        rows = star_rows(rows, c.rows)
+    return LinearCode(rows, c.n)
 
 
 __all__ = [
@@ -161,6 +135,7 @@ __all__ = [
     "LinearCode",
     "reed_muller",
     "dual_code",
+    "star_rows",
     "divisibility_level",
     "is_multi_orthogonal",
     "star_product_code",

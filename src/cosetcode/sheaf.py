@@ -4,14 +4,15 @@ codes, coboundary/projection/restriction matrices, duals, cup products.
 Global cochain coordinates at level j concatenate the local bases of
 the level-j faces in (type mask ascending, face index ascending) order,
 so each type's coordinates are one block (`Sheaf.layout`).
-A local code is a list of Python-int rows in reduced row echelon form:
-bit p of a row is position p of the face's sorted up-set, and a row's
-pivot is its highest set bit.  Incidence work gathers from arrays built
-once per type (`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's
-coefficient on a coface row is its bit at that row's pivot.  Construction
-works per type too: one orientation array per (D-1)-type, and one gather
-of the stacked dual constraints per (lower type, (D-1)-type); faces that
-share an orientation or a constraint set share one elimination.
+A local code is a list of Python-int rows in reduced row echelon form,
+the one form `LinearCode.rows` holds: bit p of a row is position p of
+the face's sorted up-set, and a row's pivot is its highest set bit.
+Incidence work gathers from arrays built once per type
+(`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's coefficient
+on a coface row is its bit at that row's pivot.  Construction works per
+type too: one orientation array per (D-1)-type, and one gather of the
+stacked dual constraints per (lower type, (D-1)-type); faces that share
+an orientation or a constraint set share one elimination.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
 from .gf2 import BitMatrix, BitVector, EchelonBasis, _packed_rows, dual_rows
 from .group import GroupTable
-from .local_codes import LinearCode, dual_code
+from .local_codes import LinearCode, star_rows
 
 
 class SheafError(ValueError):
@@ -36,10 +37,10 @@ class Sheaf:
     """Local codes for every face of a complex.
 
     `local_bases[(mask, idx)]` lists int rows spanning the local code, in
-    reduced row echelon form with each row's pivot at its highest set bit
-    (every constructor, `attach_explicit` included, stores that form; the
-    coboundary reads coefficients at the pivots).  Top faces implicitly
-    carry the full one-dimensional code and are not stored.
+    the one form `LinearCode.rows` holds: reduced row echelon form with
+    each row's pivot at its highest set bit (every constructor stores that
+    form; the coboundary reads coefficients at the pivots).  Top faces
+    implicitly carry the full one-dimensional code and are not stored.
     """
 
     def __init__(self, complex_: Complex, local_bases: Dict[FaceId, List[int]]):
@@ -212,7 +213,7 @@ def attach_local_codes(
     gen_col = {
         (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
     }
-    words = code.generator.int_rows()
+    words = code.rows
     local: Dict[FaceId, List[int]] = {}
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
@@ -246,13 +247,13 @@ def attach_constant_sheaf(c: Complex) -> Sheaf:
     return Sheaf(c, local)
 
 
-def attach_explicit(c: Complex, defining: Dict[FaceId, BitMatrix]) -> Sheaf:
-    """User-supplied codes as matrices over each face's up-set (fixtures
-    and negative controls), stored as the RREF of their rows."""
-    for face, m in defining.items():
-        if m.cols != len(c.up_set(face)):
-            raise SheafError("code of face %r has %d columns" % (face, m.cols))
-    return Sheaf(c, {face: EchelonBasis(m.int_rows()).rref()[0] for face, m in defining.items()})
+def attach_explicit(c: Complex, defining: Dict[FaceId, LinearCode]) -> Sheaf:
+    """User-supplied codes over each face's up-set (fixtures and negative
+    controls), stored as their rows, already in the sheaf's form."""
+    for face, code in defining.items():
+        if code.n != len(c.up_set(face)):
+            raise SheafError("code of face %r has length %d" % (face, code.n))
+    return Sheaf(c, {face: code.rows for face, code in defining.items()})
 
 
 def _top_duals(s: Sheaf) -> List[FaceId]:
@@ -518,10 +519,7 @@ def star_sheaf(s1: Sheaf, s2: Sheaf) -> Sheaf:
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("cup product needs a shared complex")
-    defining = {
-        face: EchelonBasis(a & b for a in s1.rows(face) for b in s2.rows(face)).rref()[0]
-        for face in c.level_faces(c.D - 1)
-    }
+    defining = {face: star_rows(s1.rows(face), s2.rows(face)) for face in c.level_faces(c.D - 1)}
     return induce_lower_codes(Sheaf(c, defining))
 
 
@@ -702,12 +700,10 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     pos_a = np.empty(table.size, dtype=np.int64)
     edge_a[tops_a] = np.arange(tops_a.shape[0])[:, None]
     pos_a[tops_a] = np.arange(q)
-    checks = dual_code(code).generator.int_rows()
+    checks = dual_rows(code.rows, q)
     r = q - code.k
     hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
-    supports = [
-        [p for p in range(q) if (w >> p) & 1] for w in code.generator.int_rows()
-    ]
+    supports = [[p for p in range(q) if (w >> p) & 1] for w in code.rows]
     # a cotype-1 edge meets each cotype-2 edge in at most one top, so the
     # shifted check columns of one edge's tops occupy disjoint bits
     rows = []

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from cosetcode import cli
+from cosetcode import cli, fixtures
 from cosetcode.cli import main
 from cosetcode.group import GroupError, GroupTable
 from cosetcode.local_codes import reed_muller
@@ -77,6 +77,9 @@ def test_verify_fixture_octahedron_passes(capsys):
     assert main(["verify", "--fixture", "octahedron"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(ok for ok, _ in report.values())
+    # flags left at their defaults, and the structure suite, are accepted
+    assert main(["verify", "--fixture", "octahedron", "--suite", "structure", "--q", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_verify_fixture_corrupted_fails(capsys):
@@ -85,8 +88,23 @@ def test_verify_fixture_corrupted_fails(capsys):
     assert not report["disjoint_union"][0]
 
 
-def test_verify_unknown_fixture_is_config_error():
-    assert main(["verify", "--fixture", "nonexistent"]) == 2
+def test_verify_unknown_fixture_is_config_error(tmp_path, capsys):
+    # only the names in fixtures.__all__ are fixtures: argparse refuses
+    # the rest, and the config file checks the same choices
+    cfg = tmp_path / "run.cfg"
+    for name in ("nonexistent", "Complex", "corrupt_complex", "__name__"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fixture", name])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        cfg.write_text("fixture = %s\n" % name)
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_fixture_help_lists_every_fixture():
+    usage = cli._build_parser().format_help()
+    assert all(name in usage for name in fixtures.__all__)
 
 
 def test_verify_structure_suite_q2(capsys):
@@ -147,6 +165,20 @@ def test_config_errors_exit_two():
         (["report", "--q", "2"], "suite = gates"),
         (["build", "--q", "2", "--out", "OUT"], "suite = all"),
         (["verify", "--q", "2"], "out = OUT"),
+        # a fixture run checks the structure of a built-in complex only
+        (["verify", "--fixture", "octahedron", "--suite", "css", "--q", "8"], None),
+        (["verify", "--fixture", "octahedron", "--suite", "all"], None),
+        (["verify", "--fixture", "octahedron", "--q", "4"], None),
+        (["verify", "--fixture", "octahedron", "--D", "3"], None),
+        (["verify", "--fixture", "octahedron", "--m", "2"], None),
+        (["verify", "--fixture", "octahedron", "--phi", "1,1"], None),
+        (["verify", "--fixture", "octahedron", "--rm", "1,1"], None),
+        (["verify", "--fixture", "octahedron", "--x", "0", "--z", "1"], None),
+        (["verify", "--fixture", "octahedron", "--cap-enumeration", "5"], None),
+        (["verify", "--fixture", "octahedron", "--cap-qubits", "5"], None),
+        (["verify", "--fixture", "octahedron", "--cap-tableau", "5"], None),
+        (["verify", "--fixture", "octahedron"], "suite = gates"),
+        (["verify", "--fixture", "octahedron"], "q = 4"),
     ],
 )
 def test_flags_the_command_ignores_exit_two(no_enumeration, tmp_path, argv, config, capsys):
@@ -242,7 +274,7 @@ NOTE = "type-cycle gate checks are skipped"
         (["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"], 3, False),
         (["build", "--q", "4", "--cap-qubits", "1000"], 3, False),
         (["verify", "--q", "4", "--suite", "structure", "--cap-qubits", "1000"], 3, False),
-        (["verify", "--q", "4", "--fixture", "octahedron"], 0, False),
+        (["verify", "--q", "4", "--fixture", "octahedron"], 2, False),
         (["verify", "--q", "4", "--suite", "gates"], 3, False),
         (["verify", "--q", "4", "--suite", "all"], 3, False),
     ],

@@ -77,6 +77,15 @@ def _basis(s, face):
     return BitMatrix.from_int_rows(s.rows(face), len(s.complex.up_set(face)))
 
 
+def _full_code(n):
+    return LinearCode([1 << i for i in range(n)], n)
+
+
+def _codes(matrices):
+    """Each face's matrix as the code its rows span."""
+    return {face: LinearCode(m.int_rows(), m.cols) for face, m in matrices.items()}
+
+
 def _walk_offsets(s, j):
     """Reference for the C^j coordinate layout: walk the level-j faces in
     (mask, index) order, `dim(face)` coordinates each.  Returns each
@@ -94,9 +103,8 @@ def _widened_face_sheaf():
     widened to its whole up-set: local dimensions differ within a type."""
     c = fixtures.cross_polytope_3sphere()
     s = attach_constant_sheaf(c)
-    bad = {face: _basis(s, face) for face in s.local_bases}
-    width = len(c.up_sets[7][0])
-    bad[(7, 0)] = BitMatrix.identity(width)
+    bad = {face: LinearCode(s.rows(face), len(c.up_set(face))) for face in s.local_bases}
+    bad[(7, 0)] = _full_code(len(c.up_sets[7][0]))
     return attach_explicit(c, bad)
 
 
@@ -215,7 +223,7 @@ def _ref_attach(c, code, iso, ring):
                 top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
                 perm[iso.apply_int(alpha)] = pos[top]
             rows = []
-            for w in code.generator.int_rows():
+            for w in code.rows:
                 rows.append(sum(1 << perm[p] for p in range(q) if (w >> p) & 1))
             out[(mask, idx)] = BitMatrix.from_int_rows(rows, q).rref()[0]
     return out
@@ -273,7 +281,7 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
     # every Reed-Muller code of length 2 or 4 is invariant under all
     # coordinate permutations; the span of 10 is not, so only it pins
     # the orientation that attach_local_codes scatters by
-    for rm in (reed_muller(0, 1), reed_muller(1, 1), LinearCode.from_int_rows([0b01], 2)):
+    for rm in (reed_muller(0, 1), reed_muller(1, 1), LinearCode([0b01], 2)):
         s = induce_lower_codes(attach_local_codes(c, rm, iso, ring2))
         ref = _ref_induce(c, _ref_attach(c, rm, iso, ring2))
         d = dual_sheaf(s)
@@ -293,7 +301,7 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
     for cx, seed in ((fixtures.cross_polytope_3sphere(), 7), (_ragged_complex(), 8), (wide, 9)):
         defining = _random_codes(cx, seed)
         assert len({defining[f].rank() for f in defining}) > 1
-        s = induce_lower_codes(attach_explicit(cx, defining))
+        s = induce_lower_codes(attach_explicit(cx, _codes(defining)))
         ref = _ref_induce(cx, defining)
         cases += [(s, ref), (dual_sheaf(s), _ref_dual(cx, ref))]
     for s, ref in cases:
@@ -301,7 +309,7 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
         assert set(s.local_bases) == set(ref)
         for face, basis in ref.items():
             assert _basis(s, face) == basis
-        r = attach_explicit(cx, ref)
+        r = attach_explicit(cx, _codes(ref))
         for j in range(cx.D + 1):
             if j < cx.D:
                 assert coboundary_matrix(s, j) == coboundary_matrix(r, j)
@@ -324,7 +332,7 @@ def test_attach_rejects_a_rep_outside_its_face(complex2, ring2):
 def test_attach_explicit_rejects_wrong_width():
     c = fixtures.octahedron()
     with pytest.raises(SheafError):
-        attach_explicit(c, {(0b011, 0): BitMatrix.identity(3)})
+        attach_explicit(c, {(0b011, 0): _full_code(3)})
 
 
 def test_cocycles_contain_coboundaries(sheaf2):
@@ -394,10 +402,10 @@ def test_coboundary_rejects_restriction_outside_local_code():
     local = {}
     for mask in (0b011, 0b101, 0b110):
         for idx in c.faces(mask):
-            local[(mask, idx)] = BitMatrix.from_int_rows([0b11], 2)
+            local[(mask, idx)] = LinearCode([0b11], 2)
     for mask in (1, 2, 4):
         for idx in c.faces(mask):
-            local[(mask, idx)] = BitMatrix.identity(4)
+            local[(mask, idx)] = _full_code(4)
     with pytest.raises(SheafError):
         coboundary_matrix(attach_explicit(c, local), 0)
 
@@ -468,10 +476,10 @@ def test_pair_products_catch_odd_overlap():
         local = {}
         for mask in (0b011, 0b101, 0b110):
             for idx in c.faces(mask):
-                local[(mask, idx)] = BitMatrix.identity(2)
+                local[(mask, idx)] = _full_code(2)
         for mask in (1, 2, 4):
             for idx in c.faces(mask):
-                local[(mask, idx)] = BitMatrix.identity(4)
+                local[(mask, idx)] = _full_code(4)
         s = attach_explicit(c, local)
         result = check_pair_products(s, s, 2)
         assert not result["ok"]
@@ -493,9 +501,7 @@ def _ref_link_dimension(ring, code, iso):
     q = ring.field.q
     table = GroupTable(ring, 2, colors=(1, 2))
     gen_col = {(color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)}
-    supports = [
-        [p for p in range(q) if (w >> p) & 1] for w in dual_code(code).generator.int_rows()
-    ]
+    supports = [[p for p in range(q) if (w >> p) & 1] for w in dual_code(code).rows]
     rows = []
     for cotype in (2, 1):
         reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
@@ -525,7 +531,7 @@ def test_link_dimension_matches_stacked_checks_on_reed_muller(eta):
 
 def _random_code(rng, q, k):
     while True:
-        code = LinearCode.from_int_rows([rng.getrandbits(q) for _ in range(k)], q)
+        code = LinearCode([rng.getrandbits(q) for _ in range(k)], q)
         if code.k == k:
             return code
 
@@ -542,7 +548,7 @@ def test_link_dimension_matches_stacked_checks_on_random_codes(eta):
         for _ in range(2):
             code = _random_code(rng, q, k)
             dim = link_vertex_code_dimension(ring, code, iso)
-            assert dim == _ref_link_dimension(ring, code, iso), (k, code.generator.int_rows())
+            assert dim == _ref_link_dimension(ring, code, iso), (k, code.rows)
             if k in (0, q):
                 assert dim == k * q * q
 
@@ -670,7 +676,7 @@ def _ref_cup(f1, f2, target):
 def reference_sheaves(sheaf2, dual2, complex2, ring2):
     iso = VectorIso(ring2.field)
     span10 = induce_lower_codes(
-        attach_local_codes(complex2, LinearCode.from_int_rows([0b01], 2), iso, ring2)
+        attach_local_codes(complex2, LinearCode([0b01], 2), iso, ring2)
     )
     out = {
         "q2": sheaf2,
