@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .algebra import FieldTable, RingTable, VectorIso, build_ring, coprimality_check
 from .complexes import Complex, build_coset_complex
 from .css import CssCode, extract_css, logical_basis, rate_report, unfolding_check
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .group import GroupElement, GroupTable, enumerate_group, sl_order
 from .local_codes import LinearCode, dual_code, reed_muller
 from .sheaf import (
@@ -37,7 +37,6 @@ __all__ = [
     "rate_report",
     "unfolding_check",
     "BitMatrix",
-    "BitVector",
     "GroupElement",
     "GroupTable",
     "enumerate_group",

@@ -12,8 +12,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .gf2 import BitVector
-
 
 class AlgebraError(ValueError):
     """Raised for invalid field/ring parameters."""
@@ -103,6 +101,9 @@ class RingTable:
             raise AlgebraError("m must be >= 1")
         if len(phi) != m + 1 or phi[m] != 1:
             raise AlgebraError("phi must be monic of degree m")
+        for c in phi:
+            if not 0 <= c < field.q:
+                raise AlgebraError("phi coefficient %d is not in F_%d" % (c, field.q))
         self.field = field
         self.eta = field.eta
         self.m = m
@@ -272,9 +273,6 @@ class VectorIso:
         if sorted(elements) != list(range(field.q)):
             raise AlgebraError("omega powers do not form a basis")
         self._images = sorted(range(field.q), key=elements.__getitem__)
-
-    def apply(self, x: int) -> BitVector:
-        return BitVector(self.eta, self.apply_int(x))
 
     def apply_int(self, x: int) -> int:
         """U(x) packed back into an integer (bit j = coefficient of e_{j+1})."""

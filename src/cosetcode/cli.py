@@ -345,8 +345,8 @@ def suite_css(inst: dict) -> dict:
 
 def _stabilizer_paulis(code) -> List[Pauli]:
     n = code.n
-    gens = [Pauli.x_op(n, code.h_x.row_int(i)) for i in range(code.h_x.rows)]
-    gens += [Pauli.z_op(n, code.h_z.row_int(i)) for i in range(code.h_z.rows)]
+    gens = [Pauli.x_op(n, r) for r in code.h_x.int_rows()]
+    gens += [Pauli.z_op(n, r) for r in code.h_z.int_rows()]
     return gens
 
 

@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, BitVector, row_space_equal
+from .gf2 import BitMatrix, row_space_equal
 from .sheaf import (
     Sheaf,
     cohomology_dim,
@@ -128,13 +128,14 @@ def _uniform_local_rate(s: Sheaf, level: int) -> Fraction:
 
 
 class LogicalBasis:
-    """Color-tagged logical representatives on the qubits."""
+    """Color-tagged logical representatives on the qubits: (color type,
+    support) pairs, each support an int of `n` bits, bit t for qubit t."""
 
     def __init__(
         self,
         n: int,
-        x_logicals: List[Tuple[Tuple[int, ...], BitVector]],
-        z_logicals: List[Tuple[Tuple[int, ...], BitVector]],
+        x_logicals: List[Tuple[Tuple[int, ...], int]],
+        z_logicals: List[Tuple[Tuple[int, ...], int]],
     ):
         self.n = n
         self.x_logicals = x_logicals
@@ -146,9 +147,9 @@ class LogicalBasis:
         return _supports(self.n, self.x_logicals).matmul(z.transpose())
 
 
-def _supports(n: int, logicals: List[Tuple[Tuple[int, ...], BitVector]]) -> BitMatrix:
+def _supports(n: int, logicals: List[Tuple[Tuple[int, ...], int]]) -> BitMatrix:
     """The supports of tagged logicals as the rows of a matrix."""
-    return BitMatrix.from_int_rows([v.value for _, v in logicals], n)
+    return BitMatrix.from_int_rows([v for _, v in logicals], n)
 
 
 def color_types_through_zero(D: int, size: int) -> List[Tuple[int, ...]]:
@@ -181,17 +182,17 @@ def logical_basis(
 
 def _tagged_logicals(
     s: Sheaf, level: int, other_checks: BitMatrix
-) -> List[Tuple[Tuple[int, ...], BitVector]]:
+) -> List[Tuple[Tuple[int, ...], int]]:
     """Per color type T through 0, the T-masked cohomology reps times the
     projection: one product per type, checked against the other side."""
     reps = cohomology_reps(s, level + 1)
     pi = projection_matrix(s, level + 1)
-    out: List[Tuple[Tuple[int, ...], BitVector]] = []
+    out: List[Tuple[Tuple[int, ...], int]] = []
     for T in color_types_through_zero(s.complex.D, level + 2):
         logicals = _cols(reps, s.type_coords(level + 1, T)[1]).matmul(pi)
         if not other_checks.matmul(logicals.transpose()).is_zero():
             raise CSSError("logical candidate for T=%r anticommutes with a check" % (T,))
-        out += [(T, logicals.row(i)) for i in range(logicals.rows)]
+        out += [(T, v) for v in logicals.int_rows()]
     return out
 
 
@@ -214,12 +215,12 @@ def darboux_basis(lb: LogicalBasis) -> LogicalBasis:
     masks: Dict[Tuple[int, ...], int] = {}
     for m, (tag, _) in enumerate(lb.z_logicals):
         masks[tag] = masks.get(tag, 0) | 1 << m
-    new_z: List[Tuple[Tuple[int, ...], BitVector]] = []
-    for j, combo in enumerate(a_t.int_rows()):
+    new_z: List[Tuple[Tuple[int, ...], int]] = []
+    for combo, v in zip(a_t.int_rows(), z.int_rows()):
         tag = lb.z_logicals[(combo & -combo).bit_length() - 1][0]
         if combo & ~masks[tag]:
             raise CSSError("Darboux reduction would mix color tags")
-        new_z.append((tag, z.row(j)))
+        new_z.append((tag, v))
     out = LogicalBasis(lb.n, list(lb.x_logicals), new_z)
     if out.pairing() != BitMatrix.identity(k2):
         raise CSSError("Darboux reduction failed to reach the identity pairing")
@@ -228,10 +229,11 @@ def darboux_basis(lb: LogicalBasis) -> LogicalBasis:
 
 def symplectic_color_basis(
     code: CssCode, lb: LogicalBasis
-) -> Tuple[List[BitVector], List[BitVector]]:
+) -> Tuple[List[int], List[int]]:
     """For a self-dual code, a symplectic basis (red_i, blue_j) of the X
     logical supports with |red_i & blue_j| = delta_ij: the red supports as
     given, the blue ones recombined within their color by `darboux_basis`.
+    Each support is an int of `code.n` bits, bit t for qubit t.
 
     The same support vectors then serve as X and Z logical representatives
     (self-duality makes every X-logical support a valid Z logical), giving

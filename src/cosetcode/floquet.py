@@ -122,7 +122,8 @@ def _type_operators(s: Sheaf, level: int, colors: Tuple[int, ...], op) -> List[P
     """`op` on each projected level basis row of the faces of type `colors`
     (their block of the level's coordinates)."""
     pi = projection_matrix(s, level)
-    return [op(pi.cols, pi.row_int(i)) for i in s.type_coords(level, colors)[0]]
+    rows = pi.int_rows()
+    return [op(pi.cols, rows[i]) for i in s.type_coords(level, colors)[0]]
 
 
 def vertex_x_operators(s: Sheaf) -> Dict[int, List[Pauli]]:

@@ -1,6 +1,6 @@
 """Exact linear algebra over GF(2) on Python-int rows.
 
-BitVector wraps a Python int bitset, and BitMatrix keeps one such int per
+A vector is a plain Python int, and BitMatrix keeps one such int per
 row: bit i of a vector, or of a row, is the coefficient of coordinate
 (column) i.  numpy enters only where matrices meet arrays: `from_coords`,
 `from_dense`, `to_dense` and `nonzero`, through little-endian packed words.
@@ -46,59 +46,6 @@ def _packed(rows: Sequence[int], nbytes: int) -> np.ndarray:
     """Int rows as a (len(rows), nbytes) uint8 array of little-endian bytes."""
     buf = b"".join([v.to_bytes(nbytes, "little") for v in rows])
     return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-
-
-class BitVector:
-    """A length-annotated bitset over GF(2)."""
-
-    __slots__ = ("length", "value")
-
-    def __init__(self, length: int, value: int = 0):
-        if value < 0 or value >> length:
-            raise GF2Error("bit value out of range for length %d" % length)
-        self.length = length
-        self.value = value
-
-    def weight(self) -> int:
-        return self.value.bit_count()
-
-    def support(self) -> List[int]:
-        v, out, base = self.value, [], 0
-        while v:
-            low = v & 0xFFFFFFFFFFFFFFFF
-            while low:
-                b = low & -low
-                out.append(base + b.bit_length() - 1)
-                low ^= b
-            v >>= 64
-            base += 64
-        return out
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise GF2Error("length mismatch in xor")
-        return BitVector(self.length, self.value ^ other.value)
-
-    def __and__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise GF2Error("length mismatch in and")
-        return BitVector(self.length, self.value & other.value)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and self.value == other.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.value))
-
-    def __repr__(self) -> str:
-        return "BitVector(%d, 0b%s)" % (
-            self.length,
-            format(self.value, "0%db" % self.length)[::-1] if self.length else "0",
-        )
 
 
 class EchelonBasis:
@@ -234,10 +181,6 @@ class BitMatrix:
         return m
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls._of([1 << i for i in range(n)], n)
 
@@ -280,18 +223,9 @@ class BitMatrix:
 
     # -- accessors ------------------------------------------------------
 
-    def row_int(self, i: int) -> int:
-        return self._ints[i]
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self._ints[i])
-
     def int_rows(self) -> List[int]:
         """The rows as ints (the stored list: never mutate it)."""
         return self._ints
-
-    def get(self, i: int, j: int) -> int:
-        return (self._ints[i] >> j) & 1
 
     def to_dense(self) -> np.ndarray:
         """The matrix as a (rows, cols) uint8 array, one byte per entry."""
@@ -322,9 +256,6 @@ class BitMatrix:
             and self.cols == other.cols
             and self._ints == other._ints
         )
-
-    def __hash__(self):  # pragma: no cover - matrices are not dict keys
-        return hash((self.rows, self.cols, tuple(self._ints)))
 
     def __repr__(self) -> str:
         return "BitMatrix(%dx%d)" % (self.rows, self.cols)
@@ -406,19 +337,15 @@ class BitMatrix:
             x[p] = v
         return BitMatrix._of(x, rhs.cols)
 
-    def solve_vec(self, b: BitVector) -> Optional[BitVector]:
-        """Solve self @ x = b; returns some solution or None."""
-        if b.length != self.rows:
-            raise GF2Error("solve_vec length mismatch")
-        sol = self._solve(((b.value >> i) & 1 for i in range(self.rows)), 1)
+    def solve_vec(self, b: int) -> Optional[int]:
+        """Solve self @ x = b for x, both vectors as ints (bit i is entry
+        i, b of `rows` bits and x of `cols`); returns some solution or None."""
+        if b < 0 or b.bit_length() > self.rows:
+            raise GF2Error("solve_vec right-hand side is not a %d-bit vector" % self.rows)
+        sol = self._solve(((b >> i) & 1 for i in range(self.rows)), 1)
         if sol is None:
             return None
-        return BitVector(self.cols, sum(1 << p for p, v in sol if v))
-
-    def in_row_space(self, v: BitVector) -> bool:
-        if v.length != self.cols:
-            raise GF2Error("in_row_space length mismatch")
-        return not EchelonBasis(self._ints).reduce(v.value)
+        return sum(1 << p for p, v in sol if v)
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:
@@ -469,7 +396,6 @@ def write_alist(m: BitMatrix, path: str) -> None:
 
 __all__ = [
     "GF2Error",
-    "BitVector",
     "BitMatrix",
     "EchelonBasis",
     "CertifiedBasis",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, BitVector, EchelonBasis, _packed_rows, dual_rows
+from .gf2 import BitMatrix, EchelonBasis, _packed_rows, dual_rows
 from .group import GroupTable
 from .local_codes import LinearCode, star_rows
 
@@ -121,13 +121,14 @@ class Sheaf:
 
 
 class Cochain:
-    """An element of C^j in global coordinates."""
+    """An element of C^j in global coordinates: `data` is an int of
+    `level_dim(j)` bits, bit i the coefficient of coordinate i."""
 
     __slots__ = ("sheaf", "level", "data")
 
-    def __init__(self, sheaf: Sheaf, level: int, data: BitVector):
-        if data.length != sheaf.level_dim(level):
-            raise SheafError("cochain length mismatch at level %d" % level)
+    def __init__(self, sheaf: Sheaf, level: int, data: int):
+        if data < 0 or data.bit_length() > sheaf.level_dim(level):
+            raise SheafError("cochain data is not a vector of C^%d" % level)
         self.sheaf = sheaf
         self.level = level
         self.data = data
@@ -425,7 +426,7 @@ def cocycle_basis(s: Sheaf, j: int) -> BitMatrix:
 def coboundary_image_basis(s: Sheaf, j: int) -> BitMatrix:
     """Basis of B^j = im delta^{j-1} (B^0 = 0)."""
     if j == 0:
-        return BitMatrix.zeros(0, s.level_dim(0))
+        return BitMatrix(0, s.level_dim(0))
     d = coboundary_matrix(s, j - 1)
     return d.transpose().row_space_basis()
 
@@ -542,7 +543,7 @@ def cup_product(
     if target is None:
         target = star_sheaf(s1, s2)
     level = l1 + l2
-    coords = np.zeros(target.level_dim(level), dtype=np.uint8)
+    data = 0
     for mask in c.level_masks(level):
         cs = colors_of(mask)
         prod = _top_values(f1, mask_of(cs[: l1 + 1])) & _top_values(f2, mask_of(cs[l1:]))
@@ -552,43 +553,37 @@ def cup_product(
         if escaped.any():
             raise SheafError("cup product value escapes the star sheaf at type %d" % mask)
         g, _, l = np.nonzero(coeffs)
-        coords[target.first(mask)[g] + l] = 1
-    data = int.from_bytes(np.packbits(coords, bitorder="little").tobytes(), "little")
-    return Cochain(target, level, BitVector(coords.size, data))
+        for k in (target.first(mask)[g] + l).tolist():
+            data |= 1 << k
+    return Cochain(target, level, data)
 
 
 def _top_values(f: Cochain, mask: int) -> np.ndarray:
     """At every top, the bit there of f's local codeword on the top's
-    type-`mask` face (`mask` is a type of f's level)."""
-    c = f.sheaf.complex
-    first, bits = f.sheaf.first(mask), f.sheaf.type_rows(mask)
-    # long enough for the zero rows padding the last face
-    nbytes = (f.data.length + bits.shape[1] + 7) // 8
-    packed = np.frombuffer(f.data.value.to_bytes(nbytes, "little"), dtype=np.uint8)
-    coords = np.unpackbits(packed, bitorder="little")
-    coeffs = coords[first[:, None] + np.arange(bits.shape[1])][:, None, :]
-    words = np.matmul(coeffs, bits)[:, 0, :] & 1
-    return words[c.top_to_face[mask], c.top_pos[mask]]
+    type-`mask` face (`mask` is a type of f's level): f's type-`mask`
+    block projected onto the qubits."""
+    s, level = f.sheaf, f.level
+    block = f.data & s.type_coords(level, colors_of(mask))[1]
+    row = BitMatrix.from_int_rows([block], s.level_dim(level))
+    return row.matmul(projection_matrix(s, level)).to_dense()[0]
 
 
 # -- lifting ---------------------------------------------------------------------
 
 
-def lift_shrunk_cocycle(s: Sheaf, T: Sequence[int], f: BitVector) -> Cochain:
-    """Extend a T-supported shrunk 1-cocycle to a sheaf cocycle g at level
-    |T| - 1 with res_T(g) = f, by one global linear solve."""
+def lift_shrunk_cocycle(s: Sheaf, T: Sequence[int], f: int) -> Cochain:
+    """Extend a T-supported shrunk 1-cocycle f, an int of `level_dim(|T| - 1)`
+    bits, to a sheaf cocycle g at level |T| - 1 with res_T(g) = f, by one
+    global linear solve."""
     level = len(set(T)) - 1
     c = s.complex
     if not 1 <= level <= c.D - 1:
         raise SheafError("invalid shrunk type size")
     delta = coboundary_matrix(s, level)
     res = restrict_to_type(s, level, T)
-    dim = s.level_dim(level)
-    if f.length != dim:
-        raise SheafError("shrunk cocycle length mismatch")
-    stacked = delta.vstack(res)
-    rhs = BitVector(stacked.rows, f.value << delta.rows)
-    g = stacked.solve_vec(rhs)
+    if f < 0 or f.bit_length() > s.level_dim(level):
+        raise SheafError("shrunk cocycle is not a vector of C^%d" % level)
+    g = delta.vstack(res).solve_vec(f << delta.rows)
     if g is None:
         raise SheafError(
             "no sheaf lift exists for the given shrunk cocycle: "

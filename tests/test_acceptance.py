@@ -46,8 +46,8 @@ from cosetcode.sheaf import (
 
 def _stabilizer_paulis(code):
     n = code.n
-    gens = [Pauli.x_op(n, code.h_x.row_int(i)) for i in range(code.h_x.rows)]
-    gens += [Pauli.z_op(n, code.h_z.row_int(i)) for i in range(code.h_z.rows)]
+    gens = [Pauli.x_op(n, r) for r in code.h_x.int_rows()]
+    gens += [Pauli.z_op(n, r) for r in code.h_z.int_rows()]
     return gens
 
 
@@ -151,7 +151,7 @@ def test_criterion_08_transversal_gates(code2, logicals2, table2):
     # X on the j-th support picks up Z on the (j+k mod 2k)-th support
     red, blue = symplectic_color_basis(code2, logicals2)
     k = len(red)
-    x_sup = [v.value for v in red] + [v.value for v in blue]
+    x_sup = red + blue
     # the Z logical paired with the i-th X logical lives on the
     # opposite-color support, so Z-logical i occupies x_sup[(i+k) % 2k]
     z_sup = [x_sup[(i + k) % (2 * k)] for i in range(2 * k)]
@@ -180,7 +180,7 @@ def test_criterion_09_divisibility(sheaf2, logicals2, code2, inst4):
     # product weights over the full complex, q = 2: everything is even
     assert check_projected_weights(sheaf2, 2)["ok"]
     assert check_pair_products(sheaf2, sheaf2, 2)["ok"]
-    b_rows = [code2.h_x.row_int(i) for i in range(code2.h_x.rows)]
+    b_rows = code2.h_x.int_rows()
     # the color of each h_x row: level-0 faces in (mask, index) order,
     # one row per local dimension
     row_color = [
@@ -188,7 +188,7 @@ def test_criterion_09_divisibility(sheaf2, logicals2, code2, inst4):
         for mask, idx in sheaf2.complex.level_faces(0)
         for _ in range(sheaf2.dim((mask, idx)))
     ]
-    logicals = [(T, v.value) for T, v in logicals2.x_logicals]
+    logicals = logicals2.x_logicals
     for s in b_rows:
         assert s.bit_count() % 2 == 0
     for _, l in logicals:

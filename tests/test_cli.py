@@ -393,6 +393,21 @@ def test_malformed_phi_exits_two(tmp_path, phi):
     assert main(["build", "--q", "2", "--phi", phi, "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "structure", "--q", "4", "--phi", "6,1"],
+        ["report", "--local-only", "--q", "4", "--phi", "6,1"],
+        ["verify", "--q", "2", "--phi", "9,1"],
+    ],
+)
+def test_phi_coefficient_outside_the_field_exits_two(no_enumeration, argv, capsys):
+    # refused as configuration, naming the coefficient, before any build
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err.startswith("config error: phi coefficient %s is not in F_" % argv[-1].split(",")[0])
+
+
 def test_report_local_only(capsys):
     assert main(["report", "--q", "8", "--local-only"]) == 0
     out = capsys.readouterr().out

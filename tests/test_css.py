@@ -19,7 +19,7 @@ from cosetcode.css import (
     LogicalBasis,
 )
 from cosetcode.algebra import VectorIso
-from cosetcode.gf2 import BitMatrix, BitVector
+from cosetcode.gf2 import BitMatrix
 from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import (
     attach_constant_sheaf,
@@ -93,14 +93,14 @@ def test_symplectic_color_basis(code2, logicals2):
     assert len(red) == len(blue) == 23
     for i, r in enumerate(red):
         for j, b in enumerate(blue):
-            assert (r.value & b.value).bit_count() % 2 == (1 if i == j else 0)
+            assert (r & b).bit_count() % 2 == (1 if i == j else 0)
 
 
 def test_symplectic_color_basis_needs_two_tags(code2):
     lone = LogicalBasis(
         code2.n,
-        [((0, 1), BitVector(code2.n, 1))],
-        [((0, 1), BitVector(code2.n, 1))],
+        [((0, 1), 1)],
+        [((0, 1), 1)],
     )
     with pytest.raises(CSSError):
         symplectic_color_basis(code2, lone)
@@ -111,10 +111,10 @@ def test_symplectic_color_basis_refuses_odd_same_color_overlap(code2, logicals2)
     # support, so the two overlap oddly
     tags = sorted({t for t, _ in logicals2.x_logicals})
     red = [i for i, (t, _) in enumerate(logicals2.x_logicals) if t == tags[0]]
-    r0, r1 = (logicals2.x_logicals[i][1].value for i in red[:2])
+    r0, r1 = (logicals2.x_logicals[i][1] for i in red[:2])
     q = next(q for q in range(code2.n) if (r1 >> q) & 1 and not (r0 >> q) & 1)
     x = list(logicals2.x_logicals)
-    x[red[0]] = (tags[0], BitVector(code2.n, r0 | 1 << q))
+    x[red[0]] = (tags[0], r0 | 1 << q)
     with pytest.raises(CSSError, match="same-color"):
         symplectic_color_basis(code2, LogicalBasis(code2.n, x, logicals2.z_logicals))
 

@@ -30,7 +30,7 @@ from cosetcode.gates import (
     perm_orbits,
     transversal_rl_level,
 )
-from cosetcode.gf2 import BitMatrix, BitVector
+from cosetcode.gf2 import BitMatrix
 from cosetcode.local_codes import reed_muller
 
 
@@ -314,11 +314,11 @@ def _membership_phase_by_solve(p, generators):
     last = len(generators) - 1
     rows = [g.x | (g.z << n) for g in reversed(generators)]
     mat = BitMatrix.from_int_rows(rows, 2 * n).transpose()
-    combo = mat.solve_vec(BitVector(2 * n, p.x | (p.z << n)))
+    combo = mat.solve_vec(p.x | (p.z << n))
     if combo is None:
         return None
     prod = Pauli(n, 0, 0, 0)
-    for i in sorted(last - j for j in combo.support()):
+    for i in sorted(last - j for j in range(len(generators)) if (combo >> j) & 1):
         prod = pauli_mul(prod, generators[i])
     return (p.p - prod.p) % 4
 

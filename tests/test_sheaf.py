@@ -10,7 +10,7 @@ import pytest
 from cosetcode import fixtures
 from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.complexes import Complex, colors_of, mask_of
-from cosetcode.gf2 import BitMatrix, BitVector, CertifiedBasis, EchelonBasis, row_space_equal
+from cosetcode.gf2 import BitMatrix, CertifiedBasis, EchelonBasis, row_space_equal
 from cosetcode.group import GroupTable
 from cosetcode.local_codes import LinearCode, dual_code, reed_muller
 from cosetcode.sheaf import (
@@ -42,8 +42,8 @@ from cosetcode.sheaf import (
 
 def _matvec(m, x):
     """m @ x over GF(2), x indexed by the columns."""
-    bits = ((v & x.value).bit_count() & 1 for v in m.int_rows())
-    return BitVector(m.rows, sum(b << i for i, b in enumerate(bits)))
+    bits = ((v & x).bit_count() & 1 for v in m.int_rows())
+    return sum(b << i for i, b in enumerate(bits))
 
 
 @pytest.mark.parametrize(
@@ -159,8 +159,7 @@ def _projection_by_set_bits(s, j):
     for face in c.level_faces(j):
         ups = c.up_sets[face[0]][face[1]]
         basis = _basis(s, face)
-        for i in range(basis.rows):
-            w = basis.row_int(i)
+        for i, w in enumerate(basis.int_rows()):
             for p, t in enumerate(ups):
                 if (w >> p) & 1:
                     _set_bits(out, offsets[face] + i, [t])
@@ -336,11 +335,10 @@ def test_attach_explicit_rejects_wrong_width():
 
 
 def test_cocycles_contain_coboundaries(sheaf2):
-    z = cocycle_basis(sheaf2, 1)
+    z = EchelonBasis(cocycle_basis(sheaf2, 1).int_rows())
     d0 = coboundary_matrix(sheaf2, 0)
     for i in range(min(10, d0.cols)):
-        col = BitVector(d0.cols, 1 << i)
-        assert z.in_row_space(_matvec(d0, col))
+        assert not z.reduce(_matvec(d0, 1 << i))
 
 
 def _coboundary_by_solve(s, j):
@@ -360,8 +358,7 @@ def _coboundary_by_solve(s, j):
                 continue
             for sidx in _cofaces(c, face, smask):
                 spos = [ups.index(t) for t in c.up_sets[smask][sidx]]
-                for i in range(basis.rows):
-                    w = basis.row_int(i)
+                for i, w in enumerate(basis.int_rows()):
                     r = sum(1 << p for p, sp in enumerate(spos) if (w >> sp) & 1)
                     pending.setdefault((smask, sidx), []).append((src_off[face] + i, r))
     for tface, entries in pending.items():
@@ -370,8 +367,8 @@ def _coboundary_by_solve(s, j):
         x = tb.transpose().solve(rhs)
         assert x is not None
         for col, (src_coord, _) in enumerate(entries):
-            for i in range(tb.rows):
-                if x.get(i, col):
+            for i, row in enumerate(x.int_rows()):
+                if (row >> col) & 1:
                     out[dst_off[tface] + i] |= 1 << src_coord
     return BitMatrix.from_int_rows(out, src_dim)
 
@@ -381,10 +378,10 @@ def _cohomology_reps_by_rank(s, j):
     z = cocycle_basis(s, j)
     acc = coboundary_image_basis(s, j)
     reps = []
-    for i in range(z.rows):
-        grown = acc.vstack(BitMatrix.from_int_rows([z.row_int(i)], z.cols))
+    for row in z.int_rows():
+        grown = acc.vstack(BitMatrix.from_int_rows([row], z.cols))
         if grown.rank() > acc.rank():
-            reps.append(z.row_int(i))
+            reps.append(row)
             acc = grown
     return BitMatrix.from_int_rows(reps, z.cols)
 
@@ -420,15 +417,15 @@ def test_cup_product_leibniz_rule():
     d1s = coboundary_matrix(ss, 1)
     rng = random.Random(7)
     for _ in range(10):
-        f = Cochain(s, 0, BitVector(s.level_dim(0), rng.getrandbits(s.level_dim(0))))
-        g = Cochain(s, 0, BitVector(s.level_dim(0), rng.getrandbits(s.level_dim(0))))
+        f = Cochain(s, 0, rng.getrandbits(s.level_dim(0)))
+        g = Cochain(s, 0, rng.getrandbits(s.level_dim(0)))
         df = Cochain(s, 1, _matvec(d0, f.data))
         dg = Cochain(s, 1, _matvec(d0, g.data))
         fg = cup_product(f, g, target=ss)
         assert _matvec(d0s, fg.data) == (
             cup_product(df, g, target=ss) ^ cup_product(f, dg, target=ss)
         ).data
-        h = Cochain(s, 1, BitVector(s.level_dim(1), rng.getrandbits(s.level_dim(1))))
+        h = Cochain(s, 1, rng.getrandbits(s.level_dim(1)))
         dh = Cochain(s, 2, _matvec(d1, h.data))
         hg = cup_product(h, g, target=ss)
         assert _matvec(d1s, hg.data) == (
@@ -440,12 +437,12 @@ def test_cup_product_of_cocycles_is_cocycle(sheaf2):
     s = sheaf2
     ss = star_sheaf(s, s)
     reps = cohomology_reps(s, 1)
-    f = Cochain(s, 1, reps.row(0))
+    f = Cochain(s, 1, reps.int_rows()[0])
     z0 = cocycle_basis(s, 0)
-    g = Cochain(s, 0, z0.row(0))
+    g = Cochain(s, 0, z0.int_rows()[0])
     fg = cup_product(f, g, target=ss)
     d1s = coboundary_matrix(ss, 1)
-    assert _matvec(d1s, fg.data).value == 0
+    assert _matvec(d1s, fg.data) == 0
 
 
 def test_lift_shrunk_cocycle_roundtrip(sheaf2):
@@ -454,10 +451,21 @@ def test_lift_shrunk_cocycle_roundtrip(sheaf2):
     d1 = coboundary_matrix(s, 1)
     for T in ((0, 1), (0, 2), (1, 2)):
         r = restrict_to_type(s, 1, T)
-        f = _matvec(r, reps.row(0))
+        f = _matvec(r, reps.int_rows()[0])
         lifted = lift_shrunk_cocycle(s, T, f)
-        assert _matvec(d1, lifted.data).value == 0
+        assert _matvec(d1, lifted.data) == 0
         assert _matvec(r, lifted.data) == f
+
+
+def test_cochain_and_lift_refuse_data_outside_the_level(sheaf2):
+    s = sheaf2
+    top = (1 << s.level_dim(1)) - 1
+    assert Cochain(s, 1, top).data == top
+    for bad in (-1, top + 1):
+        with pytest.raises(SheafError, match="cochain data"):
+            Cochain(s, 1, bad)
+        with pytest.raises(SheafError, match="shrunk cocycle"):
+            lift_shrunk_cocycle(s, (0, 1), bad)
 
 
 def test_pair_products_even_overlap_q2(sheaf2, dual2):
@@ -660,7 +668,7 @@ def _ref_cup(f1, f2, target):
         ):
             sub = (m, c.face_in_top(m, ups[0]))
             # the local codeword at sub: the sum of the rows f's coordinates name
-            coeffs = f.data.value >> off[sub]
+            coeffs = f.data >> off[sub]
             value = 0
             for i, w in enumerate(f.sheaf.rows(sub)):
                 if (coeffs >> i) & 1:
@@ -761,6 +769,6 @@ def test_cup_product_matches_face_by_face_reference(sheaf2):
     rng = random.Random(3)
     for l1, l2 in ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0)):
         for _ in range(3):
-            f = Cochain(s, l1, BitVector(s.level_dim(l1), rng.getrandbits(s.level_dim(l1))))
-            g = Cochain(s, l2, BitVector(s.level_dim(l2), rng.getrandbits(s.level_dim(l2))))
-            assert cup_product(f, g, target=ss).data.value == _ref_cup(f, g, ss)
+            f = Cochain(s, l1, rng.getrandbits(s.level_dim(l1)))
+            g = Cochain(s, l2, rng.getrandbits(s.level_dim(l2)))
+            assert cup_product(f, g, target=ss).data == _ref_cup(f, g, ss)
