@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .group import (
     generated_field_size,
     sl_order,
 )
-from .local_codes import reed_muller
+from .local_codes import dual_code, reed_muller
 from .sheaf import (
     attach_local_codes,
     check_flasque,
@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cap-enumeration", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--cap-qubits", type=int, default=1 << 20)
-    p.add_argument("--cap-tableau", type=int, default=1 << 14)
+    p.add_argument("--cap-tableau", type=int, default=1 << 14, help="qubit cap of gates, floquet")
     p.add_argument("--out", help="output directory")
     p.add_argument(
         "--fixture",
@@ -176,6 +176,9 @@ def _validate(args: argparse.Namespace) -> dict:
         raise ConfigError("--suite is read by verify only")
     if args.out is not None and args.command != "build":
         raise ConfigError("--out is read by build only")
+    for dest in ("cap_enumeration", "cap_qubits", "cap_tableau"):
+        if getattr(args, dest) < 1:
+            raise ConfigError("--%s must be at least 1" % dest.replace("_", "-"))
     q = args.q
     if q < 2 or q & (q - 1):
         raise ConfigError("q must be a power of two")
@@ -237,7 +240,7 @@ def _refuse_early(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) ->
     tableau = [name for name in ("gates", "floquet") if name in suites]
     if tableau and order > args.cap_tableau:
         raise CapRefusal(
-            "tableau size %d exceeds cap %d for the %s suite "
+            "qubit count %d exceeds cap %d for the %s suite "
             "(raise --cap-tableau to override)" % (order, args.cap_tableau, tableau[0])
         )
 
@@ -343,35 +346,44 @@ def suite_css(inst: dict) -> dict:
     return out
 
 
-def _stabilizer_paulis(code) -> List[Pauli]:
+def _stabilizer_paulis(code) -> Tuple[Pauli, ...]:
+    """One tuple, so that each membership query finds its bases by identity."""
     n = code.n
-    gens = [Pauli.x_op(n, r) for r in code.h_x.int_rows()]
-    gens += [Pauli.z_op(n, r) for r in code.h_z.int_rows()]
-    return gens
+    xs = [Pauli.x_op(n, r) for r in code.h_x.int_rows()]
+    return tuple(xs + [Pauli.z_op(n, r) for r in code.h_z.int_rows()])
 
 
-def _circuit_preserves(circ: Circuit, gens: List[Pauli]) -> bool:
+def _circuit_preserves(circ: Circuit, gens: Sequence[Pauli]) -> bool:
     return all(in_group_with_sign(circ.conjugate(g), gens) for g in gens)
+
+
+def _two_block_cz_preserves(gens: Sequence[Pauli], n: int) -> bool:
+    """CZ between qubit i of one block and qubit i of the other preserves
+    the two-block group G x G.  G x G is a direct product, so each n-qubit
+    half of an image is queried against the one-block generators, with
+    the image's phase on the first half."""
+    circ = Circuit(2 * n, [[Gate("CZ", (i, n + i)) for i in range(n)]])
+    low = (1 << n) - 1
+    images = (circ.conjugate(Pauli(2 * n, g.p, g.x << s, g.z << s)) for s in (0, n) for g in gens)
+    return all(
+        in_group_with_sign(Pauli(n, im.p, im.x & low, im.z & low), gens)
+        and in_group_with_sign(Pauli(n, 0, im.x >> n, im.z >> n), gens)
+        for im in images
+    )
 
 
 def suite_gates(inst: dict) -> dict:
     code = inst["code"]
     table = inst["table"]
     n = code.n
-    gens = _stabilizer_paulis(code)
-    all_mask = (1 << n) - 1
+    gens, local = _stabilizer_paulis(code), inst["local_code"]
     out: dict = {}
-    s_circ = Circuit(n, [[Gate("S", tuple(range(n)))]])
-    out["transversal_s"] = _circuit_preserves(s_circ, gens)
-    h_circ = Circuit(n, [[Gate("H", tuple(range(n)))]])
-    out["transversal_h"] = _circuit_preserves(h_circ, gens)
-    # two-block CZ
-    two = [
-        Pauli(2 * n, g.p, g.x, g.z) for g in gens
-    ] + [Pauli(2 * n, g.p, g.x << n, g.z << n) for g in gens]
-    cz_pairs = [Gate("CZ", (i, n + i)) for i in range(n)]
-    cz_circ = Circuit(2 * n, [cz_pairs])
-    out["two_block_cz"] = _circuit_preserves(cz_circ, two)
+    # H swaps the X and Z checks: the paper claims it for self-dual local
+    # codes only, so the key is fixed before the check runs, not by its result
+    h_key = "transversal_h" if dual_code(local) == local else "info_transversal_h"
+    for key, name in (("transversal_s", "S"), (h_key, "H")):
+        out[key] = _circuit_preserves(Circuit(n, [[Gate(name, tuple(range(n)))]]), gens)
+    out["two_block_cz"] = _two_block_cz_preserves(gens, n)
     # orbit circuits for one element per available order in {2, 3, 7}
     orders_found = {}
     for gid in range(1, table.size):
@@ -398,10 +410,8 @@ def suite_gates(inst: dict) -> dict:
         out["cycle_clifford_gate"] = _circuit_preserves(cycle_clifford_circuit(cyc), gens)
     # arithmetic conditions; phase-gate availability depends on the local
     # code's divisibility level, so it is informational rather than pass/fail
-    out["info_r_conditions"] = check_r_conditions(
-        inst["local_code"], code.metadata["D"]
-    )
-    out["cz_conditions"] = check_cz_conditions(inst["local_code"], code.metadata["D"])
+    out["info_r_conditions"] = check_r_conditions(local, code.metadata["D"])
+    out["cz_conditions"] = check_cz_conditions(local, code.metadata["D"])
     return out
 
 

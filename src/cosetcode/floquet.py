@@ -1,7 +1,9 @@
 """Period-6 dynamic variant of the two-dimensional code: measurement
 schedule over the three edge colors, instantaneous stabilizer group
-(ISG) tracking with exact signs, and the fixed-infrastructure qubit
-permutation layout.
+(ISG) tracking, and the fixed-infrastructure qubit permutation layout.
+
+Every round measures pure X or pure Z checks with sign +, so the ISG is
+two row spaces, S_X and S_Z, and never holds a sign other than +.
 
 Edge color naming (fixed, arbitrary): orange = types {0,1}, green =
 {1,2}, purple = {0,2}.
@@ -9,18 +11,18 @@ Edge color naming (fixed, arbitrary): orange = types {0,1}, green =
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from .complexes import Complex, mask_of
-from .gates import Pauli, membership_phase, pauli_mul, perm_orbits
+from .gates import perm_orbits
 from .gf2 import EchelonBasis
 from .sheaf import Sheaf, projection_matrix
 
 
 class FloquetError(ValueError):
-    """Raised for invalid schedules or tracking anomalies."""
+    """Raised for invalid schedules and layouts."""
 
 
 EDGE_COLORS = {"orange": (0, 1), "green": (1, 2), "purple": (0, 2)}
@@ -38,70 +40,63 @@ ROUND_PLAN: List[Tuple[str, str]] = [
 
 
 class StabilizerGroup:
-    """A list of commuting sign-exact Pauli generators with measurement
-    update; rank and equality go through the `gf2` kernel."""
+    """A CSS stabilizer group with + signs: X rows and Z rows (ints of n
+    bits), which must commute.  Each side's `EchelonBasis` is built when
+    first asked for after the side changed, and grows by `insert`."""
 
-    def __init__(self, n: int, gens: Optional[List[Pauli]] = None):
+    def __init__(self, n: int, x_rows: Iterable[int] = (), z_rows: Iterable[int] = ()):
         self.n = n
-        self.gens: List[Pauli] = list(gens or [])
-        # -identity is in the group iff some generator is the product of
-        # earlier ones up to a phase other than 1; `measure` never puts it in
-        independent: List[Pauli] = []
-        for g in self.gens:
-            phase = membership_phase(g, independent)
-            if phase is None:
-                independent.append(g)
-            elif phase:
-                raise FloquetError("stabilizer group contains -identity")
+        self.rows: Dict[str, List[int]] = {"X": list(x_rows), "Z": list(z_rows)}
+        self._bases: Dict[str, EchelonBasis] = {}
+
+    def _basis(self, kind: str) -> EchelonBasis:
+        if kind not in self._bases:
+            self._bases[kind] = EchelonBasis(self.rows[kind])
+        return self._bases[kind]
+
+    def contains(self, kind: str, row: int) -> bool:
+        """Whether the `kind` ("X" or "Z") operator on `row` is a member."""
+        return not self._basis(kind).reduce(row)
 
     def rank(self) -> int:
-        return _rank(self.gens)
+        return len(self._basis("X")) + len(self._basis("Z"))
 
     def equals(self, other: "StabilizerGroup") -> bool:
-        return _same_group(self.gens, other.gens)
+        return self.rank() == other.rank() and all(
+            other.contains(kind, r) for kind in "XZ" for r in self.rows[kind]
+        )
 
-    def measure(self, m: Pauli) -> str:
-        """Project onto the +1 outcome of m; returns the outcome class:
-        'random', 'deterministic', 'adjoined', or 'anomaly' (-m was in
-        the group, so the forced outcome contradicts +1)."""
-        anti = [i for i, g in enumerate(self.gens) if not g.commutes(m)]
+    def measure(self, kind: str, row: int) -> str:
+        """Project onto the +1 outcome of the `kind` check on `row`: 'random'
+        (the other side's rows that anticommute with it are folded into the
+        first of them, which is dropped), 'deterministic' or 'adjoined'."""
+        side = "Z" if kind == "X" else "X"
+        other = self.rows[side]
+        anti = [i for i, g in enumerate(other) if (g & row).bit_count() & 1]
         if anti:
-            g0 = self.gens[anti[0]]
             for i in anti[1:]:
-                self.gens[i] = pauli_mul(self.gens[i], g0)
-            self.gens[anti[0]] = m
-            return "random"
-        phase = membership_phase(m, self.gens)
-        if phase == 0:
+                other[i] ^= other[anti[0]]
+            del other[anti[0]]
+            self._bases.pop(side, None)
+            if kind in self._bases:
+                self._bases[kind].insert(row)
+        elif not self._basis(kind).insert(row):
             return "deterministic"
-        if phase is None:
-            self.gens.append(m)
-            return "adjoined"
-        return "anomaly"
-
-
-def _rank(gens: List[Pauli]) -> int:
-    return len(EchelonBasis(g.x | g.z << g.n for g in gens))
-
-
-def _same_group(a: List[Pauli], b: List[Pauli]) -> bool:
-    """Exact equality of the signed groups that two consistent generator
-    lists generate: equal ranks, and every generator of `a` in `b` with
-    its sign."""
-    return _rank(a) == _rank(b) and all(membership_phase(g, b) == 0 for g in a)
+        self.rows[kind].append(row)
+        return "random" if anti else "adjoined"
 
 
 class FloquetSchedule:
-    """Six rounds of sign-free X/Z check measurements."""
+    """Six rounds of X or Z check measurements, each check an int row."""
 
-    def __init__(self, n: int, rounds: List[Tuple[str, str, List[Pauli]]]):
+    def __init__(self, n: int, rounds: List[Tuple[str, str, List[int]]]):
         self.n = n
         self.rounds = rounds
         if len(rounds) != 6:
             raise FloquetError("schedule must have six rounds")
 
     def max_check_weight(self) -> int:
-        return max(p.weight() for _, _, checks in self.rounds for p in checks)
+        return max(r.bit_count() for _, _, checks in self.rounds for r in checks)
 
 
 def build_schedule(s: Sheaf, s_dual: Sheaf) -> FloquetSchedule:
@@ -110,78 +105,64 @@ def build_schedule(s: Sheaf, s_dual: Sheaf) -> FloquetSchedule:
     c = s.complex
     if c.D != 2:
         raise FloquetError("the dynamic schedule is two-dimensional only")
-    rounds: List[Tuple[str, str, List[Pauli]]] = []
+    rounds: List[Tuple[str, str, List[int]]] = []
     for kind, color in ROUND_PLAN:
         sheaf = s if kind == "X" else s_dual
-        op = Pauli.x_op if kind == "X" else Pauli.z_op
-        rounds.append((kind, color, _type_operators(sheaf, 1, EDGE_COLORS[color], op)))
+        rounds.append((kind, color, _type_rows(sheaf, 1, EDGE_COLORS[color])))
     return FloquetSchedule(c.n_top, rounds)
 
 
-def _type_operators(s: Sheaf, level: int, colors: Tuple[int, ...], op) -> List[Pauli]:
-    """`op` on each projected level basis row of the faces of type `colors`
+def _type_rows(s: Sheaf, level: int, colors: Tuple[int, ...]) -> List[int]:
+    """The projected level basis rows of the faces of type `colors`
     (their block of the level's coordinates)."""
-    pi = projection_matrix(s, level)
-    rows = pi.int_rows()
-    return [op(pi.cols, rows[i]) for i in s.type_coords(level, colors)[0]]
+    rows = projection_matrix(s, level).int_rows()
+    return [rows[i] for i in s.type_coords(level, colors)[0]]
 
 
-def vertex_x_operators(s: Sheaf) -> Dict[int, List[Pauli]]:
-    """Per color, the X operators carrying each vertex-code basis row on
-    the vertex up-set (the operators whose lifecycle the rounds drive)."""
-    colors = range(s.complex.n_colors)
-    return {color: _type_operators(s, 0, (color,), Pauli.x_op) for color in colors}
+def vertex_x_operators(s: Sheaf) -> Dict[int, List[int]]:
+    """Per color, the X rows carrying each vertex-code basis row on the
+    vertex up-set (the operators whose lifecycle the rounds drive)."""
+    return {color: _type_rows(s, 0, (color,)) for color in range(s.complex.n_colors)}
 
 
 def run_schedule(
     schedule: FloquetSchedule,
     periods: int = 3,
     static_k: Optional[int] = None,
-    vertex_ops: Optional[Dict[int, List[Pauli]]] = None,
+    vertex_ops: Optional[Dict[int, List[int]]] = None,
 ) -> dict:
     """Run from the maximally mixed state (empty ISG) through `periods`
     full cycles, so the ISG is exactly the group generated by measured
     checks and their inferred products.
 
     The first cycle is warm-up; afterwards the report verifies that the
-    ISG is periodic with period six, counts anomalies, and records the
-    steady-state logical dimension."""
+    ISG is periodic with period six and records the steady-state logical
+    dimension.  Every check is measured with sign +, so no outcome is
+    ever forced to -1 and `anomalies` is 0."""
     if periods < 3:
         raise FloquetError("need at least three periods (warm-up + comparison)")
     n = schedule.n
     isg = StabilizerGroup(n)
     per_round = []
-    snapshots: List[List[Pauli]] = []  # the ISG generators after each round
-    anomalies = 0
+    snapshots: List[StabilizerGroup] = []  # the ISG after each round
     for t in range(6 * periods):
         kind, color, checks = schedule.rounds[t % 6]
-        outcomes = {"random": 0, "deterministic": 0, "adjoined": 0, "anomaly": 0}
-        for m in checks:
-            outcomes[isg.measure(m)] += 1
-        anomalies += outcomes["anomaly"]
-        entry = {
-            "round": t,
-            "kind": kind,
-            "color": color,
-            "rank": isg.rank(),
-            "outcomes": outcomes,
-        }
+        outcomes = {"random": 0, "deterministic": 0, "adjoined": 0}
+        for row in checks:
+            outcomes[isg.measure(kind, row)] += 1
+        entry = {"round": t, "kind": kind, "color": color, "rank": isg.rank(), "outcomes": outcomes}
         if vertex_ops is not None:
             entry["vertex_ops_in_isg"] = {
-                c_: sum(
-                    1 for op in ops if membership_phase(op, isg.gens) == 0
-                )
-                for c_, ops in vertex_ops.items()
+                c_: sum(1 for row in rows if isg.contains("X", row))
+                for c_, rows in vertex_ops.items()
             }
         per_round.append(entry)
-        snapshots.append(list(isg.gens))
-    periodic = all(
-        _same_group(snapshots[t], snapshots[t + 6]) for t in range(6, 6 * (periods - 1))
-    )
+        snapshots.append(StabilizerGroup(n, isg.rows["X"], isg.rows["Z"]))
+    periodic = all(snapshots[t].equals(snapshots[t + 6]) for t in range(6, 6 * (periods - 1)))
     steady_logical = n - per_round[-1]["rank"]
     report = {
         "per_round": per_round,
-        "anomalies": anomalies,
+        "anomalies": 0,
         "periodic": periodic,
         "steady_logical_dimension": steady_logical,
         "max_check_weight": schedule.max_check_weight(),

@@ -1,7 +1,8 @@
 """Pauli/stabilizer machinery: phase-exact conjugation by the diagonal
-and fold-type Clifford gates, group membership with signs, orbit CZ
-circuits, and the divisibility conditions for diagonal non-Clifford
-gates (which are never simulated, only certified arithmetically).
+and fold-type Clifford gates, signed membership in CSS groups with +
+signs (two `EchelonBasis` reductions: x against the X rows, z against
+the Z rows), orbit CZ circuits, and the divisibility conditions for
+diagonal non-Clifford gates (never simulated, only certified).
 
 A Pauli is i^p * X(x) * Z(z) with the X block written first; p is mod 4.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gf2 import CertifiedBasis
+from .gf2 import EchelonBasis
 from .local_codes import LinearCode, divisibility_level, is_multi_orthogonal
 
 
@@ -77,13 +78,14 @@ def apply_h(p: Pauli, mask: int) -> Pauli:
 
 
 def _cz_table(gates: Sequence["Gate"]) -> Tuple[Dict[int, int], int]:
-    """Partner table {1 << a: 1 << b, 1 << b: 1 << a} of disjoint CZ
-    gates, and the mask of their support."""
+    """Partner table {a: b, b: a} of disjoint CZ gates on qubits a and b,
+    and the mask of their support.  The keys are qubit indices: one-hot
+    ints would hold n/2 bits each on average and be hashed at every lookup."""
     partner: Dict[int, int] = {}
     for g in gates:
-        a, b = 1 << g.qubits[0], 1 << g.qubits[1]
+        a, b = g.qubits[0], g.qubits[1]
         partner[a], partner[b] = b, a
-    return partner, sum(partner)
+    return partner, _mask(partner)
 
 
 def _apply_cz_layer(p: Pauli, table: Tuple[Dict[int, int], int]) -> Pauli:
@@ -94,7 +96,7 @@ def _apply_cz_layer(p: Pauli, table: Tuple[Dict[int, int], int]) -> Pauli:
     flip = 0
     while rest:
         low = rest & -rest
-        flip |= partner[low]
+        flip |= 1 << partner[low.bit_length() - 1]
         rest ^= low
     return Pauli(p.n, p.p + (flip & hit).bit_count(), p.x, p.z ^ flip)
 
@@ -245,43 +247,42 @@ def _mask(qubits: Iterable[int]) -> int:
 # -- stabilizer group membership ---------------------------------------------------
 
 
-_factored: List[Any] = [None, None]  # the latest generator tuple, its basis
+_factored: List[Any] = [None, None]  # the latest generator tuple, its (n, X basis, Z basis)
 
 
-def _symplectic_basis(generators: Sequence[Pauli]) -> CertifiedBasis:
-    """The generators' symplectic rows factored, kept for the latest
-    generator tuple.  Tuple `==` tries identity before `Pauli.__eq__`, and
-    the latest tuple is always the one kept, so checking a repeated set is
-    one C loop, with no hashing."""
+def _css_bases(generators: Sequence[Pauli]) -> Tuple[Any, EchelonBasis, EchelonBasis]:
+    """The generators' X rows and Z rows, each side factored as one
+    `EchelonBasis`, kept for the latest generator tuple.  That tuple passed
+    again is found by identity; any other sequence is compared by content
+    (tuple `==` tries identity before `Pauli.__eq__`), with no hashing."""
     key = tuple(generators)
-    if key != _factored[0]:
-        _factored[1] = CertifiedBasis([g.x | (g.z << g.n) for g in key])
+    if key is not _factored[0] and key != _factored[0]:
+        n = key[0].n if key else None
+        sides = EchelonBasis(), EchelonBasis()
+        for i, g in enumerate(key):
+            if g.p or (g.x and g.z) or g.n != n:
+                raise GateError("generator %d is not a +X or +Z Pauli on %d qubits" % (i, n))
+            sides[g.z != 0].insert(g.x or g.z)  # the row itself, not a copy
+        _factored[1] = (n,) + sides
     _factored[0] = key
     return _factored[1]
 
 
 def membership_phase(p: Pauli, generators: Sequence[Pauli]) -> Optional[int]:
-    """If (x|z) of p lies in the generator span, the phase mod 4 by which
-    p differs from the reconstructing product; None otherwise.
+    """The phase mod 4 by which p differs from the group member with its
+    (x|z), or None if there is none: 0 means exact membership, 2 that -p
+    is in the group.
 
-    0 means exact membership; 2 means -p is in the group.
-
-    The generators' symplectic rows are factored once and cached for the
-    latest generator tuple, compared by content (a list mutated in place
-    is factored again); a query is one reduction, so this pays off when
-    many queries share one generator set, as in gate-preservation checks."""
-    n = p.n
-    residual, combo = _symplectic_basis(generators).reduce(p.x | (p.z << n))
-    if residual:
-        return None
-    prod = Pauli(n, 0, 0, 0)
-    while combo:
-        low = combo & -combo
-        prod = pauli_mul(prod, generators[low.bit_length() - 1])
-        combo ^= low
-    if prod.x != p.x or prod.z != p.z:
-        raise GateError("membership certificate does not rebuild the queried Pauli")
-    return (p.p - prod.p) % 4
+    The generators must be +X(a) or +Z(b) Paulis on p's qubits (GateError
+    otherwise).  Then X(x) Z(z) is a member iff x is in the span of the X
+    rows and z in that of the Z rows, being the product of X generators
+    followed by Z generators, so the phase is p's own.  The two sides are
+    factored once for the latest generator tuple (a list mutated in place
+    is factored again), so a query is two reductions."""
+    n, xs, zs = _css_bases(generators)
+    if n not in (None, p.n):
+        raise GateError("query on %d qubits, generators on %d" % (p.n, n))
+    return None if xs.reduce(p.x) or zs.reduce(p.z) else p.p
 
 
 def in_group_with_sign(p: Pauli, generators: Sequence[Pauli]) -> bool:

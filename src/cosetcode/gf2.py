@@ -12,9 +12,7 @@ a row's highest set bit: rank, rref, kernel_basis and solve all read the
 rows as they are, and back-substitute (`EchelonBasis.rref`) only for a
 reduced form.  A reduced row echelon form here has its rows in increasing
 pivot order, each pivot column being zero in every other row; `dual_rows`
-gives the dual of int rows in that form.  Certificates ride as tag bits:
-`CertifiedBasis` eliminates [rows | I], so one reduction gives both the
-residual and the rows that rebuild the query.
+gives the dual of int rows in that form.
 """
 
 from __future__ import annotations
@@ -105,30 +103,6 @@ class EchelonBasis:
             rows[lead] = v
             done |= 1 << (lead - 1)
         return [rows[lead] for lead in leads], [lead - 1 for lead in leads]
-
-
-class CertifiedBasis:
-    """Rows factored so that a reduction names the rows it combined.
-
-    Row i of k enters one `EchelonBasis` as (row << k) | (1 << i), the
-    augmentation [rows | I]: every basis row's low k tag bits name the
-    rows it sums.  A row dependent on earlier ones leaves a tag-only row
-    keyed at its own index; every other basis row names independent rows
-    only, so a reduction's combination never has such a key as its
-    highest bit, and a certificate never names a dependent row.
-    """
-
-    __slots__ = ("_basis", "_k")
-
-    def __init__(self, rows: Sequence[int]):
-        k = self._k = len(rows)
-        self._basis = EchelonBasis((r << k) | (1 << i) for i, r in enumerate(rows))
-
-    def reduce(self, v: int) -> Tuple[int, int]:
-        """(residual, combination): the rows named by `combination` XOR to
-        `v ^ residual`; v is in the span iff the residual is 0."""
-        t = self._basis.reduce(v << self._k)
-        return t >> self._k, t & ((1 << self._k) - 1)
 
 
 def _kernel(rows: Sequence[int], pivots: Sequence[int], width: int) -> List[int]:
@@ -398,7 +372,6 @@ __all__ = [
     "GF2Error",
     "BitMatrix",
     "EchelonBasis",
-    "CertifiedBasis",
     "dual_rows",
     "row_space_equal",
     "write_matrix_market",

@@ -150,6 +150,34 @@ def test_config_errors_exit_two():
 
 
 @pytest.mark.parametrize(
+    "argv,config,flag",
+    [
+        (["verify", "--q", "2", "--suite", "gates", "--cap-tableau", "-1"], None, "cap-tableau"),
+        (["verify", "--q", "2", "--cap-enumeration", "-5"], None, "cap-enumeration"),
+        (["build", "--q", "2", "--cap-qubits", "0"], None, "cap-qubits"),
+        (["verify", "--q", "2", "--suite", "floquet"], "cap_tableau = 0", "cap-tableau"),
+        (["report", "--q", "2"], "cap-enumeration = -5", "cap-enumeration"),
+        (["build", "--q", "2"], "cap_qubits = -1", "cap-qubits"),
+    ],
+)
+def test_caps_below_one_exit_two(no_enumeration, tmp_path, argv, config, flag, capsys):
+    # a cap below 1 is a config error, not a refusal of the work it caps
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: --%s must be at least 1\n" % flag
+
+
+def test_transversal_h_is_informational_for_a_non_self_dual_local_code(capsys):
+    # RM(1,1) is the whole space, whose dual is zero: H is not claimed
+    main(["verify", "--q", "2", "--rm", "1,1", "--suite", "gates"])
+    gates = json.loads(capsys.readouterr().out)["gates"]
+    assert "info_transversal_h" in gates and "transversal_h" not in gates
+
+
+@pytest.mark.parametrize(
     "argv,config",
     [
         (["report", "--fixture", "octahedron"], None),

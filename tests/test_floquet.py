@@ -1,5 +1,6 @@
-"""Dynamic measurement schedule: sign-exact stabilizer tracking, the
-six-round plan on small instances, and the fixed permutation layout."""
+"""Dynamic measurement schedule: CSS stabilizer tracking against the
+sign-exact reference, the six-round plan on small instances, and the
+fixed permutation layout."""
 
 import random
 
@@ -20,6 +21,8 @@ from cosetcode.floquet import (
 from cosetcode.gates import Circuit, Gate, Pauli, pauli_mul
 from cosetcode.sheaf import attach_constant_sheaf, dual_sheaf
 
+import stabilizer_reference as ref
+
 
 def test_round_plan_alternates_and_covers_colors():
     kinds = [k for k, _ in ROUND_PLAN]
@@ -30,7 +33,24 @@ def test_round_plan_alternates_and_covers_colors():
 
 
 def test_stabilizer_group_measure_classes():
-    g = StabilizerGroup(2, [Pauli.z_op(2, 1 << i) for i in range(2)])
+    g = StabilizerGroup(2, z_rows=[0b01, 0b10])
+    assert g.rank() == 2
+    # X0 anticommutes with Z0: random outcome, rank preserved
+    assert g.measure("X", 0b01) == "random"
+    assert g.rank() == 2 and g.rows == {"X": [0b01], "Z": [0b10]}
+    assert g.measure("Z", 0b10) == "deterministic"
+    assert g.measure("X", 0b01) == "deterministic"
+    g2 = StabilizerGroup(2, z_rows=[0b11])
+    assert g2.measure("X", 0b11) == "adjoined"
+    assert g2.rank() == 2 and g2.contains("X", 0b11) and not g2.contains("X", 0b01)
+    # X0 anticommutes with Z0 Z1 and Z0: both fold into one, which goes
+    g3 = StabilizerGroup(3, z_rows=[0b011, 0b001, 0b100])
+    assert g3.measure("X", 0b001) == "random"
+    assert g3.rows == {"X": [0b001], "Z": [0b010, 0b100]}
+
+
+def test_reference_measure_classes():
+    g = ref.StabilizerGroup(2, [Pauli.z_op(2, 1 << i) for i in range(2)])
     assert g.rank() == 2 and g.n - g.rank() == 0
     # X0 anticommutes with Z0: random outcome, rank preserved
     assert g.measure(Pauli.x_op(2, 0b01)) == "random"
@@ -38,30 +58,34 @@ def test_stabilizer_group_measure_classes():
     # Z1 still in the group with +1 sign
     assert g.measure(Pauli.z_op(2, 0b10)) == "deterministic"
     # X0 X1 commutes with everything present but is independent
-    g2 = StabilizerGroup(2, [Pauli.z_op(2, 0b11)])
+    g2 = ref.StabilizerGroup(2, [Pauli.z_op(2, 0b11)])
     assert g2.measure(Pauli.x_op(2, 0b11)) == "adjoined"
     assert g2.rank() == 2
 
 
 def test_stabilizer_group_anomaly_on_negated_member():
-    g = StabilizerGroup(1, [Pauli(1, 2, 0, 1)])  # -Z
+    g = ref.StabilizerGroup(1, [Pauli(1, 2, 0, 1)])  # -Z
     assert g.measure(Pauli.z_op(1, 1)) == "anomaly"
 
 
 def test_canonical_rejects_minus_identity():
     with pytest.raises(FloquetError):
-        StabilizerGroup(1, [Pauli(1, 2, 0, 1), Pauli.z_op(1, 1)])
+        ref.StabilizerGroup(1, [Pauli(1, 2, 0, 1), Pauli.z_op(1, 1)])
     with pytest.raises(FloquetError):
-        StabilizerGroup(1, [Pauli(1, 2, 0, 0)])  # -I itself
+        ref.StabilizerGroup(1, [Pauli(1, 2, 0, 0)])  # -I itself
 
 
 def test_canonical_drops_dependent_rows_and_compares():
-    a = StabilizerGroup(2, [Pauli.z_op(2, 0b01), Pauli.z_op(2, 0b10)])
-    b = StabilizerGroup(
+    a = ref.StabilizerGroup(2, [Pauli.z_op(2, 0b01), Pauli.z_op(2, 0b10)])
+    b = ref.StabilizerGroup(
         2, [Pauli.z_op(2, 0b11), Pauli.z_op(2, 0b10), Pauli.z_op(2, 0b01)]
     )
     assert a.equals(b)
     assert b.rank() == 2
+    a, b = StabilizerGroup(2, z_rows=[0b01, 0b10]), StabilizerGroup(2, z_rows=[0b11, 0b10, 0b01])
+    assert a.equals(b) and b.equals(a) and b.rank() == 2
+    assert not a.equals(StabilizerGroup(2, x_rows=[0b01, 0b10]))
+    assert not a.equals(StabilizerGroup(2, z_rows=[0b11]))
 
 
 def _ref_canonical(n, gens):
@@ -126,9 +150,9 @@ def test_rank_and_equals_match_reference_canonical(seed):
     groups = {"gens": gens, "mixed": mixed, "flipped": flipped, "smaller": gens[1:]}
     equal = {}
     for a, ga in groups.items():
-        assert StabilizerGroup(n, ga).rank() == len(_ref_canonical(n, ga))
+        assert ref.StabilizerGroup(n, ga).rank() == len(_ref_canonical(n, ga))
         for b, gb in groups.items():
-            equal[a, b] = StabilizerGroup(n, ga).equals(StabilizerGroup(n, gb))
+            equal[a, b] = ref.StabilizerGroup(n, ga).equals(ref.StabilizerGroup(n, gb))
             assert equal[a, b] == (_ref_canonical(n, ga) == _ref_canonical(n, gb))
     assert equal["gens", "mixed"] and equal["mixed", "gens"]
     assert not equal["gens", "flipped"] and not equal["gens", "smaller"]
@@ -139,14 +163,48 @@ def test_rank_and_equals_match_reference_canonical(seed):
     with pytest.raises(FloquetError):
         _ref_canonical(n, bad)
     with pytest.raises(FloquetError):
-        StabilizerGroup(n, bad)
+        ref.StabilizerGroup(n, bad)
 
 
 def test_equals_tells_z_from_minus_z():
-    z, minus_z = StabilizerGroup(1, [Pauli.z_op(1, 1)]), StabilizerGroup(1, [Pauli(1, 2, 0, 1)])
+    z = ref.StabilizerGroup(1, [Pauli.z_op(1, 1)])
+    minus_z = ref.StabilizerGroup(1, [Pauli(1, 2, 0, 1)])
     assert z.rank() == minus_z.rank() == 1
     assert not z.equals(minus_z) and not minus_z.equals(z)
-    assert z.equals(StabilizerGroup(1, [Pauli.z_op(1, 1), Pauli.z_op(1, 1)]))
+    assert z.equals(ref.StabilizerGroup(1, [Pauli.z_op(1, 1), Pauli.z_op(1, 1)]))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_css_group_matches_sign_exact_reference(seed):
+    """Random X/Z measurement sequences from the empty group: the same
+    outcome classes, ranks and memberships as the sign-exact reference,
+    which never meets an anomaly."""
+    rng = random.Random(seed)
+    n = rng.randrange(2, 9)
+    css, signed = StabilizerGroup(n), ref.StabilizerGroup(n)
+    op = {"X": Pauli.x_op, "Z": Pauli.z_op}
+    for _ in range(40):
+        kind, row = rng.choice("XZ"), rng.getrandbits(n)
+        assert css.measure(kind, row) == signed.measure(op[kind](n, row))
+        assert css.rank() == signed.rank()
+        kind, row = rng.choice("XZ"), rng.getrandbits(n)
+        member = ref.membership_phase(op[kind](n, row), signed.gens) == 0
+        assert css.contains(kind, row) == member
+    gens = [op[kind](n, r) for kind in "XZ" for r in css.rows[kind]]
+    assert ref.StabilizerGroup(n, gens).equals(signed)
+
+
+def test_q2_schedule_matches_sign_exact_reference(sheaf2, dual2, code2):
+    sched = build_schedule(sheaf2, dual2)
+    kwargs = {"static_k": code2.code_dimension(), "vertex_ops": vertex_x_operators(sheaf2)}
+    rep = run_schedule(sched, **kwargs)
+    expected = ref.run_schedule(sched, **kwargs)
+    assert expected["anomalies"] == 0 and expected["periodic"]
+    for entry in expected["per_round"]:
+        assert entry["outcomes"].pop("anomaly") == 0
+    assert len(rep["per_round"]) == 18
+    assert rep["per_round"] == expected["per_round"]
+    assert rep == expected
 
 
 def test_schedule_requires_six_rounds_and_dimension_two():

@@ -1,5 +1,6 @@
-"""Phase-exact Pauli algebra, Clifford conjugation tables, orbit
-circuits, and the divisibility certificates for diagonal gates."""
+"""Phase-exact Pauli algebra, Clifford conjugation tables, CSS
+membership against the sign-exact reference, orbit circuits, and the
+divisibility certificates for diagonal gates."""
 
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cosetcode import cli
 from cosetcode.gates import (
     Circuit,
     Gate,
@@ -30,8 +32,10 @@ from cosetcode.gates import (
     perm_orbits,
     transversal_rl_level,
 )
-from cosetcode.gf2 import BitMatrix
+from cosetcode.gf2 import BitMatrix, EchelonBasis, dual_rows
 from cosetcode.local_codes import reed_muller
+
+import stabilizer_reference as ref
 
 
 I1 = Pauli(1, 0, 0, 0)
@@ -307,7 +311,7 @@ def _membership_phase_by_solve(p, generators):
 
     The generators enter as columns in reverse order, so the pivots, the
     highest columns, are the earliest independent generators and setting
-    the free variables to 0 names the rows `CertifiedBasis` names."""
+    the free variables to 0 names the rows the reference's tag bits name."""
     n = p.n
     if not generators:
         return 0 if (p.x == 0 and p.z == 0) else None
@@ -362,7 +366,7 @@ def test_membership_phase_matches_solve_reference():
                 Pauli(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n))
             )
         queries = members + negated + outside
-        phases = [membership_phase(q, gens) for q in queries]
+        phases = [ref.membership_phase(q, gens) for q in queries]
         assert phases == [_membership_phase_by_solve(q, gens) for q in queries]
         if trial % 2:
             assert phases[:12] == [0] * 6 + [2] * 6
@@ -373,12 +377,140 @@ def test_membership_phase_sees_generators_mutated_in_place():
     gens = [Pauli.z_op(n, 0b01), Pauli.z_op(n, 0b10)]
     zz = Pauli.z_op(n, 0b11)
     assert membership_phase(zz, gens) == 0
-    gens[0] = Pauli.x_op(n, 0b01)  # as StabilizerGroup.measure rewrites gens
+    gens[0] = Pauli.x_op(n, 0b01)  # a list rewritten in place
     assert membership_phase(zz, gens) is None
-    gens[0] = Pauli(n, 2, 0, 0b01)  # same support, opposite sign
-    assert membership_phase(zz, gens) == 2
+    assert membership_phase(Pauli.x_op(n, 0b01), gens) == 0
+    gens[0] = Pauli.z_op(n, 0b11)  # same side, another row
+    assert membership_phase(Pauli.z_op(n, 0b01), gens) == 0
     gens.append(Pauli.x_op(n, 0b10))
     assert membership_phase(Pauli.x_op(n, 0b10), gens) == 0
+    assert membership_phase(Pauli(n, 1, 0b10, 0b11), gens) == 1
+
+
+def test_membership_phase_refuses_non_css_generators_and_other_sizes():
+    n = 2
+    zs = [Pauli.z_op(n, 0b01)]
+    for gens in (
+        zs + [Pauli(n, 2, 0, 0b10)],  # -Z
+        zs + [Pauli(n, 1, 0b10, 0b10)],  # Y
+        zs + [Pauli.z_op(3, 0b100)],  # a generator on other qubits
+    ):
+        with pytest.raises(GateError):
+            membership_phase(Pauli.z_op(n, 0b01), gens)
+    with pytest.raises(GateError):
+        membership_phase(Pauli.z_op(3, 0b001), zs)
+
+
+def _random_css_generators(rng, n):
+    """Random X rows, Z rows drawn from their dual (so the group commutes),
+    shuffled together; some rows repeat or depend on others."""
+    x_rows = [rng.getrandbits(n) for _ in range(rng.randrange(0, n))]
+    dual = dual_rows(x_rows, n)
+    z_rows = [
+        _xor(r for r in dual if rng.getrandbits(1)) for _ in range(rng.randrange(0, len(dual) + 2))
+    ]
+    gens = [Pauli.x_op(n, r) for r in x_rows if r] + [Pauli.z_op(n, r) for r in z_rows if r]
+    rng.shuffle(gens)
+    return gens
+
+
+def _xor(rows):
+    acc = 0
+    for r in rows:
+        acc ^= r
+    return acc
+
+
+def _random_paulis(rng, n, count):
+    return [Pauli(n, rng.randrange(4), rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count)]
+
+
+def _assert_css_matches_reference(queries, gens):
+    for p in queries:
+        for q in (p, Pauli(p.n, p.p + 2, p.x, p.z)):  # and its negation
+            assert membership_phase(q, gens) == ref.membership_phase(q, gens)
+
+
+def test_css_membership_matches_reference_on_random_groups():
+    rng = random.Random(9)
+    for _ in range(40):
+        n = rng.randrange(1, 9)
+        gens = _random_css_generators(rng, n)
+        members = []
+        for _ in range(4):
+            member = Pauli(n, rng.randrange(4), 0, 0)
+            for g in gens:
+                if rng.getrandbits(1):
+                    member = pauli_mul(member, g)
+            members.append(member)
+        _assert_css_matches_reference(members + _random_paulis(rng, n, 4), gens)
+
+
+def _q2_circuits(table2):
+    """Transversal S and H, the orbit CZ of the first element of each
+    order, and the two type-cycle circuits, on the q=2 qubits."""
+    n = table2.size
+    circuits = {
+        "S": Circuit(n, [[Gate("S", tuple(range(n)))]]),
+        "H": Circuit(n, [[Gate("H", tuple(range(n)))]]),
+    }
+    first_of_order = {}
+    for gid in range(1, table2.size):
+        first_of_order.setdefault(table2.element_order(gid), gid)
+    assert sorted(first_of_order) == [2, 3, 4, 7]
+    for order, gid in first_of_order.items():
+        circuits["orbit%d" % order] = orbit_cz_circuit([int(v) for v in table2.left_mul_perm(gid)])
+    cyc = [int(v) for v in table2.type_cycle_perm()]
+    circuits["cycle_phase"] = cycle_phase_circuit(cyc)
+    circuits["cycle_clifford"] = cycle_clifford_circuit(cyc)
+    return circuits
+
+
+def test_css_membership_matches_reference_on_q2_gate_images(table2, code2):
+    n = code2.n
+    gens = list(cli._stabilizer_paulis(code2))
+    randoms = _random_paulis(random.Random(3), n, 10)
+    for name, circ in _q2_circuits(table2).items():
+        images = [circ.conjugate(g) for g in gens]
+        _assert_css_matches_reference(images + randoms, gens)
+        expected = all(ref.membership_phase(p, gens) == 0 for p in images)
+        assert cli._circuit_preserves(circ, gens) == expected, name
+    assert cli._two_block_cz_preserves(gens, n) == _two_block_reference(gens, n)
+
+
+def _two_block_reference(gens, n):
+    """Whether CZ between the blocks preserves G x G, by membership of
+    every image in the 2n-qubit generators of G x G (where CSS membership
+    and the sign-exact reference must agree)."""
+    two = [Pauli(2 * n, g.p, g.x << s, g.z << s) for s in (0, n) for g in gens]
+    cz = Circuit(2 * n, [[Gate("CZ", (i, n + i)) for i in range(n)]])
+    images = [cz.conjugate(g) for g in two]
+    _assert_css_matches_reference(images, two)
+    return all(ref.membership_phase(p, two) == 0 for p in images)
+
+
+def test_s_and_two_block_cz_fail_once_an_x_row_leaves_rowspace_h_z(code2):
+    """S takes X(a) to i^|a| X(a) Z(a), and the two-block CZ takes X(a) on
+    one block to X(a) Z(a) across both, so each preserves the group only
+    while every X row lies in rowspace(h_z).  At q=2 each h_z row is
+    spanned by the other 62, so a logical in place of one Z generator
+    keeps both symmetries; the same logical in place of one X generator
+    does not.  CSS membership and the sign-exact reference agree."""
+    n = code2.n
+    gens = list(cli._stabilizer_paulis(code2))
+    s_circ = Circuit(n, [[Gate("S", tuple(range(n)))]])
+    assert cli._circuit_preserves(s_circ, gens)
+    span = EchelonBasis(code2.h_z.int_rows())
+    logical = next(r for r in dual_rows(code2.h_x.int_rows(), n) if span.reduce(r))
+    for index, op, preserved in ((-1, Pauli.z_op, True), (0, Pauli.x_op, False)):
+        mutated = list(gens)
+        mutated[index] = op(n, logical)
+        assert cli._circuit_preserves(s_circ, mutated) == preserved
+        images = [s_circ.conjugate(g) for g in mutated]
+        _assert_css_matches_reference(images, mutated)
+        assert all(ref.membership_phase(p, mutated) == 0 for p in images) == preserved
+        assert cli._two_block_cz_preserves(mutated, n) == preserved
+        assert _two_block_reference(mutated, n) == preserved
 
 
 def test_perm_orbits():
