@@ -179,6 +179,8 @@ def _validate(args: argparse.Namespace) -> dict:
     for dest in ("cap_enumeration", "cap_qubits", "cap_tableau"):
         if getattr(args, dest) < 1:
             raise ConfigError("--%s must be at least 1" % dest.replace("_", "-"))
+    if args.m < 1:
+        raise ConfigError("ring extension degree m must be at least 1, got %d" % args.m)
     q = args.q
     if q < 2 or q & (q - 1):
         raise ConfigError("q must be a power of two")
@@ -354,21 +356,26 @@ def _stabilizer_paulis(code) -> Tuple[Pauli, ...]:
 
 
 def _circuit_preserves(circ: Circuit, gens: Sequence[Pauli]) -> bool:
-    return all(in_group_with_sign(circ.conjugate(g), gens) for g in gens)
+    """Every generator's image is in the group with its sign; an image
+    equal to its generator is, with no query."""
+    return all(im == g or in_group_with_sign(im, gens) for g in gens for im in [circ.conjugate(g)])
 
 
 def _two_block_cz_preserves(gens: Sequence[Pauli], n: int) -> bool:
     """CZ between qubit i of one block and qubit i of the other preserves
     the two-block group G x G.  G x G is a direct product, so each n-qubit
     half of an image is queried against the one-block generators, with
-    the image's phase on the first half."""
+    the image's phase on the first half.  An image equal to its
+    generator needs no query."""
     circ = Circuit(2 * n, [[Gate("CZ", (i, n + i)) for i in range(n)]])
     low = (1 << n) - 1
-    images = (circ.conjugate(Pauli(2 * n, g.p, g.x << s, g.z << s)) for s in (0, n) for g in gens)
+    shifted = (Pauli(2 * n, g.p, g.x << s, g.z << s) for s in (0, n) for g in gens)
     return all(
-        in_group_with_sign(Pauli(n, im.p, im.x & low, im.z & low), gens)
+        im == g
+        or in_group_with_sign(Pauli(n, im.p, im.x & low, im.z & low), gens)
         and in_group_with_sign(Pauli(n, 0, im.x >> n, im.z >> n), gens)
-        for im in images
+        for g in shifted
+        for im in [circ.conjugate(g)]
     )
 
 

@@ -1,15 +1,14 @@
 """Colored simplicial complexes: coset complexes and explicit fixtures.
 
 Faces are stored per type mask (bit j of the mask = color j present).
-A face is identified by (type_mask, index); its up-set is the sorted
-tuple of top-face ids containing it.  For every type the faces of that
-type partition the top faces, which is what makes `top_to_face` a
-well-defined lookup.
+A face is identified by (type_mask, index); its up-set is the ascending
+list of top-face ids containing it, one row of the type's -1 padded
+`face_tops` array.  For every type the faces of that type partition the
+top faces, which is what makes `top_to_face` a well-defined lookup.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,14 +35,19 @@ def colors_of(mask: int) -> List[int]:
 
 
 class Complex:
-    """A pure (D+1)-colorable D-dimensional complex, faces indexed by type."""
+    """A pure (D+1)-colorable D-dimensional complex, faces indexed by type.
+
+    `face_tops[mask][f, p]` is top p of face f's up-set, ascending, -1
+    past it (up-set sizes may differ within a type): the one stored form
+    of the type's faces.  `top_to_face[mask][top]` is the face of the type
+    in the top and `top_pos[mask][top]` the top's position in its up-set;
+    both read -1 where no face of the type covers the top."""
 
     def __init__(
         self,
         D: int,
         n_top: int,
-        up_sets: Dict[int, List[Tuple[int, ...]]],
-        keys: Optional[Dict[int, List]] = None,
+        face_tops: Dict[int, np.ndarray],
         group: Optional[GroupTable] = None,
         original_colors: Optional[Sequence[int]] = None,
     ):
@@ -52,30 +56,25 @@ class Complex:
         self.n_top = n_top
         self.full_mask = (1 << self.n_colors) - 1
         self.masks = [m for m in range(1, 1 << self.n_colors)]
-        self.up_sets = up_sets
-        self.keys = keys or {m: list(range(len(up_sets[m]))) for m in self.masks}
+        self.face_tops = face_tops
         self.group = group
         self.original_colors = (
             tuple(original_colors) if original_colors is not None else tuple(range(self.n_colors))
         )
-        # top_to_face[mask][top] = face index of the unique type-mask face
-        # in top, top_pos[mask][top] = the top's position in that face's
-        # up-set; -1 where no face of the type covers the top
         self.top_to_face: Dict[int, np.ndarray] = {}
         self.top_pos: Dict[int, np.ndarray] = {}
-        self._face_tops: Dict[int, np.ndarray] = {}
         for m in self.masks:
-            faces = up_sets[m]
-            sizes = np.fromiter(map(len, faces), dtype=np.int64, count=len(faces))
-            tops = np.fromiter(chain.from_iterable(faces), dtype=np.int64, count=int(sizes.sum()))
-            if np.bincount(tops, minlength=n_top).max(initial=0) > 1:
+            present = face_tops[m] >= 0
+            if (present[:, 1:] & ~present[:, :-1]).any():
+                raise ComplexError("type %d up-sets are not -1 padded at the end" % m)
+            face, pos = np.nonzero(present)
+            tops = face_tops[m][face, pos]
+            if tops.max(initial=-1) >= n_top or np.bincount(tops).max(initial=0) > 1:
                 raise ComplexError("type %d faces do not partition the top faces" % m)
-            lookup = np.full(n_top, -1, dtype=np.int64)
-            lookup[tops] = np.repeat(np.arange(len(faces)), sizes)
-            pos = np.full(n_top, -1, dtype=np.int64)
-            pos[tops] = np.arange(tops.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            self.top_to_face[m] = lookup
-            self.top_pos[m] = pos
+            self.top_to_face[m] = np.full(n_top, -1, dtype=np.int64)
+            self.top_to_face[m][tops] = face
+            self.top_pos[m] = np.full(n_top, -1, dtype=np.int64)
+            self.top_pos[m][tops] = pos
 
     # -- constructors ------------------------------------------------------
 
@@ -87,31 +86,31 @@ class Complex:
         original_colors: Optional[Sequence[int]] = None,
     ) -> "Complex":
         """Build from explicit top faces; tops[t][c] is the label of the
-        color-c vertex of top face t."""
+        color-c vertex of top face t.  A type's faces are ordered by their
+        labels."""
         n_colors = D + 1
         for t, vs in enumerate(tops):
             if len(vs) != n_colors:
                 raise ComplexError("top face %d has %d vertices, need %d" % (t, len(vs), n_colors))
-        up_sets: Dict[int, List[Tuple[int, ...]]] = {}
-        keys: Dict[int, List] = {}
+        face_tops: Dict[int, np.ndarray] = {}
         for m in range(1, 1 << n_colors):
             cs = colors_of(m)
             bucket: Dict[Tuple, List[int]] = {}
             for t, vs in enumerate(tops):
-                key = tuple(vs[c] for c in cs)
-                bucket.setdefault(key, []).append(t)
-            items = sorted(bucket.items(), key=lambda kv: kv[0])
-            keys[m] = [k for k, _ in items]
-            up_sets[m] = [tuple(sorted(v)) for _, v in items]
-        return cls(D, len(tops), up_sets, keys=keys, original_colors=original_colors)
+                bucket.setdefault(tuple(vs[c] for c in cs), []).append(t)
+            ups = [bucket[k] for k in sorted(bucket)]
+            face_tops[m] = np.full((len(ups), max(map(len, ups), default=0)), -1, dtype=np.int64)
+            for i, u in enumerate(ups):
+                face_tops[m][i, : len(u)] = u
+        return cls(D, len(tops), face_tops, original_colors=original_colors)
 
     # -- queries -------------------------------------------------------------
 
     def faces(self, mask: int) -> range:
-        return range(len(self.up_sets[mask]))
+        return range(self.n_faces(mask))
 
     def n_faces(self, mask: int) -> int:
-        return len(self.up_sets[mask])
+        return self.face_tops[mask].shape[0]
 
     def level_masks(self, level: int) -> List[int]:
         """Type masks of dimension-`level` faces, ascending."""
@@ -124,35 +123,19 @@ class Complex:
         return out
 
     def up_set(self, face: FaceId) -> Tuple[int, ...]:
+        """The tops of one face, ascending."""
         mask, idx = face
-        try:
-            return self.up_sets[mask][idx]
-        except (KeyError, IndexError):
+        if mask not in self.face_tops or not 0 <= idx < self.n_faces(mask):
             raise ComplexError("unknown face %r" % (face,))
+        row = self.face_tops[mask][idx]
+        return tuple(row[row >= 0].tolist())
 
-    def face_tops(self, mask: int) -> np.ndarray:
-        """[face, p] = top p of the face's up-set, one row per type-`mask`
-        face, padded with -1 past the face's up-set (sizes may differ)."""
-        cached = self._face_tops.get(mask)
-        if cached is None:
-            pos = self.top_pos[mask]
-            tops = np.flatnonzero(pos >= 0)
-            cached = np.full((self.n_faces(mask), int(pos.max(initial=-1)) + 1), -1, dtype=np.int64)
-            cached[self.top_to_face[mask][tops], pos[tops]] = tops
-            self._face_tops[mask] = cached
-        return cached
+    def up_set_sizes(self, mask: int) -> np.ndarray:
+        """The up-set size of each type-`mask` face."""
+        return np.count_nonzero(self.face_tops[mask] >= 0, axis=1)
 
     def face_in_top(self, mask: int, top: int) -> int:
         return int(self.top_to_face[mask][top])
-
-    def contains(self, small: FaceId, big: FaceId) -> bool:
-        """True iff the face `small` is a subface of `big`."""
-        sm, si = small
-        bm, bi = big
-        if sm & ~bm:
-            return False
-        any_top = self.up_sets[bm][bi][0]
-        return self.face_in_top(sm, any_top) == si
 
     # -- link ------------------------------------------------------------------
 
@@ -165,18 +148,17 @@ class Complex:
         rest = [c for c in range(self.n_colors) if not (mask >> c) & 1]
         if not rest:
             return Complex(-1, 0, {})
-        tops = []
-        for t in self.up_set(face):
-            tops.append([self.face_in_top(1 << c, t) for c in rest])
-        return Complex.from_top_faces(len(rest) - 1, tops, original_colors=rest)
+        ups = np.array(self.up_set(face), dtype=np.int64)
+        tops = np.stack([self.top_to_face[1 << c][ups] for c in rest], axis=1)
+        return Complex.from_top_faces(len(rest) - 1, tops.tolist(), original_colors=rest)
 
     # -- serialization -----------------------------------------------------------
 
     def serialize(self) -> str:
         lines = ["%d %d" % (self.D, self.n_top)]
         for m in self.masks:
-            for idx, ups in enumerate(self.up_sets[m]):
-                lines.append("%d %d %s" % (m, idx, ",".join(str(t) for t in ups)))
+            for idx, row in enumerate(self.face_tops[m].tolist()):
+                lines.append("%d %d %s" % (m, idx, ",".join(str(t) for t in row if t >= 0)))
         return "\n".join(lines) + "\n"
 
 
@@ -185,25 +167,16 @@ def build_coset_complex(table: GroupTable) -> Complex:
     if table.colors != tuple(range(table.D + 1)):
         raise GroupError("coset complex needs all generator colors enumerated")
     D = table.D
-    up_sets: Dict[int, List[Tuple[int, ...]]] = {}
-    keys: Dict[int, List] = {}
-    for mask in range(1, 1 << (D + 1)):
-        T = colors_of(mask)
-        if mask == (1 << (D + 1)) - 1:
-            # K_full = {Id}: one top face per element
-            up_sets[mask] = [(g,) for g in range(table.size)]
-            keys[mask] = list(range(table.size))
-            continue
+    full = (1 << (D + 1)) - 1
+    # K_full = {Id}: one top face per element
+    face_tops = {full: np.arange(table.size, dtype=np.int64)[:, None]}
+    for mask in range(1, full):
         # a stable sort groups the elements by coset rep (the coset's least
-        # element), each coset in ascending order; split at each new rep
-        reps = table.coset_reps(T)
+        # element), each coset ascending; every coset has |K_T| elements
+        reps = table.coset_reps(colors_of(mask))
         order = np.argsort(reps, kind="stable")
-        starts = np.flatnonzero(np.diff(reps[order], prepend=-1)).tolist()
-        members = order.tolist()
-        bounds = zip(starts, starts[1:] + [len(members)])
-        up_sets[mask] = [tuple(members[a:b]) for a, b in bounds]
-        keys[mask] = reps[order[starts]].tolist()
-    return Complex(D, table.size, up_sets, keys=keys, group=table)
+        face_tops[mask] = order.reshape(_n_distinct(reps[order]), -1)
+    return Complex(D, table.size, face_tops, group=table)
 
 
 def type_cycle_face_map(c: Complex) -> Dict[int, np.ndarray]:
@@ -246,18 +219,13 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     report: Dict[str, Tuple[bool, str]] = {}
 
     # purity: every face lies in at least one top face
-    empty = [
-        (m, i)
-        for m in c.masks
-        for i in c.faces(m)
-        if not c.up_sets[m][i]
-    ]
-    report["purity"] = (not empty, "%d faces with empty up-set" % len(empty))
+    empty = sum(int(np.count_nonzero(c.up_set_sizes(m) == 0)) for m in c.masks)
+    report["purity"] = (not empty, "%d faces with empty up-set" % empty)
 
     # disjoint union: faces of each type partition the top faces
     bad_types = []
     for m in c.masks:
-        total = sum(len(u) for u in c.up_sets[m])
+        total = int(c.up_set_sizes(m).sum())
         covered = int((c.top_to_face[m] >= 0).sum())
         if total != c.n_top or covered != c.n_top:
             bad_types.append(m)
@@ -274,7 +242,7 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
     for m in c.masks:
         tops = np.flatnonzero(c.top_to_face[m] >= 0)
         face = c.top_to_face[m][tops]
-        first = np.array([u[0] if u else -1 for u in c.up_sets[m]], dtype=np.int64)
+        first = c.face_tops[m][:, :1].max(axis=1, initial=-1)  # -1 for an empty face
         bad = first < 0  # an empty face spans no vertex
         for color in colors_of(m):
             vertex = c.top_to_face[1 << color]
@@ -282,7 +250,7 @@ def verify_structure(c: Complex) -> Dict[str, Tuple[bool, str]]:
         if bad.any():
             i = int(np.argmax(bad))
             for color in colors_of(m):
-                vs = {c.face_in_top(1 << color, t) for t in c.up_sets[m][i]}
+                vs = {c.face_in_top(1 << color, t) for t in c.up_set((m, i))}
                 if len(vs) != 1:
                     break
             color_ok = False
@@ -354,18 +322,12 @@ def corrupt_complex(c: Complex, mask: Optional[int] = None) -> Complex:
     per-type partition fails."""
     masks = [m for m in c.masks if m != c.full_mask and c.n_faces(m) > 0]
     m = mask if mask is not None else masks[0]
-    ups = {k: [list(u) for u in v] for k, v in c.up_sets.items()}
-    victim = ups[m][0]
-    if len(victim) < 2:
+    size = int(c.up_set_sizes(m)[0])
+    if size < 2:
         raise ComplexError("cannot corrupt a singleton up-set")
-    victim.pop()
-    return Complex(
-        c.D,
-        c.n_top,
-        {k: [tuple(u) for u in v] for k, v in ups.items()},
-        keys=c.keys,
-        original_colors=c.original_colors,
-    )
+    face_tops = {k: v.copy() for k, v in c.face_tops.items()}
+    face_tops[m][0, size - 1] = -1
+    return Complex(c.D, c.n_top, face_tops, original_colors=c.original_colors)
 
 
 __all__ = [

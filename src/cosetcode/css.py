@@ -116,8 +116,7 @@ def rate_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
 def _uniform_local_rate(s: Sheaf, level: int) -> Fraction:
     c, pairs = s.complex, set()
     for mask in c.level_masks(level):
-        up = (c.face_tops(mask) >= 0).sum(axis=1)
-        pairs.update(zip(s.dims(mask).tolist(), up.tolist()))
+        pairs.update(zip(s.dims(mask).tolist(), c.up_set_sizes(mask).tolist()))
     rates = {Fraction(d, u) for d, u in pairs}
     if len(rates) != 1:
         raise CSSError("level-%d local rates are not uniform: %r" % (level, rates))

@@ -172,6 +172,11 @@ def run_schedule(
     return report
 
 
+def _blocks(tops: np.ndarray) -> np.ndarray:
+    """A partition given as -1 padded rows, in one canonical form."""
+    return np.unique(np.sort(tops, axis=1), axis=0)
+
+
 def permutation_layout(c: Complex) -> dict:
     """The fixed-infrastructure layout: the type-cycling qubit permutation,
     its orbit census, and the induced mapping between edge-color
@@ -184,29 +189,24 @@ def permutation_layout(c: Complex) -> dict:
     for orbit in perm_orbits(perm.tolist()):
         sizes[len(orbit)] = sizes.get(len(orbit), 0) + 1
     triple = perm[perm[perm]]
-    # edge partitions: qubits grouped by containing edge, per color
-    partition_map_ok = True
+    # edge partitions: qubits grouped by containing edge, per color; each
+    # maps onto the next color's when its tops, moved by perm, form the
+    # same sets (rows sorted, then the rows sorted: one canonical form)
     color_cycle = {"orange": "green", "green": "purple", "purple": "orange"}
-    partitions = {}
-    for name, cols in EDGE_COLORS.items():
-        mask = mask_of(cols)
-        partitions[name] = {
-            frozenset(u) for u in c.up_sets[mask]
-        }
-    for name, nxt in color_cycle.items():
-        mapped = {
-            frozenset(int(perm[t]) for t in part) for part in partitions[name]
-        }
-        if mapped != partitions[nxt]:
-            partition_map_ok = False
+    tops = {name: c.face_tops[mask_of(cols)] for name, cols in EDGE_COLORS.items()}
+    mapped = {name: np.where(t >= 0, perm[t], -1) for name, t in tops.items()}
+    partition_map_ok = all(
+        np.array_equal(_blocks(mapped[name]), _blocks(tops[nxt]))
+        for name, nxt in color_cycle.items()
+    )
     return {
         "orbit_census": sizes,
         "orbits_ok": all(s in (1, 3) for s in sizes),
         "cube_is_identity": bool((triple == np.arange(n)).all()),
         "partition_map_ok": partition_map_ok,
-        "group_sizes": sorted({len(u) for m in
-                               (mask_of(v) for v in EDGE_COLORS.values())
-                               for u in c.up_sets[m]}),
+        "group_sizes": np.unique(
+            np.concatenate([c.up_set_sizes(mask_of(cols)) for cols in EDGE_COLORS.values()])
+        ).tolist(),
         "permutation": perm,
     }
 

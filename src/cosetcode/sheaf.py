@@ -6,13 +6,14 @@ the level-j faces in (type mask ascending, face index ascending) order,
 so each type's coordinates are one block (`Sheaf.layout`).
 A local code is a list of Python-int rows in reduced row echelon form,
 the one form `LinearCode.rows` holds: bit p of a row is position p of
-the face's sorted up-set, and a row's pivot is its highest set bit.
-Incidence work gathers from arrays built once per type
-(`Sheaf.type_rows`, `Complex.top_pos`); a restricted row's coefficient
-on a coface row is its bit at that row's pivot.  Construction works per
-type too: one orientation array per (D-1)-type, and one gather of the
-stacked dual constraints per (lower type, (D-1)-type); faces that share
-an orientation or a constraint set share one elimination.
+the face's up-set (its row of `Complex.face_tops`), and a row's pivot is
+its highest set bit.  Incidence work gathers from arrays built once per
+type (`Sheaf.type_rows`, `Complex.face_tops`, `Complex.top_pos`); a
+restricted row's coefficient on a coface row is its bit at that row's
+pivot.  Construction works per type too: one orientation array per
+(D-1)-type, and one gather of the stacked dual constraints per (lower
+type, (D-1)-type); faces that share an orientation or a constraint set
+share one elimination.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class Sheaf:
         if bits is None:
             bits = self._types[mask] = _code_bits(
                 [self.rows((mask, f)) for f in self.complex.faces(mask)],
-                self.complex.face_tops(mask).shape[1],
+                self.complex.face_tops[mask].shape[1],
             )
         return bits
 
@@ -218,7 +219,7 @@ def attach_local_codes(
     local: Dict[FaceId, List[int]] = {}
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
-        reps = np.asarray(c.keys[mask], dtype=np.int64)
+        reps = c.face_tops[mask][:, 0]  # each coset's least element
         faces = np.arange(reps.size)
         # orient[f, U(alpha)] = the up-set position of face f's top rep*e(alpha*t)
         orient = np.zeros((reps.size, q), dtype=np.int64)
@@ -242,17 +243,21 @@ def attach_constant_sheaf(c: Complex) -> Sheaf:
     """Repetition local code on every face below the top: the constant
     sheaf (no induction needed; restrictions of constants are constant)."""
     local: Dict[FaceId, List[int]] = {}
-    for level in range(c.D):
-        for face in c.level_faces(level):
-            local[face] = [(1 << len(c.up_set(face))) - 1]
+    for mask in (m for level in range(c.D) for m in c.level_masks(level)):
+        sizes = c.up_set_sizes(mask).tolist()
+        local.update(((mask, f), [(1 << size) - 1]) for f, size in enumerate(sizes))
     return Sheaf(c, local)
 
 
 def attach_explicit(c: Complex, defining: Dict[FaceId, LinearCode]) -> Sheaf:
     """User-supplied codes over each face's up-set (fixtures and negative
     controls), stored as their rows, already in the sheaf's form."""
+    sizes = {m: c.up_set_sizes(m).tolist() for m in c.masks}
     for face, code in defining.items():
-        if code.n != len(c.up_set(face)):
+        mask, idx = face
+        if not 0 <= idx < len(sizes.get(mask, ())):
+            raise SheafError("unknown face %r" % (face,))
+        if code.n != sizes[mask][idx]:
             raise SheafError("code of face %r has length %d" % (face, code.n))
     return Sheaf(c, {face: code.rows for face, code in defining.items()})
 
@@ -261,15 +266,18 @@ def _top_duals(s: Sheaf) -> List[FaceId]:
     """Fill in the local duals of the (D-1)-faces of `s`, one `dual_rows`
     call per distinct code, and list those faces."""
     c = s.complex
-    faces = c.level_faces(c.D - 1)
+    faces = []
     memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-    for face in faces:
-        if face not in s._dual_bases:
-            rows = s.rows(face)
-            key = (len(c.up_set(face)), tuple(rows))
-            if key not in memo:
-                memo[key] = dual_rows(rows, key[0])
-            s._dual_bases[face] = memo[key]
+    for mask in c.level_masks(c.D - 1):
+        for f, size in enumerate(c.up_set_sizes(mask).tolist()):
+            face = (mask, f)
+            faces.append(face)
+            if face not in s._dual_bases:
+                rows = s.rows(face)
+                key = (size, tuple(rows))
+                if key not in memo:
+                    memo[key] = dual_rows(rows, size)
+                s._dual_bases[face] = memo[key]
     return faces
 
 
@@ -283,11 +291,11 @@ def _constraints(
     A coface's tops lie in the lower face's up-set, so each coface is met
     once, at its top in position 0.  One gather takes the cofaces' rows
     and one scatter puts them at the lower faces' positions of their tops."""
-    ftops = c.face_tops(mask)
+    ftops = c.face_tops[mask]
     width = ftops.shape[1]
     f, p = np.nonzero((ftops >= 0) & (c.top_pos[smask][ftops] == 0))
     coface = c.top_to_face[smask][ftops[f, p]]
-    stops = c.face_tops(smask)[coface]
+    stops = c.face_tops[smask][coface]
     # past a coface's up-set, bits are zero and land in a spare column
     pos = np.where(stops >= 0, c.top_pos[mask][stops], width)
     rows = np.zeros((f.size, bits.shape[1], width + 1), dtype=np.uint8)
@@ -308,7 +316,7 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
     top = _top_duals(s)
     top_masks = c.level_masks(c.D - 1)
     dual_bits = {
-        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops(m).shape[1])
+        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops[m].shape[1])
         for m in top_masks
     }
     memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
@@ -320,8 +328,7 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
             order = np.argsort(owner)
             bounds = np.searchsorted(owner[order], np.arange(c.n_faces(mask) + 1)).tolist()
             rows = [rows[i] for i in order.tolist()]
-            ftops = c.face_tops(mask)
-            for f, width in enumerate((ftops >= 0).sum(axis=1).tolist()):
+            for f, width in enumerate(c.up_set_sizes(mask).tolist()):
                 # the face's rows in one canonical order: equal sets, equal keys
                 key = (width, tuple(sorted(rows[bounds[f] : bounds[f + 1]])))
                 if key not in memo:
@@ -373,7 +380,7 @@ def coboundary_matrix(s: Sheaf, j: int) -> BitMatrix:
     for tmask in c.level_masks(j + 1):
         tfirst = s.first(tmask)
         for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
-            face, restricted = _restricted(s, mask, c.face_tops(tmask))
+            face, restricted = _restricted(s, mask, c.face_tops[tmask])
             coeffs, escaped = _coefficients(s, tmask, restricted)
             if escaped.any():
                 bad = (tmask, int(np.argmax(escaped)))
@@ -398,7 +405,7 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     for mask in c.level_masks(j):
         f, i, p = np.nonzero(s.type_rows(mask))
         rows.append(s.first(mask)[f] + i)
-        cols.append(c.face_tops(mask)[f, p])
+        cols.append(c.face_tops[mask][f, p])
     return BitMatrix.from_coords(
         s.level_dim(j), c.n_top, np.concatenate(rows), np.concatenate(cols)
     )
@@ -459,19 +466,22 @@ def check_flasque(s: Sheaf) -> bool:
     c = s.complex
     for level in range(1, c.D + 1):
         for tmask in c.level_masks(level):
-            dims = s.dims(tmask).tolist()
+            dims = s.dims(tmask)
             for mask in (tmask & ~(1 << col) for col in colors_of(tmask)):
-                _, restricted = _restricted(s, mask, c.face_tops(tmask))
+                _, restricted = _restricted(s, mask, c.face_tops[tmask])
                 coeffs, escaped = _coefficients(s, tmask, restricted)
                 if escaped.any():
                     return False
-                # face g's coefficient vectors are ints g*n .. g*n + n - 1
-                g_count, n, _ = coeffs.shape
-                packed = np.packbits(coeffs, axis=2, bitorder="little")
-                rows = _packed_rows(packed.reshape(g_count * n, packed.shape[2]))
-                if any(
-                    len(EchelonBasis(rows[g * n : (g + 1) * n])) != d for g, d in enumerate(dims)
-                ):
+                # one rank per distinct coefficient block, shared by the faces
+                # that have it, taken on the transpose: a row per coface row.
+                # Block i's rows are ints i*n .. i*n + n - 1
+                packed = np.packbits(coeffs.transpose(0, 2, 1), axis=2, bitorder="little")
+                g_count, n, nb = packed.shape
+                flat = packed.reshape(g_count, n * nb)
+                blocks, which = np.unique(flat, axis=0, return_inverse=True)
+                rows = _packed_rows(blocks.reshape(len(blocks) * n, nb))
+                ranks = [len(EchelonBasis(rows[i * n : (i + 1) * n])) for i in range(len(blocks))]
+                if (np.array(ranks, dtype=np.int64)[which.reshape(-1)] != dims).any():
                     return False
     return True
 
@@ -496,19 +506,14 @@ def check_locally_acyclic(s: Sheaf) -> bool:
 def sheaf_at_link(s: Sheaf, face: FaceId) -> Sheaf:
     """The inherited sheaf on the link of `face`."""
     c = s.complex
-    mask, _ = face
+    mask, idx = face
     lk = c.link(face)
-    ups = c.up_set(face)
+    ups = c.face_tops[mask][idx]  # link top i is complex top ups[i]
     defining: Dict[FaceId, List[int]] = {}
     for lmask in lk.level_masks(lk.D - 1):
-        src_colors = [lk.original_colors[j] for j in colors_of(lmask)]
-        src_mask = mask | mask_of(src_colors)
-        for lidx in lk.faces(lmask):
-            lups = lk.up_sets[lmask][lidx]
-            # link top position i corresponds to complex top ups[i]
-            t0 = ups[lups[0]]
-            sidx = c.face_in_top(src_mask, t0)
-            defining[(lmask, lidx)] = s.rows((src_mask, sidx))
+        src_mask = mask | mask_of(lk.original_colors[j] for j in colors_of(lmask))
+        src = c.top_to_face[src_mask][ups[lk.face_tops[lmask][:, 0]]]
+        defining.update(((lmask, l), s.rows((src_mask, f))) for l, f in enumerate(src.tolist()))
     return induce_lower_codes(Sheaf(lk, defining))
 
 
@@ -547,7 +552,7 @@ def cup_product(
     for mask in c.level_masks(level):
         cs = colors_of(mask)
         prod = _top_values(f1, mask_of(cs[: l1 + 1])) & _top_values(f2, mask_of(cs[l1:]))
-        tops = c.face_tops(mask)
+        tops = c.face_tops[mask]
         values = (prod[tops] & (tops >= 0))[:, None, :]
         coeffs, escaped = _coefficients(target, mask, values)
         if escaped.any():
@@ -617,7 +622,7 @@ def check_pair_products(
         for m2 in types:
             if bin(m1 | m2).count("1") > c.D:
                 continue
-            tops = c.face_tops(m1 | m2)
+            tops = c.face_tops[m1 | m2]
             tops = tops[np.argsort(tops[:, 0], kind="stable")]
             fa, a = _restricted(s1, m1, tops)
             fb, b = _restricted(s2, m2, tops)

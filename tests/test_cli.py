@@ -403,6 +403,29 @@ def test_ring_degree_below_one_exits_two(no_enumeration, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,config,m",
+    [
+        (["verify", "--m", "-1", "--suite", "structure"], None, -1),
+        (["report", "--m", "-2", "--local-only"], None, -2),
+        (["verify", "--suite", "structure"], "m = -1", -1),
+        (["report", "--local-only"], "m = 0", 0),
+    ],
+)
+def test_ring_degree_below_one_is_refused_before_use(
+    no_enumeration, tmp_path, argv, config, m, capsys
+):
+    # a negative m used to reach the coprimality check and exit 4
+    if config:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: ring extension degree m must be at least 1, got %d\n" % m
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--q", "2", "--rm", "5,1"],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetcode import cli
+from cosetcode import cli, gates
 from cosetcode.gates import (
     Circuit,
     Gate,
@@ -511,6 +511,28 @@ def test_s_and_two_block_cz_fail_once_an_x_row_leaves_rowspace_h_z(code2):
         assert all(ref.membership_phase(p, mutated) == 0 for p in images) == preserved
         assert cli._two_block_cz_preserves(mutated, n) == preserved
         assert _two_block_reference(mutated, n) == preserved
+
+
+def test_diagonal_circuits_query_only_the_generators_they_move(code2, monkeypatch):
+    """S and the two-block CZ fix every Z generator, so only the images
+    of the 63 X generators reach `membership_phase` (the two-block CZ
+    queries both halves of each block's X images)."""
+    queries = []
+    counted = gates.membership_phase
+
+    def count(p, generators):
+        queries.append(p)
+        return counted(p, generators)
+
+    monkeypatch.setattr(gates, "membership_phase", count)
+    n = code2.n
+    gens = cli._stabilizer_paulis(code2)
+    assert cli._circuit_preserves(Circuit(n, [[Gate("S", tuple(range(n)))]]), gens)
+    assert len(queries) == code2.h_x.rows == 63
+    assert all(p.x for p in queries)
+    queries.clear()
+    assert cli._two_block_cz_preserves(gens, n)
+    assert len(queries) == 2 * 2 * 63
 
 
 def test_perm_orbits():

@@ -106,7 +106,7 @@ def _widened_face_sheaf():
     c = fixtures.cross_polytope_3sphere()
     s = attach_constant_sheaf(c)
     bad = {face: LinearCode(s.rows(face), len(c.up_set(face))) for face in s.local_bases}
-    bad[(7, 0)] = _full_code(len(c.up_sets[7][0]))
+    bad[(7, 0)] = _full_code(len(c.up_set((7, 0))))
     return attach_explicit(c, bad)
 
 
@@ -159,7 +159,7 @@ def _projection_by_set_bits(s, j):
     offsets, dim = _walk_offsets(s, j)
     out = np.zeros((dim, c.n_top), dtype=np.uint8)
     for face in c.level_faces(j):
-        ups = c.up_sets[face[0]][face[1]]
+        ups = c.up_set(face)
         basis = _basis(s, face)
         for i, w in enumerate(basis.int_rows()):
             for p, t in enumerate(ups):
@@ -217,8 +217,9 @@ def _ref_attach(c, code, iso, ring):
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
         for idx in c.faces(mask):
-            g = c.keys[mask][idx]
-            pos = {t: p for p, t in enumerate(c.up_sets[mask][idx])}
+            ups = c.up_set((mask, idx))
+            g = ups[0]  # the coset's least element
+            pos = {t: p for p, t in enumerate(ups)}
             perm = [0] * q
             for alpha, _ in table.k_color_elements(cotype):
                 top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
@@ -242,7 +243,7 @@ def _ref_induce(c, defining):
             rows = []
             for smask in top_masks:
                 for sidx in _cofaces(c, face, smask):
-                    sups = c.up_sets[smask][sidx]
+                    sups = c.up_set((smask, sidx))
                     for w in duals[(smask, sidx)].int_rows():
                         rows.append(sum(1 << pos[t] for p, t in enumerate(sups) if (w >> p) & 1))
             if rows:
@@ -320,12 +321,14 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
 
 
 def test_attach_rejects_a_rep_outside_its_face(complex2, ring2):
-    # swapping two faces' reps puts each rep's tops in the other face
+    # swapping the second tops of two edges keeps a partition, but puts
+    # each edge's rep*e(alpha*t) in the other edge
     c = complex2
     mask = c.level_masks(1)[0]
-    keys = {m: list(k) for m, k in c.keys.items()}
-    keys[mask][0], keys[mask][1] = keys[mask][1], keys[mask][0]
-    bad = Complex(c.D, c.n_top, c.up_sets, keys=keys, group=c.group)
+    face_tops = dict(c.face_tops)
+    face_tops[mask] = c.face_tops[mask].copy()
+    face_tops[mask][[0, 1], 1] = face_tops[mask][[1, 0], 1]
+    bad = Complex(c.D, c.n_top, face_tops, group=c.group)
     with pytest.raises(SheafError, match="outside face"):
         attach_local_codes(bad, reed_muller(0, 1), VectorIso(ring2.field), ring2)
 
@@ -353,13 +356,13 @@ def _coboundary_by_solve(s, j):
     pending = {}
     for face in c.level_faces(j):
         mask, idx = face
-        ups = c.up_sets[mask][idx]
+        ups = c.up_set(face)
         basis = _basis(s, face)
         for smask in c.level_masks(j + 1):
             if mask & ~smask:
                 continue
             for sidx in _cofaces(c, face, smask):
-                spos = [ups.index(t) for t in c.up_sets[smask][sidx]]
+                spos = [ups.index(t) for t in c.up_set((smask, sidx))]
                 for i, w in enumerate(basis.int_rows()):
                     r = sum(1 << p for p, sp in enumerate(spos) if (w >> sp) & 1)
                     pending.setdefault((smask, sidx), []).append((src_off[face] + i, r))
@@ -595,7 +598,7 @@ def _ref_restrictions(s, level):
     for face in c.level_faces(level):
         for smask in c.level_masks(level + 1):
             for sidx in _cofaces(c, face, smask):
-                sub = c.up_sets[smask][sidx]
+                sub = c.up_set((smask, sidx))
                 yield face, (smask, sidx), _ref_restrict(s.rows(face), c.up_set(face), sub)
 
 
