@@ -98,10 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rm", help="local code parameters as r,eta (default per q)")
     p.add_argument("--x", type=int, default=0, help="X-check sheaf level (default 0)")
     p.add_argument("--z", type=int, default=None, help="Z-check level (default D-2-x)")
-    p.add_argument(
-        "--suite",
-        choices=["structure", "sheaf", "css", "gates", "floquet", "all"],
-    )
+    p.add_argument("--suite", choices=[*SUITES, "all"])
     p.add_argument(
         "--local-only",
         action="store_true",
@@ -203,7 +200,7 @@ def _validate(args: argparse.Namespace) -> dict:
     if args.x + z != args.D - 2 or args.x < 0 or z < 0:
         raise ConfigError("need x + z = D - 2 with both nonnegative")
     phi = None
-    if args.phi:
+    if args.phi is not None:
         try:
             phi = [int(t) for t in args.phi.split(",")]
         except ValueError:
@@ -447,6 +444,13 @@ def suite_floquet(inst: dict) -> dict:
     return out
 
 
+# the suites in the order `--suite all` runs them
+SUITES = {
+    "structure": suite_structure, "sheaf": suite_sheaf, "css": suite_css,
+    "gates": suite_gates, "floquet": suite_floquet,
+}
+
+
 def _suite_passed(name: str, result: dict) -> bool:
     if name == "floquet":
         return (
@@ -523,25 +527,12 @@ def cmd_build(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     if args.fixture:
         return _verify_fixture(args)
-    wanted = (
-        ["structure", "sheaf", "css", "gates", "floquet"]
-        if args.suite in (None, "all")
-        else [args.suite]
-    )
+    wanted = list(SUITES) if args.suite in (None, "all") else [args.suite]
     inst = build_instance(args, cfg, wanted)
     results = {}
     ok = True
     for name in wanted:
-        if name == "structure":
-            results[name] = suite_structure(inst)
-        elif name == "sheaf":
-            results[name] = suite_sheaf(inst)
-        elif name == "css":
-            results[name] = suite_css(inst)
-        elif name == "gates":
-            results[name] = suite_gates(inst)
-        elif name == "floquet":
-            results[name] = suite_floquet(inst)
+        results[name] = SUITES[name](inst)
         ok = ok and _suite_passed(name, results[name])
     print(json.dumps(_jsonable(results), indent=2))
     return EXIT_OK if ok else EXIT_FINDING

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .gf2 import EchelonBasis
+from .gf2 import EchelonBasis, _scatter
 from .local_codes import LinearCode, divisibility_level, is_multi_orthogonal
 
 
@@ -92,25 +92,14 @@ def _apply_cz_layer(p: Pauli, table: Tuple[Dict[int, int], int]) -> Pauli:
     """Disjoint CZ gates at once, walking only the set bits of x on their
     support; each pair with both X bits set contributes two to the phase."""
     partner, mask = table
-    hit = rest = p.x & mask
-    flip = 0
-    while rest:
-        low = rest & -rest
-        flip |= 1 << partner[low.bit_length() - 1]
-        rest ^= low
+    hit = p.x & mask
+    flip = _scatter(hit, partner)
     return Pauli(p.n, p.p + (flip & hit).bit_count(), p.x, p.z ^ flip)
 
 
 def apply_permutation(p: Pauli, perm: Sequence[int]) -> Pauli:
     """Relabel qubits: qubit i moves to perm[i]."""
-    x2 = 0
-    z2 = 0
-    for i in range(p.n):
-        if (p.x >> i) & 1:
-            x2 |= 1 << perm[i]
-        if (p.z >> i) & 1:
-            z2 |= 1 << perm[i]
-    return Pauli(p.n, p.p, x2, z2)
+    return Pauli(p.n, p.p, _scatter(p.x, perm), _scatter(p.z, perm))
 
 
 def apply_gamma(p: Pauli, mask: int) -> Pauli:
@@ -135,9 +124,7 @@ def conjugate_by_images(
 ) -> Pauli:
     """Conjugate by a Clifford given through its X_j / Z_j images on a
     qubit subset; the off-support factor passes through unchanged."""
-    sup_mask = 0
-    for qb in support:
-        sup_mask |= 1 << qb
+    sup_mask = _mask(support)
     out = Pauli(p.n, p.p, p.x & ~sup_mask, p.z & ~sup_mask)
     for qb in support:
         if (p.x >> qb) & 1:

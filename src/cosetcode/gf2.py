@@ -17,7 +17,7 @@ gives the dual of int rows in that form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,8 +36,18 @@ def _packed_rows(words: np.ndarray) -> List[int]:
     nb = words.shape[1] * words.itemsize
     if not nb:
         return [0] * words.shape[0]
-    buf = memoryview(words.reshape(-1).view(np.uint8))
+    buf = words.tobytes()  # slicing bytes beats slicing a memoryview
     return [int.from_bytes(buf[i : i + nb], "little") for i in range(0, len(buf), nb)]
+
+
+def _scatter(w: int, targets: Union[Sequence[int], Dict[int, int]]) -> int:
+    """Move bit p of w to bit targets[p]: only w's set bits are read."""
+    out = 0
+    while w:
+        low = w & -w
+        out |= 1 << targets[low.bit_length() - 1]
+        w ^= low
+    return out
 
 
 def _packed(rows: Sequence[int], nbytes: int) -> np.ndarray:

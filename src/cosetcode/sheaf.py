@@ -7,25 +7,27 @@ so each type's coordinates are one block (`Sheaf.layout`).
 A local code is a list of Python-int rows in reduced row echelon form,
 the one form `LinearCode.rows` holds: bit p of a row is position p of
 the face's up-set (its row of `Complex.face_tops`), and a row's pivot is
-its highest set bit.  Incidence work gathers from arrays built once per
-type (`Sheaf.type_rows`, `Complex.face_tops`, `Complex.top_pos`); a
-restricted row's coefficient on a coface row is its bit at that row's
-pivot.  Construction works per type too: one orientation array per
-(D-1)-type, and one gather of the stacked dual constraints per (lower
-type, (D-1)-type); faces that share an orientation or a constraint set
-share one elimination.
+its highest set bit.  The group acts on each type's faces, so a type
+uses few distinct codes: a sheaf keeps one table per type, the distinct
+codes and each face's index among them (`Sheaf.codes`, `Sheaf.which`).
+Per-face arrays are one gather by that index (`Sheaf.type_rows`,
+`Sheaf.layout`), and incidence work gathers from them and from
+`Complex.face_tops` and `Complex.top_pos`; a restricted row's
+coefficient on a coface row is its bit at that row's pivot.
+Construction makes one code per distinct key (an orientation, a
+constraint set, a pair of codes) and merges equal codes.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
-from .gf2 import BitMatrix, EchelonBasis, _packed_rows, dual_rows
+from .gf2 import BitMatrix, EchelonBasis, _packed_rows, _scatter, dual_rows
 from .group import GroupTable
 from .local_codes import LinearCode, star_rows
 
@@ -34,21 +36,32 @@ class SheafError(ValueError):
     """Raised when a sheaf axiom or construction contract is violated."""
 
 
-class Sheaf:
-    """Local codes for every face of a complex.
+# a type's local codes: the distinct codes, and each face's index among them
+Table = Tuple[List[List[int]], np.ndarray]
 
-    `local_bases[(mask, idx)]` lists int rows spanning the local code, in
-    the one form `LinearCode.rows` holds: reduced row echelon form with
-    each row's pivot at its highest set bit (every constructor stores that
-    form; the coboundary reads coefficients at the pivots).  Top faces
-    implicitly carry the full one-dimensional code and are not stored.
+
+class Sheaf:
+    """Local codes for every face of a complex, one table per type.
+
+    For each type mask, `codes[mask]` lists the distinct codes that the
+    type's faces use, in first-use order, and `which[mask][f]` is the index
+    there of face f's code, or -1 where none is attached (the lower types
+    before `induce_lower_codes`).  A code is a list of int rows in the one
+    form `LinearCode.rows` holds: reduced row echelon form with each row's
+    pivot at its highest set bit (every constructor stores that form; the
+    coboundary reads coefficients at the pivots).  `tables` gives the
+    types below the top; every top face carries the full one-dimensional
+    code [1].
     """
 
-    def __init__(self, complex_: Complex, local_bases: Dict[FaceId, List[int]]):
-        self.complex = complex_
-        self.local_bases = local_bases
+    def __init__(self, complex_: Complex, tables: Dict[int, Table]):
+        c = self.complex = complex_
+        tables = {m: ([], np.full(c.n_faces(m), -1, dtype=np.int64)) for m in c.masks} | tables
+        tables[c.full_mask] = ([[1]], np.zeros(c.n_top, dtype=np.int64))
+        self.codes = {mask: codes for mask, (codes, _) in tables.items()}
+        self.which = {mask: which for mask, (_, which) in tables.items()}
         self._layout: Dict[int, Dict[int, Tuple[int, np.ndarray]]] = {}
-        self._dual_bases: Dict[FaceId, List[int]] = {}  # (D-1)-faces, see _top_duals
+        self._duals: Dict[int, Table] = {}  # (D-1)-types, see _local_duals
         self._types: Dict[int, np.ndarray] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
 
@@ -56,12 +69,19 @@ class Sheaf:
 
     def rows(self, face: FaceId) -> List[int]:
         """The local code of `face` as int rows (never mutate them)."""
-        if face[0] == self.complex.full_mask:
-            return [1]
-        try:
-            return self.local_bases[face]
-        except KeyError:
-            raise SheafError("no local basis for face %r (induce first?)" % (face,))
+        mask, idx = face
+        which = self.which.get(mask)
+        if which is None or not 0 <= idx < which.size or which[idx] < 0:
+            raise SheafError("no local code for face %r (unknown, or not induced yet)" % (face,))
+        return self.codes[mask][which[idx]]
+
+    def _table(self, mask: int) -> Table:
+        """The type's table, refusing a type with a face that has no code."""
+        which = self.which[mask]
+        if (which < 0).any():
+            face = (mask, int(np.argmax(which < 0)))
+            raise SheafError("no local code for face %r (not induced yet)" % (face,))
+        return self.codes[mask], which
 
     def dim(self, face: FaceId) -> int:
         return len(self.rows(face))
@@ -72,10 +92,8 @@ class Sheaf:
         within a type)."""
         bits = self._types.get(mask)
         if bits is None:
-            bits = self._types[mask] = _code_bits(
-                [self.rows((mask, f)) for f in self.complex.faces(mask)],
-                self.complex.face_tops[mask].shape[1],
-            )
+            width = self.complex.face_tops[mask].shape[1]
+            bits = self._types[mask] = _code_bits(self._table(mask), width)
         return bits
 
     # -- global coordinates ---------------------------------------------------
@@ -89,8 +107,8 @@ class Sheaf:
         if table is None:
             table, start = {}, 0
             for mask in self.complex.level_masks(j):
-                faces = self.complex.faces(mask)
-                dims = np.fromiter((self.dim((mask, f)) for f in faces), np.int64, len(faces))
+                codes, which = self._table(mask)
+                dims = np.fromiter(map(len, codes), np.int64, len(codes))[which]
                 table[mask] = (start, dims)
                 start += int(dims.sum())
             self._layout[j] = table
@@ -143,27 +161,14 @@ class Cochain:
 # -- local codes ----------------------------------------------------------------
 
 
-def _scatter(w: int, targets: Sequence[int]) -> int:
-    """Move bit p of w to bit targets[p]."""
-    out = 0
-    while w:
-        low = w & -w
-        out |= 1 << targets[low.bit_length() - 1]
-        w ^= low
-    return out
-
-
-def _code_bits(codes: List[List[int]], width: int) -> np.ndarray:
-    """`bits[f, i, p]`, bit p of row i of code f, zero past its rows and
-    `width`."""
-    dims = np.fromiter(map(len, codes), dtype=np.int64, count=len(codes))
-    bits = np.zeros((len(codes), int(dims.max(initial=0)), width), dtype=np.uint8)
-    row = np.arange(dims.sum()) - np.repeat(np.cumsum(dims) - dims, dims)
-    flat = [w for r in codes for w in r]
-    bits[np.repeat(np.arange(len(codes)), dims), row] = (
-        BitMatrix.from_int_rows(flat, width).to_dense()
-    )
-    return bits
+def _code_bits(table: Table, width: int) -> np.ndarray:
+    """`bits[f, i, p]`, bit p of row i of face f's code in `table`, zero
+    past its rows and `width`; each distinct code is unpacked once."""
+    codes, which = table
+    bits = np.zeros((len(codes), max(map(len, codes), default=0), width), dtype=np.uint8)
+    for k, rows in enumerate(codes):
+        bits[k, : len(rows)] = BitMatrix.from_int_rows(rows, width).to_dense()
+    return bits[which]
 
 
 def _restricted(s: Sheaf, mask: int, tops: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,6 +199,31 @@ def _coefficients(s: Sheaf, mask: int, values: np.ndarray) -> Tuple[np.ndarray, 
 # -- construction -------------------------------------------------------------
 
 
+def _tabulate(keys: Iterable, make) -> Table:
+    """A type's table from one hashable key per face (None: no code): one
+    `make(key)` per distinct key, shared by the faces that have it, and
+    equal codes merged in first-use order."""
+    made: Dict = {}  # key -> code index
+    ids: Dict[Tuple[int, ...], int] = {}  # code rows -> code index, in first-use order
+    which = []
+    for key in keys:
+        if key is not None and key not in made:
+            made[key] = ids.setdefault(tuple(make(key)), len(ids))
+        which.append(made.get(key, -1))
+    return [list(rows) for rows in ids], np.array(which, dtype=np.int64)
+
+
+def _oriented_tops(table: GroupTable, iso: VectorIso, reps: np.ndarray, cotype: int) -> np.ndarray:
+    """[f, U(alpha)] = the top reps[f]*e(alpha*t): the tops of the
+    cotype-`cotype` face through each rep, at their code positions."""
+    out = np.empty((reps.size, iso.field.q), dtype=np.int64)
+    out[:, iso.apply_int(0)] = reps
+    for col, (color, alpha, _) in enumerate(table.gens):
+        if color == cotype:
+            out[:, iso.apply_int(alpha)] = table.cayley[reps, col]
+    return out
+
+
 def attach_local_codes(
     c: Complex,
     code: LinearCode,
@@ -206,79 +236,62 @@ def attach_local_codes(
     face g*e(alpha*t) to code coordinate U(alpha); changing the rep only
     translates coordinates by an affine map, which fixes the row space.
     """
-    table = c.group
-    if table is None:
+    def oriented(perm: Tuple[int, ...]) -> List[int]:  # one RREF per distinct orientation
+        return EchelonBasis(_scatter(w, perm) for w in code.rows).rref()[0]
+
+    if c.group is None:
         raise SheafError("attach_local_codes needs a coset complex")
     q = ring.field.q
     if code.n != q:
         raise SheafError("code length %d != q = %d" % (code.n, q))
-    gen_col = {
-        (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
-    }
-    words = code.rows
-    local: Dict[FaceId, List[int]] = {}
+    tables = {}
     for mask in c.level_masks(c.D - 1):
         cotype = next(j for j in range(c.n_colors) if not (mask >> j) & 1)
         reps = c.face_tops[mask][:, 0]  # each coset's least element
-        faces = np.arange(reps.size)
-        # orient[f, U(alpha)] = the up-set position of face f's top rep*e(alpha*t)
-        orient = np.zeros((reps.size, q), dtype=np.int64)
-        for alpha, _eid in table.k_color_elements(cotype):
-            tops = reps if alpha == 0 else table.cayley[reps, gen_col[(cotype, alpha)]]
-            outside = c.top_to_face[mask][tops] != faces
-            if outside.any():
-                bad = int(np.argmax(outside))
-                raise SheafError("top %d is outside face %r" % (tops[bad], (mask, bad)))
-            orient[:, iso.apply_int(alpha)] = c.top_pos[mask][tops]
-        # one RREF per distinct orientation, shared by the faces that have it
-        distinct, which = np.unique(orient, axis=0, return_inverse=True)
-        codes = [
-            EchelonBasis(_scatter(w, perm) for w in words).rref()[0] for perm in distinct.tolist()
-        ]
-        local.update(((mask, f), codes[i]) for f, i in enumerate(which.reshape(-1).tolist()))
-    return Sheaf(c, local)
+        tops = _oriented_tops(c.group, iso, reps, cotype)
+        outside = c.top_to_face[mask][tops] != np.arange(reps.size)[:, None]
+        if outside.any():
+            f, p = np.argwhere(outside)[0].tolist()
+            raise SheafError("top %d is outside face %r" % (tops[f, p], (mask, f)))
+        # orientation [f, U(alpha)]: the up-set position of face f's top rep*e(alpha*t)
+        tables[mask] = _tabulate(map(tuple, c.top_pos[mask][tops].tolist()), oriented)
+    return Sheaf(c, tables)
 
 
 def attach_constant_sheaf(c: Complex) -> Sheaf:
     """Repetition local code on every face below the top: the constant
     sheaf (no induction needed; restrictions of constants are constant)."""
-    local: Dict[FaceId, List[int]] = {}
-    for mask in (m for level in range(c.D) for m in c.level_masks(level)):
-        sizes = c.up_set_sizes(mask).tolist()
-        local.update(((mask, f), [(1 << size) - 1]) for f, size in enumerate(sizes))
-    return Sheaf(c, local)
+    tables = {}
+    for mask in c.masks[:-1]:
+        tables[mask] = _tabulate(c.up_set_sizes(mask).tolist(), lambda size: [(1 << size) - 1])
+    return Sheaf(c, tables)
 
 
 def attach_explicit(c: Complex, defining: Dict[FaceId, LinearCode]) -> Sheaf:
-    """User-supplied codes over each face's up-set (fixtures and negative
-    controls), stored as their rows, already in the sheaf's form."""
-    sizes = {m: c.up_set_sizes(m).tolist() for m in c.masks}
+    """User-supplied codes over the up-sets of faces below the top
+    (fixtures and negative controls), stored as their rows, already in the
+    sheaf's form; faces with equal codes share one."""
+    given = {m: [None] * c.n_faces(m) for m in c.masks[:-1]}
     for face, code in defining.items():
         mask, idx = face
-        if not 0 <= idx < len(sizes.get(mask, ())):
+        if mask not in given or not 0 <= idx < len(given[mask]):
             raise SheafError("unknown face %r" % (face,))
-        if code.n != sizes[mask][idx]:
+        if code.n != len(c.up_set(face)):
             raise SheafError("code of face %r has length %d" % (face, code.n))
-    return Sheaf(c, {face: code.rows for face, code in defining.items()})
+        given[mask][idx] = tuple(code.rows)
+    return Sheaf(c, {m: _tabulate(keys, list) for m, keys in given.items()})
 
 
-def _top_duals(s: Sheaf) -> List[FaceId]:
-    """Fill in the local duals of the (D-1)-faces of `s`, one `dual_rows`
-    call per distinct code, and list those faces."""
-    c = s.complex
-    faces = []
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
-    for mask in c.level_masks(c.D - 1):
-        for f, size in enumerate(c.up_set_sizes(mask).tolist()):
-            face = (mask, f)
-            faces.append(face)
-            if face not in s._dual_bases:
-                rows = s.rows(face)
-                key = (size, tuple(rows))
-                if key not in memo:
-                    memo[key] = dual_rows(rows, size)
-                s._dual_bases[face] = memo[key]
-    return faces
+def _local_duals(s: Sheaf, mask: int) -> Table:
+    """The local duals of the type-`mask` faces, (D-1)-faces, as a table
+    kept on the sheaf: one `dual_rows` per distinct (code, up-set size),
+    which is one per distinct code when a type's up-sets are equal."""
+    found = s._duals.get(mask)
+    if found is None:
+        codes, which = s._table(mask)
+        keys = zip(which.tolist(), s.complex.up_set_sizes(mask).tolist())
+        found = s._duals[mask] = _tabulate(keys, lambda key: dual_rows(codes[key[0]], key[1]))
+    return found
 
 
 def _constraints(
@@ -312,30 +325,24 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
     (D-1)-type), one `dual_rows` call per distinct constraint set (at q=2,
     63 vertices share 28 sets; at q=4, 2,835 share about 2,580)."""
     c = s.complex
-    local = dict(s.local_bases)
-    top = _top_duals(s)
     top_masks = c.level_masks(c.D - 1)
-    dual_bits = {
-        m: _code_bits([s._dual_bases[(m, f)] for f in c.faces(m)], c.face_tops[m].shape[1])
-        for m in top_masks
-    }
-    memo: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
+    tables = {m: s._table(m) for m in top_masks}
+    duals = {m: _local_duals(s, m) for m in top_masks}
+    dual_bits = {m: _code_bits(t, c.face_tops[m].shape[1]) for m, t in duals.items()}
+    # one code per distinct constraint set, met in any type
+    kernel = functools.lru_cache(maxsize=None)(lambda key: dual_rows(key[1], key[0]))
     for level in range(c.D - 2, -1, -1):
         for mask in c.level_masks(level):
-            found = [_constraints(c, dual_bits[m], mask, m) for m in top_masks if not mask & ~m]
-            owner = np.concatenate([o for o, _ in found])
-            rows = [v for _, r in found for v in r]
-            order = np.argsort(owner)
-            bounds = np.searchsorted(owner[order], np.arange(c.n_faces(mask) + 1)).tolist()
-            rows = [rows[i] for i in order.tolist()]
-            for f, width in enumerate(c.up_set_sizes(mask).tolist()):
-                # the face's rows in one canonical order: equal sets, equal keys
-                key = (width, tuple(sorted(rows[bounds[f] : bounds[f + 1]])))
-                if key not in memo:
-                    memo[key] = dual_rows(key[1], width)
-                local[(mask, f)] = memo[key]
-    out = Sheaf(c, local)
-    out._dual_bases.update((face, s._dual_bases[face]) for face in top)  # codes unchanged
+            rows: List[List[int]] = [[] for _ in c.faces(mask)]
+            for m in (m for m in top_masks if not mask & ~m):
+                owner, found = _constraints(c, dual_bits[m], mask, m)
+                for f, v in zip(owner.tolist(), found):
+                    rows[f].append(v)
+            # the face's rows in one canonical order: equal sets, equal keys
+            sizes = c.up_set_sizes(mask).tolist()
+            tables[mask] = _tabulate(((n, tuple(sorted(r))) for n, r in zip(sizes, rows)), kernel)
+    out = Sheaf(c, tables)
+    out._duals.update(duals)  # codes unchanged
     return out
 
 
@@ -344,9 +351,9 @@ def dual_sheaf(s: Sheaf) -> Sheaf:
 
     The primal's local duals are the dual's codes, and the primal codes
     are the dual's local duals, so no local kernel is computed twice."""
-    top = _top_duals(s)
-    d = Sheaf(s.complex, {face: s._dual_bases[face] for face in top})
-    d._dual_bases.update((face, s.rows(face)) for face in top)
+    top_masks = s.complex.level_masks(s.complex.D - 1)
+    d = Sheaf(s.complex, {m: _local_duals(s, m) for m in top_masks})
+    d._duals.update((m, s._table(m)) for m in top_masks)
     return induce_lower_codes(d)
 
 
@@ -509,12 +516,13 @@ def sheaf_at_link(s: Sheaf, face: FaceId) -> Sheaf:
     mask, idx = face
     lk = c.link(face)
     ups = c.face_tops[mask][idx]  # link top i is complex top ups[i]
-    defining: Dict[FaceId, List[int]] = {}
+    tables = {}
     for lmask in lk.level_masks(lk.D - 1):
         src_mask = mask | mask_of(lk.original_colors[j] for j in colors_of(lmask))
         src = c.top_to_face[src_mask][ups[lk.face_tops[lmask][:, 0]]]
-        defining.update(((lmask, l), s.rows((src_mask, f))) for l, f in enumerate(src.tolist()))
-    return induce_lower_codes(Sheaf(lk, defining))
+        codes, which = s._table(src_mask)
+        tables[lmask] = _tabulate(which[src].tolist(), codes.__getitem__)
+    return induce_lower_codes(Sheaf(lk, tables))
 
 
 # -- cup product ----------------------------------------------------------------
@@ -525,8 +533,12 @@ def star_sheaf(s1: Sheaf, s2: Sheaf) -> Sheaf:
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("cup product needs a shared complex")
-    defining = {face: star_rows(s1.rows(face), s2.rows(face)) for face in c.level_faces(c.D - 1)}
-    return induce_lower_codes(Sheaf(c, defining))
+    tables = {}
+    for mask in c.level_masks(c.D - 1):
+        (codes1, which1), (codes2, which2) = s1._table(mask), s2._table(mask)
+        keys = zip(which1.tolist(), which2.tolist())
+        tables[mask] = _tabulate(keys, lambda key: star_rows(codes1[key[0]], codes2[key[1]]))
+    return induce_lower_codes(Sheaf(c, tables))
 
 
 def cup_product(
@@ -616,6 +628,7 @@ def check_pair_products(
     c = s1.complex
     if s2.complex is not c:
         raise SheafError("pair products need a shared complex")
+    _check_modulus(modulus)
     checked = 0
     types = [m for m in c.masks if m != c.full_mask]
     for m1 in types:
@@ -643,16 +656,27 @@ def check_pair_products(
     return {"ok": True, "checked": checked}
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 1:
+        raise SheafError("the weight modulus must be at least 1, got %r" % (modulus,))
+
+
 def check_projected_weights(s: Sheaf, modulus: int) -> dict:
-    """Every basis row at every level below the top has weight divisible by the modulus (projection scatters rows
-    injectively, so projected weight = row weight)."""
+    """Every basis row at every level below the top has weight divisible
+    by the modulus (projection scatters rows injectively, so projected
+    weight = row weight).  Each distinct code is weighed once; rows count
+    in face order, and the witness is the first face with a bad row."""
+    _check_modulus(modulus)
     checked = 0
     for level in range(s.complex.D):
-        for face in s.complex.level_faces(level):
-            for w in s.rows(face):
-                checked += 1
-                if w.bit_count() % modulus:
-                    return {"ok": False, "checked": checked, "witness": face}
+        for mask in s.complex.level_masks(level):
+            codes, which = s._table(mask)
+            odd = [[w.bit_count() % modulus != 0 for w in rows] for rows in codes]
+            for f, k in enumerate(which.tolist()):
+                if any(odd[k]):
+                    checked += odd[k].index(True) + 1
+                    return {"ok": False, "checked": checked, "witness": (mask, f)}
+                checked += len(odd[k])
     return {"ok": True, "checked": checked}
 
 
@@ -678,23 +702,11 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     if code.n != q:
         raise SheafError("code length %d != q = %d" % (code.n, q))
     table = GroupTable(ring, 2, colors=(1, 2))
-    gen_col = {
-        (color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)
-    }
-
-    def edge_tops(cotype: int) -> np.ndarray:
-        """[e, p] = the top of edge e at code position p.  The edges
-        through v of cotype j are the cosets of K_{0,3-j}, numbered by
-        ascending rep; top rep*e(alpha*t) sits at position U(alpha)."""
-        reps = np.unique(table.coset_reps([jc for jc in range(3) if jc != cotype]))
-        out = np.empty((reps.size, q), dtype=np.int64)
-        for alpha, _eid in table.k_color_elements(cotype):
-            out[:, iso.apply_int(alpha)] = (
-                reps if alpha == 0 else table.cayley[reps, gen_col[(cotype, alpha)]]
-            )
-        return out
-
-    tops_a, tops_b = edge_tops(2), edge_tops(1)
+    # [e, p] = the top of edge e at code position p: the edges through v of
+    # cotype j are the cosets of K_{0,3-j}, numbered by ascending rep
+    tops_a, tops_b = (
+        _oriented_tops(table, iso, np.unique(table.coset_reps([0, 3 - j])), j) for j in (2, 1)
+    )
     n_edges = tops_b.shape[0]
     edge_a = np.empty(table.size, dtype=np.int64)
     pos_a = np.empty(table.size, dtype=np.int64)

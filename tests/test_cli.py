@@ -439,9 +439,18 @@ def test_rm_order_outside_zero_to_eta_exits_two(no_enumeration, argv, capsys):
     assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
 
 
-@pytest.mark.parametrize("phi", ["x,y", "1,,1"])
-def test_malformed_phi_exits_two(tmp_path, phi):
+@pytest.mark.parametrize("phi", ["x,y", "1,,1", ""])
+def test_malformed_phi_exits_two(tmp_path, phi, capsys):
     assert main(["build", "--q", "2", "--phi", phi, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: --phi expects comma-separated integers\n"
+
+
+def test_empty_phi_in_a_config_file_exits_two(tmp_path, capsys):
+    # an empty value is given, not absent: it must not run the default ring
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("phi =\n")
+    assert main(["verify", "--suite", "structure", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: --phi expects comma-separated integers\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tanner sheaves: induction, cohomology, cup products, lifting, and the
 exhaustive local product checks."""
 
+import hashlib
 import itertools
 import random
 
@@ -100,12 +101,18 @@ def _walk_offsets(s, j):
     return offsets, total
 
 
+def _coded_faces(s):
+    """The faces below the top that have a local code."""
+    c = s.complex
+    return {(m, f) for m in c.masks[:-1] for f in np.flatnonzero(s.which[m] >= 0).tolist()}
+
+
 def _widened_face_sheaf():
     """The constant sheaf on the 16-cell with one level-2 face's code
     widened to its whole up-set: local dimensions differ within a type."""
     c = fixtures.cross_polytope_3sphere()
     s = attach_constant_sheaf(c)
-    bad = {face: LinearCode(s.rows(face), len(c.up_set(face))) for face in s.local_bases}
+    bad = {face: LinearCode(s.rows(face), len(c.up_set(face))) for face in _coded_faces(s)}
     bad[(7, 0)] = _full_code(len(c.up_set((7, 0))))
     return attach_explicit(c, bad)
 
@@ -308,7 +315,7 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
         cases += [(s, ref), (dual_sheaf(s), _ref_dual(cx, ref))]
     for s, ref in cases:
         cx = s.complex
-        assert set(s.local_bases) == set(ref)
+        assert _coded_faces(s) == set(ref)
         for face, basis in ref.items():
             assert _basis(s, face) == basis
         r = attach_explicit(cx, _codes(ref))
@@ -714,8 +721,9 @@ def test_local_codes_are_stored_reduced_on_their_highest_bits(reference_sheaves,
     # highest set bit; inst4's dual has 3-dimensional edge codes
     sheaves = dict(reference_sheaves, inst4_dual=inst4["dual"])
     for name, s in sheaves.items():
-        for face, rows in s.local_bases.items():
-            assert rows == EchelonBasis(rows).rref()[0], (name, face)
+        for mask, codes in s.codes.items():
+            for rows in codes:
+                assert rows == EchelonBasis(rows).rref()[0], (name, mask)
 
 
 def test_layout_matches_face_walk(reference_sheaves):
@@ -778,3 +786,109 @@ def test_cup_product_matches_face_by_face_reference(sheaf2):
             f = Cochain(s, l1, rng.getrandbits(s.level_dim(l1)))
             g = Cochain(s, l2, rng.getrandbits(s.level_dim(l2)))
             assert cup_product(f, g, target=ss).data == _ref_cup(f, g, ss)
+
+
+def _ref_projected_weights(s, modulus):
+    """Every row of every face below the top, weighed in face order."""
+    checked = 0
+    for level in range(s.complex.D):
+        for face in s.complex.level_faces(level):
+            for w in s.rows(face):
+                checked += 1
+                if w.bit_count() % modulus:
+                    return {"ok": False, "checked": checked, "witness": face}
+    return {"ok": True, "checked": checked}
+
+
+def test_projected_weights_match_face_loop(reference_sheaves):
+    for name, s in reference_sheaves.items():
+        for modulus in (1, 2, 3, 4, 8):
+            got = check_projected_weights(s, modulus)
+            assert got == _ref_projected_weights(s, modulus), (name, modulus)
+
+
+def test_product_checks_refuse_a_modulus_below_one(sheaf2, dual2, complex2, ring2):
+    # refused before any work: the attached sheaf has no lower codes yet
+    bare = attach_local_codes(complex2, reed_muller(0, 1), VectorIso(ring2.field), ring2)
+    for modulus in (0, -2):
+        for a, b in ((sheaf2, dual2), (bare, bare)):
+            with pytest.raises(SheafError, match="modulus must be at least 1"):
+                check_pair_products(a, b, modulus)
+        for a in (sheaf2, bare):
+            with pytest.raises(SheafError, match="modulus must be at least 1"):
+                check_projected_weights(a, modulus)
+
+
+# sha256 prefixes of the repr of each type's per-face rows, in face order,
+# taken before the sheaf kept one table per type
+ROW_DIGESTS = {
+    "q2": {
+        1: "bb20325f60018b6b", 2: "bb20325f60018b6b", 3: "c12eca80cb82baf2",
+        4: "bb20325f60018b6b", 5: "c12eca80cb82baf2", 6: "c12eca80cb82baf2",
+    },
+    "q2_dual": {
+        1: "bb20325f60018b6b", 2: "bb20325f60018b6b", 3: "c12eca80cb82baf2",
+        4: "bb20325f60018b6b", 5: "c12eca80cb82baf2", 6: "c12eca80cb82baf2",
+    },
+    "span10": {
+        1: "43799fa9dad2c072", 2: "c635d6ca62be3015", 3: "d7a8bf02e90732a4",
+        4: "5d93ede1b7bf197d", 5: "d7a8bf02e90732a4", 6: "d7a8bf02e90732a4",
+    },
+    "inst4": {
+        1: "facf887bfe5a8308", 2: "facf887bfe5a8308", 3: "cc247b764aa48858",
+        4: "facf887bfe5a8308", 5: "cc247b764aa48858", 6: "cc247b764aa48858",
+    },
+    "inst4_dual": {
+        1: "41f7ea5d2e86b8a9", 2: "e7de3a3aaf937492", 3: "884ed769b9f683c1",
+        4: "b87c2934edbe775e", 5: "884ed769b9f683c1", 6: "884ed769b9f683c1",
+    },
+}
+
+
+def _pinned_sheaves(reference_sheaves, inst4):
+    return {
+        "q2": reference_sheaves["q2"],
+        "q2_dual": reference_sheaves["q2_dual"],
+        "span10": reference_sheaves["span10"],
+        "inst4": inst4["sheaf"],
+        "inst4_dual": inst4["dual"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+def test_local_rows_are_pinned(name, reference_sheaves, inst4):
+    s = _pinned_sheaves(reference_sheaves, inst4)[name]
+    c = s.complex
+    digests = {}
+    for m in c.masks[:-1]:
+        rows = [s.rows((m, f)) for f in c.faces(m)]
+        digests[m] = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+    assert digests == ROW_DIGESTS[name]
+
+
+def test_each_type_keeps_its_distinct_codes_once(reference_sheaves, inst4):
+    sheaves = dict(reference_sheaves, **_pinned_sheaves(reference_sheaves, inst4))
+    for name, s in sheaves.items():
+        c = s.complex
+        assert sorted(s.codes) == sorted(s.which) == c.masks, name
+        for m, codes in s.codes.items():
+            which = s.which[m]
+            assert which.shape == (c.n_faces(m),), (name, m)
+            # first-use order: the faces name the codes 0, 1, 2, ... as met
+            assert list(dict.fromkeys(which.tolist())) == list(range(len(codes))), (name, m)
+            per_face = {tuple(s.rows((m, f))) for f in c.faces(m)}
+            assert len(codes) == len(per_face), (name, m)
+
+
+def test_rows_refuses_faces_outside_the_type(sheaf2, complex2, ring2):
+    c = complex2
+    for m in c.masks:
+        assert sheaf2.rows((m, c.n_faces(m) - 1))
+        for idx in (-1, c.n_faces(m)):
+            with pytest.raises(SheafError, match="unknown"):
+                sheaf2.rows((m, idx))
+    with pytest.raises(SheafError, match="unknown"):
+        sheaf2.rows((c.full_mask + 1, 0))
+    bare = attach_local_codes(c, reed_muller(0, 1), VectorIso(ring2.field), ring2)
+    with pytest.raises(SheafError, match="not induced"):
+        bare.rows((1, 0))
