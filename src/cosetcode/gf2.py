@@ -6,7 +6,8 @@ row: bit i of a vector, or of a row, is the coefficient of coordinate
 `from_dense`, `to_dense` and `nonzero`, through little-endian packed words.
 
 All elimination runs through one loop, `EchelonBasis`: a forward-only
-dict from each Python-int row's `bit_length()` (its pivot) to the row.
+pivot table, a list indexed by each Python-int row's `bit_length()` (its
+pivot), holding the row there and None where no row has that pivot.
 One XOR of two such ints updates a whole row at C speed.  Every pivot is
 a row's highest set bit: rank, rref, kernel_basis and solve all read the
 rows as they are, and back-substitute (`EchelonBasis.rref`) only for a
@@ -43,10 +44,10 @@ def _packed_rows(words: np.ndarray) -> List[int]:
 def _scatter(w: int, targets: Union[Sequence[int], Dict[int, int]]) -> int:
     """Move bit p of w to bit targets[p]: only w's set bits are read."""
     out = 0
-    while w:
-        low = w & -w
-        out |= 1 << targets[low.bit_length() - 1]
-        w ^= low
+    while w:  # top bit first, so w shrinks as it goes
+        top = w.bit_length() - 1
+        out |= 1 << targets[top]
+        w ^= 1 << top
     return out
 
 
@@ -58,48 +59,60 @@ def _packed(rows: Sequence[int], nbytes: int) -> np.ndarray:
 
 class EchelonBasis:
     """The one elimination loop: an echelon basis of Python-int rows,
-    grown one row at a time and keyed by each row's `bit_length()`, so a
-    row's pivot is its highest set bit and no two rows share one.
+    grown one row at a time in a pivot table indexed by each row's
+    `bit_length()`, so a row's pivot is its highest set bit and no two
+    rows share one.
 
     Inserting and reducing only eliminate forward; `rref` back-substitutes
     when a caller asks for the reduced form.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_rows", "_leads")
 
     def __init__(self, rows: Iterable[int] = ()):
-        self._rows: Dict[int, int] = {}  # bit_length -> row
+        # _rows[lead] is the row whose bit_length() is lead, or None; slot 0
+        # (the zero vector's) stays None, so reducing to 0 stops the loop
+        self._rows: List[Optional[int]] = [None]
+        self._leads: List[int] = []  # the occupied slots, in insertion order
         for v in rows:
             self.insert(v)
 
     def __len__(self) -> int:
         """The rank of the inserted rows."""
-        return len(self._rows)
+        return len(self._leads)
 
     def reduce(self, v: int) -> int:
         """v less basis rows until its highest bit is no pivot: 0 iff v is
         in the span."""
         rows = self._rows
-        while v:
-            other = rows.get(v.bit_length())
-            if other is None:
-                break
+        lead = v.bit_length()
+        if lead >= len(rows):
+            return v  # above every pivot; each XOR below only lowers the lead
+        other = rows[lead]
+        while other is not None:
             v ^= other
+            other = rows[v.bit_length()]
         return v
 
     def insert(self, v: int) -> bool:
         """Add v; True iff it was independent of the rows already in."""
         v = self.reduce(v)
-        if v:
-            self._rows[v.bit_length()] = v
-        return bool(v)
+        if not v:
+            return False
+        lead = v.bit_length()
+        rows = self._rows
+        if lead >= len(rows):
+            rows.extend([None] * (lead + 1 - len(rows)))
+        rows[lead] = v
+        self._leads.append(lead)
+        return True
 
     def rref(self) -> Tuple[List[int], List[int]]:
         """Back-substitution: the reduced row echelon form, as the reduced
         rows in increasing pivot and those pivots (`lead - 1`).  The basis
         rows are reduced in place (their span and pivots stay)."""
         rows = self._rows
-        leads = sorted(rows)  # lowest pivot first
+        leads = sorted(self._leads)  # lowest pivot first
         done = 0  # the lead bits of the rows already fully reduced
         for lead in leads:
             v = rows[lead]
@@ -171,9 +184,9 @@ class BitMatrix:
     @classmethod
     def from_int_rows(cls, int_rows: Sequence[int], cols: int) -> "BitMatrix":
         ints = list(int_rows)
-        for i, v in enumerate(ints):
-            if v < 0 or (cols < v.bit_length()):
-                raise GF2Error("row %d out of range for %d cols" % (i, cols))
+        if ints and (min(ints) < 0 or max(ints).bit_length() > cols):
+            bad = next(i for i, v in enumerate(ints) if v < 0 or v.bit_length() > cols)
+            raise GF2Error("row %d out of range for %d cols" % (bad, cols))
         return cls._of(ints, cols)
 
     @classmethod
@@ -264,10 +277,10 @@ class BitMatrix:
         out = []
         for v in self._ints:
             acc = 0
-            while v:
-                b = v & -v
-                acc ^= rows[b.bit_length() - 1]
-                v ^= b
+            while v:  # top bit first, so v shrinks as it goes
+                top = v.bit_length() - 1
+                acc ^= rows[top]
+                v ^= 1 << top
             out.append(acc)
         return BitMatrix._of(out, other.cols)
 

@@ -348,11 +348,19 @@ class GroupTable:
         return self._walk(gid, np.arange(len(self.gens)))
 
     def element_order(self, gid: int) -> int:
-        """Length of the identity's cycle under h -> g*h."""
-        perm = self._walk(gid, np.arange(len(self.gens)))
-        order, h = 1, int(perm[0])
-        while h != 0:
-            order, h = order + 1, int(perm[h])
+        """Length of the identity's cycle under h -> h*g: g's generator
+        word is its tree path, and each step right-multiplies by it."""
+        word = []
+        h = gid
+        while h:  # the identity, id 0, is the root
+            word.append(self._gen.item(h))
+            h = self._parent.item(h)
+        word.reverse()
+        order, h = 1, gid
+        while h:
+            for col in word:
+                h = self.cayley.item(h, col)
+            order += 1
         return order
 
     def enumerate_subgroup(self, T: Iterable[int]) -> List[int]:

@@ -457,6 +457,155 @@ def test_echelon_rref_and_kernel_match_bitmatrix(data):
     assert dual_rows(rows, cols) == m.kernel_basis().row_space_basis().int_rows()
 
 
+class _DictEchelon:
+    """The elimination loop as it was before the pivot table: a dict from
+    each row's bit_length() to the row.  `EchelonBasis` must agree with it
+    exactly, residuals and reduced rows included, not just on membership."""
+
+    def __init__(self, rows=()):
+        self.rows = {}
+        for v in rows:
+            self.insert(v)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def reduce(self, v):
+        while v:
+            other = self.rows.get(v.bit_length())
+            if other is None:
+                break
+            v ^= other
+        return v
+
+    def insert(self, v):
+        v = self.reduce(v)
+        if v:
+            self.rows[v.bit_length()] = v
+        return bool(v)
+
+    def rref(self):
+        rows = self.rows
+        leads = sorted(rows)
+        done = 0
+        for lead in leads:
+            v = rows[lead]
+            hits = v & done
+            while hits:
+                h = hits.bit_length()
+                v ^= rows[h]
+                hits ^= 1 << (h - 1)
+            rows[lead] = v
+            done |= 1 << (lead - 1)
+        return [rows[lead] for lead in leads], [lead - 1 for lead in leads]
+
+
+def _assert_matches_dict_loop(steps, queries=()):
+    """Run ("insert", v) and ("reduce", v) steps on both loops: equal
+    results and lengths after every step, then equal rref rows and pivots,
+    and equal residuals of `queries` against the reduced rows."""
+    basis, ref = EchelonBasis(), _DictEchelon()
+    assert basis.rref() == ref.rref() == ([], [])
+    for op, v in steps:
+        assert getattr(basis, op)(v) == getattr(ref, op)(v), (op, v)
+        assert len(basis) == len(ref)
+    assert basis.rref() == ref.rref()
+    for v in queries:
+        assert basis.reduce(v) == ref.reduce(v), v
+    bulk = EchelonBasis(v for op, v in steps if op == "insert")
+    assert len(bulk) == len(basis)
+    assert bulk.rref() == basis.rref()
+
+
+def _structured_echelon_scripts(rng):
+    """(steps, queries) the random rows rarely give: leads that only rise
+    (the table grows on every insert, once by thousands of slots), queries
+    at and above the top pivot, zero rows, the empty basis, and inserts
+    interleaved with reductions."""
+    rising = [1 << i | rng.getrandbits(i) for i in range(0, 300, 7)] + [1 << 5000 | 1]
+    top = max(rising).bit_length()
+    above = [1 << top, 1 << top | rng.getrandbits(top), 1 << (top + 64), rising[-1] ^ 1]
+    yield [("insert", v) for v in rising], above + [0, rising[-1], rising[3] ^ rising[9]]
+    yield [("insert", v) for v in reversed(rising)], above
+    yield [("insert", 0), ("reduce", 0), ("insert", 0)], [0, 1, 1 << 70]
+    yield [], [0, 1, 5, 1 << 200]
+    for cols in (9, 64, 130):
+        steps = []
+        for _ in range(3 * cols):
+            v = rng.getrandbits(rng.randint(0, cols))
+            if rng.random() < 0.3:
+                v &= rng.getrandbits(cols)  # sparser rows, low leads
+            steps.append((rng.choice(("insert", "reduce", "reduce")), v))
+        yield steps, [rng.getrandbits(cols + 3) for _ in range(20)]
+
+
+def test_echelon_basis_matches_dict_loop_on_structured_inputs():
+    for steps, queries in _structured_echelon_scripts(random.Random(43)):
+        _assert_matches_dict_loop(steps, queries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_row_sets(), st.randoms(use_true_random=False))
+def test_echelon_basis_matches_dict_loop(data, rnd):
+    cols, rows, queries = data
+    steps = [("insert", v) for v in rows] + [("reduce", v) for v in queries]
+    rnd.shuffle(steps)
+    _assert_matches_dict_loop(steps, rows + queries + [1 << cols])
+
+
+def test_echelon_basis_matches_dict_loop_on_the_q16_link_matrix(monkeypatch):
+    """The rows of the one large rank in the q=16 vertex-link computation
+    (1280 x 2816 for RM(1,4), rank 1143)."""
+    from cosetcode import sheaf
+    from cosetcode.algebra import VectorIso, build_ring
+    from cosetcode.local_codes import reed_muller
+
+    ranked = []
+    rank = BitMatrix.rank
+    monkeypatch.setattr(BitMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+    ring = build_ring(4, 1)
+    assert sheaf.link_vertex_code_dimension(ring, reed_muller(1, 4), VectorIso(ring.field)) == 137
+    (m,) = ranked
+    rows = m.int_rows()
+    assert (m.rows, m.cols, rank(m)) == (1280, 2816, 1143)
+    queries = [a ^ b for a, b in zip(rows, rows[1:])] + [1 << m.cols, rows[-1] | 1 << m.cols]
+    _assert_matches_dict_loop([("insert", v) for v in rows], queries)
+
+
+def test_top_bit_walks_match_numpy_on_wide_sparse_rows():
+    """matmul and _scatter on the shape of the q=4 commutation check,
+    scaled down: a wide, sparse self (as h_z) times a narrow other (as
+    h_x transposed), and scatters of the same rows."""
+    rng = np.random.default_rng(37)
+    n, width, narrow = 200, 6000, 45
+    r = np.concatenate([rng.integers(0, n - 1, 1200), [0, 1]])
+    c = np.concatenate([rng.integers(0, width, 1200), [width - 1, 0]])
+    wide = BitMatrix.from_coords(n, width, r, c)  # the last row stays zero
+    other = BitMatrix.from_dense(rng.integers(0, 2, (width, narrow)))
+    ref = (wide.to_dense().astype(np.int64) @ other.to_dense().astype(np.int64)) % 2
+    assert (wide.matmul(other).to_dense() == ref).all()
+    targets = rng.permutation(width + 100)[:width]
+    as_dict = dict(enumerate(targets.tolist()))
+    for v, row in zip(wide.int_rows(), wide.to_dense()):
+        want = sum(1 << t for t in targets[np.flatnonzero(row)].tolist())
+        assert gf2._scatter(v, targets.tolist()) == gf2._scatter(v, as_dict) == want
+
+
+def test_from_int_rows_names_the_first_bad_row():
+    assert BitMatrix.from_int_rows([15, 0, 8], 4).int_rows() == [15, 0, 8]
+    assert BitMatrix.from_int_rows([], 0).rows == 0
+    assert BitMatrix.from_int_rows([0, 0], 0).rows == 2
+    cases = [
+        ([1, 15, -1, 1 << 4], 4, 2),  # negative
+        ([3, 1 << 4, -1], 4, 1),  # too wide, before a negative one
+        ([0, 7, 1 << 9], 9, 2),  # one bit too wide
+        ([1], 0, 0),
+    ]
+    for rows, cols, bad in cases:
+        with pytest.raises(GF2Error, match="^row %d out of range for %d cols$" % (bad, cols)):
+            BitMatrix.from_int_rows(rows, cols)
+
+
 def test_row_space_equal_detects_difference():
     a = BitMatrix.from_int_rows([0b01, 0b10], 2)
     b = BitMatrix.from_int_rows([0b11, 0b01], 2)
