@@ -157,18 +157,27 @@ def _apply_config_file(
         raise ConfigError("cannot read config file: %s" % exc)
 
 
-def _validate(args: argparse.Namespace) -> dict:
+def _refuse_unread(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, mode: str, dests: Sequence[str]
+) -> None:
+    """Refuse a non-default value of a flag that `mode` does not read."""
+    for dest in dests:
+        if getattr(args, dest) != parser.get_default(dest):
+            raise ConfigError("--%s is not read with %s" % (dest.replace("_", "-"), mode))
+
+
+def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
     if args.fixture and args.command != "verify":
         raise ConfigError("--fixture is read by verify only")
     if args.fixture:
         if args.suite not in (None, "structure"):
             raise ConfigError("--fixture runs the structure suite only")
-        parser = _build_parser()
-        for dest in INSTANCE_FLAGS:
-            if getattr(args, dest) != parser.get_default(dest):
-                raise ConfigError("--%s is not read with --fixture" % dest.replace("_", "-"))
-    if args.local_only and args.command == "verify":
-        raise ConfigError("--local-only is read by build and report only")
+        _refuse_unread(args, parser, "--fixture", INSTANCE_FLAGS)
+    if args.local_only:
+        if args.command == "verify":
+            raise ConfigError("--local-only is read by build and report only")
+        # the vertex-link work never reaches the caps of the global build
+        _refuse_unread(args, parser, "--local-only", ("cap_qubits", "cap_tableau"))
     if args.suite is not None and args.command != "verify":
         raise ConfigError("--suite is read by verify only")
     if args.out is not None and args.command != "build":
@@ -451,14 +460,9 @@ SUITES = {
 }
 
 
-def _suite_passed(name: str, result: dict) -> bool:
-    if name == "floquet":
-        return (
-            result["anomalies"] == 0
-            and result["periodic"]
-            and result["half_dimension_ok"] is not False
-            and result["layout_ok"]
-        )
+def _suite_passed(result: dict) -> bool:
+    """Every bool in the result is true, except under `info_` keys; a
+    None (a check that does not apply) counts for nothing."""
     flat = []
 
     def walk(v):
@@ -533,7 +537,7 @@ def cmd_verify(args: argparse.Namespace, cfg: dict) -> int:
     ok = True
     for name in wanted:
         results[name] = SUITES[name](inst)
-        ok = ok and _suite_passed(name, results[name])
+        ok = ok and _suite_passed(results[name])
     print(json.dumps(_jsonable(results), indent=2))
     return EXIT_OK if ok else EXIT_FINDING
 
@@ -578,7 +582,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
-        cfg = _validate(args)
+        cfg = _validate(args, parser)
         if args.command == "build":
             try:
                 return cmd_build(args, cfg)

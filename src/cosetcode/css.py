@@ -1,6 +1,13 @@
 """CSS code extraction from a sheaf: checks, dimensions, rate bounds,
 color-tagged logical bases, Darboux reduction, and the unfolding checks
 (chain-map squares and shrunk-complex dimension isomorphism).
+
+The unfolding checks read one color type T at a time, through the
+T-shrunk three-term complex: `unfolding_check` calls `chain_map_squares`
+and `shrunk_cohomology_dim` once per type.  At level x+1 the only type
+inside T is T itself, and at dual level z the only type inside T^c is
+T^c, so each check pairs one dual type block against one primal one
+and never forms a full pairing.
 """
 
 from __future__ import annotations
@@ -268,61 +275,52 @@ def _rows(m: BitMatrix, coords: List[int]) -> BitMatrix:
     return BitMatrix.from_int_rows([rows[i] for i in coords], m.cols)
 
 
-def _pairing(s: Sheaf, s_dual: Sheaf, z: int, j: int) -> BitMatrix:
-    """pi-bar_z^T pi_j, the dual pairing of C^j, which does not depend on
-    the color type: the projected rows of both sides, the primal's
-    transposed."""
-    return projection_matrix(s_dual, z).matmul(projection_matrix(s, j).transpose())
+def _complement(s: Sheaf, T: Sequence[int]) -> List[int]:
+    """The colors outside T."""
+    return [j for j in range(s.complex.n_colors) if j not in set(T)]
+
+
+def _shrunk_top_map(s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int]) -> BitMatrix:
+    """psi_T = pi-bar_z[T^c] pi_{x+1}[T]^T: the dual pairing block of the
+    T-shrunk complex, the level-z rows of the one dual type inside T^c
+    against the level-(x+1) rows of the one primal type inside T."""
+    bar = _rows(projection_matrix(s_dual, z), s_dual.type_coords(z, _complement(s, T))[0])
+    pi = _rows(projection_matrix(s, x + 1), s.type_coords(x + 1, T)[0])
+    return bar.matmul(pi.transpose())
 
 
 def chain_map_squares(
     s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int]
 ) -> Dict[str, bool]:
     """The four commuting-square identities relating the sheaf complex to
-    the T-shrunk three-term complex, as exact matrix equations."""
-    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
-    zt = cocycle_basis(s, x + 1).transpose()
-    return _squares(s, s_dual, x, z, T, pairing, pairing1, zt)
-
-
-def _squares(
-    s: Sheaf,
-    s_dual: Sheaf,
-    x: int,
-    z: int,
-    T: Sequence[int],
-    pairing: BitMatrix,
-    pairing1: BitMatrix,
-    zt: BitMatrix,
-) -> Dict[str, bool]:
-    """`chain_map_squares` given the dual pairings and the transposed
-    cocycle basis.  A restriction to a color type is a column mask on the
-    right and a row select on the left (or, where the rows outside it
-    count, a check that they vanish); the projections are row-oriented,
-    so there they restrict by rows."""
-    c = s.complex
-    t_c = [j for j in range(c.n_colors) if j not in set(T)]
+    the T-shrunk three-term complex, as exact matrix equations on the row
+    blocks of the types inside T (and T^c on the dual side).  A
+    restriction to a color type is a column mask on the right and a row
+    select on the left (or, where the rows outside it count, a check that
+    they vanish); the projections are row-oriented, so there they
+    restrict by rows."""
     rows_x, cols_x = s.type_coords(x, T)
-    rows_x1, cols_x1 = s.type_coords(x + 1, T)
-    rows_bar, _ = s_dual.type_coords(z, t_c)
+    rows_x1, _ = s.type_coords(x + 1, T)
+    rows_bar, _ = s_dual.type_coords(z, _complement(s, T))
 
     report: Dict[str, bool] = {}
     # restriction commutes with the shrunk coboundary
     lhs = _rows(coboundary_matrix(s, x), rows_x1)
-    report["bottom_left"] = lhs == _cols(lhs, cols_x)
+    a = _cols(lhs, cols_x)
+    report["bottom_left"] = lhs == a
     # projections of a T-cochain agree across one shrunk step: the T rows
     # of pi_x are A^T times the T rows of pi_{x+1}, A the T block of delta_x
-    a_t = _rows(_cols(lhs, cols_x).transpose(), rows_x)
-    report["top_left"] = _rows(projection_matrix(s, x), rows_x) == a_t.matmul(
-        _rows(projection_matrix(s, x + 1), rows_x1)
-    )
-    # the dual pairing of a T-cochain is supported on T-complement faces
-    lhs = _cols(pairing, cols_x)
-    keep = set(rows_bar)
-    report["top_right"] = not any(v for i, v in enumerate(lhs.int_rows()) if i not in keep)
+    a_t = _rows(a.transpose(), rows_x)
+    pi_x = _rows(projection_matrix(s, x), rows_x)
+    report["top_left"] = pi_x == a_t.matmul(_rows(projection_matrix(s, x + 1), rows_x1))
+    # the dual pairing of a T-cochain is supported on T-complement faces:
+    # the other dual rows pair to zero with the T rows of pi_x
+    pi_bar, keep = projection_matrix(s_dual, z), set(rows_bar)
+    others = _rows(pi_bar, [i for i in range(pi_bar.rows) if i not in keep])
+    report["top_right"] = others.matmul(pi_x.transpose()).is_zero()
     # the shrunk top map annihilates global cocycles
-    psi = _cols(_rows(pairing1, rows_bar), cols_x1)
-    report["bottom_right"] = psi.matmul(zt).is_zero()
+    zt = _rows(cocycle_basis(s, x + 1).transpose(), rows_x1)
+    report["bottom_right"] = _shrunk_top_map(s, s_dual, x, z, T).matmul(zt).is_zero()
     return report
 
 
@@ -330,23 +328,12 @@ def shrunk_cohomology_dim(
     s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int]
 ) -> int:
     """dim H^1 of the T-shrunk three-term complex, in T-supported
-    coordinates."""
-    return _shrunk_dim(s, s_dual, x, z, T, _pairing(s, s_dual, z, x + 1))
-
-
-def _shrunk_dim(
-    s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int], pairing1: BitMatrix
-) -> int:
-    """`shrunk_cohomology_dim` given pi-bar_z^T pi_{x+1}: masked-out
-    columns are zero columns, which leave ranks unchanged."""
-    c = s.complex
-    t_c = [j for j in range(c.n_colors) if j not in set(T)]
+    coordinates: dim C^{x+1}_T - rank psi_T - rank of the T block of
+    delta_x."""
     _, cols_x = s.type_coords(x, T)
-    rows_x1, cols_x1 = s.type_coords(x + 1, T)
-    rows_bar, _ = s_dual.type_coords(z, t_c)
+    rows_x1, _ = s.type_coords(x + 1, T)
     a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
-    b = _cols(_rows(pairing1, rows_bar), cols_x1)
-    return (len(rows_x1) - b.rank()) - a.rank()
+    return len(rows_x1) - _shrunk_top_map(s, s_dual, x, z, T).rank() - a.rank()
 
 
 def unfolding_check(
@@ -360,15 +347,13 @@ def unfolding_check(
     shrunk dimension isomorphism."""
     D = s.complex.D
     k = code.code_dimension()
-    pairing, pairing1 = _pairing(s, s_dual, z, x), _pairing(s, s_dual, z, x + 1)
     shrunk = {
-        T: _shrunk_dim(s, s_dual, x, z, T, pairing1)
+        T: shrunk_cohomology_dim(s, s_dual, x, z, T)
         for T in itertools.combinations(range(D + 1), x + 2)
     }
     # dim H^{x+1} = dim Z^{x+1} - rank delta^x: delta^{x+1} is eliminated
     # once, for the cocycle basis the squares read too
-    cocycles = cocycle_basis(s, x + 1)
-    h_dim = cocycles.rows - coboundary_matrix(s, x).rank()
+    h_dim = cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
     expected = math.comb(D, x + 1) * h_dim
     report = {
         "k": k,
@@ -378,11 +363,7 @@ def unfolding_check(
         "shrunk_dims": shrunk,
         "shrunk_iso": all(v == h_dim for v in shrunk.values()),
     }
-    zt = cocycles.transpose()
-    sq = {
-        T: _squares(s, s_dual, x, z, T, pairing, pairing1, zt)
-        for T in color_types_through_zero(D, x + 2)
-    }
+    sq = {T: chain_map_squares(s, s_dual, x, z, T) for T in color_types_through_zero(D, x + 2)}
     report["squares"] = sq
     report["squares_ok"] = all(all(r.values()) for r in sq.values())
     report["ok"] = (

@@ -408,6 +408,8 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     `extract_css` and the Floquet rounds read; as a map, pi-up : C^j ->
     F_2^{top faces} is the transpose."""
     c = s.complex
+    if not 0 <= j <= c.D:
+        raise SheafError("projection level out of range")
     rows, cols = [], []
     for mask in c.level_masks(j):
         f, i, p = np.nonzero(s.type_rows(mask))
@@ -416,14 +418,6 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
     return BitMatrix.from_coords(
         s.level_dim(j), c.n_top, np.concatenate(rows), np.concatenate(cols)
     )
-
-
-def restrict_to_type(s: Sheaf, j: int, T: Sequence[int]) -> BitMatrix:
-    """The square diagonal projection keeping coordinates of faces whose
-    type is contained in T: the diagonal of `type_coords`' column mask."""
-    _, keep = s.type_coords(j, T)
-    dim = s.level_dim(j)
-    return BitMatrix.from_int_rows([keep & (1 << i) for i in range(dim)], dim)
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -594,13 +588,19 @@ def lift_shrunk_cocycle(s: Sheaf, T: Sequence[int], f: int) -> Cochain:
     global linear solve."""
     level = len(set(T)) - 1
     c = s.complex
-    if not 1 <= level <= c.D - 1:
-        raise SheafError("invalid shrunk type size")
-    delta = coboundary_matrix(s, level)
-    res = restrict_to_type(s, level, T)
+    if not 1 <= level <= c.D - 1 or not set(T) <= set(range(c.n_colors)):
+        raise SheafError("invalid shrunk type %r" % (tuple(T),))
     if f < 0 or f.bit_length() > s.level_dim(level):
         raise SheafError("shrunk cocycle is not a vector of C^%d" % level)
-    g = delta.vstack(res).solve_vec(f << delta.rows)
+    rows, keep = s.type_coords(level, T)
+    if f & ~keep:
+        raise SheafError("shrunk cocycle has coordinates outside the type %r" % (tuple(T),))
+    # delta g = 0 and g = f on T's coordinates: at this level they are
+    # the one block of type T, so f's bits there are f shifted down by
+    # the block's start
+    delta = coboundary_matrix(s, level)
+    ident = BitMatrix.from_int_rows([1 << i for i in rows], delta.cols)
+    g = delta.vstack(ident).solve_vec(f >> rows[0] << delta.rows)
     if g is None:
         raise SheafError(
             "no sheaf lift exists for the given shrunk cocycle: "
@@ -736,7 +736,6 @@ __all__ = [
     "dual_sheaf",
     "coboundary_matrix",
     "projection_matrix",
-    "restrict_to_type",
     "cocycle_basis",
     "coboundary_image_basis",
     "cohomology_dim",

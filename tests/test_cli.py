@@ -123,8 +123,9 @@ def _instance_without(monkeypatch, suites, *builders):
 
     for name in builders:
         monkeypatch.setattr(cli, name, fail)
-    args = cli._build_parser().parse_args(["verify", "--q", "2"])
-    return cli.build_instance(args, cli._validate(args), suites)
+    parser = cli._build_parser()
+    args = parser.parse_args(["verify", "--q", "2"])
+    return cli.build_instance(args, cli._validate(args, parser), suites)
 
 
 def test_structure_builds_no_sheaf(monkeypatch):
@@ -207,6 +208,11 @@ def test_transversal_h_is_informational_for_a_non_self_dual_local_code(capsys):
         (["verify", "--fixture", "octahedron", "--cap-tableau", "5"], None),
         (["verify", "--fixture", "octahedron"], "suite = gates"),
         (["verify", "--fixture", "octahedron"], "q = 4"),
+        # the vertex-link work reads no cap of the global build
+        (["report", "--q", "8", "--local-only", "--cap-qubits", "5"], None),
+        (["build", "--q", "8", "--local-only", "--cap-qubits", "5", "--out", "OUT"], None),
+        (["report", "--q", "8", "--local-only", "--cap-tableau", "5"], None),
+        (["build", "--q", "8", "--local-only", "--out", "OUT"], "cap_tableau = 5"),
     ],
 )
 def test_flags_the_command_ignores_exit_two(no_enumeration, tmp_path, argv, config, capsys):
@@ -220,6 +226,22 @@ def test_flags_the_command_ignores_exit_two(no_enumeration, tmp_path, argv, conf
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["periodic", "layout_ok", "half_dimension_ok"])
+def test_floquet_verdict_is_every_bool(key):
+    # run_schedule's anomalies is always 0, and a None half-dimension
+    # check (no static k to halve) counts for nothing
+    result = {
+        "anomalies": 0,
+        "periodic": True,
+        "half_dimension_ok": True,
+        "max_check_weight": 2,
+        "layout_ok": True,
+    }
+    assert cli._suite_passed(result)
+    assert cli._suite_passed(dict(result, half_dimension_ok=None))
+    assert not cli._suite_passed(dict(result, **{key: False}))
 
 
 def test_format_option_is_gone():

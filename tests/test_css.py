@@ -1,5 +1,6 @@
 """CSS extraction, rates, logical bases, and the unfolding machinery."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,8 @@ from cosetcode.sheaf import (
     dual_sheaf,
     induce_lower_codes,
     projection_matrix,
-    restrict_to_type,
+    Sheaf,
+    SheafError,
 )
 
 
@@ -53,6 +55,12 @@ def test_commutation_enforced_on_construction():
 def test_extract_requires_matching_levels(sheaf2, dual2):
     with pytest.raises(CSSError):
         extract_css(sheaf2, 1, 1, s_dual=dual2)
+
+
+def test_extract_refuses_a_level_outside_the_complex(sheaf2, dual2):
+    # x + z = D - 2 holds, but C^{-1} does not exist
+    with pytest.raises(SheafError, match="projection level out of range"):
+        extract_css(sheaf2, -1, 1, s_dual=dual2)
 
 
 def test_rate_report_values(sheaf2, dual2):
@@ -143,18 +151,28 @@ def test_chain_map_squares_both_types(sheaf2, dual2):
         assert all(chain_map_squares(sheaf2, dual2, 0, 0, T).values())
 
 
+def _restrict(s, j, T):
+    """The square diagonal matrix keeping the C^j coordinates of the faces
+    whose type lies in T."""
+    dim = s.level_dim(j)
+    keep = set(s.type_coords(j, T)[0])
+    return BitMatrix.from_int_rows([1 << i if i in keep else 0 for i in range(dim)], dim)
+
+
+def _complement(s, T):
+    return [j for j in range(s.complex.n_colors) if j not in set(T)]
+
+
 def _ref_chain_map_squares(s, s_dual, x, z, T):
-    """The squares with every type restriction a product with the diagonal
-    `restrict_to_type` matrix."""
-    c = s.complex
-    t_c = [j for j in range(c.n_colors) if j not in set(T)]
+    """The squares with every type restriction a product with a diagonal
+    matrix, on the full pairings."""
     delta_x = coboundary_matrix(s, x)
-    r_x = restrict_to_type(s, x, T)
-    r_x1 = restrict_to_type(s, x + 1, T)
+    r_x = _restrict(s, x, T)
+    r_x1 = _restrict(s, x + 1, T)
     pi_x = projection_matrix(s, x).transpose()
     pi_x1 = projection_matrix(s, x + 1).transpose()
     pid_zt = projection_matrix(s_dual, z)
-    rbar = restrict_to_type(s_dual, z, t_c)
+    rbar = _restrict(s_dual, z, _complement(s, T))
     q = pid_zt.matmul(pi_x)
     psi = rbar.matmul(pid_zt).matmul(pi_x1).matmul(r_x1)
     return {
@@ -165,26 +183,60 @@ def _ref_chain_map_squares(s, s_dual, x, z, T):
     }
 
 
-def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex2, ring2):
-    # the full local code paired against the repetition code's dual (and
-    # the reverse) breaks the dual pairing, so some squares fail
+def _ref_shrunk_dim(s, s_dual, x, z, T):
+    """dim H^1 of the T-shrunk complex from the full pairing
+    pi-bar_z pi_{x+1}^T and the full delta_x, restricted by diagonal
+    products: zero rows and columns leave the ranks unchanged."""
+    r_x1 = _restrict(s, x + 1, T)
+    a = r_x1.matmul(coboundary_matrix(s, x)).matmul(_restrict(s, x, T))
+    pairing = projection_matrix(s_dual, z).matmul(projection_matrix(s, x + 1).transpose())
+    b = _restrict(s_dual, z, _complement(s, T)).matmul(pairing).matmul(r_x1)
+    return r_x1.rank() - b.rank() - a.rank()
+
+
+def _unfolding_cases(sheaf2, dual2, complex2, ring2):
+    """The q=2 pair; three broken pairs: the full local code paired against
+    the repetition code's dual, the reverse, and a dual whose color-2
+    vertices carry the full code's local codes, which breaks the pairing
+    on that one type, so that only for T = (0, 1) the nonzero pairing
+    rows are all T^c rows; and the constant sheaf on the cross-polytope
+    3-sphere at both levels."""
     full = induce_lower_codes(
         attach_local_codes(complex2, reed_muller(1, 1), VectorIso(ring2.field), ring2)
     )
+    sources = {mask: full if mask == 0b100 else dual2 for mask in complex2.level_masks(0)}
+    one_type = Sheaf(complex2, {m: (t.codes[m], t.which[m]) for m, t in sources.items()})
     cube = attach_constant_sheaf(fixtures.cross_polytope_3sphere())
     cases = [(sheaf2, dual2, 0, 0), (full, dual2, 0, 0), (sheaf2, full, 0, 0)]
-    cases += [(cube, dual_sheaf(cube), x, 1 - x) for x in (0, 1)]
+    cases.append((sheaf2, one_type, 0, 0))
+    return cases + [(cube, dual_sheaf(cube), x, 1 - x) for x in (0, 1)]
+
+
+def _every_type(s, x):
+    return list(itertools.combinations(range(s.complex.n_colors), x + 2))
+
+
+def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex2, ring2):
     results = []
-    for s, sd, x, z in cases:
-        for T in color_types_through_zero(s.complex.D, x + 2):
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        for T in _every_type(s, x):
             got = chain_map_squares(s, sd, x, z, T)
-            assert got == _ref_chain_map_squares(s, sd, x, z, T)
+            assert got == _ref_chain_map_squares(s, sd, x, z, T), (x, T)
             results.append(got)
+    # the broken pairs fail some squares
     assert not all(all(r.values()) for r in results)
-    # unfolding_check shares its pairings across types and gets the same squares
+    # unfolding_check reports the squares of the types through color 0
     rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
+    assert list(rep["squares"]) == color_types_through_zero(2, 2)
     for T, squares in rep["squares"].items():
         assert squares == _ref_chain_map_squares(sheaf2, dual2, 0, 0, T)
+
+
+def test_shrunk_dims_match_full_pairing_reference(sheaf2, dual2, complex2, ring2):
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        for T in _every_type(s, x):
+            got = shrunk_cohomology_dim(s, sd, x, z, T)
+            assert got == _ref_shrunk_dim(s, sd, x, z, T), (x, T)
 
 
 def test_shrunk_dims_match_cohomology(sheaf2, dual2):

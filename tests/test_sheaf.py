@@ -35,7 +35,6 @@ from cosetcode.sheaf import (
     lift_shrunk_cocycle,
     link_vertex_code_dimension,
     projection_matrix,
-    restrict_to_type,
     sheaf_at_link,
     star_sheaf,
 )
@@ -149,12 +148,6 @@ def test_projection_scatters_injectively(sheaf2):
     assert set(pi.row_weights()) == {8}
 
 
-def test_restriction_is_diagonal_selector(sheaf2):
-    r = restrict_to_type(sheaf2, 1, (0, 1))
-    assert r.matmul(r) == r
-    assert 0 < r.rank() < sheaf2.level_dim(1)
-
-
 def _set_bits(out, i, js):
     """The per-bit scatter that once filled these matrices, into a dense
     array of one byte per entry."""
@@ -175,24 +168,12 @@ def _projection_by_set_bits(s, j):
     return BitMatrix.from_dense(out)
 
 
-def _restriction_by_set_bits(s, j, t_mask):
-    offsets, dim = _walk_offsets(s, j)
-    out = np.zeros((dim, dim), dtype=np.uint8)
-    for face, off in offsets.items():
-        if not face[0] & ~t_mask:
-            for i in range(s.dim(face)):
-                _set_bits(out, off + i, [off + i])
-    return BitMatrix.from_dense(out)
-
-
 def _constant_sheaves():
     names = ("octahedron", "hexagonal_torus", "single_triangle", "cross_polytope_3sphere")
     return [attach_constant_sheaf(getattr(fixtures, name)()) for name in names]
 
 
-def test_projection_and_restriction_match_set_bits_reference(
-    sheaf2, dual2, complex2, ring2
-):
+def test_projection_matches_set_bits_reference(sheaf2, dual2, complex2, ring2):
     # every face of sheaf2 and dual2 has dimension 1; the full local code
     # at q=2 gives vertex dimension 8 and edge dimension 2
     full = induce_lower_codes(
@@ -202,9 +183,12 @@ def test_projection_and_restriction_match_set_bits_reference(
         D = s.complex.D
         for j in range(D + 1):
             assert projection_matrix(s, j) == _projection_by_set_bits(s, j)
-            for t_mask in range(1 << (D + 1)):
-                T = [col for col in range(D + 1) if (t_mask >> col) & 1]
-                assert restrict_to_type(s, j, T) == _restriction_by_set_bits(s, j, t_mask)
+
+
+def test_projection_refuses_a_level_outside_the_complex(sheaf2):
+    for j in (-1, 3, 5):
+        with pytest.raises(SheafError, match="projection level out of range"):
+            projection_matrix(sheaf2, j)
 
 
 def _cofaces(c, face, super_mask):
@@ -462,11 +446,23 @@ def test_lift_shrunk_cocycle_roundtrip(sheaf2):
     reps = cohomology_reps(s, 1)
     d1 = coboundary_matrix(s, 1)
     for T in ((0, 1), (0, 2), (1, 2)):
-        r = restrict_to_type(s, 1, T)
-        f = _matvec(r, reps.int_rows()[0])
+        _, keep = s.type_coords(1, T)
+        f = reps.int_rows()[0] & keep
         lifted = lift_shrunk_cocycle(s, T, f)
         assert _matvec(d1, lifted.data) == 0
-        assert _matvec(r, lifted.data) == f
+        assert lifted.data & keep == f
+
+
+def test_lift_refuses_a_cocycle_outside_its_type(sheaf2):
+    s = sheaf2
+    rep = cohomology_reps(s, 1).int_rows()[0]
+    _, keep = s.type_coords(1, (0, 1))
+    assert rep & ~keep  # a global cocycle, not a (0, 1)-shrunk one
+    with pytest.raises(SheafError, match="outside the type"):
+        lift_shrunk_cocycle(s, (0, 1), rep)
+    for T in ((0, 3), (-1, 1), (0, 1, 2), (0,)):
+        with pytest.raises(SheafError, match="invalid shrunk type"):
+            lift_shrunk_cocycle(s, T, 0)
 
 
 def test_cochain_and_lift_refuse_data_outside_the_level(sheaf2):
