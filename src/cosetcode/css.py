@@ -329,11 +329,15 @@ def shrunk_cohomology_dim(
 ) -> int:
     """dim H^1 of the T-shrunk three-term complex, in T-supported
     coordinates: dim C^{x+1}_T - rank psi_T - rank of the T block of
-    delta_x."""
+    delta_x.  psi_T is ranked on its side with fewer rows, since the
+    elimination's cost follows the number of rows it inserts."""
     _, cols_x = s.type_coords(x, T)
     rows_x1, _ = s.type_coords(x + 1, T)
     a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
-    return len(rows_x1) - _shrunk_top_map(s, s_dual, x, z, T).rank() - a.rank()
+    psi = _shrunk_top_map(s, s_dual, x, z, T)
+    if psi.rows > psi.cols:
+        psi = psi.transpose()
+    return len(rows_x1) - psi.rank() - a.rank()
 
 
 def unfolding_check(

@@ -29,7 +29,7 @@ from .algebra import RingTable, VectorIso
 from .complexes import Complex, FaceId, colors_of, mask_of
 from .gf2 import BitMatrix, EchelonBasis, _packed_rows, _scatter, dual_rows
 from .group import GroupTable
-from .local_codes import LinearCode, star_rows
+from .local_codes import LinearCode, dual_code, star_rows
 
 
 class SheafError(ValueError):
@@ -695,34 +695,49 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
     cotype-1 edge and row of C), so C_A ∩ C_B is the kernel of M's rows:
 
         dim F_v = E*k - rank(M),   M of E*k rows and E*(q-k) columns.
+
+    For k > q - k the same routine runs on the dual code, since
+    (C_A + C_B)^⊥ = C_A^⊥ ∩ C_B^⊥ is the link code of C^⊥:
+
+        dim F_v = 2*E*k - q^3 + dim F_v(C^⊥),
+
+    so M always has E*min(k, q-k) rows.
     """
     if ring.m != 1:
         raise SheafError("link fast path assumes m = 1")
     q = ring.field.q
     if code.n != q:
         raise SheafError("code length %d != q = %d" % (code.n, q))
+    n_edges, k = q * q, code.k
+    if k > q - k:
+        return 2 * n_edges * k - q**3 + link_vertex_code_dimension(ring, dual_code(code), iso)
     table = GroupTable(ring, 2, colors=(1, 2))
     # [e, p] = the top of edge e at code position p: the edges through v of
     # cotype j are the cosets of K_{0,3-j}, numbered by ascending rep
     tops_a, tops_b = (
         _oriented_tops(table, iso, np.unique(table.coset_reps([0, 3 - j])), j) for j in (2, 1)
     )
-    n_edges = tops_b.shape[0]
     edge_a = np.empty(table.size, dtype=np.int64)
     pos_a = np.empty(table.size, dtype=np.int64)
-    edge_a[tops_a] = np.arange(tops_a.shape[0])[:, None]
+    edge_a[tops_a] = np.arange(n_edges)[:, None]
     pos_a[tops_a] = np.arange(q)
     checks = dual_rows(code.rows, q)
-    r = q - code.k
+    r = q - k
     hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
-    supports = [[p for p in range(q) if (w >> p) & 1] for w in code.rows]
-    # a cotype-1 edge meets each cotype-2 edge in at most one top, so the
-    # shifted check columns of one edge's tops occupy disjoint bits
-    rows = []
-    for shifts, cols in zip((r * edge_a[tops_b]).tolist(), pos_a[tops_b].tolist()):
-        terms = [hcol[c] << sh for c, sh in zip(cols, shifts)]
-        rows.extend(sum(terms[p] for p in support) for support in supports)
-    return n_edges * code.k - BitMatrix.from_int_rows(rows, n_edges * r).rank()
+    # the cotype-1 edges go in far-first (descending rep): in ascending
+    # order about half of the elimination steps reduce dependent rows to 0
+    tops_b = tops_b[::-1]
+    # rows[e*k + i] = row i of C on cotype-1 edge e, built one code position
+    # at a time; a cotype-1 edge meets each cotype-2 edge in at most one
+    # top, so the shifted check columns of one edge's tops occupy disjoint bits
+    rows = [0] * (n_edges * k)
+    for p in range(q):
+        tops = tops_b[:, p]
+        terms = [hcol[c] << sh for c, sh in zip(pos_a[tops].tolist(), (r * edge_a[tops]).tolist())]
+        for i, w in enumerate(code.rows):
+            if (w >> p) & 1:
+                rows[i::k] = [v | t for v, t in zip(rows[i::k], terms)]
+    return n_edges * k - BitMatrix.from_int_rows(rows, n_edges * r).rank()
 
 
 __all__ = [

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from cosetcode import fixtures
+from cosetcode import css, fixtures
 from cosetcode.css import (
     CSSError,
     CssCode,
@@ -237,6 +237,28 @@ def test_shrunk_dims_match_full_pairing_reference(sheaf2, dual2, complex2, ring2
         for T in _every_type(s, x):
             got = shrunk_cohomology_dim(s, sd, x, z, T)
             assert got == _ref_shrunk_dim(s, sd, x, z, T), (x, T)
+
+
+def test_shrunk_dim_ranks_psi_on_its_thinner_side(sheaf2, dual2, complex2, ring2, monkeypatch):
+    """psi_T and its transpose both stand in for psi_T: the one ranked is
+    the one with fewer rows, and the dimension is what ranking the given
+    matrix as it is gives."""
+    top_map = css._shrunk_top_map
+    ranked = []
+    rank = BitMatrix.rank
+    monkeypatch.setattr(BitMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        for T in _every_type(s, x):
+            psi = top_map(s, sd, x, z, T)
+            want = _ref_shrunk_dim(s, sd, x, z, T)
+            for given in (psi, psi.transpose()):
+                monkeypatch.setattr(css, "_shrunk_top_map", lambda *args: given)
+                ranked.clear()
+                got = shrunk_cohomology_dim(s, sd, x, z, T)
+                thin = given.transpose() if given.rows > given.cols else given
+                assert ranked[0].int_rows() == thin.int_rows(), (x, T)
+                a_rank = rank(ranked[1])
+                assert got == len(s.type_coords(x + 1, T)[0]) - rank(given) - a_rank == want
 
 
 def test_shrunk_dims_match_cohomology(sheaf2, dual2):

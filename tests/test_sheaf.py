@@ -11,10 +11,11 @@ import pytest
 from cosetcode import fixtures
 from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.complexes import Complex, colors_of, mask_of
-from cosetcode.gf2 import BitMatrix, EchelonBasis, row_space_equal
+from cosetcode.gf2 import BitMatrix, EchelonBasis, dual_rows, row_space_equal
 from cosetcode.group import GroupTable
 from cosetcode.local_codes import LinearCode, dual_code, reed_muller
 from cosetcode.sheaf import (
+    _oriented_tops,
     Cochain,
     SheafError,
     attach_constant_sheaf,
@@ -567,6 +568,84 @@ def test_link_dimension_matches_stacked_checks_on_random_codes(eta):
             assert dim == _ref_link_dimension(ring, code, iso), (k, code.rows)
             if k in (0, q):
                 assert dim == k * q * q
+
+
+def _ref_link_rows(ring, code, iso):
+    """The rows of M as the per-edge loop built them: the cotype-1 edges
+    by ascending rep, and each edge's row for a code row the sum of the
+    shifted check columns over that row's support."""
+    q = ring.field.q
+    table = GroupTable(ring, 2, colors=(1, 2))
+    tops_a, tops_b = (
+        _oriented_tops(table, iso, np.unique(table.coset_reps([0, 3 - j])), j) for j in (2, 1)
+    )
+    edge_a = np.empty(table.size, dtype=np.int64)
+    pos_a = np.empty(table.size, dtype=np.int64)
+    edge_a[tops_a] = np.arange(tops_a.shape[0])[:, None]
+    pos_a[tops_a] = np.arange(q)
+    checks = dual_rows(code.rows, q)
+    r = q - code.k
+    hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
+    supports = [[p for p in range(q) if (w >> p) & 1] for w in code.rows]
+    rows = []
+    for shifts, cols in zip((r * edge_a[tops_b]).tolist(), pos_a[tops_b].tolist()):
+        terms = [hcol[c] << sh for c, sh in zip(cols, shifts)]
+        rows.extend(sum(terms[p] for p in support) for support in supports)
+    return rows
+
+
+def _ranked_link_matrix(monkeypatch, ring, code):
+    """dim F_v and the one matrix link_vertex_code_dimension ranks."""
+    ranked = []
+    rank = BitMatrix.rank
+    with monkeypatch.context() as mp:
+        mp.setattr(BitMatrix, "rank", lambda m: ranked.append(m) or rank(m))
+        dim = link_vertex_code_dimension(ring, code, VectorIso(ring.field))
+    (m,) = ranked
+    return dim, m
+
+
+@pytest.mark.parametrize("eta,r", [(3, 1), (4, 1), (4, 2)])
+def test_link_matrix_is_the_per_edge_loop_far_edges_first(eta, r, monkeypatch):
+    """RM(2,4) has k > q - k, so its matrix is its dual's, RM(1,4)'s."""
+    ring = build_ring(eta, 1)
+    code = reed_muller(r, eta)
+    thin = code if 2 * code.k <= code.n else dual_code(code)
+    _, m = _ranked_link_matrix(monkeypatch, ring, code)
+    ref = _ref_link_rows(ring, thin, VectorIso(ring.field))
+    k = thin.k
+    by_edge = [ref[i : i + k] for i in range(0, len(ref), k)]
+    assert m.int_rows() == [row for edge in reversed(by_edge) for row in edge]
+
+
+@pytest.mark.parametrize(
+    "eta,code,shape",
+    [
+        (3, reed_muller(1, 3), (256, 256)),
+        (4, reed_muller(1, 4), (1280, 2816)),
+        (4, reed_muller(2, 4), (1280, 2816)),
+        (4, LinearCode([], 16), (0, 4096)),
+        (4, reed_muller(4, 4), (0, 4096)),
+    ],
+    ids=["rm13", "rm14", "rm24", "zero16", "full16"],
+)
+def test_link_matrix_has_e_min_k_rows(eta, code, shape, monkeypatch):
+    """E*min(k, q-k) rows of E*(q - min(k, q-k)) columns."""
+    _, m = _ranked_link_matrix(monkeypatch, build_ring(eta, 1), code)
+    assert (m.rows, m.cols) == shape
+
+
+@pytest.mark.parametrize("k", [9, 15])
+def test_link_dimension_of_a_thick_random_code_goes_through_its_dual(k, monkeypatch):
+    """Seeded random [16, k] codes with k > q - k: the matrix ranked has
+    E*(q-k) rows, and the dimension matches the stacked checks."""
+    rng = random.Random(k)
+    ring = build_ring(4, 1)
+    for _ in range(2):
+        code = _random_code(rng, 16, k)
+        dim, m = _ranked_link_matrix(monkeypatch, ring, code)
+        assert (m.rows, m.cols) == (256 * (16 - k), 256 * k)
+        assert dim == _ref_link_dimension(ring, code, VectorIso(ring.field)), code.rows
 
 
 def test_attach_rejects_wrong_length(complex2, ring2):
