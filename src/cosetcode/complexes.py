@@ -3,8 +3,10 @@
 Faces are stored per type mask (bit j of the mask = color j present).
 A face is identified by (type_mask, index); its up-set is the ascending
 list of top-face ids containing it, one row of the type's -1 padded
-`face_tops` array.  For every type the faces of that type partition the
-top faces, which is what makes `top_to_face` a well-defined lookup.
+`face_tops` array.  `Complex` refuses faces of one type that overlap,
+which is what makes `top_to_face` a well-defined lookup, but accepts a
+type that misses a top (read as face -1), so that `verify_structure` can
+report it; a `Sheaf` refuses such a complex.
 """
 
 from __future__ import annotations

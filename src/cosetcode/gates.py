@@ -370,46 +370,13 @@ def _require_order3(perm: Sequence[int]) -> None:
 # -- diagonal-gate admissibility (never simulated) -----------------------------------
 
 
-def transversal_rl_level(
-    stabilizer_rows: Sequence[int],
-    logical_rows: Sequence[int],
-) -> int:
-    """Strongest ell <= 6 such that every X-stabilizer weight is 0 mod
-    2^ell and every logical/stabilizer overlap is 0 mod 2^{ell-1} (the
-    sufficient condition for the transversal level-ell phase gate)."""
-    level = 0
-    for ell in range(1, 7):
-        mod_s = 1 << ell
-        mod_l = 1 << (ell - 1)
-        ok = all(s.bit_count() % mod_s == 0 for s in stabilizer_rows) and all(
-            (l & s).bit_count() % mod_l == 0
-            for l in logical_rows
-            for s in stabilizer_rows
-        )
-        if not ok:
-            break
-        level = ell
-    return level
-
-
-def check_r_conditions(
-    local_code: LinearCode,
-    D: int,
-    stabilizer_rows: Optional[Sequence[int]] = None,
-    logical_rows: Optional[Sequence[int]] = None,
-) -> dict:
-    """Local divisibility route plus (when global data is supplied) the
-    direct weight conditions."""
+def check_r_conditions(local_code: LinearCode, D: int) -> dict:
+    """The local divisibility route to the transversal diagonal gates."""
     lvl = divisibility_level(local_code)
-    report = {
+    return {
         "local_divisibility_level": lvl,
         "meets_dimension_condition": lvl >= D,
     }
-    if stabilizer_rows is not None:
-        report["global_level"] = transversal_rl_level(
-            stabilizer_rows, logical_rows or []
-        )
-    return report
 
 
 def check_cz_conditions(local_code: LinearCode, D: int) -> dict:
@@ -438,7 +405,6 @@ __all__ = [
     "orbit_cz_circuit",
     "cycle_phase_circuit",
     "cycle_clifford_circuit",
-    "transversal_rl_level",
     "check_r_conditions",
     "check_cz_conditions",
 ]

@@ -52,10 +52,23 @@ class Sheaf:
     coboundary reads coefficients at the pivots).  `tables` gives the
     types below the top; every top face carries the full one-dimensional
     code [1].
+
+    The complex must cover every top with a face of each type, and each
+    face must lie inside one face of each one-step sub-type; restriction
+    and the coboundary gather through `top_to_face` on that premise, so
+    any other complex is refused with `SheafError`.
     """
 
     def __init__(self, complex_: Complex, tables: Dict[int, Table]):
         c = self.complex = complex_
+        for tmask in c.masks:
+            if (c.top_to_face[tmask] < 0).any():
+                raise SheafError("the type-%d faces miss a top" % tmask)
+            tops = c.face_tops[tmask]
+            for mask in filter(None, (tmask & ~(1 << col) for col in colors_of(tmask))):
+                face = c.top_to_face[mask][tops]
+                if ((face != face[:, :1]) & (tops >= 0)).any():
+                    raise SheafError("a type-%d face spans two type-%d faces" % (tmask, mask))
         tables = {m: ([], np.full(c.n_faces(m), -1, dtype=np.int64)) for m in c.masks} | tables
         tables[c.full_mask] = ([[1]], np.zeros(c.n_top, dtype=np.int64))
         self.codes = {mask: codes for mask, (codes, _) in tables.items()}

@@ -9,7 +9,7 @@ from cosetcode import css, fixtures
 from cosetcode.css import (
     CSSError,
     CssCode,
-    chain_map_squares,
+    cocycles_restrict_to_shrunk,
     color_types_through_zero,
     darboux_basis,
     extract_css,
@@ -133,7 +133,7 @@ def test_unfolding_on_coset_instance(code2, sheaf2, dual2):
     assert rep["cohomology_dim"] == 23
     assert rep["shrunk_iso"]
     assert set(rep["shrunk_dims"]) == {(0, 1), (0, 2), (1, 2)}
-    assert rep["squares_ok"]
+    assert rep["cocycles_restrict_ok"]
     assert rep["ok"]
 
 
@@ -147,8 +147,9 @@ def test_unfolding_on_torus_constant_sheaf(torus_sheaves):
 
 
 def test_chain_map_squares_both_types(sheaf2, dual2):
+    # all four squares of the q=2 pair, by the diagonal-product reference
     for T in ((0, 1), (0, 2)):
-        assert all(chain_map_squares(sheaf2, dual2, 0, 0, T).values())
+        assert all(_ref_chain_map_squares(sheaf2, dual2, 0, 0, T).values())
 
 
 def _restrict(s, j, T):
@@ -217,19 +218,41 @@ def _every_type(s, x):
 
 
 def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex2, ring2):
-    results = []
+    """On every pair, bottom_left and top_left hold and top_right holds iff
+    `extract_css` accepts the pair; the one square checked is the
+    reference bottom_right, which fails on the broken pairs."""
     for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
-        for T in _every_type(s, x):
-            got = chain_map_squares(s, sd, x, z, T)
-            assert got == _ref_chain_map_squares(s, sd, x, z, T), (x, T)
-            results.append(got)
-    # the broken pairs fail some squares
-    assert not all(all(r.values()) for r in results)
-    # unfolding_check reports the squares of the types through color 0
+        try:
+            extract_css(s, x, z, s_dual=sd)
+        except CSSError:
+            accepted = False
+        else:
+            accepted = True
+        ref = {T: _ref_chain_map_squares(s, sd, x, z, T) for T in _every_type(s, x)}
+        assert all(r["bottom_left"] and r["top_left"] for r in ref.values()), x
+        assert all(r["top_right"] for r in ref.values()) == accepted, x
+        got = {T: cocycles_restrict_to_shrunk(s, sd, x, z, T) for T in ref}
+        assert got == {T: r["bottom_right"] for T, r in ref.items()}, x
+        assert all(got.values()) == accepted, x
+    # unfolding_check reports the types through color 0
     rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
-    assert list(rep["squares"]) == color_types_through_zero(2, 2)
-    for T, squares in rep["squares"].items():
-        assert squares == _ref_chain_map_squares(sheaf2, dual2, 0, 0, T)
+    assert list(rep["cocycles_restrict"]) == color_types_through_zero(2, 2)
+
+
+def test_unfolding_check_refuses_a_code_of_another_pair(code2, sheaf2, dual2, complex2, ring2):
+    full = induce_lower_codes(
+        attach_local_codes(complex2, reed_muller(1, 1), VectorIso(ring2.field), ring2)
+    )
+    for s, sd in ((full, dual2), (sheaf2, full)):
+        with pytest.raises(CSSError, match="not the projections"):
+            unfolding_check(code2, s, sd, 0, 0)
+
+
+@pytest.mark.parametrize("T", [(0, 3), (0, 0), (0, 1, 2), (-1, 1), (1,)])
+def test_shrunk_checks_refuse_invalid_types(sheaf2, dual2, T):
+    for check in (shrunk_cohomology_dim, cocycles_restrict_to_shrunk):
+        with pytest.raises(CSSError, match="invalid shrunk type"):
+            check(sheaf2, dual2, 0, 0, T)
 
 
 def test_shrunk_dims_match_full_pairing_reference(sheaf2, dual2, complex2, ring2):

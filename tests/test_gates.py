@@ -30,7 +30,6 @@ from cosetcode.gates import (
     orbit_cz_circuit,
     pauli_mul,
     perm_orbits,
-    transversal_rl_level,
 )
 from cosetcode.gf2 import BitMatrix, EchelonBasis, dual_rows
 from cosetcode.local_codes import reed_muller
@@ -577,25 +576,12 @@ def test_cycle_clifford_circuit_shape():
     assert (q.x, q.z) == (p.x, p.z)
 
 
-def test_transversal_rl_level():
-    # all stabilizers weight 4, logical overlaps even: level 2
-    stabs = [0b11110000, 0b00001111, 0b11001100]
-    logs = [0b10101010]
-    assert transversal_rl_level(stabs, logs) == 2
-    # an odd-weight stabilizer kills every level
-    assert transversal_rl_level([0b111], []) == 0
-    # weight 8 rows alone reach level 3
-    assert transversal_rl_level([0b11111111], []) == 3
-
-
 def test_check_r_conditions():
     rep = check_r_conditions(reed_muller(1, 3), 2)
     assert rep["local_divisibility_level"] == 2
     assert rep["meets_dimension_condition"]
-    rep2 = check_r_conditions(reed_muller(0, 1), 2, [0b11], [0b01])
-    assert rep2["local_divisibility_level"] == 1
-    assert not rep2["meets_dimension_condition"]
-    assert rep2["global_level"] == 1
+    rep2 = check_r_conditions(reed_muller(0, 1), 2)
+    assert rep2 == {"local_divisibility_level": 1, "meets_dimension_condition": False}
 
 
 def test_check_cz_conditions():

@@ -10,7 +10,7 @@ import pytest
 
 from cosetcode import fixtures
 from cosetcode.algebra import VectorIso, build_ring
-from cosetcode.complexes import Complex, colors_of, mask_of
+from cosetcode.complexes import Complex, colors_of, corrupt_complex, mask_of, verify_structure
 from cosetcode.gf2 import BitMatrix, EchelonBasis, dual_rows, row_space_equal
 from cosetcode.group import GroupTable
 from cosetcode.local_codes import LinearCode, dual_code, reed_muller
@@ -323,6 +323,31 @@ def test_attach_rejects_a_rep_outside_its_face(complex2, ring2):
     bad = Complex(c.D, c.n_top, face_tops, group=c.group)
     with pytest.raises(SheafError, match="outside face"):
         attach_local_codes(bad, reed_muller(0, 1), VectorIso(ring2.field), ring2)
+
+
+@pytest.mark.parametrize("mask", [1, 2, 3, 4, 5, 6])
+def test_sheaf_refuses_a_type_that_misses_a_top(mask):
+    # the octahedron with one top dropped from a type-`mask` face: the
+    # structure report flags it, and no sheaf is built on it
+    bad = corrupt_complex(fixtures.octahedron(), mask)
+    report = verify_structure(bad)
+    assert not report["disjoint_union"][0] and report["purity"][0]
+    with pytest.raises(SheafError, match="miss a top"):
+        attach_constant_sheaf(bad)
+
+
+def test_sheaf_refuses_faces_that_do_not_nest():
+    # two tops swapped between edges 0 and 1 of type {0, 1}: still a
+    # partition, but each edge now spans two color-1 vertices
+    c = fixtures.octahedron()
+    face_tops = dict(c.face_tops)
+    edges = face_tops[0b011] = c.face_tops[0b011].copy()
+    edges[0, 1], edges[1, 0] = edges[1, 0], edges[0, 1]
+    bad = Complex(c.D, c.n_top, face_tops)
+    report = verify_structure(bad)
+    assert report["disjoint_union"][0] and not report["colorability"][0]
+    with pytest.raises(SheafError, match="type-3 face spans two type-2 faces"):
+        attach_constant_sheaf(bad)
 
 
 def test_attach_explicit_rejects_wrong_width():
