@@ -6,11 +6,12 @@ list of top-face ids containing it, one row of the type's -1 padded
 `face_tops` array.  `Complex` refuses faces of one type that overlap,
 which is what makes `top_to_face` a well-defined lookup, but accepts a
 type that misses a top (read as face -1), so that `verify_structure` can
-report it; a `Sheaf` refuses such a complex.
+report it; a `Sheaf` refuses such a complex (`Complex.nesting_failure`).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -138,6 +139,22 @@ class Complex:
 
     def face_in_top(self, mask: int, top: int) -> int:
         return int(self.top_to_face[mask][top])
+
+    @functools.cached_property
+    def nesting_failure(self) -> Optional[str]:
+        """Why a sheaf cannot gather through `top_to_face` here, or None:
+        the first type that misses a top, or the first type with a face
+        that does not lie inside one face of a one-step sub-type.  One
+        gather per (type, facet type), found once per complex."""
+        for tmask in self.masks:
+            if (self.top_to_face[tmask] < 0).any():
+                return "the type-%d faces miss a top" % tmask
+            tops = self.face_tops[tmask]
+            for mask in filter(None, (tmask & ~(1 << col) for col in colors_of(tmask))):
+                face = self.top_to_face[mask][tops]
+                if ((face != face[:, :1]) & (tops >= 0)).any():
+                    return "a type-%d face spans two type-%d faces" % (tmask, mask)
+        return None
 
     # -- link ------------------------------------------------------------------
 

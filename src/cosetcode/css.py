@@ -310,6 +310,22 @@ def _shrunk_type(s: Sheaf, x: int, T: Sequence[int]) -> None:
         raise CSSError("invalid shrunk type %r" % (tuple(T),))
 
 
+def _restricts(s: Sheaf, x: int, T: Sequence[int], psi: BitMatrix) -> bool:
+    """Whether `psi`, psi_T, annihilates the T block of every (x+1)-cocycle."""
+    zt = _rows(cocycle_basis(s, x + 1).transpose(), s.type_coords(x + 1, T)[0])
+    return psi.matmul(zt).is_zero()
+
+
+def _shrunk_dim(s: Sheaf, x: int, T: Sequence[int], psi: BitMatrix) -> int:
+    """dim H^1 of the T-shrunk complex whose second map is `psi`, psi_T."""
+    _, cols_x = s.type_coords(x, T)
+    rows_x1, _ = s.type_coords(x + 1, T)
+    a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
+    if psi.rows > psi.cols:
+        psi = psi.transpose()
+    return len(rows_x1) - psi.rank() - a.rank()
+
+
 def cocycles_restrict_to_shrunk(
     s: Sheaf, s_dual: Sheaf, x: int, z: int, T: Sequence[int]
 ) -> bool:
@@ -317,8 +333,7 @@ def cocycles_restrict_to_shrunk(
     one chain-map square between the sheaf complex and the T-shrunk
     three-term complex that can fail (see the module docstring)."""
     _shrunk_type(s, x, T)
-    zt = _rows(cocycle_basis(s, x + 1).transpose(), s.type_coords(x + 1, T)[0])
-    return _shrunk_top_map(s, s_dual, x, z, T).matmul(zt).is_zero()
+    return _restricts(s, x, T, _shrunk_top_map(s, s_dual, x, z, T))
 
 
 def shrunk_cohomology_dim(
@@ -329,13 +344,7 @@ def shrunk_cohomology_dim(
     delta_x.  psi_T is ranked on its side with fewer rows, since the
     elimination's cost follows the number of rows it inserts."""
     _shrunk_type(s, x, T)
-    _, cols_x = s.type_coords(x, T)
-    rows_x1, _ = s.type_coords(x + 1, T)
-    a = _cols(_rows(coboundary_matrix(s, x), rows_x1), cols_x)
-    psi = _shrunk_top_map(s, s_dual, x, z, T)
-    if psi.rows > psi.cols:
-        psi = psi.transpose()
-    return len(rows_x1) - psi.rank() - a.rank()
+    return _shrunk_dim(s, x, T, _shrunk_top_map(s, s_dual, x, z, T))
 
 
 def unfolding_check(
@@ -348,23 +357,22 @@ def unfolding_check(
     """k = C(D, x+1) * dim H^{x+1}, the per-type shrunk dimension
     isomorphism, and, per type through color 0, that global cocycles
     restrict to shrunk ones.  The code must be the one `extract_css`
-    builds from the pair at (x, z)."""
+    builds from the pair at (x, z).  psi_T is formed once per type and
+    read by both per-type checks."""
     if code.h_x != projection_matrix(s, x) or code.h_z != projection_matrix(s_dual, z):
         raise CSSError("the code's checks are not the projections of the sheaf pair")
     D = s.complex.D
     k = code.code_dimension()
-    shrunk = {
-        T: shrunk_cohomology_dim(s, s_dual, x, z, T)
-        for T in itertools.combinations(range(D + 1), x + 2)
-    }
+    shrunk, restrict = {}, {}
+    for T in itertools.combinations(range(D + 1), x + 2):
+        psi = _shrunk_top_map(s, s_dual, x, z, T)
+        shrunk[T] = _shrunk_dim(s, x, T, psi)
+        if T[0] == 0:  # the types through color 0, in `color_types_through_zero` order
+            restrict[T] = _restricts(s, x, T, psi)
     # dim H^{x+1} = dim Z^{x+1} - rank delta^x: delta^{x+1} is eliminated
     # once, for the cocycle basis the restriction checks read too
     h_dim = cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
     expected = math.comb(D, x + 1) * h_dim
-    restrict = {
-        T: cocycles_restrict_to_shrunk(s, s_dual, x, z, T)
-        for T in color_types_through_zero(D, x + 2)
-    }
     report = {
         "k": k,
         "cohomology_dim": h_dim,

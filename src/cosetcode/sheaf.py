@@ -16,6 +16,11 @@ Per-face arrays are one gather by that index (`Sheaf.type_rows`,
 coefficient on a coface row is its bit at that row's pivot.
 Construction makes one code per distinct key (an orientation, a
 constraint set, a pair of codes) and merges equal codes.
+
+A sheaf whose lower codes `induce_lower_codes` built, and whose every
+(D-1)-face's local dual is that face's own code, is its own dual:
+`dual_sheaf` returns it, so the X and Z sides of a code built from it
+share one induction and every per-level matrix.
 """
 
 from __future__ import annotations
@@ -56,19 +61,20 @@ class Sheaf:
     The complex must cover every top with a face of each type, and each
     face must lie inside one face of each one-step sub-type; restriction
     and the coboundary gather through `top_to_face` on that premise, so
-    any other complex is refused with `SheafError`.
+    any other complex is refused with `SheafError`
+    (`Complex.nesting_failure`, found once per complex).
+
+    `_self_dual` is set only by `induce_lower_codes`, on a sheaf whose
+    lower codes it induced and whose (D-1)-faces each carry a self-dual
+    code; `dual_sheaf` then returns the sheaf itself.  Lower codes given
+    any other way are not known to be induced, so such a sheaf is never
+    marked.
     """
 
     def __init__(self, complex_: Complex, tables: Dict[int, Table]):
         c = self.complex = complex_
-        for tmask in c.masks:
-            if (c.top_to_face[tmask] < 0).any():
-                raise SheafError("the type-%d faces miss a top" % tmask)
-            tops = c.face_tops[tmask]
-            for mask in filter(None, (tmask & ~(1 << col) for col in colors_of(tmask))):
-                face = c.top_to_face[mask][tops]
-                if ((face != face[:, :1]) & (tops >= 0)).any():
-                    raise SheafError("a type-%d face spans two type-%d faces" % (tmask, mask))
+        if c.nesting_failure is not None:
+            raise SheafError(c.nesting_failure)
         tables = {m: ([], np.full(c.n_faces(m), -1, dtype=np.int64)) for m in c.masks} | tables
         tables[c.full_mask] = ([[1]], np.zeros(c.n_top, dtype=np.int64))
         self.codes = {mask: codes for mask, (codes, _) in tables.items()}
@@ -77,6 +83,7 @@ class Sheaf:
         self._duals: Dict[int, Table] = {}  # (D-1)-types, see _local_duals
         self._types: Dict[int, np.ndarray] = {}
         self._matrices: Dict[Tuple[str, int], BitMatrix] = {}  # see _per_level
+        self._self_dual = False
 
     # -- bases -------------------------------------------------------------
 
@@ -356,14 +363,28 @@ def induce_lower_codes(s: Sheaf) -> Sheaf:
             tables[mask] = _tabulate(((n, tuple(sorted(r))) for n, r in zip(sizes, rows)), kernel)
     out = Sheaf(c, tables)
     out._duals.update(duals)  # codes unchanged
+    # induction reads only the defining codes and the complex, so when
+    # every defining code is its own dual the dual sheaf is this one
+    out._self_dual = all(_same_codes(tables[m], duals[m]) for m in top_masks)
     return out
 
 
+def _same_codes(a: Table, b: Table) -> bool:
+    """Whether two tables of one type give every face the same code: each
+    distinct (code, code) pair the faces name is compared once."""
+    (codes_a, which_a), (codes_b, which_b) = a, b
+    pairs = set(zip(which_a.tolist(), which_b.tolist()))
+    return all(codes_a[i] == codes_b[j] for i, j in pairs)
+
+
 def dual_sheaf(s: Sheaf) -> Sheaf:
-    """Replace every defining code by its dual and re-induce.
+    """Replace every defining code by its dual and re-induce; a sheaf that
+    `induce_lower_codes` marked self-dual is returned as it is.
 
     The primal's local duals are the dual's codes, and the primal codes
     are the dual's local duals, so no local kernel is computed twice."""
+    if s._self_dual:
+        return s
     top_masks = s.complex.level_masks(s.complex.D - 1)
     d = Sheaf(s.complex, {m: _local_duals(s, m) for m in top_masks})
     d._duals.update((m, s._table(m)) for m in top_masks)
@@ -463,6 +484,7 @@ def cohomology_dim(s: Sheaf, j: int) -> int:
     return dim
 
 
+@_per_level
 def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:
     """Deterministic cocycle representatives of a basis of H^j."""
     z = cocycle_basis(s, j)

@@ -1,13 +1,15 @@
 """Command-line interface: builds, verification suites, reports, config
 files, and the resource-cap refusal paths."""
 
+import functools
 import hashlib
 import json
 
 import pytest
 
-from cosetcode import cli, fixtures
+from cosetcode import cli, fixtures, sheaf
 from cosetcode.cli import main
+from cosetcode.complexes import Complex
 from cosetcode.group import GroupError, GroupTable
 from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import SheafError
@@ -62,6 +64,22 @@ def test_q2_outputs_match_pinned_digests(tmp_path, capsys):
         assert main([name, "--q", "2"] + argv) == 0
         got[name] = digest(capsys.readouterr().out.encode())
     assert got == Q2_DIGESTS
+
+
+def test_q2_verify_all_induces_once_and_checks_nesting_once(monkeypatch, capsys):
+    # RM(0,1) is self-dual, so the dual sheaf is the primal and no second
+    # induction runs; every sheaf on the one complex shares its nesting check
+    induced, checked = [], []
+    induce = sheaf.induce_lower_codes
+    for module in (sheaf, cli):
+        monkeypatch.setattr(module, "induce_lower_codes", lambda s: induced.append(s) or induce(s))
+    nesting = Complex.nesting_failure.func
+    counted = functools.cached_property(lambda c: checked.append(c) or nesting(c))
+    counted.__set_name__(Complex, "nesting_failure")
+    monkeypatch.setattr(Complex, "nesting_failure", counted)
+    assert main(["verify", "--q", "2", "--suite", "all"]) == 0
+    assert json.loads(capsys.readouterr().out)["css"]["k"] == 46
+    assert len(induced) == 1 and len(checked) == 1
 
 
 def test_build_local_only_q8(tmp_path, capsys):

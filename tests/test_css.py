@@ -45,6 +45,13 @@ def test_code_parameters(code2):
     assert hist["z"] == {8: 63}
 
 
+def test_a_self_dual_sheaf_gives_one_check_matrix(code2, sheaf2):
+    # RM(0,1) is self-dual, so the Z checks are the X checks, shared
+    code, s_dual = extract_css(sheaf2, 0, 0)
+    assert s_dual is sheaf2 and code.h_z is code.h_x
+    assert code2.h_z is code2.h_x
+
+
 def test_commutation_enforced_on_construction():
     h_x = BitMatrix.from_int_rows([0b011], 3)
     h_z = BitMatrix.from_int_rows([0b001], 3)
@@ -237,6 +244,26 @@ def test_chain_map_squares_match_diagonal_products(code2, sheaf2, dual2, complex
     # unfolding_check reports the types through color 0
     rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
     assert list(rep["cocycles_restrict"]) == color_types_through_zero(2, 2)
+
+
+def test_unfolding_check_forms_psi_once_per_type(sheaf2, dual2, complex2, ring2, monkeypatch):
+    # every accepted pair: psi_T is formed once for each type, and both
+    # per-type checks agree with their standalone forms
+    formed = []
+    top_map = css._shrunk_top_map
+    monkeypatch.setattr(css, "_shrunk_top_map", lambda *a: formed.append(a[4]) or top_map(*a))
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        try:
+            code, _ = extract_css(s, x, z, s_dual=sd)
+        except CSSError:
+            continue
+        types = _every_type(s, x)
+        shrunk = {T: shrunk_cohomology_dim(s, sd, x, z, T) for T in types}
+        restrict = {T: cocycles_restrict_to_shrunk(s, sd, x, z, T) for T in types if T[0] == 0}
+        formed.clear()
+        rep = unfolding_check(code, s, sd, x, z)
+        assert formed == types, x
+        assert rep["shrunk_dims"] == shrunk and rep["cocycles_restrict"] == restrict, x
 
 
 def test_unfolding_check_refuses_a_code_of_another_pair(code2, sheaf2, dual2, complex2, ring2):

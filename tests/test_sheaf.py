@@ -142,6 +142,69 @@ def test_dual_of_dual_is_original(sheaf2):
         assert row_space_equal(_basis(back, face), _basis(sheaf2, face))
 
 
+def test_only_a_self_dual_induced_sheaf_is_its_own_dual(sheaf2, dual2, inst4):
+    # RM(0,1) is self-dual; q=4's RM(0,2) is not, so its dual is built apart
+    assert dual2 is sheaf2 and dual_sheaf(sheaf2) is sheaf2
+    assert inst4["dual"] is not inst4["sheaf"]
+
+
+def _q2_codes(sheaf2, level, full=()):
+    """sheaf2's codes on the level-`level` faces, the full code on `full`."""
+    c = sheaf2.complex
+    codes = {f: LinearCode(sheaf2.rows(f), len(c.up_set(f))) for f in c.level_faces(level)}
+    return codes | {f: _full_code(len(c.up_set(f))) for f in full}
+
+
+def test_explicit_lower_codes_are_re_induced_by_the_dual(sheaf2):
+    # negative control: self-dual defining codes, but a vertex code set by
+    # hand (widened to its up-set), so the lower codes are not known to be
+    # induced; the dual re-induces them, and its vertex code is sheaf2's
+    c = sheaf2.complex
+    s = attach_explicit(c, _q2_codes(sheaf2, 1) | _q2_codes(sheaf2, 0, [(1, 0)]))
+    assert s.rows((1, 0)) != sheaf2.rows((1, 0))
+    d = dual_sheaf(s)
+    assert d is not s
+    for face in _coded_faces(sheaf2):
+        assert d.rows(face) == sheaf2.rows(face), face
+
+
+@pytest.mark.parametrize(
+    "full",
+    [[(m, f) for f in range(84)] for m in (3, 5, 6)] + [[(3, 41)]],
+    ids=["type3", "type5", "type6", "one_face_of_type3"],
+)
+def test_a_face_that_is_not_self_dual_keeps_the_dual_apart(sheaf2, full):
+    # RM(0,1) on every edge but `full`, which carries the full code (dual
+    # zero): one type, or one face that is not its type's first, is enough
+    c = sheaf2.complex
+    s = induce_lower_codes(attach_explicit(c, _q2_codes(sheaf2, 1, full)))
+    d = dual_sheaf(s)
+    assert d is not s
+    ref = _ref_dual(c, _ref_induce(c, {f: _basis(s, f) for f in c.level_faces(1)}))
+    for face, basis in ref.items():
+        assert _basis(d, face) == basis, face
+
+
+def test_self_duality_is_read_face_by_face():
+    # a graph (D = 1): color-0 vertices a, b, c with up-sets of 2, 3 and 3
+    # tops, four color-1 vertices with 2 each.  On a, b, c the codes
+    # [11], [100, 011], [011] have duals [11], [11], [100, 011]: the type
+    # lists the same two codes in the same order on both sides, but only
+    # a's code is its own dual
+    c = Complex.from_top_faces(1, [[0, 0], [0, 1], [1, 0], [1, 2], [1, 3], [2, 1], [2, 2], [2, 3]])
+    assert c.up_set_sizes(1).tolist() == [2, 3, 3] and c.up_set_sizes(2).tolist() == [2] * 4
+    codes = {(1, 0): LinearCode([0b11], 2), (1, 1): LinearCode([0b100, 0b011], 3)}
+    codes[(1, 2)] = LinearCode([0b011], 3)
+    codes |= {(2, f): LinearCode([0b11], 2) for f in range(4)}
+    s = induce_lower_codes(attach_explicit(c, codes))
+    d = dual_sheaf(s)
+    assert d is not s
+    assert d.codes[1] == s.codes[1] and d.which[1].tolist() != s.which[1].tolist()
+    ref = _ref_dual(c, {f: _basis(s, f) for f in c.level_faces(0)})
+    for face, basis in ref.items():
+        assert _basis(d, face) == basis, face
+
+
 def test_projection_scatters_injectively(sheaf2):
     pi = projection_matrix(sheaf2, 0)
     # every row has the weight of its source basis row (8 here)
@@ -279,6 +342,8 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
         s = induce_lower_codes(attach_local_codes(c, rm, iso, ring2))
         ref = _ref_induce(c, _ref_attach(c, rm, iso, ring2))
         d = dual_sheaf(s)
+        # of these, only RM(0,1) is self-dual: its sheaf is its own dual
+        assert (d is s) == (rm == reed_muller(0, 1))
         ref_d = _ref_dual(c, ref)
         cases += [(s, ref), (d, ref_d), (dual_sheaf(d), _ref_dual(c, ref_d))]
     for s in _constant_sheaves():
