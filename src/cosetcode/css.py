@@ -13,7 +13,10 @@ against one primal one and never forms a full pairing.
 Restriction to T is a chain map from the sheaf complex to the shrunk
 one; of its four commuting squares only one is checked,
 `cocycles_restrict_to_shrunk`: psi_T annihilates the T block of every
-global (x+1)-cocycle.  The other three hold by construction:
+global (x+1)-cocycle.  Over GF(2) the cocycles' annihilator is the row
+space of delta^{x+1}, so no cocycle basis is built: psi_T's rows, shifted
+to T's block, must reduce to 0 against an `EchelonBasis` of delta^{x+1}'s
+rows.  The other three hold by construction:
 - restriction commutes with delta_x, since the coboundary writes a
   type's rows only from its facet types;
 - pi_x[T] = A^T pi_{x+1}[T], A the T block of delta_x, since the type-T
@@ -32,13 +35,13 @@ import math
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gf2 import BitMatrix, row_space_equal
+from .complexes import mask_of
+from .gf2 import BitMatrix, EchelonBasis, row_space_equal
 from .sheaf import (
     Sheaf,
     cohomology_dim,
     cohomology_reps,
     coboundary_matrix,
-    cocycle_basis,
     dual_sheaf,
     projection_matrix,
 )
@@ -187,33 +190,45 @@ def logical_basis(
     z: int,
 ) -> LogicalBasis:
     """Projected type-restricted cohomology representatives, one family per
-    color type T with 0 in T; independence modulo the checks is verified."""
+    color type T with 0 in T; independence modulo the checks is verified.
+
+    For a self-dual pair (`s_dual is s`, x == z and `code.h_x is
+    code.h_z`) the Z family would be computed from the same arguments as
+    the X family, so it is the X family, and is checked once."""
     xl = _tagged_logicals(s, x, code.h_z)
-    zl = _tagged_logicals(s_dual, z, code.h_x)
-    lb = LogicalBasis(code.n, xl, zl)
-    for name, rows, checks in (
-        ("X", xl, code.h_x),
-        ("Z", zl, code.h_z),
-    ):
+    sides = [("X", xl, code.h_x)]
+    if s_dual is s and x == z and code.h_x is code.h_z:
+        zl = list(xl)
+    else:
+        zl = _tagged_logicals(s_dual, z, code.h_x)
+        sides.append(("Z", zl, code.h_z))
+    for name, rows, checks in sides:
         if rows:
             if checks.vstack(_supports(code.n, rows)).rank() != checks.rank() + len(rows):
                 raise CSSError("%s logicals are dependent modulo the checks" % name)
-    return lb
+    return LogicalBasis(code.n, xl, zl)
 
 
 def _tagged_logicals(
     s: Sheaf, level: int, other_checks: BitMatrix
 ) -> List[Tuple[Tuple[int, ...], int]]:
     """Per color type T through 0, the T-masked cohomology reps times the
-    projection: one product per type, checked against the other side."""
+    projection, one product per type; all of them are then checked against
+    the other side in one product, and a failure names the first type
+    with a logical that anticommutes with a check."""
     reps = cohomology_reps(s, level + 1)
     pi = projection_matrix(s, level + 1)
     out: List[Tuple[Tuple[int, ...], int]] = []
     for T in color_types_through_zero(s.complex.D, level + 2):
         logicals = _cols(reps, s.type_coords(level + 1, T)[1]).matmul(pi)
-        if not other_checks.matmul(logicals.transpose()).is_zero():
-            raise CSSError("logical candidate for T=%r anticommutes with a check" % (T,))
         out += [(T, v) for v in logicals.int_rows()]
+    # bit i of a row of the product: logical i against that check
+    hit = 0
+    for v in other_checks.matmul(_supports(pi.cols, out).transpose()).int_rows():
+        hit |= v
+    if hit:
+        T = out[(hit & -hit).bit_length() - 1][0]
+        raise CSSError("logical candidate for T=%r anticommutes with a check" % (T,))
     return out
 
 
@@ -310,10 +325,24 @@ def _shrunk_type(s: Sheaf, x: int, T: Sequence[int]) -> None:
         raise CSSError("invalid shrunk type %r" % (tuple(T),))
 
 
-def _restricts(s: Sheaf, x: int, T: Sequence[int], psi: BitMatrix) -> bool:
-    """Whether `psi`, psi_T, annihilates the T block of every (x+1)-cocycle."""
-    zt = _rows(cocycle_basis(s, x + 1).transpose(), s.type_coords(x + 1, T)[0])
-    return psi.matmul(zt).is_zero()
+def _cocycle_annihilator(s: Sheaf, x: int) -> EchelonBasis:
+    """The vectors of C^{x+1} orthogonal to every (x+1)-cocycle: over
+    GF(2), (ker delta^{x+1})^perp is the row space of delta^{x+1}, here one
+    `EchelonBasis` of its rows (empty at x + 1 = D, where delta^D is zero
+    and every cochain is a cocycle)."""
+    if x + 1 == s.complex.D:
+        return EchelonBasis()
+    return EchelonBasis(coboundary_matrix(s, x + 1).int_rows())
+
+
+def _restricts(
+    s: Sheaf, x: int, T: Sequence[int], psi: BitMatrix, annihilator: EchelonBasis
+) -> bool:
+    """Whether `psi`, psi_T, annihilates the T block of every (x+1)-cocycle:
+    whether every row of psi, shifted to T's block of C^{x+1}, reduces to
+    0 against `annihilator` (`_cocycle_annihilator`)."""
+    start = s.layout(x + 1)[mask_of(T)][0]
+    return not any(annihilator.reduce(v << start) for v in psi.int_rows())
 
 
 def _shrunk_dim(s: Sheaf, x: int, T: Sequence[int], psi: BitMatrix) -> int:
@@ -333,7 +362,8 @@ def cocycles_restrict_to_shrunk(
     one chain-map square between the sheaf complex and the T-shrunk
     three-term complex that can fail (see the module docstring)."""
     _shrunk_type(s, x, T)
-    return _restricts(s, x, T, _shrunk_top_map(s, s_dual, x, z, T))
+    psi = _shrunk_top_map(s, s_dual, x, z, T)
+    return _restricts(s, x, T, psi, _cocycle_annihilator(s, x))
 
 
 def shrunk_cohomology_dim(
@@ -358,20 +388,23 @@ def unfolding_check(
     isomorphism, and, per type through color 0, that global cocycles
     restrict to shrunk ones.  The code must be the one `extract_css`
     builds from the pair at (x, z).  psi_T is formed once per type and
-    read by both per-type checks."""
+    read by both per-type checks.  No cocycle basis is built: the
+    restriction checks reduce psi_T's rows against one `EchelonBasis` of
+    delta^{x+1}'s rows, the cocycles' annihilator, whose size is also
+    the rank in dim H^{x+1}."""
     if code.h_x != projection_matrix(s, x) or code.h_z != projection_matrix(s_dual, z):
         raise CSSError("the code's checks are not the projections of the sheaf pair")
     D = s.complex.D
     k = code.code_dimension()
+    annihilator = _cocycle_annihilator(s, x)
     shrunk, restrict = {}, {}
     for T in itertools.combinations(range(D + 1), x + 2):
         psi = _shrunk_top_map(s, s_dual, x, z, T)
         shrunk[T] = _shrunk_dim(s, x, T, psi)
         if T[0] == 0:  # the types through color 0, in `color_types_through_zero` order
-            restrict[T] = _restricts(s, x, T, psi)
-    # dim H^{x+1} = dim Z^{x+1} - rank delta^x: delta^{x+1} is eliminated
-    # once, for the cocycle basis the restriction checks read too
-    h_dim = cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
+            restrict[T] = _restricts(s, x, T, psi, annihilator)
+    # dim H^{x+1} = dim C^{x+1} - rank delta^{x+1} - rank delta^x
+    h_dim = s.level_dim(x + 1) - len(annihilator) - coboundary_matrix(s, x).rank()
     expected = math.comb(D, x + 1) * h_dim
     report = {
         "k": k,

@@ -5,6 +5,8 @@ the Z rows), orbit CZ circuits, and the divisibility conditions for
 diagonal non-Clifford gates (never simulated, only certified).
 
 A Pauli is i^p * X(x) * Z(z) with the X block written first; p is mod 4.
+It is a slotted immutable value, and a diagonal step (Z, S, a CZ layer)
+that meets no X bit of its input returns that input itself.
 """
 
 from __future__ import annotations
@@ -20,17 +22,42 @@ class GateError(ValueError):
     """Raised for malformed gates or broken circuit invariants."""
 
 
-@dataclass(frozen=True)
 class Pauli:
-    n: int
-    p: int  # phase exponent of i, mod 4
-    x: int  # X-block support bitset
-    z: int  # Z-block support bitset
+    """i^p * X(x) * Z(z) on n qubits: p is the phase exponent of i, kept
+    mod 4, and x and z are the X- and Z-block support bitsets, refused
+    unless both fit in n bits.  Immutable: the slots are written once, by
+    the constructor, and assigning or deleting one raises AttributeError.
+    Equal Paulis have equal (n, p, x, z), and so equal hashes."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", self.p % 4)
-        if self.x >> self.n or self.z >> self.n or self.x < 0 or self.z < 0:
+    __slots__ = ("n", "p", "x", "z")
+
+    def __init__(self, n: int, p: int, x: int, z: int):
+        if x >> n or z >> n or x < 0 or z < 0:
             raise GateError("support out of range")
+        _set_n(self, n)
+        _set_p(self, p % 4)
+        _set_x(self, x)
+        _set_z(self, z)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("cannot assign to field %r of an immutable Pauli" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r of an immutable Pauli" % name)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.p, self.x, self.z) == (other.n, other.p, other.x, other.z)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.p, self.x, self.z))
+
+    def __repr__(self) -> str:
+        return "Pauli(n=%r, p=%r, x=%r, z=%r)" % (self.n, self.p, self.x, self.z)
+
+    def __reduce__(self) -> Tuple[type, Tuple[int, int, int, int]]:
+        return Pauli, (self.n, self.p, self.x, self.z)
 
     @classmethod
     def x_op(cls, n: int, support: int) -> "Pauli":
@@ -49,6 +76,10 @@ class Pauli:
         ) % 2 == 0
 
 
+# the slot writers, which bypass the refusing __setattr__
+_set_n, _set_p, _set_x, _set_z = (vars(Pauli)[name].__set__ for name in Pauli.__slots__)
+
+
 def pauli_mul(a: Pauli, b: Pauli) -> Pauli:
     """Product in the canonical X-then-Z form with exact phase."""
     if a.n != b.n:
@@ -61,12 +92,19 @@ def pauli_mul(a: Pauli, b: Pauli) -> Pauli:
 
 
 def apply_z(p: Pauli, mask: int) -> Pauli:
-    return Pauli(p.n, p.p + 2 * (p.x & mask).bit_count(), p.x, p.z)
+    """Z: X -> -X on each masked qubit.  Like S and a CZ layer, it returns
+    p itself when no X bit of p is masked, as the result would equal p."""
+    hit = p.x & mask
+    if not hit:
+        return p
+    return Pauli(p.n, p.p + 2 * hit.bit_count(), p.x, p.z)
 
 
 def apply_s(p: Pauli, mask: int) -> Pauli:
     """S: X -> Y on each masked qubit."""
     hit = p.x & mask
+    if not hit:
+        return p
     return Pauli(p.n, p.p + hit.bit_count(), p.x, p.z ^ hit)
 
 
@@ -93,6 +131,8 @@ def _apply_cz_layer(p: Pauli, table: Tuple[Dict[int, int], int]) -> Pauli:
     support; each pair with both X bits set contributes two to the phase."""
     partner, mask = table
     hit = p.x & mask
+    if not hit:
+        return p
     flip = _scatter(hit, partner)
     return Pauli(p.n, p.p + (flip & hit).bit_count(), p.x, p.z ^ flip)
 

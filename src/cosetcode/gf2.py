@@ -157,16 +157,18 @@ class BitMatrix:
     of a row is column c.
 
     Immutable by convention: methods return new matrices, and `int_rows()`
-    hands out the stored list, which callers never mutate.
+    hands out the stored list, which callers never mutate.  So the rank is
+    kept once computed (`_rank`, None until then).
     """
 
-    __slots__ = ("rows", "cols", "_ints")
+    __slots__ = ("rows", "cols", "_ints", "_rank")
 
     def __init__(self, rows: int, cols: int):
         """The rows x cols zero matrix."""
         self.rows = rows
         self.cols = cols
         self._ints: List[int] = [0] * rows
+        self._rank: Optional[int] = None
 
     # -- constructors ---------------------------------------------------
 
@@ -174,7 +176,7 @@ class BitMatrix:
     def _of(cls, ints: List[int], cols: int) -> "BitMatrix":
         """Wrap rows already known to fit in `cols` columns."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._ints = len(ints), cols, ints
+        m.rows, m.cols, m._ints, m._rank = len(ints), cols, ints, None
         return m
 
     @classmethod
@@ -287,9 +289,12 @@ class BitMatrix:
     # -- elimination ----------------------------------------------------
 
     def rank(self) -> int:
-        """The rank, eliminated on the rows as they are: pivots at the
-        highest set bits, since rank does not depend on pivot order."""
-        return len(EchelonBasis(self._ints))
+        """The rank, eliminated on the rows as they are (pivots at the
+        highest set bits, since rank does not depend on pivot order) the
+        first time it is asked for, and kept."""
+        if self._rank is None:
+            self._rank = len(EchelonBasis(self._ints))
+        return self._rank
 
     def rref(self) -> Tuple["BitMatrix", List[int]]:
         """Reduced row echelon form and pivot columns, each row's pivot its

@@ -11,9 +11,12 @@ moving digits, those a generator product can move off the identity's
 (digit (i, c) moves once some generator at (r, c) meets a nonzero digit
 (i, r)), can tell elements apart, so they are packed into a compact key
 that indexes a flat table of ids: one gather looks up a whole round.
-Ids are BFS insertion order: a new key takes the next id at its first
-occurrence in (parent id, generator column) order, so every downstream
-label is reproducible.  The ids therefore form a BFS tree: element h > 0 is
+Each generator acts on compact keys as an affine map over F_2 (ring
+addition is XOR), so a round's products are one gather per key byte from
+tables of those maps built before the first round.  Ids are BFS
+insertion order: a new key takes the next id at its first occurrence in
+(parent id, generator column) order, so every downstream label is
+reproducible.  The ids therefore form a BFS tree: element h > 0 is
 parent[h] * gens[gen[h]] with parent[h] in the round before h's, and
 any product a query needs is read from the Cayley table by walking that
 tree, one gather per round.
@@ -254,30 +257,46 @@ class GroupTable:
         key holds the id of every element seen so far (-1 if unseen), so
         one gather looks up a round's products.  The unseen ones are
         numbered in first-occurrence order, which keeps ids in insertion
-        order.  A color block's products come from one gather per matrix
-        row of `mul_table[:, vs]`, the block's generator values vs as
-        columns: right-multiplying by I + v*e_rc changes only column c."""
+        order.
+
+        Right-multiplying by I + v*e_rc adds digit (i, r) times v to digit
+        (i, c), and ring addition is XOR, so each generator maps compact
+        keys by an affine map over F_2: key bit b goes to `image[b]`, and
+        the digits (i, r) that keep their identity value add a constant.
+        Both are folded into one table per key byte, a row per byte value
+        and a column per generator, the constant into the first: a round's
+        products are T_0[byte 0] ^ T_1[byte 1] ^ ..., one gather per byte."""
         n, kb, ngen = self.n, self.kbits, len(self.gens)
-        mask = np.uint32((1 << kb) - 1)
+        bits = kb * len(digits)
         shift = {d: kb * k for k, d in enumerate(digits)}
-        blocks = []  # (first column, end column, constant term, [(digit shift, table)])
+        image = (np.uint32(1) << np.arange(bits, dtype=np.uint32))[:, None].repeat(ngen, axis=1)
+        const = np.zeros(ngen, dtype=np.uint32)
         lo = 0
         for color in self.colors:
             r, c = generator_position(color, n)
             vs = [v for col, _, v in self.gens if col == color]
+            hi = lo + len(vs)
             times = self.ring.mul_table[:, vs].astype(np.uint32)
-            const, terms = np.zeros(len(vs), dtype=np.uint32), []
             for i in range(n):
                 if (i, c) not in shift:
                     continue  # digit (i, r) is always 0
-                table = times << np.uint32(shift[i, c])
-                if (i, r) in shift:
-                    terms.append((np.uint32(shift[i, r]), table))
+                dst = np.uint32(shift[i, c])
+                if (i, r) in shift:  # bit t of digit (i, r) adds (2^t * v) to digit (i, c)
+                    for t in range(kb):
+                        image[shift[i, r] + t, lo:hi] ^= times[1 << t] << dst
                 else:  # digit (i, r) keeps its identity value
-                    const ^= table[int(i == r)]
-            blocks.append((lo, lo + len(vs), const, terms))
-            lo += len(vs)
-        index = np.full(1 << (kb * len(digits)), -1, dtype=np.int64)
+                    const[lo:hi] ^= times[int(i == r)] << dst
+            lo = hi
+        tables = []
+        for b in range(0, max(bits, 1), 8):
+            rows = image[b : b + 8]
+            table = np.zeros((1 << len(rows), ngen), dtype=np.uint32)
+            for k, row in enumerate(rows):  # byte values with top bit k
+                table[1 << k : 2 << k] = table[: 1 << k] ^ row
+            tables.append(table)
+        tables[0] ^= const
+        byte, shifts = np.uint32(0xFF), [np.uint32(8 * k) for k in range(len(tables))]
+        index = np.full(1 << bits, -1, dtype=np.int64)
         id_key = sum(1 << s for (i, c), s in shift.items() if i == c)
         index[id_key] = 0
         batch = np.array([id_key], dtype=np.uint32)
@@ -289,12 +308,9 @@ class GroupTable:
                 raise GroupCapError(
                     "enumeration exceeded cap %d (have %d elements)" % (self.cap, size)
                 )
-            products = np.empty((batch.size, ngen), dtype=np.uint32)
-            for lo, hi, const, terms in blocks:
-                out = products[:, lo:hi]
-                np.bitwise_xor(batch[:, None], const, out=out)
-                for src, table in terms:
-                    out ^= table[(batch >> src) & mask]
+            products = tables[0][batch & byte]
+            for b, table in zip(shifts[1:], tables[1:]):
+                products ^= table[(batch >> b) & byte]
             products = products.ravel()  # [local * ngen + col]
             ids = index[products]
             fresh = np.flatnonzero(ids < 0)
@@ -318,6 +334,7 @@ class GroupTable:
         compact = np.concatenate(keys)
         fixed = sum(1 << (kb * (i * n + i)) for i in range(n) if (i, i) not in shift)
         self.keys = np.full(compact.size, fixed, dtype=np.uint64)
+        mask = np.uint32((1 << kb) - 1)
         for (i, c), s in shift.items():
             digit = ((compact >> np.uint32(s)) & mask).astype(np.uint64)
             self.keys |= digit << np.uint64(kb * (i * n + c))

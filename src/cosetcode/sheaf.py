@@ -486,9 +486,11 @@ def cohomology_dim(s: Sheaf, j: int) -> int:
 
 @_per_level
 def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:
-    """Deterministic cocycle representatives of a basis of H^j."""
+    """Deterministic cocycle representatives of a basis of H^j: the cocycle
+    basis rows independent of B^j and of the rows before them.  B^j enters
+    as the rows of delta^{j-1}^T as they are: only their span matters."""
     z = cocycle_basis(s, j)
-    acc = EchelonBasis(coboundary_image_basis(s, j).int_rows())
+    acc = EchelonBasis(coboundary_matrix(s, j - 1).transpose().int_rows() if j else ())
     reps = [row for row in z.int_rows() if acc.insert(row)]
     return BitMatrix.from_int_rows(reps, z.cols)
 

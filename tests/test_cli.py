@@ -10,6 +10,7 @@ import pytest
 from cosetcode import cli, fixtures, sheaf
 from cosetcode.cli import main
 from cosetcode.complexes import Complex
+from cosetcode.gf2 import BitMatrix, EchelonBasis
 from cosetcode.group import GroupError, GroupTable
 from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import SheafError
@@ -80,6 +81,49 @@ def test_q2_verify_all_induces_once_and_checks_nesting_once(monkeypatch, capsys)
     assert main(["verify", "--q", "2", "--suite", "all"]) == 0
     assert json.loads(capsys.readouterr().out)["css"]["k"] == 46
     assert len(induced) == 1 and len(checked) == 1
+
+
+def test_q2_css_and_report_do_no_repeated_elimination(monkeypatch, capsys):
+    # pinned work counts: the unfolding check reads delta^1's rows and
+    # builds no cocycle basis, the self-dual pair's logical family is
+    # computed once and checked in one product per side, and a matrix is
+    # ranked once however often it is asked
+    counts = {}
+    for owner, name, label in ((BitMatrix, "transpose", "transpose"),
+                               (BitMatrix, "kernel_basis", "kernel_basis"),
+                               (EchelonBasis, "__init__", "EchelonBasis")):
+        original = getattr(owner, name)
+
+        def counted(*args, label=label, original=original):
+            counts[label] = counts.get(label, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    pinned = {
+        "verify": ({"transpose": 4, "EchelonBasis": 75}, "k", 46),
+        "report": ({"transpose": 7, "kernel_basis": 1, "EchelonBasis": 72}, "n", 168),
+    }
+    for command, (want, key, value) in pinned.items():
+        argv = [command, "--q", "2"] + (["--suite", "css"] if command == "verify" else [])
+        counts.clear()
+        assert main(argv) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["css"] if command == "verify" else out)[key] == value
+        assert counts == want, command
+
+
+def test_sheaf_suite_checks_a_self_dual_sheaf_once(monkeypatch, capsys):
+    # RM(0,1) gives a sheaf that is its own dual: one flasqueness check
+    # serves both entries; RM(1,1) does not, and its dual is not flasque
+    checked = []
+    flasque = cli.check_flasque
+    monkeypatch.setattr(cli, "check_flasque", lambda s: checked.append(s) or flasque(s))
+    for rm, calls, code in (("0,1", 1, 0), ("1,1", 2, 1)):
+        checked.clear()
+        assert main(["verify", "--q", "2", "--rm", rm, "--suite", "sheaf"]) == code
+        out = json.loads(capsys.readouterr().out)["sheaf"]
+        assert len(checked) == calls and out["flasque"]
+        assert out["dual_flasque"] == (calls == 1), rm
 
 
 def test_build_local_only_q8(tmp_path, capsys):

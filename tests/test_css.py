@@ -1,11 +1,12 @@
 """CSS extraction, rates, logical bases, and the unfolding machinery."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 
-from cosetcode import css, fixtures
+from cosetcode import css, fixtures, sheaf
 from cosetcode.css import (
     CSSError,
     CssCode,
@@ -13,6 +14,7 @@ from cosetcode.css import (
     color_types_through_zero,
     darboux_basis,
     extract_css,
+    logical_basis,
     rate_report,
     shrunk_cohomology_dim,
     symplectic_color_basis,
@@ -20,11 +22,12 @@ from cosetcode.css import (
     LogicalBasis,
 )
 from cosetcode.algebra import VectorIso
-from cosetcode.gf2 import BitMatrix
+from cosetcode.gf2 import BitMatrix, EchelonBasis
 from cosetcode.local_codes import reed_muller
 from cosetcode.sheaf import (
     attach_constant_sheaf,
     attach_local_codes,
+    coboundary_image_basis,
     coboundary_matrix,
     cocycle_basis,
     cohomology_dim,
@@ -322,3 +325,158 @@ def test_octahedron_sphere_has_no_logicals():
     sd = dual_sheaf(s)
     code, _ = extract_css(s, 0, 0, s_dual=sd)
     assert code.code_dimension() == 0
+
+
+def test_unfolding_check_builds_no_cocycle_basis(sheaf2, dual2, complex2, ring2, monkeypatch):
+    # psi_T's rows are reduced against delta^{x+1}'s rows instead: no
+    # cocycle basis and no kernel, on every accepted pair
+    built = []
+    for owner, name in ((sheaf, "cocycle_basis"), (BitMatrix, "kernel_basis")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, f=original: built.append(a) or f(*a))
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        try:
+            code, _ = extract_css(s, x, z, s_dual=sd)
+        except CSSError:
+            continue
+        built.clear()
+        assert unfolding_check(code, s, sd, x, z)["ok"], x
+        assert built == [], x
+
+
+def test_restriction_and_cohomology_dim_match_the_cocycle_basis(
+    sheaf2, dual2, complex2, ring2
+):
+    # every pair, the broken ones too: psi_T's rows in the row space of
+    # delta^{x+1} is the reference's psi_T Z^T = 0, and the annihilator's
+    # size is rank delta^{x+1}
+    for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
+        annihilator = css._cocycle_annihilator(s, x)
+        h_dim = cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
+        assert s.level_dim(x + 1) - len(annihilator) - coboundary_matrix(s, x).rank() == h_dim
+        for T in _every_type(s, x):
+            want = _ref_chain_map_squares(s, sd, x, z, T)["bottom_right"]
+            psi = css._shrunk_top_map(s, sd, x, z, T)
+            assert css._restricts(s, x, T, psi, annihilator) == want, (x, T)
+        try:
+            code, _ = extract_css(s, x, z, s_dual=sd)
+        except CSSError:
+            continue
+        rep = unfolding_check(code, s, sd, x, z)
+        assert rep["cohomology_dim"] == h_dim, x
+        assert rep["cocycles_restrict"] == {
+            T: _ref_chain_map_squares(s, sd, x, z, T)["bottom_right"]
+            for T in _every_type(s, x) if T[0] == 0
+        }, x
+
+
+def test_at_the_top_level_every_cochain_is_a_cocycle():
+    # x + 1 = D: delta^D is zero, so psi_T restricts iff it is zero
+    s = attach_constant_sheaf(fixtures.cross_polytope_3sphere())
+    assert len(css._cocycle_annihilator(s, 2)) == 0
+    T = (0, 1, 2, 3)
+    for rows, want in (([], True), ([0], True), ([0, 1], False)):
+        psi = BitMatrix.from_int_rows(rows, 2)
+        assert css._restricts(s, 2, T, psi, css._cocycle_annihilator(s, 2)) == want
+
+
+def test_a_flipped_psi_entry_fails_that_type_only(code2, sheaf2, dual2, monkeypatch):
+    top_map = css._shrunk_top_map
+    annihilator = css._cocycle_annihilator(sheaf2, 0)
+    for T in color_types_through_zero(2, 2):
+        psi = top_map(sheaf2, dual2, 0, 0, T)
+        start = sheaf2.type_coords(1, T)[0][0]
+        # the first entry of row 0 whose coordinate some cocycle uses
+        col = next(c for c in range(psi.cols) if annihilator.reduce(1 << (start + c)))
+        rows = list(psi.int_rows())
+        rows[0] ^= 1 << col
+        flipped = BitMatrix.from_int_rows(rows, psi.cols)
+
+        def one_flipped(s, sd, x, z, U, T=T, flipped=flipped):
+            return flipped if tuple(U) == T else top_map(s, sd, x, z, U)
+
+        monkeypatch.setattr(css, "_shrunk_top_map", one_flipped)
+        rep = unfolding_check(code2, sheaf2, dual2, 0, 0)
+        assert rep["cocycles_restrict"] == {U: U != T for U in color_types_through_zero(2, 2)}
+        assert not rep["ok"]
+        assert not cocycles_restrict_to_shrunk(sheaf2, dual2, 0, 0, T)
+        assert not _ref_chain_map_squares_psi(sheaf2, flipped, T)
+
+
+def _ref_chain_map_squares_psi(s, psi, T):
+    """The reference's bottom_right for a given psi_T: psi_T times the T
+    block of the transposed cocycle basis is zero."""
+    zt = cocycle_basis(s, 1).transpose()
+    rows = zt.int_rows()
+    block = BitMatrix.from_int_rows([rows[i] for i in s.type_coords(1, T)[0]], zt.cols)
+    return psi.matmul(block).is_zero()
+
+
+def _ref_tagged_logicals(s, level, other_checks):
+    """The logical family as it was computed per type: representatives
+    seeded with a reduced basis of B^{level+1}, one commutation product
+    per type."""
+    j = level + 1
+    z = cocycle_basis(s, j)
+    acc = EchelonBasis(coboundary_image_basis(s, j).int_rows())
+    reps = BitMatrix.from_int_rows([r for r in z.int_rows() if acc.insert(r)], z.cols)
+    pi = projection_matrix(s, j)
+    out = []
+    for T in color_types_through_zero(s.complex.D, level + 2):
+        mask = s.type_coords(j, T)[1]
+        logicals = BitMatrix.from_int_rows([v & mask for v in reps.int_rows()], z.cols).matmul(pi)
+        assert other_checks.matmul(logicals.transpose()).is_zero()
+        out += [(T, v) for v in logicals.int_rows()]
+    return out
+
+
+def _count_tagged(monkeypatch):
+    calls = []
+    tagged = css._tagged_logicals
+    monkeypatch.setattr(css, "_tagged_logicals", lambda *a: calls.append(a[1:]) or tagged(*a))
+    return calls
+
+
+def test_a_self_dual_pair_computes_one_logical_family(code2, sheaf2, monkeypatch):
+    calls = _count_tagged(monkeypatch)
+    lb = logical_basis(code2, sheaf2, sheaf2, 0, 0)
+    assert len(calls) == 1
+    assert lb.z_logicals == lb.x_logicals == _ref_tagged_logicals(sheaf2, 0, code2.h_z)
+    assert lb.z_logicals is not lb.x_logicals
+
+
+def test_other_pairs_compute_both_families(torus_sheaves, monkeypatch):
+    cube = attach_constant_sheaf(fixtures.cross_polytope_3sphere())
+    pairs = [(*torus_sheaves, 0, 0)] + [(cube, dual_sheaf(cube), x, 1 - x) for x in (0, 1)]
+    calls = _count_tagged(monkeypatch)
+    for s, sd, x, z in pairs:
+        code, _ = extract_css(s, x, z, s_dual=sd)
+        calls.clear()
+        lb = logical_basis(code, s, sd, x, z)
+        assert len(calls) == 2
+        assert lb.x_logicals == _ref_tagged_logicals(s, x, code.h_z)
+        assert lb.z_logicals == _ref_tagged_logicals(sd, z, code.h_x)
+
+
+def test_the_shortcut_needs_equal_levels(code2, sheaf2, monkeypatch):
+    # the same sheaf and check matrix on both sides, but x != z: the two
+    # families are asked for at their own levels
+    calls = []
+    monkeypatch.setattr(css, "_tagged_logicals", lambda *a: calls.append(a) or [])
+    code = CssCode(code2.h_x, code2.h_x)
+    logical_basis(code, sheaf2, sheaf2, 0, 1)
+    assert [(s, level) for s, level, _ in calls] == [(sheaf2, 0), (sheaf2, 1)]
+    calls.clear()
+    logical_basis(CssCode(code2.h_x, BitMatrix.from_int_rows(code2.h_x.int_rows(), code2.n)),
+                  sheaf2, sheaf2, 0, 0)
+    assert len(calls) == 2
+
+
+def test_an_anticommuting_logical_names_the_first_type(code2, sheaf2, logicals2):
+    # a red support pairs evenly with every red logical and oddly with
+    # some blue one, so only the (0, 2) family fails against it
+    red, blue = symplectic_color_basis(code2, logicals2)
+    for rows, T in (([red[0]], (0, 2)), ([blue[0]], (0, 1)), ([red[0], blue[0]], (0, 1))):
+        checks = BitMatrix.from_int_rows(rows, code2.n)
+        with pytest.raises(CSSError, match=r"T=%s anticommutes" % re.escape(repr(T))):
+            css._tagged_logicals(sheaf2, 0, checks)

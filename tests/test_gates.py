@@ -2,6 +2,8 @@
 membership against the sign-exact reference, orbit circuits, and the
 divisibility certificates for diagonal gates."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -47,6 +49,39 @@ def test_pauli_phase_normalization_and_bounds():
     assert Pauli(1, 7, 0, 0).p == 3
     with pytest.raises(GateError):
         Pauli(1, 0, 2, 0)
+
+
+def test_pauli_is_an_immutable_value():
+    p = Pauli(3, 6, 0b101, 0b011)
+    q = Pauli(3, 2, 0b101, 0b011)
+    assert p == q and p is not q and hash(p) == hash(q)
+    assert len({p, q, Pauli(3, 0, 0b101, 0b011)}) == 2
+    assert p != Pauli(4, 2, 0b101, 0b011) and p != Pauli(3, 2, 0b100, 0b011)
+    assert p != Pauli(3, 2, 0b101, 0b010) and p != (3, 2, 0b101, 0b011)
+    assert repr(p) == "Pauli(n=3, p=2, x=5, z=3)"
+    assert pickle.loads(pickle.dumps(p)) == p and copy.copy(p) == p
+    for bad in ((3, 0, 0b1000, 0), (3, 0, 0, 0b1000), (3, 0, -1, 0), (3, 0, 0, -2)):
+        with pytest.raises(GateError, match="support out of range"):
+            Pauli(*bad)
+    for name in ("n", "p", "x", "z", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert (p.n, p.p, p.x, p.z) == (3, 2, 0b101, 0b011)
+    assert not hasattr(p, "__dict__")
+
+
+def test_diagonal_steps_that_meet_no_x_bit_return_their_input():
+    p = Pauli(4, 3, 0b0101, 0b1110)
+    for mask in (0, 0b1010):
+        assert apply_z(p, mask) is p and apply_s(p, mask) is p
+    cz = Circuit(4, [[Gate("CZ", (1, 3))]])
+    assert cz.conjugate(p) is p
+    # one X bit on the support: a new Pauli, as the tables give it
+    assert apply_z(p, 0b0011) == Pauli(4, 1, 0b0101, 0b1110)
+    assert apply_s(p, 0b0011) == Pauli(4, 0, 0b0101, 0b1111)
+    assert Circuit(4, [[Gate("CZ", (0, 1))]]).conjugate(p) == Pauli(4, 3, 0b0101, 0b1100)
 
 
 def test_single_qubit_multiplication_table():
@@ -265,6 +300,62 @@ def test_conjugate_matches_gate_by_gate_reference(case):
     circ = Circuit(n, layers)
     for p in paulis:
         assert circ.conjugate(p) == _conjugate_gate_by_gate(circ, p)
+
+
+_CLIFFORD_KINDS = ["S", "H", "CZ", "CZ", "PERM"]
+
+
+@st.composite
+def _clifford_groups(draw):
+    """A random S/H/CZ/PERM circuit, random Pauli generators (any phases,
+    commuting or not; those whose (x|z) is independent of the ones before,
+    so that a member has one product of generators and so one phase), and
+    queries: random signed products of the generators, and random Paulis."""
+    n = draw(st.integers(1, 8))
+    layers = []
+    for _ in range(draw(st.integers(1, 4))):
+        free = draw(st.permutations(range(n)))
+        layer = []
+        for kind in draw(st.lists(st.sampled_from(_CLIFFORD_KINDS), max_size=6)):
+            if kind == "PERM":
+                layer.append(Gate("PERM", (), perm=tuple(draw(st.permutations(range(n))))))
+                continue
+            size = 2 if kind == "CZ" else draw(st.integers(1, 3))
+            if len(free) >= size:
+                layer.append(Gate(kind, tuple(free[:size])))
+                free = free[size:]
+        layers.append(layer)
+    word = st.integers(0, (1 << n) - 1)
+    pauli = st.builds(lambda t: Pauli(n, *t), st.tuples(st.integers(0, 3), word, word))
+    rows = EchelonBasis()
+    drawn = draw(st.lists(pauli, min_size=1, max_size=5))
+    gens = [g for g in drawn if rows.insert(g.x | g.z << n)]
+    queries = draw(st.lists(pauli, max_size=3))
+    products = st.tuples(st.integers(1, 31), st.integers(0, 3))
+    for picks, phase in draw(st.lists(products, max_size=4)):
+        q = Pauli(n, phase, 0, 0)
+        for i, g in enumerate(gens):
+            if picks >> i & 1:
+                q = pauli_mul(q, g)
+        queries.append(q)
+    return n, layers, gens, queries
+
+
+@settings(max_examples=200, deadline=None)
+@given(_clifford_groups())
+def test_clifford_conjugation_keeps_signed_membership(case):
+    # conjugation by a Clifford is an automorphism of the Pauli group: it
+    # keeps products and, by the sign-exact reference, the phase by which
+    # a query differs from the product of generators that rebuilds it
+    n, layers, gens, queries = case
+    circ = Circuit(n, layers)
+    images = [circ.conjugate(g) for g in gens]
+    for a, b in zip(gens, gens[1:] + gens[:1]):
+        assert circ.conjugate(pauli_mul(a, b)) == pauli_mul(circ.conjugate(a), circ.conjugate(b))
+    for q in queries:
+        image = circ.conjugate(q)
+        assert image == _conjugate_gate_by_gate(circ, q)
+        assert ref.membership_phase(image, images) == ref.membership_phase(q, gens)
 
 
 def test_orbit_cz_conjugate_matches_gate_by_gate_reference(table2, code2):

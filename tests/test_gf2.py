@@ -170,6 +170,24 @@ def test_rank_matches_oracle():
         assert m.rank() == _rank_oracle(ints, cols) == len(m.rref()[1]), (len(ints), cols)
 
 
+def test_rank_is_kept_once_computed(monkeypatch):
+    rng = random.Random(29)
+    built = []
+    echelon = gf2.EchelonBasis
+    monkeypatch.setattr(gf2, "EchelonBasis", lambda rows=(): built.append(1) or echelon(rows))
+    for ints, cols in list(_structured_rank_inputs(rng)):
+        for m in (BitMatrix.from_int_rows(ints, cols), BitMatrix(len(ints), cols)):
+            built.clear()
+            first = m.rank()
+            assert len(built) == 1
+            assert m.rank() == first and len(built) == 1  # the second builds none
+            # a fresh matrix of the same rows, and the result of every other
+            # constructor, start with no rank kept
+            assert first == BitMatrix.from_int_rows(list(m.int_rows()), cols).rank()
+            assert m.vstack(m).rank() == first and len(built) == 3
+    assert BitMatrix.identity(5).rank() == 5 and BitMatrix(3, 4).rank() == 0
+
+
 def test_rref_preserves_row_space_and_is_idempotent():
     rng = random.Random(3)
     m, _ = _random_matrix(rng, 12, 40)

@@ -358,3 +358,106 @@ def test_k_color_elements_match_elementary_matrices(with_ref):
             for alpha in ring.field.antilog
         ]
         assert table.k_color_elements(j) == ref
+
+
+# -- reference: the per-block product loop the byte tables replaced --------
+
+
+class _RefEnumeration(GroupTable):
+    """GroupTable with the product loop before the affine byte tables: a
+    color block's products come from one gather per matrix row of
+    `mul_table[:, vs]`, the block's generator values vs as columns."""
+
+    def _enumerate(self, digits):
+        n, kb, ngen = self.n, self.kbits, len(self.gens)
+        mask = np.uint32((1 << kb) - 1)
+        shift = {d: kb * k for k, d in enumerate(digits)}
+        blocks = []  # (first column, end column, constant term, [(digit shift, table)])
+        lo = 0
+        for color in self.colors:
+            r, c = generator_position(color, n)
+            vs = [v for col, _, v in self.gens if col == color]
+            times = self.ring.mul_table[:, vs].astype(np.uint32)
+            const, terms = np.zeros(len(vs), dtype=np.uint32), []
+            for i in range(n):
+                if (i, c) not in shift:
+                    continue
+                table = times << np.uint32(shift[i, c])
+                if (i, r) in shift:
+                    terms.append((np.uint32(shift[i, r]), table))
+                else:
+                    const ^= table[int(i == r)]
+            blocks.append((lo, lo + len(vs), const, terms))
+            lo += len(vs)
+        index = np.full(1 << (kb * len(digits)), -1, dtype=np.int64)
+        id_key = sum(1 << s for (i, c), s in shift.items() if i == c)
+        index[id_key] = 0
+        batch = np.array([id_key], dtype=np.uint32)
+        keys, parents, gen_cols, cayley = [batch], [np.array([-1])], [np.array([-1])], []
+        bounds = [0, 1]
+        while True:
+            start, size = bounds[-2], bounds[-1]
+            products = np.empty((batch.size, ngen), dtype=np.uint32)
+            for lo, hi, const, terms in blocks:
+                out = products[:, lo:hi]
+                np.bitwise_xor(batch[:, None], const, out=out)
+                for src, table in terms:
+                    out ^= table[(batch >> src) & mask]
+            products = products.ravel()
+            ids = index[products]
+            fresh = np.flatnonzero(ids < 0)
+            run = products[fresh]
+            index[run] = products.size
+            np.minimum.at(index, run, fresh)
+            flat = fresh[index[run] == fresh]
+            index[products[flat]] = np.arange(size, size + flat.size)
+            ids[fresh] = index[run]
+            cayley.append(ids.reshape(-1, ngen))
+            if not flat.size:
+                break
+            batch = products[flat]
+            keys.append(batch)
+            parents.append(start + flat // ngen)
+            gen_cols.append(flat % ngen)
+            bounds.append(size + flat.size)
+        compact = np.concatenate(keys)
+        fixed = sum(1 << (kb * (i * n + i)) for i in range(n) if (i, i) not in shift)
+        self.keys = np.full(compact.size, fixed, dtype=np.uint64)
+        for (i, c), s in shift.items():
+            digit = ((compact >> np.uint32(s)) & mask).astype(np.uint64)
+            self.keys |= digit << np.uint64(kb * (i * n + c))
+        self.size = int(self.keys.size)
+        self.cayley = np.concatenate(cayley)
+        self._parent = np.concatenate(parents)
+        self._gen = np.concatenate(gen_cols)
+        self._bounds = bounds
+
+
+# (q exponent, m, D, colors): SL_3(F_2), SL_3(F_4), K_0 at q = 8 and 16,
+# one- and two-color subsets, R_2 over F_2 (m = 2), SL_4(F_2)
+TABLE_CONFIGS = [
+    (1, 1, 2, None),
+    (2, 1, 2, None),
+    (3, 1, 2, (1, 2)),
+    (4, 1, 2, (1, 2)),
+    (2, 1, 2, (0,)),
+    (3, 1, 2, (2,)),
+    (2, 1, 2, (0, 1)),
+    (3, 1, 2, (0, 2)),
+    (1, 2, 2, None),
+    (2, 2, 2, (1,)),
+    (1, 1, 3, None),
+    (1, 1, 3, (0, 2)),
+]
+
+
+@pytest.mark.parametrize("config", TABLE_CONFIGS, ids=str)
+def test_byte_tables_match_the_per_block_loop(config):
+    e, m, D, colors = config
+    ring = build_ring(e, m)
+    got = GroupTable(ring, D, colors=colors)
+    want = _RefEnumeration(ring, D, colors=colors)
+    for name in ("keys", "cayley", "_parent", "_gen"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got._bounds == want._bounds

@@ -928,7 +928,7 @@ def test_cohomology_dim_matches_basis_counts(reference_sheaves, sheaf2, dual2):
             z = cocycle_basis(s, j).rows
             want = z - coboundary_image_basis(s, j).rows
             assert cohomology_dim(s, j) == want, (name, j)
-            # unfolding_check's route: dim Z^j - rank delta^{j-1}
+            # the route through a cocycle basis: dim Z^j - rank delta^{j-1}
             if j > 0:
                 assert z - coboundary_matrix(s, j - 1).rank() == want, (name, j)
     # dim Z^0: the q=2 code's one global constant on either side (rate 1/168)
