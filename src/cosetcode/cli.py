@@ -30,7 +30,7 @@ from .css import (
     rate_report,
     unfolding_check,
 )
-from .floquet import build_schedule, permutation_layout, run_schedule, vertex_x_operators
+from .floquet import build_schedule, permutation_layout, run_schedule
 from .gates import (
     Circuit,
     Gate,
@@ -350,7 +350,7 @@ def suite_css(inst: dict) -> dict:
     unf = unfolding_check(code, s, s_dual, x, z)
     out["unfolding"] = unf["ok"]
     out["k"] = code.code_dimension()
-    rr = rate_report(s, s_dual=s_dual)
+    rr = rate_report(s)
     out["rate"] = {k: str(v) for k, v in rr.items()}
     return out
 
@@ -432,11 +432,7 @@ def suite_gates(inst: dict) -> dict:
 def suite_floquet(inst: dict) -> dict:
     s, s_dual, code = inst["sheaf"], inst["dual"], inst["code"]
     schedule = build_schedule(s, s_dual)
-    rep = run_schedule(
-        schedule,
-        static_k=code.code_dimension(),
-        vertex_ops=vertex_x_operators(s),
-    )
+    rep = run_schedule(schedule, static_k=code.code_dimension())
     out = {
         "anomalies": rep["anomalies"],
         "periodic": rep["periodic"],
@@ -564,7 +560,7 @@ def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
         "n": code.n,
         "k": code.code_dimension(),
         "check_weights": code.check_weight_histogram(),
-        "rate": {k: str(v) for k, v in rate_report(s, s_dual=s_dual).items()},
+        "rate": {k: str(v) for k, v in rate_report(s).items()},
         "logical_color_census": {},
         "floquet_max_check_weight": build_schedule(s, s_dual).max_check_weight(),
     }

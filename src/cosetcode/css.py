@@ -115,19 +115,25 @@ def extract_css(
     return CssCode(h_x, h_z, metadata=meta), s_dual
 
 
-def rate_report(s: Sheaf, s_dual: Optional[Sheaf] = None) -> dict:
+def rate_report(s: Sheaf) -> dict:
     """Local rates, the naive two-dimensional rate bound, and the exact
-    redundancy corrections from global ranks."""
+    redundancy corrections from global ranks, all read from `s` alone.
+
+    rho_{-1} = dim H^0(s) / n.  rho-bar_{-1} = dim H^0(s-bar) / n for the
+    dual sheaf s-bar, taken as (n - rank pi_1(s)) / n with pi_1 =
+    `projection_matrix(s, 1)`: a 0-cocycle agrees on every edge, so it is
+    one vector x on the qubits, and the dual's vertex codes are induced
+    (`dual_sheaf` re-induces them, or returns a sheaf whose own were), so
+    H^0(s-bar) = {x : x|_e in s_e^perp for every edge e} = ker pi_1(s).
+    This holds for every D = 2 sheaf, however its codes were attached."""
     c = s.complex
     if c.D != 2:
         raise CSSError("rate report is defined for two-dimensional sheaves")
     rho0 = _uniform_local_rate(s, 0)
     rho1 = _uniform_local_rate(s, 1)
-    if s_dual is None:
-        s_dual = dual_sheaf(s)
     n = Fraction(c.n_top)
     rho_m1 = Fraction(cohomology_dim(s, 0)) / n  # dim Z^0 = dim H^0
-    rho_bar_m1 = Fraction(cohomology_dim(s_dual, 0)) / n
+    rho_bar_m1 = (n - projection_matrix(s, 1).rank()) / n  # dim ker pi_1(s)
     return {
         "rho0": rho0,
         "rho1": rho1,

@@ -190,6 +190,8 @@ class GroupTable:
         self.colors = tuple(sorted(colors)) if colors is not None else tuple(range(self.n))
         if any(not 0 <= c <= D for c in self.colors):
             raise GroupError("colors out of range")
+        if not self.colors:
+            raise GroupError("colors is empty: the group needs at least one generating color")
         self.cap = cap
         self.kbits = max(1, (ring.size - 1).bit_length())
         if self.n * self.n * self.kbits > 63 or ring.mul_table is None:

@@ -100,8 +100,8 @@ def test_q2_css_and_report_do_no_repeated_elimination(monkeypatch, capsys):
 
         monkeypatch.setattr(owner, name, counted)
     pinned = {
-        "verify": ({"transpose": 4, "EchelonBasis": 75}, "k", 46),
-        "report": ({"transpose": 7, "kernel_basis": 1, "EchelonBasis": 72}, "n", 168),
+        "verify": ({"transpose": 4, "EchelonBasis": 76}, "k", 46),
+        "report": ({"transpose": 7, "kernel_basis": 1, "EchelonBasis": 73}, "n", 168),
     }
     for command, (want, key, value) in pinned.items():
         argv = [command, "--q", "2"] + (["--suite", "css"] if command == "verify" else [])
@@ -110,6 +110,17 @@ def test_q2_css_and_report_do_no_repeated_elimination(monkeypatch, capsys):
         out = json.loads(capsys.readouterr().out)
         assert (out["css"] if command == "verify" else out)[key] == value
         assert counts == want, command
+
+
+def test_floquet_suite_queries_no_vertex_operators(monkeypatch, capsys):
+    # the suite's JSON carries no per-round record, so vertex operators
+    # would be built and queried for nothing
+    def vertex_x_operators(*args):
+        raise AssertionError("vertex operators built")
+
+    monkeypatch.setattr(cli, "vertex_x_operators", vertex_x_operators, raising=False)
+    assert main(["verify", "--q", "2", "--suite", "floquet"]) == 0
+    assert "per_round" not in json.loads(capsys.readouterr().out)["floquet"]
 
 
 def test_sheaf_suite_checks_a_self_dual_sheaf_once(monkeypatch, capsys):

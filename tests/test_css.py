@@ -23,7 +23,7 @@ from cosetcode.css import (
 )
 from cosetcode.algebra import VectorIso
 from cosetcode.gf2 import BitMatrix, EchelonBasis
-from cosetcode.local_codes import reed_muller
+from cosetcode.local_codes import LinearCode, reed_muller
 from cosetcode.sheaf import (
     attach_constant_sheaf,
     attach_local_codes,
@@ -73,8 +73,8 @@ def test_extract_refuses_a_level_outside_the_complex(sheaf2, dual2):
         extract_css(sheaf2, -1, 1, s_dual=dual2)
 
 
-def test_rate_report_values(sheaf2, dual2):
-    rep = rate_report(sheaf2, s_dual=dual2)
+def test_rate_report_values(sheaf2):
+    rep = rate_report(sheaf2)
     assert rep["rho0"] == Fraction(1, 8)
     assert rep["rho1"] == Fraction(1, 2)
     assert rep["bound"] == Fraction(1, 4)
@@ -83,6 +83,43 @@ def test_rate_report_values(sheaf2, dual2):
     assert rep["exact_half_rate"] == Fraction(23, 168)
     # 2 * exact half rate * n = k
     assert 2 * rep["exact_half_rate"] * 168 == 46
+
+
+def _rate_identity_sheaves(complex2, ring2):
+    """Eight D = 2 sheaves: q=2 with RM(0,1), RM(1,1), {01}, {10} and the
+    zero code, and the constant sheaf on three fixture complexes."""
+    iso = VectorIso(ring2.field)
+    codes = (reed_muller(0, 1), reed_muller(1, 1), LinearCode([0b01], 2), LinearCode([0b10], 2),
+             LinearCode([], 2))
+    out = [induce_lower_codes(attach_local_codes(complex2, c, iso, ring2)) for c in codes]
+    fx = (fixtures.hexagonal_torus, fixtures.octahedron, fixtures.single_triangle)
+    return out + [attach_constant_sheaf(f()) for f in fx]
+
+
+def test_rho_bar_minus1_is_h0_of_the_dual(complex2, ring2, monkeypatch):
+    # dim H^0(s-bar) = n - rank pi_1(s), against the dual's own delta^0.
+    # The {01} and {10} sheaves have vertex codes of three rates, which
+    # the report refuses before rho-bar; the local rates are stubbed so
+    # that every sheaf reaches it
+    monkeypatch.setattr(css, "_uniform_local_rate", lambda s, level: Fraction(0))
+    for s, h0_dual in zip(_rate_identity_sheaves(complex2, ring2), [1, 0, 21, 1, 168, 1, 1, 0]):
+        assert cohomology_dim(dual_sheaf(s), 0) == h0_dual
+        assert rate_report(s)["rho_bar_minus1"] * s.complex.n_top == h0_dual
+
+
+def test_rate_report_builds_no_dual_coboundary(complex2, ring2, monkeypatch):
+    # RM(1,1)'s dual is the zero code, so the dual sheaf has matrices of
+    # its own; neither the unfolding check nor the rate asks for its
+    # delta^0, and the rate builds no dual at all
+    s = induce_lower_codes(attach_local_codes(complex2, reed_muller(1, 1),
+                                              VectorIso(ring2.field), ring2))
+    sd = dual_sheaf(s)
+    assert sd is not s
+    code, _ = extract_css(s, 0, 0, s_dual=sd)
+    unfolding_check(code, s, sd, 0, 0)
+    monkeypatch.setattr(css, "dual_sheaf", lambda s: pytest.fail("dual sheaf built"))
+    assert rate_report(s)["rho_bar_minus1"] == 0
+    assert ("coboundary_matrix", 0) not in sd._matrices
 
 
 def test_color_types_through_zero():

@@ -170,6 +170,15 @@ def test_subgroup_only_table_rejects_missing_color():
         k0.k_color_elements(0)
 
 
+def test_empty_colors_refused_before_enumeration(monkeypatch):
+    def enumerate_(*args):
+        raise AssertionError("group enumeration started")
+
+    monkeypatch.setattr(GroupTable, "_enumerate", enumerate_)
+    with pytest.raises(GroupError, match="colors is empty"):
+        GroupTable(build_ring(1, 1), 2, colors=())
+
+
 def test_group_element_validates_determinant(ring2):
     with pytest.raises(GroupError):
         GroupElement(ring2, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
