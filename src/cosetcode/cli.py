@@ -255,13 +255,13 @@ def _refuse_early(args: argparse.Namespace, cfg: dict, suites: Sequence[str]) ->
 
 def _refuse_link_early(args: argparse.Namespace, cfg: dict) -> None:
     """Refuse what the vertex-link work cannot do, or a cap rules out,
-    before it enumerates K_0 (q^3 elements)."""
+    before any work: the enumeration cap bounds the link's q^3 tops."""
     if cfg["m"] != 1 or cfg["D"] != 2:
         raise ConfigError("local-only mode supports D = 2, m = 1")
     order = cfg["q"] ** 3
     if order > args.cap_enumeration:
         raise CapRefusal(
-            "link group enumeration of %d elements exceeds cap %d "
+            "vertex link of %d tops exceeds the enumeration cap %d "
             "(raise --cap-enumeration to override)" % (order, args.cap_enumeration)
         )
 

@@ -167,8 +167,8 @@ class GroupTable:
 
     `colors` selects which K_{j} generator families participate; the
     default (all colors) closes to the whole group.  Restricting colors
-    enumerates K_T for T = complement of `colors` - used for the
-    vertex-link group K_0 of large instances without a global build.
+    enumerates K_T for T = complement of `colors`, such as the
+    vertex-link group K_0 = U_3(F_q) at D = 2.
 
     Keys are uint64 and products use the ring's multiplication table, so
     a group needing more than 63 key bits or a ring past 1024 elements is

@@ -722,7 +722,21 @@ def check_projected_weights(s: Sheaf, modulus: int) -> dict:
 
 def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso) -> int:
     """dim F_v for a color-0 vertex of the D = 2 coset complex, computed
-    inside the link group K_0 without enumerating the global group.
+    from closed-form coordinates on its link, with no group enumeration.
+
+    For m = 1 the link group K_0 = <e_01(alpha t), e_12(alpha t)> is the
+    unitriangular group U_3(F_q), so the tops through v are the q^3
+    matrices (a, b, c) = [[1, a, c], [0, 1, b], [0, 0, 1]].  Right
+    multiplication by e_01(x) adds x to a, and by e_12(x) adds x to b and
+    a*x to c, so the cotype-1 edge (b, c) holds the tops (a, b, c) and the
+    cotype-2 edge (a, d) the tops (a, b, d + ab); the two share a top iff
+    d = c + ab.  Each edge is oriented from its element with a = 0
+    (cotype 1) or b = 0 (cotype 2): the top (a, b, c) sits at code
+    position P(a) on its cotype-1 edge and P(b) on its cotype-2 edge,
+    P(x) = U(x t^{-1}).  The global sheaf orients from each coset's
+    least id instead; another rep translates U by a constant, which fixes
+    translation-invariant codes such as RM(r, eta), so only codes that are
+    not translation-invariant see the choice, and neither is canonical.
 
     Every top through v holds exactly one edge of each cotype through v,
     so the E = q^2 edges of either cotype partition the q^3 tops and F_v
@@ -733,6 +747,9 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
 
         dim F_v = E*k - rank(M),   M of E*k rows and E*(q-k) columns.
 
+    Row (b, c, i) of M sums, over the a with P(a) in row i's support,
+    the check column of position P(b) at block a*q + (c + ab); the
+    columns are a-major, which keeps the elimination's fill-in low.
     For k > q - k the same routine runs on the dual code, since
     (C_A + C_B)^⊥ = C_A^⊥ ∩ C_B^⊥ is the link code of C^⊥:
 
@@ -740,40 +757,35 @@ def link_vertex_code_dimension(ring: RingTable, code: LinearCode, iso: VectorIso
 
     so M always has E*min(k, q-k) rows.
     """
-    if ring.m != 1:
-        raise SheafError("link fast path assumes m = 1")
-    q = ring.field.q
+    field, q = ring.field, ring.field.q
+    if ring.m != 1 or ring.mul_table is None:
+        raise SheafError("link fast path assumes m = 1 and q <= 1024 (a tabled field)")
+    if iso.field.q != q:
+        raise SheafError("iso is over F_%d, the ring over F_%d" % (iso.field.q, q))
     if code.n != q:
         raise SheafError("code length %d != q = %d" % (code.n, q))
     n_edges, k = q * q, code.k
     if k > q - k:
         return 2 * n_edges * k - q**3 + link_vertex_code_dimension(ring, dual_code(code), iso)
-    table = GroupTable(ring, 2, colors=(1, 2))
-    # [e, p] = the top of edge e at code position p: the edges through v of
-    # cotype j are the cosets of K_{0,3-j}, numbered by ascending rep
-    tops_a, tops_b = (
-        _oriented_tops(table, iso, np.unique(table.coset_reps([0, 3 - j])), j) for j in (2, 1)
-    )
-    edge_a = np.empty(table.size, dtype=np.int64)
-    pos_a = np.empty(table.size, dtype=np.int64)
-    edge_a[tops_a] = np.arange(n_edges)[:, None]
-    pos_a[tops_a] = np.arange(q)
-    checks = dual_rows(code.rows, q)
     r = q - k
+    checks = dual_rows(code.rows, q)
     hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
-    # the cotype-1 edges go in far-first (descending rep): in ascending
-    # order about half of the elimination steps reduce dependent rows to 0
-    tops_b = tops_b[::-1]
-    # rows[e*k + i] = row i of C on cotype-1 edge e, built one code position
-    # at a time; a cotype-1 edge meets each cotype-2 edge in at most one
-    # top, so the shifted check columns of one edge's tops occupy disjoint bits
-    rows = [0] * (n_edges * k)
-    for p in range(q):
-        tops = tops_b[:, p]
-        terms = [hcol[c] << sh for c, sh in zip(pos_a[tops].tolist(), (r * edge_a[tops]).tolist())]
-        for i, w in enumerate(code.rows):
-            if (w >> p) & 1:
-                rows[i::k] = [v | t for v, t in zip(rows[i::k], terms)]
+    t_inv = field.inv(ring.t)
+    pos = [iso.apply_int(field.mul(x, t_inv)) for x in range(q)]
+    # spread[b*q + c] has one bit at the start of each column block
+    # a*q + (c + ab); the blocks are r bits wide and hcol < 2^r, so its
+    # product with a check column has no carries
+    elems = np.arange(q)
+    blocks = elems * q + (elems[:, None] ^ ring.mul_table[:, None, :])  # [b, c, a]
+    spread = BitMatrix.from_coords(
+        n_edges, n_edges * r, np.repeat(np.arange(n_edges), q), r * blocks.ravel()
+    ).int_rows()
+    filled = [hcol[pos[e // q]] * v for e, v in enumerate(spread)]
+    # masks[i] covers the blocks of the a with P(a) in row i's support;
+    # rows go in code row by code row (i, b, c), a little faster than (b, c, i)
+    whole = (1 << (q * r)) - 1
+    masks = [sum(whole << (q * r * a) for a in range(q) if (w >> pos[a]) & 1) for w in code.rows]
+    rows = [v & mask for mask in masks for v in filled]
     return n_edges * k - BitMatrix.from_int_rows(rows, n_edges * r).rank()
 
 

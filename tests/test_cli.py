@@ -344,7 +344,7 @@ def test_cap_refusals_exit_three():
         ["build", "--q", "4", "--cap-qubits", "1000"],
         # tableau cap: q=2 gives 168 qubits
         ["verify", "--q", "2", "--suite", "gates", "--cap-tableau", "100"],
-        # the link group K_0 has q^3 = 4096 elements at q=16
+        # the vertex link has q^3 = 4096 tops at q=16
         ["report", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
         ["build", "--q", "16", "--rm", "1,4", "--local-only", "--cap-enumeration", "100"],
         # the Floquet schedule tracks a tableau over the qubits too

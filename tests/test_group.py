@@ -170,6 +170,30 @@ def test_subgroup_only_table_rejects_missing_color():
         k0.k_color_elements(0)
 
 
+@pytest.mark.parametrize("eta", [1, 2, 3, 4])
+def test_k0_is_the_unitriangular_group(eta):
+    """K_0 = <e_01(alpha t), e_12(alpha t)> is U_3(F_q): its elements are
+    the q^3 matrices (a, b, c) = [[1, a, c], [0, 1, b], [0, 0, 1]], its
+    colour-1 cosets the (b, c) classes and its colour-2 cosets the
+    (a, c + ab) classes, the coordinates the vertex link computes in."""
+    ring = build_ring(eta, 1)
+    q = ring.field.q
+    k0 = GroupTable(ring, 2, colors=(1, 2))
+    mats = [k0._decode(key) for key in k0.keys.tolist()]
+    assert sorted(mats) == [
+        [[1, a, c], [0, 1, b], [0, 0, 1]] for a, c, b in itertools.product(range(q), repeat=3)
+    ]
+    coords = [(m[0][1], m[1][2], m[0][2]) for m in mats]
+    classes = {
+        (0, 2): [(b, c) for a, b, c in coords],
+        (0, 1): [(a, c ^ ring.field.mul(a, b)) for a, b, c in coords],
+    }
+    for T, labels in classes.items():
+        reps = k0.coset_reps(T).tolist()
+        # the partition into cosets is the partition by label
+        assert len(set(zip(labels, reps))) == len(set(labels)) == len(set(reps)) == q * q
+
+
 def test_empty_colors_refused_before_enumeration(monkeypatch):
     def enumerate_(*args):
         raise AssertionError("group enumeration started")

@@ -15,7 +15,6 @@ from cosetcode.gf2 import BitMatrix, EchelonBasis, dual_rows, row_space_equal
 from cosetcode.group import GroupTable
 from cosetcode.local_codes import LinearCode, dual_code, reed_muller
 from cosetcode.sheaf import (
-    _oriented_tops,
     Cochain,
     SheafError,
     attach_constant_sheaf,
@@ -601,9 +600,23 @@ def test_link_vertex_code_dimension_q2(ring2):
     assert link_vertex_code_dimension(ring2, code, iso) == 1
 
 
-def _ref_link_dimension(ring, code, iso):
+def _zeroed_reps(table, cotype):
+    """Each cotype-`cotype` edge's element (a, b, c) with a = 0 (cotype 1)
+    or b = 0 (cotype 2), read from the table's keys: the rep the link
+    orients from."""
+    i, j = (0, 1) if cotype == 1 else (1, 2)
+    return [g for g, key in enumerate(table.keys.tolist()) if table._decode(key)[i][j] == 0]
+
+
+def _min_id_reps(table, cotype):
+    """Each cotype-`cotype` edge's least element id."""
+    return sorted(set(table.coset_reps([jc for jc in range(3) if jc != cotype]).tolist()))
+
+
+def _ref_link_dimension(ring, code, iso, reps=_zeroed_reps):
     """The stacked-check construction: the oriented dual-code constraints
-    of every edge through the vertex, as rows over the q^3 tops; dim F_v
+    of every edge through the vertex, as rows over the q^3 tops of the
+    enumerated K_0, each edge oriented from `reps(table, cotype)`; dim F_v
     is q^3 minus their rank."""
     q = ring.field.q
     table = GroupTable(ring, 2, colors=(1, 2))
@@ -611,8 +624,9 @@ def _ref_link_dimension(ring, code, iso):
     supports = [[p for p in range(q) if (w >> p) & 1] for w in dual_code(code).rows]
     rows = []
     for cotype in (2, 1):
-        reps = table.coset_reps([jc for jc in range(3) if jc != cotype])
-        for rep in sorted(set(int(r) for r in reps)):
+        edge_reps = reps(table, cotype)
+        assert len(edge_reps) == q * q
+        for rep in edge_reps:
             top_bits = [0] * q
             for alpha, _eid in table.k_color_elements(cotype):
                 top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
@@ -633,7 +647,9 @@ def test_link_dimension_matches_stacked_checks_on_reed_muller(eta):
     codes = [reed_muller(r, eta) for r in range(eta + 1)]
     dims = [link_vertex_code_dimension(ring, code, iso) for code in codes]
     assert dims == LINK_DIMS[eta]
-    assert dims == [_ref_link_dimension(ring, code, iso) for code in codes]
+    # RM codes are translation-invariant: either rep gives the same values
+    for reps in (_zeroed_reps, _min_id_reps):
+        assert dims == [_ref_link_dimension(ring, code, iso, reps) for code in codes]
 
 
 def _random_code(rng, q, k):
@@ -661,26 +677,24 @@ def test_link_dimension_matches_stacked_checks_on_random_codes(eta):
 
 
 def _ref_link_rows(ring, code, iso):
-    """The rows of M as the per-edge loop built them: the cotype-1 edges
-    by ascending rep, and each edge's row for a code row the sum of the
-    shifted check columns over that row's support."""
-    q = ring.field.q
-    table = GroupTable(ring, 2, colors=(1, 2))
-    tops_a, tops_b = (
-        _oriented_tops(table, iso, np.unique(table.coset_reps([0, 3 - j])), j) for j in (2, 1)
-    )
-    edge_a = np.empty(table.size, dtype=np.int64)
-    pos_a = np.empty(table.size, dtype=np.int64)
-    edge_a[tops_a] = np.arange(tops_a.shape[0])[:, None]
-    pos_a[tops_a] = np.arange(q)
+    """M by a plain loop over (i, b, c, a): row (b, c, i) sums, over the a
+    with P(a) in row i's support, the check column of position P(b)
+    shifted to column block a*q + (c + ab), P(x) = U(x t^-1)."""
+    f = ring.field
+    q = f.q
+    pos = [iso.apply_int(f.mul(x, f.inv(ring.t))) for x in range(q)]
     checks = dual_rows(code.rows, q)
     r = q - code.k
-    hcol = [sum(((h >> p) & 1) << i for i, h in enumerate(checks)) for p in range(q)]
-    supports = [[p for p in range(q) if (w >> p) & 1] for w in code.rows]
     rows = []
-    for shifts, cols in zip((r * edge_a[tops_b]).tolist(), pos_a[tops_b].tolist()):
-        terms = [hcol[c] << sh for c, sh in zip(cols, shifts)]
-        rows.extend(sum(terms[p] for p in support) for support in supports)
+    for w in code.rows:
+        for b in range(q):
+            col = sum(((h >> pos[b]) & 1) << j for j, h in enumerate(checks))
+            for c in range(q):
+                row = 0
+                for a in range(q):
+                    if (w >> pos[a]) & 1:
+                        row ^= col << r * (a * q + (c ^ f.mul(a, b)))
+                rows.append(row)
     return rows
 
 
@@ -695,17 +709,40 @@ def _ranked_link_matrix(monkeypatch, ring, code):
     return dim, m
 
 
-@pytest.mark.parametrize("eta,r", [(3, 1), (4, 1), (4, 2)])
-def test_link_matrix_is_the_per_edge_loop_far_edges_first(eta, r, monkeypatch):
-    """RM(2,4) has k > q - k, so its matrix is its dual's, RM(1,4)'s."""
+@pytest.mark.parametrize(
+    "eta,code",
+    [
+        (3, reed_muller(1, 3)),
+        (4, reed_muller(1, 4)),
+        (4, reed_muller(2, 4)),
+        (3, LinearCode([0b10110001, 0b01101100, 0b00011011], 8)),
+    ],
+    ids=["rm13", "rm14", "rm24", "random8"],
+)
+def test_link_matrix_is_the_per_top_loop(eta, code, monkeypatch):
+    """RM(2,4) has k > q - k, so its matrix is its dual's, RM(1,4)'s; the
+    [8, 3] code is not translation-invariant, so it pins the orientation."""
     ring = build_ring(eta, 1)
-    code = reed_muller(r, eta)
     thin = code if 2 * code.k <= code.n else dual_code(code)
     _, m = _ranked_link_matrix(monkeypatch, ring, code)
-    ref = _ref_link_rows(ring, thin, VectorIso(ring.field))
-    k = thin.k
-    by_edge = [ref[i : i + k] for i in range(0, len(ref), k)]
-    assert m.int_rows() == [row for edge in reversed(by_edge) for row in edge]
+    assert m.int_rows() == _ref_link_rows(ring, thin, VectorIso(ring.field))
+
+
+def test_link_builds_no_group_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("GroupTable built")
+
+    monkeypatch.setattr(GroupTable, "__init__", refuse)
+    ring = build_ring(3, 1)
+    assert link_vertex_code_dimension(ring, reed_muller(1, 3), VectorIso(ring.field)) == 76
+
+
+@pytest.mark.parametrize("iso_eta", [2, 4])
+def test_link_refuses_an_iso_over_another_field(iso_eta):
+    ring = build_ring(3, 1)
+    iso = VectorIso(build_ring(iso_eta, 1).field)
+    with pytest.raises(SheafError, match="iso is over F_%d" % (1 << iso_eta)):
+        link_vertex_code_dimension(ring, reed_muller(1, 3), iso)
 
 
 @pytest.mark.parametrize(
