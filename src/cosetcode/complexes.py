@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .group import GroupError, GroupTable
+from .group import GroupTable
 
 
 class ComplexError(ValueError):
@@ -183,8 +183,6 @@ class Complex:
 
 def build_coset_complex(table: GroupTable) -> Complex:
     """Faces of type T are the cosets g*K_T; top faces are the elements."""
-    if table.colors != tuple(range(table.D + 1)):
-        raise GroupError("coset complex needs all generator colors enumerated")
     D = table.D
     full = (1 << (D + 1)) - 1
     # K_full = {Id}: one top face per element

@@ -6,20 +6,17 @@ off-diagonal entry at 1-based position (j, j+1) for 1 <= j <= D and at
 (D+1)^2 ring digits row-major.
 
 Enumeration is a breadth-first search from the identity that
-right-multiplies every element of a round by every generator.  Only the
-moving digits, those a generator product can move off the identity's
-(digit (i, c) moves once some generator at (r, c) meets a nonzero digit
-(i, r)), can tell elements apart, so they are packed into a compact key
-that indexes a flat table of ids: one gather looks up a whole round.
-Each generator acts on compact keys as an affine map over F_2 (ring
-addition is XOR), so a round's products are one gather per key byte from
-tables of those maps built before the first round.  Ids are BFS
-insertion order: a new key takes the next id at its first occurrence in
-(parent id, generator column) order, so every downstream label is
-reproducible.  The ids therefore form a BFS tree: element h > 0 is
-parent[h] * gens[gen[h]] with parent[h] in the round before h's, and
-any product a query needs is read from the Cayley table by walking that
-tree, one gather per round.
+right-multiplies every element of a round by every generator.  The keys
+index a flat table of ids, so one gather looks up a whole round.  Each
+generator acts on keys as a linear map over F_2 (ring addition is XOR),
+so a round's products are one gather per key byte from tables of those
+maps built before the first round.  Ids are BFS insertion order: a new
+key takes the next id at its first occurrence in (parent id, generator
+column) order, so every downstream label is reproducible.  The ids
+therefore form a BFS tree: element h > 0 is parent[h] * gens[gen[h]]
+with parent[h] in the round before h's, and any product a query needs
+is read from the Cayley table by walking that tree, one gather per
+round.
 """
 
 from __future__ import annotations
@@ -163,35 +160,23 @@ class GroupElement:
 
 
 class GroupTable:
-    """BFS-enumerated group (or subgroup) with Cayley columns per generator.
+    """BFS-enumerated SL_{D+1}(R_m) with Cayley columns per generator.
 
-    `colors` selects which K_{j} generator families participate; the
-    default (all colors) closes to the whole group.  Restricting colors
-    enumerates K_T for T = complement of `colors`, such as the
-    vertex-link group K_0 = U_3(F_q) at D = 2.
+    Every color's generators take part, colors ascending and alpha in
+    omega-power order within a color, so the table closes to the group
+    the K_{j} generate.
 
     Keys are uint64 and products use the ring's multiplication table, so
     a group needing more than 63 key bits or a ring past 1024 elements is
     refused before any work; the smallest such groups have ~1e10 elements.
-    So is one whose id table would pass 16 * cap entries or 32-bit compact
-    keys: SL_3(F_8) needs 2^27 entries, past 2^26 at the default cap.
+    So is one whose id table would pass 16 * cap entries or 32-bit keys:
+    SL_3(F_8) needs 2^27 entries, past 2^26 at the default cap.
     """
 
-    def __init__(
-        self,
-        ring: RingTable,
-        D: int,
-        colors: Optional[Sequence[int]] = None,
-        cap: int = DEFAULT_ENUMERATION_CAP,
-    ):
+    def __init__(self, ring: RingTable, D: int, cap: int = DEFAULT_ENUMERATION_CAP):
         self.ring = ring
         self.D = D
         self.n = D + 1
-        self.colors = tuple(sorted(colors)) if colors is not None else tuple(range(self.n))
-        if any(not 0 <= c <= D for c in self.colors):
-            raise GroupError("colors out of range")
-        if not self.colors:
-            raise GroupError("colors is empty: the group needs at least one generating color")
         self.cap = cap
         self.kbits = max(1, (ring.size - 1).bit_length())
         if self.n * self.n * self.kbits > 63 or ring.mul_table is None:
@@ -203,17 +188,16 @@ class GroupTable:
         # order: I + v*e_rc with v = alpha*t and (r, c) the color's position
         self.gens: List[Tuple[int, int, int]] = [
             (color, alpha, ring.scalar_times_t(alpha))
-            for color in self.colors
+            for color in range(self.n)
             for alpha in ring.field.antilog
         ]
-        digits = self._moving_digits()
-        bits = self.kbits * len(digits)
+        bits = self.kbits * self.n * self.n
         if bits > 32 or 1 << bits > 16 * cap:
             raise GroupCapError(
                 "an id table of 2^%d entries is past 32-bit keys or 16 * cap %d"
                 % (bits, cap)
             )
-        self._enumerate(digits)
+        self._enumerate()
         self._coset_cache: Dict[int, np.ndarray] = {}
         self._cycle_perm: Optional[np.ndarray] = None
 
@@ -235,71 +219,44 @@ class GroupTable:
 
     # -- enumeration -------------------------------------------------------
 
-    def _moving_digits(self) -> List[Tuple[int, int]]:
-        """Row-major (i, c) of the digits that generator products can move
-        off the identity's.  I + v*e_rc adds digit (i, r) times v to digit
-        (i, c), so (i, c) moves once (i, r) can be nonzero: on the
-        diagonal, or moving itself."""
-        positions = [generator_position(color, self.n) for color in self.colors]
-        moving: set = set()
-        while True:
-            grown = moving | {
-                (i, c)
-                for r, c in positions
-                for i in range(self.n)
-                if i == r or (i, r) in moving
-            }
-            if grown == moving:
-                return sorted(moving)
-            moving = grown
-
-    def _enumerate(self, digits: List[Tuple[int, int]]) -> None:
-        """BFS rounds as array operations on compact keys, which pack only
-        the moving `digits`, kbits each.  A flat table indexed by compact
-        key holds the id of every element seen so far (-1 if unseen), so
-        one gather looks up a round's products.  The unseen ones are
-        numbered in first-occurrence order, which keeps ids in insertion
-        order.
+    def _enumerate(self) -> None:
+        """BFS rounds as array operations on keys, kbits per digit.  A flat
+        table indexed by key holds the id of every element seen so far (-1
+        if unseen), so one gather looks up a round's products.  The unseen
+        ones are numbered in first-occurrence order, which keeps ids in
+        insertion order.
 
         Right-multiplying by I + v*e_rc adds digit (i, r) times v to digit
-        (i, c), and ring addition is XOR, so each generator maps compact
-        keys by an affine map over F_2: key bit b goes to `image[b]`, and
-        the digits (i, r) that keep their identity value add a constant.
-        Both are folded into one table per key byte, a row per byte value
-        and a column per generator, the constant into the first: a round's
-        products are T_0[byte 0] ^ T_1[byte 1] ^ ..., one gather per byte."""
+        (i, c), and ring addition is XOR, so each generator maps keys by a
+        linear map over F_2: key bit b goes to `image[b]`.  The map is
+        folded into one table per key byte, a row per byte value and a
+        column per generator: a round's products are
+        T_0[byte 0] ^ T_1[byte 1] ^ ..., one gather per byte."""
         n, kb, ngen = self.n, self.kbits, len(self.gens)
-        bits = kb * len(digits)
-        shift = {d: kb * k for k, d in enumerate(digits)}
+        bits = kb * n * n
         image = (np.uint32(1) << np.arange(bits, dtype=np.uint32))[:, None].repeat(ngen, axis=1)
-        const = np.zeros(ngen, dtype=np.uint32)
         lo = 0
-        for color in self.colors:
+        for color in range(n):
             r, c = generator_position(color, n)
             vs = [v for col, _, v in self.gens if col == color]
             hi = lo + len(vs)
             times = self.ring.mul_table[:, vs].astype(np.uint32)
             for i in range(n):
-                if (i, c) not in shift:
-                    continue  # digit (i, r) is always 0
-                dst = np.uint32(shift[i, c])
-                if (i, r) in shift:  # bit t of digit (i, r) adds (2^t * v) to digit (i, c)
-                    for t in range(kb):
-                        image[shift[i, r] + t, lo:hi] ^= times[1 << t] << dst
-                else:  # digit (i, r) keeps its identity value
-                    const[lo:hi] ^= times[int(i == r)] << dst
+                # bit t of digit (i, r) adds (2^t * v) to digit (i, c)
+                dst = np.uint32(kb * (i * n + c))
+                for t in range(kb):
+                    image[kb * (i * n + r) + t, lo:hi] ^= times[1 << t] << dst
             lo = hi
         tables = []
-        for b in range(0, max(bits, 1), 8):
+        for b in range(0, bits, 8):
             rows = image[b : b + 8]
             table = np.zeros((1 << len(rows), ngen), dtype=np.uint32)
             for k, row in enumerate(rows):  # byte values with top bit k
                 table[1 << k : 2 << k] = table[: 1 << k] ^ row
             tables.append(table)
-        tables[0] ^= const
         byte, shifts = np.uint32(0xFF), [np.uint32(8 * k) for k in range(len(tables))]
         index = np.full(1 << bits, -1, dtype=np.int64)
-        id_key = sum(1 << s for (i, c), s in shift.items() if i == c)
+        id_key = sum(1 << (kb * (i * n + i)) for i in range(n))
         index[id_key] = 0
         batch = np.array([id_key], dtype=np.uint32)
         keys, parents, gen_cols, cayley = [batch], [np.array([-1])], [np.array([-1])], []
@@ -332,14 +289,7 @@ class GroupTable:
             parents.append(start + flat // ngen)
             gen_cols.append(flat % ngen)
             bounds.append(size + flat.size)
-        # full keys: the digits that never move, then the compact ones
-        compact = np.concatenate(keys)
-        fixed = sum(1 << (kb * (i * n + i)) for i in range(n) if (i, i) not in shift)
-        self.keys = np.full(compact.size, fixed, dtype=np.uint64)
-        mask = np.uint32((1 << kb) - 1)
-        for (i, c), s in shift.items():
-            digit = ((compact >> np.uint32(s)) & mask).astype(np.uint64)
-            self.keys |= digit << np.uint64(kb * (i * n + c))
+        self.keys = np.concatenate(keys).astype(np.uint64)
         self.size = int(self.keys.size)
         self.cayley = np.concatenate(cayley)
         self._parent = np.concatenate(parents)
@@ -422,24 +372,11 @@ class GroupTable:
         of color j to e(alpha*t) of color j+1 mod n: with the generators
         ordered by color, then alpha, that is the column one color block
         on."""
-        if self.colors != tuple(range(self.n)):
-            raise GroupError("type cycling needs every generator color enumerated")
         if self._cycle_perm is None:
             ngen = len(self.gens)
             colmap = (np.arange(ngen) + ngen // self.n) % ngen
             self._cycle_perm = self._walk(0, colmap)
         return self._cycle_perm
-
-    def k_color_elements(self, j: int) -> List[Tuple[int, int]]:
-        """(alpha, element id) for every element e(alpha*t) of K_{j},
-        alpha running over all of F_q (alpha = 0 gives the identity)."""
-        if j not in self.colors:
-            raise GroupError("color %d not enumerated in this table" % j)
-        return [(0, 0)] + [
-            (alpha, int(self.cayley[0, col]))
-            for col, (color, alpha, _) in enumerate(self.gens)
-            if color == j
-        ]
 
 
 def enumerate_group(D: int, ring: RingTable, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupTable:
@@ -455,59 +392,6 @@ def enumerate_group(D: int, ring: RingTable, cap: int = DEFAULT_ENUMERATION_CAP)
     return table
 
 
-def verify_commutator_relation(table: GroupTable) -> bool:
-    """Check [e_{i,j}(a), e_{j,k}(b)] = e_{i,k}(a*b) for i, j, k distinct.
-
-    Exhaustive over the ring when |R|^2 <= 4096, otherwise over 64 pairs
-    sampled deterministically."""
-    ring = table.ring
-    n = table.n
-    if n < 3:
-        return True
-    pairs: List[Tuple[int, int]]
-    if ring.size ** 2 <= 4096:
-        pairs = [(a, b) for a in range(ring.size) for b in range(ring.size)]
-    else:
-        rng = np.random.default_rng(20240811)
-        pairs = [
-            (int(rng.integers(ring.size)), int(rng.integers(ring.size)))
-            for _ in range(64)
-        ]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if len({i, j, k}) != 3:
-                    continue
-                for a, b in pairs:
-                    e1 = GroupElement.elementary(ring, n, i, j, a)
-                    e2 = GroupElement.elementary(ring, n, j, k, b)
-                    # char 2: each elementary matrix is its own inverse
-                    comm = e1.mul(e2).mul(e1).mul(e2)
-                    want = GroupElement.elementary(ring, n, i, k, ring.mul(a, b))
-                    if comm != want:
-                        return False
-    return True
-
-
-def fixed_point_free_on_link(table: GroupTable, gid: int) -> bool:
-    """True iff g in K_0 \\ {Id} acts without fixed points on at least one
-    of the coset families K_0/K_{0,1}, K_0/K_{0,2} (D = 2 only).
-
-    `table` must enumerate K_0 itself (colors (1, 2)) or the full group;
-    in the latter case membership in K_0 is required."""
-    if table.D != 2:
-        raise GroupError("fixed-point-freeness is defined for D = 2")
-    full = table.colors == (0, 1, 2)
-    k0 = np.array(table.enumerate_subgroup([0])) if full else np.arange(table.size)
-    if not (k0 == gid).any():
-        raise GroupError("element is not in K_0")
-    if gid == 0:
-        return False
-    reps = np.stack([table.coset_reps([0, 1]), table.coset_reps([0, 2])])
-    moved = reps[:, table.left_mul_perm(gid)[k0]] != reps[:, k0]
-    return bool(moved.all(axis=1).any())
-
-
 __all__ = [
     "GroupError",
     "GroupCapError",
@@ -518,6 +402,4 @@ __all__ = [
     "GroupElement",
     "GroupTable",
     "enumerate_group",
-    "verify_commutator_relation",
-    "fixed_point_free_on_link",
 ]

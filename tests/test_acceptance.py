@@ -4,6 +4,8 @@ construction, each a single pass/fail line under pytest -v."""
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from cosetcode import fixtures
 from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.cli import local_report, main as cli_main
@@ -26,7 +28,7 @@ from cosetcode.gates import (
     orbit_cz_circuit,
 )
 from cosetcode.gf2 import EchelonBasis
-from cosetcode.group import fixed_point_free_on_link, sl_order
+from cosetcode.group import sl_order
 from cosetcode.local_codes import (
     divisibility_level,
     dual_code,
@@ -42,6 +44,8 @@ from cosetcode.sheaf import (
     cohomology_dim,
     link_vertex_code_dimension,
 )
+
+from conftest import _acts_freely_on_link, _ref_coset_labels
 
 
 def _stabilizer_paulis(code):
@@ -208,11 +212,19 @@ def test_criterion_09_divisibility(sheaf2, logicals2, code2, inst4):
 def test_criterion_10_vertex_stabilizer_acts_freely(table2, k0_table8):
     k0 = table2.enumerate_subgroup([0])
     assert len(k0) == 8
-    assert all(fixed_point_free_on_link(table2, h) for h in k0 if h != 0)
-    assert k0_table8.size == 512
-    assert all(
-        fixed_point_free_on_link(k0_table8, h) for h in range(1, k0_table8.size)
-    )
+    link_reps = [table2.coset_reps([0, 1]), table2.coset_reps([0, 2])]
+    assert all(_acts_freely_on_link(table2.left_mul_perm(h), k0, link_reps) for h in k0 if h != 0)
+    ref = k0_table8
+    size = len(ref.elems)
+    assert size == 512
+    # prod[g, h] = g*h: h = parent * s, so g*h = (g*parent) * s
+    prod = np.empty((size, size), dtype=np.int64)
+    prod[:, 0] = np.arange(size)
+    for h in range(1, size):
+        prod[:, h] = ref.cayley[prod[:, ref.parent[h]], ref.gen[h]]
+    # K_{0,1} = K_2 and K_{0,2} = K_1
+    link_reps = [_ref_coset_labels(ref, 2), _ref_coset_labels(ref, 1)]
+    assert all(_acts_freely_on_link(prod[g], range(size), link_reps) for g in range(1, size))
 
 
 def test_criterion_11_dynamic_schedule(sheaf2, dual2, code2):

@@ -39,6 +39,7 @@ from cosetcode.sheaf import (
     star_sheaf,
 )
 
+from conftest import _ref_coset_labels, _ref_enumerate
 from stabilizer_reference import certified_reduce
 
 
@@ -265,7 +266,6 @@ def _ref_attach(c, code, iso, ring):
     """The BitMatrix construction of the oriented edge codes that the
     int-row sheaf replaced, kept as the reference."""
     table = c.group
-    gen_col = {(color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)}
     q = ring.field.q
     out = {}
     for mask in c.level_masks(c.D - 1):
@@ -275,9 +275,10 @@ def _ref_attach(c, code, iso, ring):
             g = ups[0]  # the coset's least element
             pos = {t: p for p, t in enumerate(ups)}
             perm = [0] * q
-            for alpha, _ in table.k_color_elements(cotype):
-                top = g if alpha == 0 else int(table.cayley[g, gen_col[(cotype, alpha)]])
-                perm[iso.apply_int(alpha)] = pos[top]
+            perm[iso.apply_int(0)] = pos[g]
+            for col, (color, alpha, _) in enumerate(table.gens):
+                if color == cotype:
+                    perm[iso.apply_int(alpha)] = pos[int(table.cayley[g, col])]
             rows = []
             for w in code.rows:
                 rows.append(sum(1 << perm[p] for p in range(q) if (w >> p) & 1))
@@ -600,39 +601,39 @@ def test_link_vertex_code_dimension_q2(ring2):
     assert link_vertex_code_dimension(ring2, code, iso) == 1
 
 
-def _zeroed_reps(table, cotype):
+def _zeroed_reps(k0, cotype):
     """Each cotype-`cotype` edge's element (a, b, c) with a = 0 (cotype 1)
-    or b = 0 (cotype 2), read from the table's keys: the rep the link
-    orients from."""
+    or b = 0 (cotype 2): the rep the link orients from."""
     i, j = (0, 1) if cotype == 1 else (1, 2)
-    return [g for g, key in enumerate(table.keys.tolist()) if table._decode(key)[i][j] == 0]
+    return [g for g, e in enumerate(k0.elems) if e.entries[i][j] == 0]
 
 
-def _min_id_reps(table, cotype):
+def _min_id_reps(k0, cotype):
     """Each cotype-`cotype` edge's least element id."""
-    return sorted(set(table.coset_reps([jc for jc in range(3) if jc != cotype]).tolist()))
+    return sorted(set(_ref_coset_labels(k0, cotype).tolist()))
 
 
 def _ref_link_dimension(ring, code, iso, reps=_zeroed_reps):
     """The stacked-check construction: the oriented dual-code constraints
-    of every edge through the vertex, as rows over the q^3 tops of the
-    enumerated K_0, each edge oriented from `reps(table, cotype)`; dim F_v
-    is q^3 minus their rank."""
+    of every edge through the vertex, as rows over the q^3 tops of K_0
+    closed by the dict loop, each edge oriented from `reps(k0, cotype)`;
+    dim F_v is q^3 minus their rank."""
     q = ring.field.q
-    table = GroupTable(ring, 2, colors=(1, 2))
-    gen_col = {(color, alpha): col for col, (color, alpha, _) in enumerate(table.gens)}
+    k0 = _ref_enumerate(ring, 3, (1, 2))
+    size = len(k0.elems)
     supports = [[p for p in range(q) if (w >> p) & 1] for w in dual_code(code).rows]
     rows = []
     for cotype in (2, 1):
-        edge_reps = reps(table, cotype)
+        edge_reps = reps(k0, cotype)
         assert len(edge_reps) == q * q
         for rep in edge_reps:
             top_bits = [0] * q
-            for alpha, _eid in table.k_color_elements(cotype):
-                top = rep if alpha == 0 else int(table.cayley[rep, gen_col[(cotype, alpha)]])
-                top_bits[iso.apply_int(alpha)] = 1 << top
+            top_bits[iso.apply_int(0)] = 1 << rep
+            for col, (color, alpha) in enumerate(k0.gens):
+                if color == cotype:
+                    top_bits[iso.apply_int(alpha)] = 1 << int(k0.cayley[rep, col])
             rows.extend(sum(top_bits[p] for p in support) for support in supports)
-    return table.size - BitMatrix.from_int_rows(rows, table.size).rank()
+    return size - BitMatrix.from_int_rows(rows, size).rank()
 
 
 # dim F_v for RM(r, eta), r = 0..eta; 76 at q=8 is the paper's, the rest
