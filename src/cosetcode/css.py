@@ -3,12 +3,16 @@ color-tagged logical bases, Darboux reduction, and the unfolding checks
 (the shrunk-complex dimension isomorphism and the restriction of
 cocycles to the shrunk complex).
 
-The unfolding checks read one color type T at a time, through the
-T-shrunk three-term complex C^x_T -> C^{x+1}_T -> C-bar^z_{T^c}, whose
-maps are the T block of delta_x and psi_T = pi-bar_z[T^c] pi_{x+1}[T]^T.
-At level x+1 the only type inside T is T itself, and at dual level z
-the only type inside T^c is T^c, so each check pairs one dual type block
-against one primal one and never forms a full pairing.
+The unfolding checks and the logical bases read one color type T at a
+time, through the T-shrunk three-term complex C^x_T -> C^{x+1}_T ->
+C-bar^z_{T^c}, whose maps are the T block of delta_x and psi_T =
+pi-bar_z[T^c] pi_{x+1}[T]^T.  At level x+1 the only type inside T is T
+itself, and at dual level z the only type inside T^c is T^c, so each
+check pairs one dual type block against one primal one and never forms
+a full pairing.  A side's logicals for T are ker psi_T projected by
+pi_{x+1}[T], each kept if independent of that side's checks, into whose
+span the image of the T block of delta_x projects; `logical_basis`
+requires exactly k of them per side.
 
 Restriction to T is a chain map from the sheaf complex to the shrunk
 one; of its four commuting squares only one is checked,
@@ -40,7 +44,6 @@ from .gf2 import BitMatrix, EchelonBasis, row_space_equal
 from .sheaf import (
     Sheaf,
     cohomology_dim,
-    cohomology_reps,
     coboundary_matrix,
     dual_sheaf,
     projection_matrix,
@@ -195,39 +198,49 @@ def logical_basis(
     x: int,
     z: int,
 ) -> LogicalBasis:
-    """Projected type-restricted cohomology representatives, one family per
-    color type T with 0 in T; independence modulo the checks is verified.
+    """Color-tagged logical representatives read off the T-shrunk
+    complexes, one family per color type T with 0 in T; each family must
+    have exactly k rows, independent modulo its side's checks.
 
     For a self-dual pair (`s_dual is s`, x == z and `code.h_x is
     code.h_z`) the Z family would be computed from the same arguments as
     the X family, so it is the X family, and is checked once."""
-    xl = _tagged_logicals(s, x, code.h_z)
-    sides = [("X", xl, code.h_x)]
+    xl = _tagged_logicals(s, s_dual, x, z, code.h_x, code.h_z)
+    sides = [("X", xl)]
     if s_dual is s and x == z and code.h_x is code.h_z:
         zl = list(xl)
     else:
-        zl = _tagged_logicals(s_dual, z, code.h_x)
-        sides.append(("Z", zl, code.h_z))
-    for name, rows, checks in sides:
-        if rows:
-            if checks.vstack(_supports(code.n, rows)).rank() != checks.rank() + len(rows):
-                raise CSSError("%s logicals are dependent modulo the checks" % name)
+        zl = _tagged_logicals(s_dual, s, z, x, code.h_z, code.h_x)
+        sides.append(("Z", zl))
+    k = code.code_dimension()
+    for name, rows in sides:
+        if len(rows) != k:
+            raise CSSError("%s logicals span %d of k = %d" % (name, len(rows), k))
     return LogicalBasis(code.n, xl, zl)
 
 
 def _tagged_logicals(
-    s: Sheaf, level: int, other_checks: BitMatrix
+    s: Sheaf,
+    s_other: Sheaf,
+    level: int,
+    other_level: int,
+    checks: BitMatrix,
+    other_checks: BitMatrix,
 ) -> List[Tuple[Tuple[int, ...], int]]:
-    """Per color type T through 0, the T-masked cohomology reps times the
-    projection, one product per type; all of them are then checked against
-    the other side in one product, and a failure names the first type
-    with a logical that anticommutes with a check."""
-    reps = cohomology_reps(s, level + 1)
+    """Per color type T through 0, ker psi_T (`_shrunk_top_map`) projected
+    by the T rows of pi_{level+1}, keeping each row that is independent of
+    `checks` and of the rows kept before it.  Logicals matter only modulo
+    the checks, so the image of the T block of delta_level needs no
+    quotient and no lift to a global cocycle is taken.  All kept rows are
+    then checked against `other_checks` in one product, and a failure
+    names the first type with a logical that anticommutes with a check."""
     pi = projection_matrix(s, level + 1)
+    acc = EchelonBasis(checks.int_rows())
     out: List[Tuple[Tuple[int, ...], int]] = []
     for T in color_types_through_zero(s.complex.D, level + 2):
-        logicals = _cols(reps, s.type_coords(level + 1, T)[1]).matmul(pi)
-        out += [(T, v) for v in logicals.int_rows()]
+        psi = _shrunk_top_map(s, s_other, level, other_level, T)
+        logicals = psi.kernel_basis().matmul(_rows(pi, s.type_coords(level + 1, T)[0]))
+        out += [(T, v) for v in logicals.int_rows() if acc.insert(v)]
     # bit i of a row of the product: logical i against that check
     hit = 0
     for v in other_checks.matmul(_supports(pi.cols, out).transpose()).int_rows():

@@ -146,7 +146,7 @@ def _kernel(rows: Sequence[int], pivots: Sequence[int], width: int) -> List[int]
 
 def dual_rows(rows: Iterable[int], width: int) -> List[int]:
     """The dual of the span of int rows of `width` bits, in reduced row
-    echelon form, as `BitMatrix.kernel_basis().row_space_basis()` gives it:
+    echelon form, as `BitMatrix.kernel_basis().rref()[0]` gives it:
     the kernel rows, reduced once more on their highest set bits."""
     red, pivots = EchelonBasis(rows).rref()
     return EchelonBasis(_kernel(red, pivots, width)).rref()[0]
@@ -302,52 +302,31 @@ class BitMatrix:
         rows, pivots = EchelonBasis(self._ints).rref()
         return BitMatrix._of(rows, self.cols), pivots
 
-    def row_space_basis(self) -> "BitMatrix":
-        m, _ = self.rref()
-        return m
-
     def kernel_basis(self) -> "BitMatrix":
         """Rows form a basis of {x : self @ x = 0} (x of length cols)."""
         rows, pivots = EchelonBasis(self._ints).rref()
         return BitMatrix._of(_kernel(rows, pivots, self.cols), self.cols)
 
-    def _solve(self, rhs_rows: Iterable[int], k: int) -> Optional[List[Tuple[int, int]]]:
-        """Solve self @ X = rhs by reducing the rows of self above those of
-        rhs (k bits each, `a << k | b`).  Returns the solution whose free
-        variables are 0 as (row of X, its bits) pairs, rows not listed
-        being 0; None if it is inconsistent: a pivot below bit k."""
-        aug = (a << k | b for a, b in zip(self._ints, rhs_rows))
-        rows, pivots = EchelonBasis(aug).rref()
-        if pivots and pivots[0] < k:
-            return None
-        low = (1 << k) - 1
-        return [(p - k, v & low) for v, p in zip(rows, pivots)]
-
     def solve(self, rhs: "BitMatrix") -> Optional["BitMatrix"]:
         """Solve self @ X = rhs for X (rhs given column-wise as a matrix).
 
-        rhs has shape (self.rows, k); returns X of shape (self.cols, k)
-        or None if any column is inconsistent.
+        rhs has shape (self.rows, k); returns X of shape (self.cols, k),
+        its free variables 0, or None if any column is inconsistent.  The
+        rows of self are reduced above those of rhs (`a << k | b`): a
+        pivot below bit k is an inconsistent column.
         """
         if rhs.rows != self.rows:
             raise GF2Error("solve rhs row mismatch")
-        sol = self._solve(rhs._ints, rhs.cols)
-        if sol is None:
+        k = rhs.cols
+        aug = (a << k | b for a, b in zip(self._ints, rhs._ints))
+        rows, pivots = EchelonBasis(aug).rref()
+        if pivots and pivots[0] < k:
             return None
         x = [0] * self.cols
-        for p, v in sol:
-            x[p] = v
-        return BitMatrix._of(x, rhs.cols)
-
-    def solve_vec(self, b: int) -> Optional[int]:
-        """Solve self @ x = b for x, both vectors as ints (bit i is entry
-        i, b of `rows` bits and x of `cols`); returns some solution or None."""
-        if b < 0 or b.bit_length() > self.rows:
-            raise GF2Error("solve_vec right-hand side is not a %d-bit vector" % self.rows)
-        sol = self._solve(((b >> i) & 1 for i in range(self.rows)), 1)
-        if sol is None:
-            return None
-        return sum(1 << p for p, v in sol if v)
+        low = (1 << k) - 1
+        for v, p in zip(rows, pivots):
+            x[p - k] = v & low
+        return BitMatrix._of(x, k)
 
 
 def row_space_equal(a: BitMatrix, b: BitMatrix) -> bool:

@@ -166,11 +166,10 @@ class GroupTable:
     omega-power order within a color, so the table closes to the group
     the K_{j} generate.
 
-    Keys are uint64 and products use the ring's multiplication table, so
-    a group needing more than 63 key bits or a ring past 1024 elements is
-    refused before any work; the smallest such groups have ~1e10 elements.
-    So is one whose id table would pass 16 * cap entries or 32-bit keys:
-    SL_3(F_8) needs 2^27 entries, past 2^26 at the default cap.
+    Products use the ring's multiplication table, so a ring past 1024
+    elements is refused before any work.  So is a group whose id table
+    would pass 16 * cap entries or 32-bit keys: SL_3(F_8) needs 2^27
+    entries, past 2^26 at the default cap.
     """
 
     def __init__(self, ring: RingTable, D: int, cap: int = DEFAULT_ENUMERATION_CAP):
@@ -179,10 +178,10 @@ class GroupTable:
         self.n = D + 1
         self.cap = cap
         self.kbits = max(1, (ring.size - 1).bit_length())
-        if self.n * self.n * self.kbits > 63 or ring.mul_table is None:
+        if ring.mul_table is None:
             raise GroupCapError(
-                "SL_%d over a ring of %d elements is past 63-bit keys or the "
-                "1024-element multiplication table" % (self.n, ring.size)
+                "a ring of %d elements is past the 1024-element multiplication table"
+                % ring.size
             )
         # generators (color, alpha, v), colors ascending, alpha in omega-power
         # order: I + v*e_rc with v = alpha*t and (r, c) the color's position

@@ -457,22 +457,6 @@ def projection_matrix(s: Sheaf, j: int) -> BitMatrix:
 # -- cohomology ----------------------------------------------------------------
 
 
-@_per_level
-def cocycle_basis(s: Sheaf, j: int) -> BitMatrix:
-    """Basis of Z^j = ker delta^j (Z^D = all of C^D)."""
-    if j == s.complex.D:
-        return BitMatrix.identity(s.level_dim(j))
-    return coboundary_matrix(s, j).kernel_basis()
-
-
-def coboundary_image_basis(s: Sheaf, j: int) -> BitMatrix:
-    """Basis of B^j = im delta^{j-1} (B^0 = 0)."""
-    if j == 0:
-        return BitMatrix(0, s.level_dim(0))
-    d = coboundary_matrix(s, j - 1)
-    return d.transpose().row_space_basis()
-
-
 def cohomology_dim(s: Sheaf, j: int) -> int:
     """dim H^j = dim C^j - rank delta^j - rank delta^{j-1}: two ranks, and
     no basis or transpose (delta^D and delta^{-1} are zero)."""
@@ -482,17 +466,6 @@ def cohomology_dim(s: Sheaf, j: int) -> int:
     if j > 0:
         dim -= coboundary_matrix(s, j - 1).rank()
     return dim
-
-
-@_per_level
-def cohomology_reps(s: Sheaf, j: int) -> BitMatrix:
-    """Deterministic cocycle representatives of a basis of H^j: the cocycle
-    basis rows independent of B^j and of the rows before them.  B^j enters
-    as the rows of delta^{j-1}^T as they are: only their span matters."""
-    z = cocycle_basis(s, j)
-    acc = EchelonBasis(coboundary_matrix(s, j - 1).transpose().int_rows() if j else ())
-    reps = [row for row in z.int_rows() if acc.insert(row)]
-    return BitMatrix.from_int_rows(reps, z.cols)
 
 
 # -- predicates ----------------------------------------------------------------
@@ -614,36 +587,6 @@ def _top_values(f: Cochain, mask: int) -> np.ndarray:
     block = f.data & s.type_coords(level, colors_of(mask))[1]
     row = BitMatrix.from_int_rows([block], s.level_dim(level))
     return row.matmul(projection_matrix(s, level)).to_dense()[0]
-
-
-# -- lifting ---------------------------------------------------------------------
-
-
-def lift_shrunk_cocycle(s: Sheaf, T: Sequence[int], f: int) -> Cochain:
-    """Extend a T-supported shrunk 1-cocycle f, an int of `level_dim(|T| - 1)`
-    bits, to a sheaf cocycle g at level |T| - 1 with res_T(g) = f, by one
-    global linear solve."""
-    level = len(set(T)) - 1
-    c = s.complex
-    if not 1 <= level <= c.D - 1 or not set(T) <= set(range(c.n_colors)):
-        raise SheafError("invalid shrunk type %r" % (tuple(T),))
-    if f < 0 or f.bit_length() > s.level_dim(level):
-        raise SheafError("shrunk cocycle is not a vector of C^%d" % level)
-    rows, keep = s.type_coords(level, T)
-    if f & ~keep:
-        raise SheafError("shrunk cocycle has coordinates outside the type %r" % (tuple(T),))
-    # delta g = 0 and g = f on T's coordinates: at this level they are
-    # the one block of type T, so f's bits there are f shifted down by
-    # the block's start
-    delta = coboundary_matrix(s, level)
-    ident = BitMatrix.from_int_rows([1 << i for i in rows], delta.cols)
-    g = delta.vstack(ident).solve_vec(f >> rows[0] << delta.rows)
-    if g is None:
-        raise SheafError(
-            "no sheaf lift exists for the given shrunk cocycle: "
-            "this contradicts the extension lemma and indicates a bug"
-        )
-    return Cochain(s, level, g)
 
 
 # -- exhaustive projected-product checks --------------------------------------------
@@ -800,16 +743,12 @@ __all__ = [
     "dual_sheaf",
     "coboundary_matrix",
     "projection_matrix",
-    "cocycle_basis",
-    "coboundary_image_basis",
     "cohomology_dim",
-    "cohomology_reps",
     "check_flasque",
     "check_locally_acyclic",
     "sheaf_at_link",
     "star_sheaf",
     "cup_product",
-    "lift_shrunk_cocycle",
     "check_pair_products",
     "check_projected_weights",
     "link_vertex_code_dimension",

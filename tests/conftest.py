@@ -9,9 +9,10 @@ import pytest
 from cosetcode.algebra import VectorIso, build_ring
 from cosetcode.complexes import build_coset_complex
 from cosetcode.css import extract_css, logical_basis
+from cosetcode.gf2 import BitMatrix
 from cosetcode.group import GroupElement, enumerate_group, generator_position
 from cosetcode.local_codes import reed_muller
-from cosetcode.sheaf import attach_local_codes, dual_sheaf, induce_lower_codes
+from cosetcode.sheaf import attach_local_codes, coboundary_matrix, dual_sheaf, induce_lower_codes
 from cosetcode import fixtures
 
 
@@ -157,3 +158,17 @@ def k0_table8():
     """The color-0 vertex stabilizer K_0 = U_3(F_8) of the q=8 instance,
     closed by the dict loop (the full group is out of reach)."""
     return _ref_enumerate(build_ring(3, 1), 3, (1, 2))
+
+
+def _ref_cocycle_basis(s, j):
+    """A basis of Z^j = ker delta^j (Z^D = all of C^D)."""
+    if j == s.complex.D:
+        return BitMatrix.identity(s.level_dim(j))
+    return coboundary_matrix(s, j).kernel_basis()
+
+
+def _ref_coboundary_image_basis(s, j):
+    """A reduced basis of B^j = im delta^{j-1} (B^0 = 0)."""
+    if j == 0:
+        return BitMatrix(0, s.level_dim(0))
+    return coboundary_matrix(s, j - 1).transpose().rref()[0]

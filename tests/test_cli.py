@@ -86,8 +86,8 @@ def test_q2_verify_all_induces_once_and_checks_nesting_once(monkeypatch, capsys)
 def test_q2_css_and_report_do_no_repeated_elimination(monkeypatch, capsys):
     # pinned work counts: the unfolding check reads delta^1's rows and
     # builds no cocycle basis, the self-dual pair's logical family is
-    # computed once and checked in one product per side, and a matrix is
-    # ranked once however often it is asked
+    # computed once, from one psi_T kernel per color type, and checked in
+    # one product, and a matrix is ranked once however often it is asked
     counts = {}
     for owner, name, label in ((BitMatrix, "transpose", "transpose"),
                                (BitMatrix, "kernel_basis", "kernel_basis"),
@@ -101,7 +101,7 @@ def test_q2_css_and_report_do_no_repeated_elimination(monkeypatch, capsys):
         monkeypatch.setattr(owner, name, counted)
     pinned = {
         "verify": ({"transpose": 4, "EchelonBasis": 76}, "k", 46),
-        "report": ({"transpose": 7, "kernel_basis": 1, "EchelonBasis": 73}, "n", 168),
+        "report": ({"transpose": 8, "kernel_basis": 2, "EchelonBasis": 73}, "n", 168),
     }
     for command, (want, key, value) in pinned.items():
         argv = [command, "--q", "2"] + (["--suite", "css"] if command == "verify" else [])

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cosetcode import css, fixtures, sheaf
+from cosetcode import css, fixtures
 from cosetcode.css import (
     CSSError,
     CssCode,
@@ -22,14 +22,12 @@ from cosetcode.css import (
     LogicalBasis,
 )
 from cosetcode.algebra import VectorIso
-from cosetcode.gf2 import BitMatrix, EchelonBasis
+from cosetcode.gf2 import BitMatrix, EchelonBasis, row_space_equal
 from cosetcode.local_codes import LinearCode, reed_muller
 from cosetcode.sheaf import (
     attach_constant_sheaf,
     attach_local_codes,
-    coboundary_image_basis,
     coboundary_matrix,
-    cocycle_basis,
     cohomology_dim,
     dual_sheaf,
     induce_lower_codes,
@@ -37,6 +35,8 @@ from cosetcode.sheaf import (
     Sheaf,
     SheafError,
 )
+
+from conftest import _ref_coboundary_image_basis, _ref_cocycle_basis
 
 
 def test_code_parameters(code2):
@@ -227,7 +227,7 @@ def _ref_chain_map_squares(s, s_dual, x, z, T):
         "bottom_left": r_x1.matmul(delta_x) == r_x1.matmul(delta_x).matmul(r_x),
         "top_left": pi_x.matmul(r_x) == pi_x1.matmul(r_x1).matmul(delta_x).matmul(r_x),
         "top_right": q.matmul(r_x) == rbar.matmul(q).matmul(r_x),
-        "bottom_right": psi.matmul(cocycle_basis(s, x + 1).transpose()).is_zero(),
+        "bottom_right": psi.matmul(_ref_cocycle_basis(s, x + 1).transpose()).is_zero(),
     }
 
 
@@ -366,11 +366,10 @@ def test_octahedron_sphere_has_no_logicals():
 
 def test_unfolding_check_builds_no_cocycle_basis(sheaf2, dual2, complex2, ring2, monkeypatch):
     # psi_T's rows are reduced against delta^{x+1}'s rows instead: no
-    # cocycle basis and no kernel, on every accepted pair
+    # kernel, so no cocycle basis, on every accepted pair
     built = []
-    for owner, name in ((sheaf, "cocycle_basis"), (BitMatrix, "kernel_basis")):
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, f=original: built.append(a) or f(*a))
+    kernel_basis = BitMatrix.kernel_basis
+    monkeypatch.setattr(BitMatrix, "kernel_basis", lambda *a: built.append(a) or kernel_basis(*a))
     for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
         try:
             code, _ = extract_css(s, x, z, s_dual=sd)
@@ -389,7 +388,7 @@ def test_restriction_and_cohomology_dim_match_the_cocycle_basis(
     # size is rank delta^{x+1}
     for s, sd, x, z in _unfolding_cases(sheaf2, dual2, complex2, ring2):
         annihilator = css._cocycle_annihilator(s, x)
-        h_dim = cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
+        h_dim = _ref_cocycle_basis(s, x + 1).rows - coboundary_matrix(s, x).rank()
         assert s.level_dim(x + 1) - len(annihilator) - coboundary_matrix(s, x).rank() == h_dim
         for T in _every_type(s, x):
             want = _ref_chain_map_squares(s, sd, x, z, T)["bottom_right"]
@@ -443,19 +442,19 @@ def test_a_flipped_psi_entry_fails_that_type_only(code2, sheaf2, dual2, monkeypa
 def _ref_chain_map_squares_psi(s, psi, T):
     """The reference's bottom_right for a given psi_T: psi_T times the T
     block of the transposed cocycle basis is zero."""
-    zt = cocycle_basis(s, 1).transpose()
+    zt = _ref_cocycle_basis(s, 1).transpose()
     rows = zt.int_rows()
     block = BitMatrix.from_int_rows([rows[i] for i in s.type_coords(1, T)[0]], zt.cols)
     return psi.matmul(block).is_zero()
 
 
 def _ref_tagged_logicals(s, level, other_checks):
-    """The logical family as it was computed per type: representatives
-    seeded with a reduced basis of B^{level+1}, one commutation product
-    per type."""
+    """The logical family from a global cocycle basis: cohomology
+    representatives seeded with a reduced basis of B^{level+1}, masked to
+    each type and projected, one commutation product per type."""
     j = level + 1
-    z = cocycle_basis(s, j)
-    acc = EchelonBasis(coboundary_image_basis(s, j).int_rows())
+    z = _ref_cocycle_basis(s, j)
+    acc = EchelonBasis(_ref_coboundary_image_basis(s, j).int_rows())
     reps = BitMatrix.from_int_rows([r for r in z.int_rows() if acc.insert(r)], z.cols)
     pi = projection_matrix(s, j)
     out = []
@@ -465,6 +464,18 @@ def _ref_tagged_logicals(s, level, other_checks):
         assert other_checks.matmul(logicals.transpose()).is_zero()
         out += [(T, v) for v in logicals.int_rows()]
     return out
+
+
+def _assert_same_classes(got, want, checks):
+    """Each tag has as many logicals in `got` as in `want`, and with the
+    checks they span the same space: the representatives may differ, the
+    classes may not."""
+    assert {t for t, _ in got} == {t for t, _ in want}
+    for T in {t for t, _ in want}:
+        a = css._supports(checks.cols, [(t, v) for t, v in got if t == T])
+        b = css._supports(checks.cols, [(t, v) for t, v in want if t == T])
+        assert a.rows == b.rows, T
+        assert row_space_equal(checks.vstack(a), checks.vstack(b)), T
 
 
 def _count_tagged(monkeypatch):
@@ -478,8 +489,8 @@ def test_a_self_dual_pair_computes_one_logical_family(code2, sheaf2, monkeypatch
     calls = _count_tagged(monkeypatch)
     lb = logical_basis(code2, sheaf2, sheaf2, 0, 0)
     assert len(calls) == 1
-    assert lb.z_logicals == lb.x_logicals == _ref_tagged_logicals(sheaf2, 0, code2.h_z)
-    assert lb.z_logicals is not lb.x_logicals
+    assert lb.z_logicals == lb.x_logicals and lb.z_logicals is not lb.x_logicals
+    _assert_same_classes(lb.x_logicals, _ref_tagged_logicals(sheaf2, 0, code2.h_z), code2.h_x)
 
 
 def test_other_pairs_compute_both_families(torus_sheaves, monkeypatch):
@@ -491,21 +502,28 @@ def test_other_pairs_compute_both_families(torus_sheaves, monkeypatch):
         calls.clear()
         lb = logical_basis(code, s, sd, x, z)
         assert len(calls) == 2
-        assert lb.x_logicals == _ref_tagged_logicals(s, x, code.h_z)
-        assert lb.z_logicals == _ref_tagged_logicals(sd, z, code.h_x)
+        _assert_same_classes(lb.x_logicals, _ref_tagged_logicals(s, x, code.h_z), code.h_x)
+        _assert_same_classes(lb.z_logicals, _ref_tagged_logicals(sd, z, code.h_x), code.h_z)
 
 
 def test_the_shortcut_needs_equal_levels(code2, sheaf2, monkeypatch):
     # the same sheaf and check matrix on both sides, but x != z: the two
-    # families are asked for at their own levels
+    # families are asked for at their own levels (and, empty, both fall
+    # short of k)
     calls = []
     monkeypatch.setattr(css, "_tagged_logicals", lambda *a: calls.append(a) or [])
     code = CssCode(code2.h_x, code2.h_x)
-    logical_basis(code, sheaf2, sheaf2, 0, 1)
-    assert [(s, level) for s, level, _ in calls] == [(sheaf2, 0), (sheaf2, 1)]
+    with pytest.raises(CSSError, match="X logicals span 0 of k = 46"):
+        logical_basis(code, sheaf2, sheaf2, 0, 1)
+    assert [(s, level, other) for s, _, level, other, _, _ in calls] == [
+        (sheaf2, 0, 1), (sheaf2, 1, 0)
+    ]
     calls.clear()
-    logical_basis(CssCode(code2.h_x, BitMatrix.from_int_rows(code2.h_x.int_rows(), code2.n)),
-                  sheaf2, sheaf2, 0, 0)
+    with pytest.raises(CSSError, match="X logicals span 0"):
+        logical_basis(
+            CssCode(code2.h_x, BitMatrix.from_int_rows(code2.h_x.int_rows(), code2.n)),
+            sheaf2, sheaf2, 0, 0,
+        )
     assert len(calls) == 2
 
 
@@ -516,4 +534,49 @@ def test_an_anticommuting_logical_names_the_first_type(code2, sheaf2, logicals2)
     for rows, T in (([red[0]], (0, 2)), ([blue[0]], (0, 1)), ([red[0], blue[0]], (0, 1))):
         checks = BitMatrix.from_int_rows(rows, code2.n)
         with pytest.raises(CSSError, match=r"T=%s anticommutes" % re.escape(repr(T))):
-            css._tagged_logicals(sheaf2, 0, checks)
+            css._tagged_logicals(sheaf2, sheaf2, 0, 0, code2.h_x, checks)
+
+
+def test_logical_basis_builds_no_coboundary_matrix(complex2, ring2):
+    # the logicals are read off psi_T and pi_{x+1}: neither delta^x nor
+    # delta^{x+1} is built on a fresh sheaf
+    s = induce_lower_codes(
+        attach_local_codes(complex2, reed_muller(0, 1), VectorIso(ring2.field), ring2)
+    )
+    code, sd = extract_css(s, 0, 0)
+    assert len(logical_basis(code, s, sd, 0, 0).x_logicals) == 46
+    assert [key for key in s._matrices if key[0] == "coboundary_matrix"] == []
+
+
+def _one_type_psi(monkeypatch, T, psi):
+    top_map = css._shrunk_top_map
+
+    def replaced(s, sd, x, z, U):
+        return psi if tuple(U) == T else top_map(s, sd, x, z, U)
+
+    monkeypatch.setattr(css, "_shrunk_top_map", replaced)
+
+
+@pytest.mark.parametrize("T", color_types_through_zero(2, 2))
+def test_a_psi_short_of_a_row_admits_an_anticommuting_logical(code2, sheaf2, monkeypatch, T):
+    # psi_T's rows reduced to an independent set, less one: its kernel
+    # grows by a vector that psi_T itself does not annihilate
+    psi = css._shrunk_top_map(sheaf2, sheaf2, 0, 0, T)
+    red, _ = psi.rref()
+    _one_type_psi(monkeypatch, T, BitMatrix.from_int_rows(red.int_rows()[:-1], psi.cols))
+    with pytest.raises(CSSError, match=r"T=%s anticommutes" % re.escape(repr(T))):
+        logical_basis(code2, sheaf2, sheaf2, 0, 0)
+
+
+@pytest.mark.parametrize("T", color_types_through_zero(2, 2))
+def test_a_psi_with_an_extra_row_loses_a_logical(code2, sheaf2, logicals2, monkeypatch, T):
+    # psi_T plus the pairing of T's block with a logical of the other tag:
+    # the kernel loses the one class that pairs oddly with that logical
+    psi = css._shrunk_top_map(sheaf2, sheaf2, 0, 0, T)
+    v = next(v for tag, v in logicals2.x_logicals if tag != T)
+    pi = projection_matrix(sheaf2, 1).int_rows()
+    block = sheaf2.type_coords(1, T)[0]
+    extra = sum(((pi[r] & v).bit_count() & 1) << i for i, r in enumerate(block))
+    _one_type_psi(monkeypatch, T, BitMatrix.from_int_rows(psi.int_rows() + [extra], psi.cols))
+    with pytest.raises(CSSError, match="X logicals span 45 of k = 46"):
+        logical_basis(code2, sheaf2, sheaf2, 0, 0)

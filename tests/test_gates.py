@@ -408,9 +408,11 @@ def _membership_phase_by_solve(p, generators):
     last = len(generators) - 1
     rows = [g.x | (g.z << n) for g in reversed(generators)]
     mat = BitMatrix.from_int_rows(rows, 2 * n).transpose()
-    combo = mat.solve_vec(p.x | (p.z << n))
-    if combo is None:
+    b = p.x | (p.z << n)
+    sol = mat.solve(BitMatrix.from_int_rows([(b >> i) & 1 for i in range(2 * n)], 1))
+    if sol is None:
         return None
+    combo = sum(v << j for j, v in enumerate(sol.int_rows()))
     prod = Pauli(n, 0, 0, 0)
     for i in sorted(last - j for j in range(len(generators)) if (combo >> j) & 1):
         prod = pauli_mul(prod, generators[i])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cosetcode.algebra import build_ring
+from cosetcode.cli import main
 from cosetcode.group import (
     GroupCapError,
     GroupError,
@@ -133,10 +134,25 @@ def _refuse_products(monkeypatch):
 
 
 def test_over_wide_table_refused_before_any_product(monkeypatch):
-    # SL_4 over 16 elements needs 16 digits of 4 bits: past 63-bit keys
+    # SL_4 over 16 elements needs 16 digits of 4 bits: past 32-bit keys
     _refuse_products(monkeypatch)
     with pytest.raises(GroupCapError):
         GroupTable(build_ring(2, 2), 3)
+
+
+def test_ring_without_a_multiplication_table_refused_before_any_product(monkeypatch, capsys):
+    # F_2[t]/(phi) of degree 11 has 2048 elements, past the 1024-element
+    # table; at D = 0 its one 11-bit digit passes the id-table refusal
+    _refuse_products(monkeypatch)
+    ring = build_ring(1, 11)
+    assert ring.mul_table is None
+    for D in (0, 2):
+        with pytest.raises(GroupCapError, match="2048 elements"):
+            GroupTable(ring, D, cap=1 << 40)
+    huge = str(1 << 100)
+    argv = ["verify", "--q", "2", "--m", "11", "--suite", "structure"]
+    assert main(argv + ["--cap-enumeration", huge, "--cap-qubits", huge]) == 3
+    assert "2048 elements" in capsys.readouterr().err
 
 
 def test_oversized_id_table_refused_before_any_product(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tanner sheaves: induction, cohomology, cup products, lifting, and the
+"""Tanner sheaves: induction, cohomology, cup products, and the
 exhaustive local product checks."""
 
 import hashlib
@@ -25,21 +25,22 @@ from cosetcode.sheaf import (
     check_pair_products,
     check_projected_weights,
     coboundary_matrix,
-    coboundary_image_basis,
-    cocycle_basis,
     cohomology_dim,
-    cohomology_reps,
     cup_product,
     dual_sheaf,
     induce_lower_codes,
-    lift_shrunk_cocycle,
     link_vertex_code_dimension,
     projection_matrix,
     sheaf_at_link,
     star_sheaf,
 )
 
-from conftest import _ref_coset_labels, _ref_enumerate
+from conftest import (
+    _ref_coboundary_image_basis,
+    _ref_cocycle_basis,
+    _ref_coset_labels,
+    _ref_enumerate,
+)
 from stabilizer_reference import certified_reduce
 
 
@@ -303,7 +304,7 @@ def _ref_induce(c, defining):
                         rows.append(sum(1 << pos[t] for p, t in enumerate(sups) if (w >> p) & 1))
             if rows:
                 constraints = BitMatrix.from_int_rows(rows, len(ups))
-                out[face] = constraints.kernel_basis().row_space_basis()
+                out[face] = constraints.kernel_basis().rref()[0]
             else:
                 out[face] = BitMatrix.identity(len(ups))
     return out
@@ -311,7 +312,7 @@ def _ref_induce(c, defining):
 
 def _ref_dual(c, bases):
     top = c.level_faces(c.D - 1)
-    return _ref_induce(c, {f: bases[f].kernel_basis().row_space_basis() for f in top})
+    return _ref_induce(c, {f: bases[f].kernel_basis().rref()[0] for f in top})
 
 
 def _ragged_complex():
@@ -328,7 +329,7 @@ def _random_codes(c, seed):
     for face in c.level_faces(c.D - 1):
         n = len(c.up_set(face))
         rows = [rng.getrandbits(n) for _ in range(rng.randrange(n + 1))]
-        out[face] = BitMatrix.from_int_rows(rows, n).row_space_basis()
+        out[face] = BitMatrix.from_int_rows(rows, n).rref()[0]
     return out
 
 
@@ -374,7 +375,6 @@ def test_int_row_sheaf_matches_bitmatrix_reference(complex2, ring2):
                 assert coboundary_matrix(s, j) == coboundary_matrix(r, j)
                 assert coboundary_matrix(s, j) is coboundary_matrix(s, j)
             assert projection_matrix(s, j) == projection_matrix(r, j)
-            assert cohomology_reps(s, j) == cohomology_reps(r, j)
 
 
 def test_attach_rejects_a_rep_outside_its_face(complex2, ring2):
@@ -422,7 +422,7 @@ def test_attach_explicit_rejects_wrong_width():
 
 
 def test_cocycles_contain_coboundaries(sheaf2):
-    z = EchelonBasis(cocycle_basis(sheaf2, 1).int_rows())
+    z = EchelonBasis(_ref_cocycle_basis(sheaf2, 1).int_rows())
     d0 = coboundary_matrix(sheaf2, 0)
     for i in range(min(10, d0.cols)):
         assert not z.reduce(_matvec(d0, 1 << i))
@@ -460,25 +460,10 @@ def _coboundary_by_solve(s, j):
     return BitMatrix.from_int_rows(out, src_dim)
 
 
-def _cohomology_reps_by_rank(s, j):
-    """Reference: keep a cocycle iff it raises the rank of the stack."""
-    z = cocycle_basis(s, j)
-    acc = coboundary_image_basis(s, j)
-    reps = []
-    for row in z.int_rows():
-        grown = acc.vstack(BitMatrix.from_int_rows([row], z.cols))
-        if grown.rank() > acc.rank():
-            reps.append(row)
-            acc = grown
-    return BitMatrix.from_int_rows(reps, z.cols)
-
-
-def test_coboundary_and_cohomology_reps_match_references(sheaf2, dual2):
+def test_coboundary_matches_reference(sheaf2, dual2):
     for s in (sheaf2, dual2):
         for j in range(s.complex.D):
             assert coboundary_matrix(s, j) == _coboundary_by_solve(s, j)
-        for j in range(s.complex.D + 1):
-            assert cohomology_reps(s, j) == _cohomology_reps_by_rank(s, j)
 
 
 def test_coboundary_rejects_restriction_outside_local_code():
@@ -523,48 +508,23 @@ def test_cup_product_leibniz_rule():
 def test_cup_product_of_cocycles_is_cocycle(sheaf2):
     s = sheaf2
     ss = star_sheaf(s, s)
-    reps = cohomology_reps(s, 1)
-    f = Cochain(s, 1, reps.int_rows()[0])
-    z0 = cocycle_basis(s, 0)
+    # the first cocycle outside B^1, and a 0-cocycle
+    acc = EchelonBasis(_ref_coboundary_image_basis(s, 1).int_rows())
+    f = Cochain(s, 1, next(r for r in _ref_cocycle_basis(s, 1).int_rows() if acc.insert(r)))
+    z0 = _ref_cocycle_basis(s, 0)
     g = Cochain(s, 0, z0.int_rows()[0])
     fg = cup_product(f, g, target=ss)
     d1s = coboundary_matrix(ss, 1)
     assert _matvec(d1s, fg.data) == 0
 
 
-def test_lift_shrunk_cocycle_roundtrip(sheaf2):
-    s = sheaf2
-    reps = cohomology_reps(s, 1)
-    d1 = coboundary_matrix(s, 1)
-    for T in ((0, 1), (0, 2), (1, 2)):
-        _, keep = s.type_coords(1, T)
-        f = reps.int_rows()[0] & keep
-        lifted = lift_shrunk_cocycle(s, T, f)
-        assert _matvec(d1, lifted.data) == 0
-        assert lifted.data & keep == f
-
-
-def test_lift_refuses_a_cocycle_outside_its_type(sheaf2):
-    s = sheaf2
-    rep = cohomology_reps(s, 1).int_rows()[0]
-    _, keep = s.type_coords(1, (0, 1))
-    assert rep & ~keep  # a global cocycle, not a (0, 1)-shrunk one
-    with pytest.raises(SheafError, match="outside the type"):
-        lift_shrunk_cocycle(s, (0, 1), rep)
-    for T in ((0, 3), (-1, 1), (0, 1, 2), (0,)):
-        with pytest.raises(SheafError, match="invalid shrunk type"):
-            lift_shrunk_cocycle(s, T, 0)
-
-
-def test_cochain_and_lift_refuse_data_outside_the_level(sheaf2):
+def test_cochain_refuses_data_outside_the_level(sheaf2):
     s = sheaf2
     top = (1 << s.level_dim(1)) - 1
     assert Cochain(s, 1, top).data == top
     for bad in (-1, top + 1):
         with pytest.raises(SheafError, match="cochain data"):
             Cochain(s, 1, bad)
-        with pytest.raises(SheafError, match="shrunk cocycle"):
-            lift_shrunk_cocycle(s, (0, 1), bad)
 
 
 def test_pair_products_even_overlap_q2(sheaf2, dual2):
@@ -963,8 +923,8 @@ def test_cohomology_dim_matches_basis_counts(reference_sheaves, sheaf2, dual2):
     # the rank route against dim Z^j - dim B^j from the bases
     for name, s in reference_sheaves.items():
         for j in range(s.complex.D + 1):
-            z = cocycle_basis(s, j).rows
-            want = z - coboundary_image_basis(s, j).rows
+            z = _ref_cocycle_basis(s, j).rows
+            want = z - _ref_coboundary_image_basis(s, j).rows
             assert cohomology_dim(s, j) == want, (name, j)
             # the route through a cocycle basis: dim Z^j - rank delta^{j-1}
             if j > 0:
